@@ -56,7 +56,7 @@ def _common_flags(p):
     p.add_argument("--seed", type=int, default=None,
                    help="override the configuration seed")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker pool cap for independent checks")
+                   help="accepted for compatibility; checks run in sequence")
     p.add_argument("--grid-scale", type=float, default=1.0,
                    help="multiply grid resolutions by this factor")
 

@@ -596,20 +596,19 @@ def assemble_vector_fields(dec, backend, grid, epsilon=None, delta=None, delta2=
         stats["component_sup"] = {f"order{m}": sup[m] for m in range(3)}
         seminorms = []
         centers = pts[:: max(1, len(pts) // 4)][:4]
+        mus = [tuple(2 if i == a else 0 for i in range(nv)) for a in range(nv)]
         for x in centers:
             worst = 0.0
             for X in fields[k]:
                 for comp in X:
                     if comp is ex.ZERO:
                         continue
-                    for a in range(nv):
-                        mu = tuple(2 if i == a else 0 for i in range(nv))
-                        try:
-                            worst = max(
-                                worst, holder_seminorm(comp, x, mu, delta, grid)
-                            )
-                        except jets.SingularDomainError:
-                            continue
+                    try:
+                        worst = max(
+                            worst, holder_seminorm(comp, x, mus, delta, grid)
+                        )
+                    except jets.SingularDomainError:
+                        continue
             seminorms.append({"center": x.tolist(), "estimate": worst})
         stats["order2_seminorms"] = seminorms
         deriv_stats.append(stats)

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import expr as ex
 from . import jets
@@ -351,6 +350,10 @@ def delta_nu_estimate(L, query):
     the zero-padded best coefficients of nu - 1, so the estimate is
     monotone nonincreasing in nu by construction.
     """
+    # scipy is imported here, not at module level: it is most of the cost of
+    # `import matsos`, and nothing else uses it
+    from scipy.optimize import minimize
+
     if L.n != 3:
         raise ValueError("expected a 3x3 quadratic matrix family")
     W = _fibonacci_sphere(query.sphere_count)

@@ -10,8 +10,11 @@ seminorm estimators.  Identical specs always produce identical samples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from .expr import VariableCountError
 
 __all__ = ["Exclusion", "GridSpec", "MisconfiguredGridError"]
 
@@ -113,6 +116,39 @@ class GridSpec:
             return float(self.pair_base)
         return min(hi - lo for lo, hi in self.box) / 8.0
 
+    @cached_property
+    def _pair_offsets(self):
+        """(dY, dZ, anchor): pair offsets from the center, drawn once per spec.
+
+        `anchor` marks the rows whose z is the center itself; their dZ row
+        is unused.
+        """
+        base = self.default_pair_base()
+        dys, dzs, anchor = [], [], []
+        for k in range(self.pair_scales):
+            r = base / 2.0**k
+            for i in range(self.pairs_per_scale):
+                rng = np.random.default_rng((self.seed, 2, k, i))
+                u = rng.normal(size=self.dim)
+                u /= max(np.linalg.norm(u), 1e-300)
+                v = rng.normal(size=self.dim)
+                v /= max(np.linalg.norm(v), 1e-300)
+                dys.append(r * u * rng.random())
+                dzs.append(r * v * rng.random())
+                anchor.append(False)
+            rng = np.random.default_rng((self.seed, 3, k))
+            d = rng.normal(size=self.dim)
+            d /= max(np.linalg.norm(d), 1e-300)
+            dys.append(r * d)
+            dzs.append(np.zeros(self.dim))
+            anchor.append(True)
+        shape = (len(dys), self.dim)
+        out = (np.array(dys).reshape(shape), np.array(dzs).reshape(shape),
+               np.array(anchor, dtype=bool))
+        for a in out:
+            a.flags.writeable = False
+        return out
+
     def sample_pairs(self, center):
         """Pairs (y, z) concentrating at `center` on a dyadic scale ladder.
 
@@ -125,27 +161,22 @@ class GridSpec:
         Pair i of scale k is a pure function of (seed, k, i), so the pair
         set for a smaller `pairs_per_scale` is a subset of the set for a
         larger one: seminorm estimates are monotone in the pair budget by
-        construction.
+        construction.  The offsets from the center do not depend on the
+        center, so they are drawn once per spec and shifted here; the
+        anchored z rows are copies of the center (signed zeros included).
+        Raises VariableCountError when `center` does not have `dim`
+        coordinates.
         """
         center = np.asarray(center, dtype=float)
-        base = self.default_pair_base()
-        ys, zs = [], []
-        for k in range(self.pair_scales):
-            r = base / 2.0**k
-            for i in range(self.pairs_per_scale):
-                rng = np.random.default_rng((self.seed, 2, k, i))
-                u = rng.normal(size=self.dim)
-                u /= max(np.linalg.norm(u), 1e-300)
-                v = rng.normal(size=self.dim)
-                v /= max(np.linalg.norm(v), 1e-300)
-                ys.append(center + r * u * rng.random())
-                zs.append(center + r * v * rng.random())
-            rng = np.random.default_rng((self.seed, 3, k))
-            d = rng.normal(size=self.dim)
-            d /= max(np.linalg.norm(d), 1e-300)
-            ys.append(center + r * d)
-            zs.append(center.copy())
-        return np.array(ys), np.array(zs)
+        if center.shape != (self.dim,):
+            raise VariableCountError(
+                f"pair center has shape {center.shape}, grid has {self.dim} coordinates"
+            )
+        dY, dZ, anchor = self._pair_offsets
+        Y = center + dY
+        Z = center + dZ
+        Z[anchor] = center
+        return Y, Z
 
     def ball_points(self, center, radius, count=64):
         """Deterministic points of the closed ball B(center, radius).

@@ -121,7 +121,22 @@ class JetSpace:
             self.unit = []
 
     def mul(self, a, b):
-        """Truncated product of two Taylor-coefficient tables."""
+        """Truncated product of two Taylor-coefficient tables.
+
+        Constant-operand shortcut: when one operand is a constant jet
+        (every row but the value row is zero) the product is ``a[0] * b``,
+        with no gather over multiindex pairs.  The dropped terms are exact
+        zeros, so the result can differ from the general product only in
+        the sign of a zero, or in which rows of an already non-finite
+        column are non-finite (such columns are scrubbed as invalid either
+        way).  Most products start from such an operand: the seed 1 of
+        products and powers, Horner's constant start, constant factors,
+        and every order-0 table.
+        """
+        if not a[1:].any():
+            return a[0] * b
+        if not b[1:].any():
+            return a * b[0]
         prod = a[self._mi] * b[self._mj]
         return np.add.reduceat(prod, self._kstart, axis=0)
 

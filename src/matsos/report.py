@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .decompose import ScalarSosBackend, assemble_vector_fields, iterated_sd
@@ -223,6 +222,8 @@ def run_config(cfg, threads=1, grid_scale=1.0):
 
     Exit code 0 when every check passed, 2 on a hypothesis refusal or a
     failed certificate, 1 on execution errors (raised by the caller).
+    `threads` is accepted and ignored: the checkers run in sequence, since
+    a thread pool measured no gain for this pure-Python, GIL-bound work.
     """
     cfg = validate_config(cfg)
     t0 = time.monotonic()
@@ -254,16 +255,11 @@ def run_config(cfg, threads=1, grid_scale=1.0):
                  "gallery pipeline needs a gallery matrix")
         checks, extras = _gallery_checks(item.name, A, cfg, grid, params)
     elif pipeline == "verify":
-        jobs = [
-            lambda: diag_elliptic_check(A, grid),
-            lambda: subordinate_check(A, grid),
-            lambda: quasiconformal_check(A, grid),
+        checks = [
+            diag_elliptic_check(A, grid),
+            subordinate_check(A, grid),
+            quasiconformal_check(A, grid),
         ]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                checks = [f.result() for f in [pool.submit(j) for j in jobs]]
-        else:
-            checks = [j() for j in jobs]
     elif pipeline == "decompose":
         pp = _check_p(params["p"], A.n)
         dec = iterated_sd(A, pp, grid)

@@ -210,3 +210,18 @@ def test_main_entry_in_process(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert json.loads(out)
+
+
+def test_import_does_not_load_scipy():
+    import os
+
+    import matsos
+
+    src = os.path.dirname(os.path.dirname(matsos.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, matsos; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from matsos.expr import VariableCountError
 from matsos.grids import Exclusion, GridSpec, MisconfiguredGridError
 
 
@@ -69,3 +70,60 @@ def test_ball_points_cover_key_points():
     assert (r <= np.linalg.norm(center) / 2 + 1e-12).all()
     assert (np.abs(b - center) < 1e-12).all(axis=1).any()  # x itself
     assert (np.abs(b) < 1e-12).all(axis=1).any()  # the origin
+
+
+def _pairs_loop(g, center):
+    """Reference pair sampler: one generator per pair, drawn at every call."""
+    center = np.asarray(center, dtype=float)
+    base = g.default_pair_base()
+    ys, zs = [], []
+    for k in range(g.pair_scales):
+        r = base / 2.0**k
+        for i in range(g.pairs_per_scale):
+            rng = np.random.default_rng((g.seed, 2, k, i))
+            u = rng.normal(size=g.dim)
+            u /= max(np.linalg.norm(u), 1e-300)
+            v = rng.normal(size=g.dim)
+            v /= max(np.linalg.norm(v), 1e-300)
+            ys.append(center + r * u * rng.random())
+            zs.append(center + r * v * rng.random())
+        rng = np.random.default_rng((g.seed, 3, k))
+        d = rng.normal(size=g.dim)
+        d /= max(np.linalg.norm(d), 1e-300)
+        ys.append(center + r * d)
+        zs.append(center.copy())
+    return np.array(ys), np.array(zs)
+
+
+@pytest.mark.parametrize("center", [
+    [0.2, -0.1, 0.7],
+    [-0.0, 0.3, -0.0],
+    [0.0, -0.0, 1e-300],
+])
+def test_pairs_bit_identical_to_per_pair_generators(center):
+    g = GridSpec(box=((-1, 1), (-2, 2), (0, 1)), pair_scales=6, pairs_per_scale=3,
+                 seed=5)
+    Y, Z = g.sample_pairs(center)
+    Yr, Zr = _pairs_loop(g, center)
+    assert Y.view(np.uint64).tolist() == Yr.view(np.uint64).tolist()
+    assert Z.view(np.uint64).tolist() == Zr.view(np.uint64).tolist()
+    anchored = Z[g.pairs_per_scale :: g.pairs_per_scale + 1]
+    assert (np.signbit(anchored) == np.signbit(center)).all()
+
+
+def test_pairs_returned_arrays_are_fresh():
+    g = GridSpec(box=((-1, 1), (-1, 1)), pair_scales=4, pairs_per_scale=2)
+    Y, Z = g.sample_pairs([0.1, 0.2])
+    Y[:] = 7.0
+    Z[:] = 7.0
+    Y2, Z2 = g.sample_pairs([0.1, 0.2])
+    Yr, Zr = _pairs_loop(g, [0.1, 0.2])
+    assert np.array_equal(Y2, Yr) and np.array_equal(Z2, Zr)
+
+
+def test_pair_center_of_wrong_length_is_named_error():
+    g = GridSpec(box=((-1, 1),) * 3)
+    with pytest.raises(VariableCountError):
+        g.sample_pairs([0.3])
+    with pytest.raises(VariableCountError):
+        g.sample_pairs([0.1, 0.2, 0.3, 0.4])

@@ -246,3 +246,23 @@ def test_grid_partitions_merge_deterministically():
     merged = np.concatenate([p.coef for p in parts], axis=1)
     assert (merged == full.coef).all()
     assert (np.concatenate([p.invalid for p in parts]) == full.invalid).all()
+
+
+def _gather_mul(sp, a, b):
+    """The general truncated product: gather every multiindex pair, reduce."""
+    return np.add.reduceat(a[sp._mi] * b[sp._mj], sp._kstart, axis=0)
+
+
+@pytest.mark.parametrize("nvars", range(1, 9))
+@pytest.mark.parametrize("order", range(jets.MAX_ORDER + 1))
+def test_mul_constant_operand_shortcut_matches_gather(nvars, order):
+    sp = jets.space(nvars, order)
+    rng = np.random.default_rng((nvars, order))
+    const = sp.const_table(rng.normal(size=5))
+    const2 = sp.const_table(rng.normal(size=5))
+    dense = rng.normal(size=(sp.ncoef, 5))
+    dense2 = rng.normal(size=(sp.ncoef, 5))
+    for a, b in [(const, dense), (dense, const), (const, const2), (dense, dense2)]:
+        got = sp.mul(a, b)
+        assert got.shape == (sp.ncoef, 5)
+        assert np.array_equal(got, _gather_mul(sp, a, b))

@@ -74,6 +74,30 @@ class TestHolderSeminorm:
             holder_seminorm(ex.recip(X), [0.0], (0,), 0.5, grid1())
         assert info.value.point is not None
 
+    @pytest.mark.parametrize("mus", [
+        [(2, 0), (0, 2)],
+        [(2, 0), (1, 1), (0, 2), (1, 0), (0, 3), (4, 0)],
+    ])
+    def test_several_multiindices_equal_max_of_single_calls(self, mus):
+        Y = ex.var(1)
+        h = ex.exp(X * Y) * ex.recip(ex.const(2.0) + X**2) + ex.sqrt(ex.const(1.5) + Y)
+        grid = GridSpec(box=((-1.0, 1.0), (-1.0, 1.0)), pair_scales=6)
+        x = [0.3, -0.2]
+        single = [holder_seminorm(h, x, mu, 0.4, grid) for mu in mus]
+        assert holder_seminorm(h, x, mus, 0.4, grid) == max(single)
+        assert max(single) > 0.0
+
+    def test_empty_multiindex_list_rejected(self):
+        with pytest.raises(ValueError):
+            holder_seminorm(X**2, [0.4], [], 0.3, grid1())
+
+    def test_center_of_wrong_length_is_named_error(self):
+        from matsos.expr import VariableCountError
+
+        grid = GridSpec(box=((-1.0, 1.0),) * 3)
+        with pytest.raises(VariableCountError):
+            holder_seminorm(X**2, [0.3], (2,), 0.5, grid)
+
 
 class TestOmegaMonotone:
     def test_constant_function(self):
