@@ -250,27 +250,30 @@ def one_sd(A, grid=None):
 
 
 def _bracket_constants(mats, diags, k):
-    """Per-sample best constants in
+    """Best constants over a stack of samples in
     c a_kk e_k (x) e_k < M_k < C sum_{m>=k} a_mm e_m (x) e_m, where
-    M_k = Z_k Z_k^T + sum_{m>k} a_mm e_m (x) e_m (active block only)."""
-    cs, Cs = [], []
-    for M, dvals in zip(mats, diags):
-        akk = dvals[k]
-        if akk < FLAT_PIVOT or dvals[k:].min() < FLAT_PIVOT:
-            continue
-        Mk = M[k:, k:]
-        w, v = _jacobi(Mk)
-        if w.min() <= 0:
-            cs.append(0.0)
-        else:
-            inv_kk = float((v[0, :] ** 2 / w).sum())
-            cs.append(1.0 / (akk * inv_kk))
-        dinv = 1.0 / np.sqrt(dvals[k:])
-        w2, _ = _jacobi(Mk * dinv[:, None] * dinv[None, :])
-        Cs.append(float(w2.max()))
-    if not cs:
+    M_k = Z_k Z_k^T + sum_{m>k} a_mm e_m (x) e_m (active block only).
+
+    `mats` is (S, n, n) and `diags` (S, n); samples with a flat trailing
+    diagonal entry are skipped.  Returns (None, None) when none is left.
+    """
+    akk = diags[:, k]
+    use = ~((akk < FLAT_PIVOT) | (diags[:, k:].min(axis=1) < FLAT_PIVOT))
+    if not use.any():
         return None, None
-    return float(min(cs)), float(max(Cs))
+    akk = akk[use]
+    Mk = mats[use][:, k:, k:]
+    dinv = 1.0 / np.sqrt(diags[use][:, k:])
+    w, v = _jacobi(np.concatenate([Mk, Mk * dinv[:, :, None] * dinv[:, None, :]]))
+    m = len(akk)
+    w, v, w2 = w[:m], v[:m], w[m:]
+    pos = ~(w.min(axis=1) <= 0)
+    cs = np.zeros(m)
+    inv_kk = (v[pos, 0, :] ** 2 / w[pos]).sum(axis=1)
+    cs[pos] = 1.0 / (akk[pos] * inv_kk)
+    # the builtin folds keep the first of equal extremes, as a running
+    # min/max over the samples would
+    return float(min(cs)), float(max(w2.max(axis=1)))
 
 
 def _dyad_domination_constant(Q, pts):
@@ -281,22 +284,15 @@ def _dyad_domination_constant(Q, pts):
     the quality of the evaluation) over the punctured grid.
     """
     vals, ok = Q.values(pts)
-    worst = 0.0
-    used = 0
-    for s in range(len(pts)):
-        if not ok[s]:
-            continue
-        q = vals[s]
-        if q[0, 0] < FLAT_PIVOT:
-            continue
-        w, v = _jacobi(q)
-        if w[0] <= 0:
-            continue
-        z = q[:, 0] / np.sqrt(q[0, 0])
-        r = float((v.T @ z) ** 2 @ (1.0 / w))
-        worst = max(worst, r)
-        used += 1
-    return {"constant": worst if used else None, "samples": used}
+    q = vals[ok & ~(vals[:, 0, 0] < FLAT_PIVOT)]
+    w, v = _jacobi(q)
+    pos = ~(w[:, 0] <= 0)
+    q, w, v = q[pos], w[pos], v[pos]
+    z = q[:, :, 0] / np.sqrt(q[:, 0, 0])[:, None]
+    y = (v.transpose(0, 2, 1) @ z[:, :, None]) ** 2
+    r = (y.transpose(0, 2, 1) @ (1.0 / w)[:, :, None])[:, 0, 0]
+    return {"constant": float(max(0.0, *r)) if r.size else None,
+            "samples": int(r.size)}
 
 
 def iterated_sd(A, p, grid):
@@ -355,29 +351,21 @@ def iterated_sd(A, p, grid):
                 v = np.where(ok, v, np.nan)
                 zrows.append(v)
             zv = np.stack(zrows, axis=1)
-            mats = []
-            dlist = []
-            for s in range(zv.shape[0]):
-                if not np.isfinite(zv[s]).all():
-                    continue
-                M = np.outer(zv[s], zv[s])
-                for m in range(k + 1, n):
-                    M[m, m] += diags[s, m]
-                mats.append(M)
-                dlist.append(diags[s])
-            c, C = _bracket_constants(mats, dlist, k)
+            fin = np.isfinite(zv).all(axis=1)
+            zv, dv = zv[fin], diags[fin]
+            M = zv[:, :, None] * zv[:, None, :]
+            tail = np.arange(k + 1, n)
+            M[:, tail, tail] += dv[:, tail]
+            c, C = _bracket_constants(M, dv, k)
             zk.append({"k": k + 1, "c": c, "C": C})
         cert["peel_brackets"] = zk
         if Q.n > 0:
             qv, qok = Q.values(pts[use])
-            ref = diags[:, p - 1] if p - 1 < n else None
-            lo, hi = np.inf, -np.inf
-            for s in range(qv.shape[0]):
-                if not qok[s] or ref is None or ref[s] < FLAT_PIVOT:
-                    continue
-                w, _ = _jacobi(qv[s])
-                lo = min(lo, w[0] / ref[s])
-                hi = max(hi, w[-1] / ref[s])
+            ref = diags[:, p - 1]
+            sel = qok & ~(ref < FLAT_PIVOT)
+            w, _ = _jacobi(qv[sel])
+            lo = min([np.inf, *(w[:, 0] / ref[sel])])
+            hi = max([-np.inf, *(w[:, -1] / ref[sel])])
             if np.isfinite(lo):
                 cert["residual_bracket"] = {"beta": float(lo), "alpha": float(hi)}
     dec.certificates = cert

@@ -544,18 +544,16 @@ def block_trace_comparability(M, grid, cmax=1e6):
     vals, ok = M.values(pts)
     tvals, tok = jets.eval_values(tr, pts, nvars=M.nvars)
     use = ok & tok & (tvals > 1e-300)
-    lhs, rhs = [], []
-    for s in np.where(use)[0]:
-        ref = np.diag([1.0] * 4 + [tvals[s]] * 3)
-        d = 1.0 / np.sqrt(np.diag(ref))
-        B = vals[s] * d[:, None] * d[None, :]
-        w, _ = _jacobi(B)
-        lhs.append(w[-1])
-        rhs.append(max(w[0], 0.0))
+    # B = ref^{-1/2} M ref^{-1/2} with ref = blockdiag(I4, trace(F) I3)
+    d = np.ones((int(use.sum()), 7))
+    d[:, 4:] = 1.0 / np.sqrt(tvals[use])[:, None]
+    w, _ = _jacobi(vals[use] * d[:, :, None] * d[:, None, :])
+    lhs = w[:, -1]
+    rhs = np.where(w[:, 0] < 0.0, 0.0, w[:, 0])
     return sampled_bound(
         "block-trace-comparability",
-        np.array(lhs),
-        np.array(rhs),
+        lhs,
+        rhs,
         pts[use],
         cmax=cmax,
         excluded=int((~use).sum()),

@@ -2,12 +2,16 @@
 
 Eigendecomposition is a cyclic Jacobi sweep: for the tiny, unconditionally
 symmetric matrices peeled off by the decomposition it is simple, backward
-stable to machine precision and deterministic.  Flat matrix functions
-produce entries spanning hundreds of orders of magnitude, so no absolute
-tolerance decides a rotation: a Jacobi pivot is skipped only when it is
-negligible relative to its own two diagonal entries, which keeps small
-eigenvalues of graded matrices to relative precision.  The PSD, singularity
-and Loewner-order tests are scaled by the max-norm of the input.
+stable to machine precision and deterministic.  The solver takes a stack
+of matrices (..., n, n) as well as a single one, so a checker solves all
+its grid samples in one call; each matrix of a stack gets bitwise the
+result it would get alone.  Flat matrix functions produce entries
+spanning hundreds of orders of magnitude, so no absolute tolerance decides
+a rotation: a Jacobi pivot is skipped only when it is negligible relative
+to its own two diagonal entries, which keeps small eigenvalues of graded
+matrices to relative precision.  The symmetry, singularity, Loewner-order
+and comparability tests are scaled by the max-norm of their input, with no
+absolute floor; only the clamp of `sqrt_psd` keeps one.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ class SymMatrix:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("need a square array")
         if not symmetrize:
-            scale = max(1.0, np.abs(a).max()) if a.size else 1.0
+            scale = np.abs(a).max(initial=0.0)
             if np.abs(a - a.T).max(initial=0.0) > tol * scale:
                 raise ValueError("array is not symmetric; pass symmetrize=True")
         s = 0.5 * (a + a.T)
@@ -107,8 +111,66 @@ def _as_array(M):
     return SymMatrix.from_array(M).to_array()
 
 
+def _rotate_sweep(a, v):
+    """One cyclic sweep over every pivot (p, q) of the stack `a`, in place.
+
+    Rotates only the matrices whose pivot is not negligible, so a matrix
+    that skips a pivot is left untouched (an identity rotation could flip
+    the sign of a zero).  Returns the mask of matrices that rotated.
+    """
+    S, n, _ = a.shape
+    rotated = np.zeros(S, dtype=bool)
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            apq = a[:, p, q]
+            rel = np.sqrt(np.abs(a[:, p, p])) * np.sqrt(np.abs(a[:, q, q]))
+            idx = np.flatnonzero(~(np.abs(apq) <= 1e-15 * rel))
+            if not idx.size:
+                continue
+            apq = apq[idx]
+            d = a[idx, q, q] - a[idx, p, p]
+            # |theta| > 1e150: t = 1/(2 theta), without forming theta,
+            # which overflows for subnormal couplings
+            small = np.abs(apq) < 5e-151 * np.abs(d)
+            t = np.empty(idx.size)
+            t[small] = apq[small] / d[small]
+            theta = d[~small] / (2.0 * apq[~small])
+            # float_power rounds as the scalar theta**2 (libm pow) does;
+            # the array ** and np.power do not always
+            t[~small] = np.where(
+                theta == 0.0,
+                1.0,
+                np.sign(theta)
+                / (np.abs(theta) + np.sqrt(np.float_power(theta, 2.0) + 1.0)),
+            )
+            turn = ~(small & (t == 0.0))
+            idx, t = idx[turn], t[turn]
+            if not idx.size:
+                continue
+            rotated[idx] = True
+            c = 1.0 / np.sqrt(np.float_power(t, 2.0) + 1.0)
+            s = (t * c)[:, None]
+            c = c[:, None]
+            rp, rq = a[idx, p, :], a[idx, q, :]
+            a[idx, p, :] = c * rp - s * rq
+            a[idx, q, :] = s * rp + c * rq
+            cp, cq = a[idx, :, p], a[idx, :, q]
+            a[idx, :, p] = c * cp - s * cq
+            a[idx, :, q] = s * cp + c * cq
+            vp, vq = v[idx, :, p], v[idx, :, q]
+            v[idx, :, p] = c * vp - s * vq
+            v[idx, :, q] = s * vp + c * vq
+    return rotated
+
+
 def _jacobi(a):
-    """Cyclic Jacobi rotations; returns (eigenvalues asc, eigenvectors).
+    """Cyclic Jacobi rotations on a matrix or a stack of matrices.
+
+    `a` has shape (..., n, n); returns the eigenvalues ascending, shape
+    (..., n), and the eigenvectors as columns, shape (..., n, n).  Every
+    matrix of the stack is solved exactly as it would be alone: it gets its
+    own skip decision per pivot, stops after its own sweep without a
+    rotation, and runs at most 64 sweeps.
 
     A pivot is skipped only when it is negligible relative to the
     geometric mean of its two diagonal entries, or when its rotation angle
@@ -119,49 +181,29 @@ def _jacobi(a):
     with off-diagonal couplings tiny in absolute terms yet decisive for
     the small eigenvalues).
     """
-    a = a.copy()
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), v
+    a = np.array(a, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError("need a square matrix or a stack of them")
+    shape = a.shape
+    n = shape[-1]
+    a = a.reshape(-1, n, n)
+    v = np.broadcast_to(np.eye(n), a.shape).copy()
+    live = np.arange(a.shape[0])
     for _ in range(64):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                rel = np.sqrt(abs(a[p, p])) * np.sqrt(abs(a[q, q]))
-                if abs(apq) <= 1e-15 * rel:
-                    continue
-                d = a[q, q] - a[p, p]
-                if abs(apq) < 5e-151 * abs(d):
-                    # |theta| > 1e150: t = 1/(2 theta), without forming
-                    # theta, which overflows for subnormal couplings
-                    t = apq / d
-                    if t == 0.0:
-                        continue
-                else:
-                    theta = d / (2.0 * apq)
-                    if theta == 0.0:
-                        t = 1.0
-                    else:
-                        t = np.sign(theta) / (abs(theta) + np.sqrt(theta**2 + 1.0))
-                rotated = True
-                c = 1.0 / np.sqrt(t**2 + 1.0)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-        if not rotated:
+        if not live.size:
             break
-    w = a.diagonal().copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+        al, vl = a[live], v[live]
+        rotated = _rotate_sweep(al, vl)
+        a[live], v[live] = al, vl
+        live = live[rotated]
+    w = a.diagonal(axis1=1, axis2=2)
+    order = np.argsort(w, axis=-1, kind="stable")
+    w = np.take_along_axis(w, order, axis=-1)
+    # each eigenvector matrix is stored column-major, as a single matrix's
+    # v[:, order] is: products taken with it then call the same BLAS
+    # kernels and round the same way
+    vt = np.take_along_axis(v.transpose(0, 2, 1), order[:, :, None], axis=1)
+    return w.reshape(shape[:-1]), vt.transpose(0, 2, 1).reshape(shape)
 
 
 def eigen(M):
@@ -191,10 +233,10 @@ def sqrt_psd(M, tol=PSD_TOL):
 def _det_and_solve(a, rhs, rel_floor=1e-12):
     w, v = _jacobi(a)
     det = float(np.prod(w))
-    scale = max(1.0, np.abs(a).max()) ** a.shape[0]
-    if np.abs(w).min() <= rel_floor * max(1.0, np.abs(a).max()):
+    scale = np.abs(a).max()
+    if np.abs(w).min() <= rel_floor * scale:
         raise SingularMatrixError(
-            f"matrix numerically singular (|det| ~ {abs(det):g}, scale {scale:g})"
+            f"matrix numerically singular (|det| ~ {abs(det):g}, max-norm {scale:g})"
         )
     x = v @ ((v.T @ rhs) / w)
     return det, x
@@ -215,12 +257,14 @@ def bordered_det(alpha, v, M):
 
 
 def loewner_leq(A, B, tol=PSD_TOL):
-    """A <= B in the Loewner order: min eigenvalue of B - A >= -tol."""
+    """A <= B in the Loewner order: min eigenvalue of B - A >= -tol * s,
+    with s the larger max-norm of A and B."""
     a, b = _as_array(A), _as_array(B)
     if a.shape != b.shape:
         raise ValueError("dimension mismatch")
     w, _ = _jacobi(b - a)
-    return bool(w[0] >= -tol)
+    scale = max(np.abs(a).max(), np.abs(b).max())
+    return bool(w[0] >= -tol * scale)
 
 
 def comparable(A, B, beta, alpha, tol=PSD_TOL):
@@ -267,7 +311,7 @@ def comparability_gamma(A, floor_rel=1e-14):
     quad = float((v.T @ b) ** 2 @ (1.0 / weff))
     gamma = float(np.sqrt(max(quad, 0.0) / a11))
     viol = []
-    tol = 1e-12 * max(1.0, np.abs(a).max())
+    tol = 1e-12 * np.abs(a).max()
     for k in range(n):
         for j in range(k + 1, n):
             bound = gamma * np.sqrt(max(a[k, k], 0.0) * max(a[j, j], 0.0))
@@ -297,7 +341,7 @@ def alpha_shift_psd(h2, H, v, F, f, alpha, tol=PSD_TOL):
     if w[0] <= 0:
         return False
     quad = float((vec.T @ v) ** 2 @ (1.0 / w))
-    slack = tol * max(1.0, abs(head), np.abs(G).max())
+    slack = tol * max(abs(head), np.abs(G).max())
     return bool(quad <= head + slack)
 
 

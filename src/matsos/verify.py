@@ -70,24 +70,18 @@ def _matrix_samples(A, grid):
     return pts, vals, valid
 
 
-def _active_indices(a):
-    """Indices kept for a single sample after dropping flat directions.
+def _active_masks(vals):
+    """Flat directions of a stack of samples (S, n, n).
 
-    Returns (indices, ok): a diagonal entry below the flat floor is dropped
-    when its whole row is consistently flat; ok=False flags a flat diagonal
-    against a non-flat off-diagonal entry, which no comparability constant
-    survives.
+    Returns (keep, ok): keep (S, n) marks the diagonal entries at or above
+    the flat floor.  A dropped entry is fine when its whole row is
+    consistently flat; ok (S,) is False where a flat diagonal entry meets
+    a non-flat off-diagonal one, which no comparability constant survives.
     """
-    n = a.shape[0]
-    keep = []
-    for i in range(n):
-        if a[i, i] >= FLAT_FLOOR:
-            keep.append(i)
-            continue
-        row = np.abs(np.delete(a[i], i))
-        if row.size and row.max() > ROW_FLAT_FLOOR:
-            return None, False
-    return keep, True
+    keep = vals.diagonal(axis1=1, axis2=2) >= FLAT_FLOOR
+    off = np.where(np.eye(vals.shape[-1], dtype=bool), 0.0, np.abs(vals))
+    ok = ~(~keep & (off.max(axis=2) > ROW_FLAT_FLOOR)).any(axis=1)
+    return keep, ok
 
 
 def diag_elliptic_check(A, grid, cmax=DEFAULT_CMAX):
@@ -99,34 +93,13 @@ def diag_elliptic_check(A, grid, cmax=DEFAULT_CMAX):
     Reports the tightest (beta, alpha).
     """
     pts, vals, valid = _matrix_samples(A, grid)
-    betas, alphas, used_pts = [], [], []
-    excluded = int((~valid).sum())
-    bad_row_witness = None
-    pd_witness = None
-    pd_min = None
-    for s in range(len(pts)):
-        if not valid[s]:
-            continue
-        a = vals[s]
-        keep, ok = _active_indices(a)
-        if not ok:
-            bad_row_witness = pts[s].tolist()
-            continue
-        if not keep:
-            excluded += 1
-            continue
-        sub = a[np.ix_(keep, keep)]
-        w, _ = _jacobi(sub)
-        if w[0] <= 0 and pd_witness is None:
-            pd_witness = pts[s].tolist()
-            pd_min = float(w[0])
-        d = np.sqrt(np.maximum(np.diag(sub), FLAT_FLOOR))
-        B = sub / d[:, None] / d[None, :]
-        wb, _ = _jacobi(B)
-        betas.append(wb[0])
-        alphas.append(wb[-1])
-        used_pts.append(pts[s])
-    if not betas:
+    keep, ok = _active_masks(vals)
+    some = keep.any(axis=1)
+    excluded = int((~valid).sum()) + int((valid & ok & ~some).sum())
+    bad_rows = np.flatnonzero(valid & ~ok)
+    bad_row_witness = pts[bad_rows[-1]].tolist() if bad_rows.size else None
+    use = np.flatnonzero(valid & ok & some)
+    if not use.size:
         report = CheckReport("diagonal-comparability", INCONCLUSIVE,
                              counts={"evaluated": 0, "excluded": excluded})
         if bad_row_witness is not None:
@@ -134,9 +107,24 @@ def diag_elliptic_check(A, grid, cmax=DEFAULT_CMAX):
             report.witness = bad_row_witness
             report.details["reason"] = "flat-diagonal-vs-nonflat-offdiagonal"
         return report
-    betas = np.array(betas)
-    alphas = np.array(alphas)
-    used_pts = np.array(used_pts)
+    # one stack per set of active indices: the sample blocks themselves
+    # and their diagonal normalizations D^{-1/2} A D^{-1/2}
+    lmin = np.empty(use.size)
+    betas = np.empty(use.size)
+    alphas = np.empty(use.size)
+    groups, inverse = np.unique(keep[use], axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    for g, mask in enumerate(groups):
+        rows = np.flatnonzero(inverse == g)
+        k = np.flatnonzero(mask)
+        sub = vals[use[rows]][:, k[:, None], k]
+        d = np.sqrt(np.maximum(sub.diagonal(axis1=1, axis2=2), FLAT_FLOOR))
+        B = sub / d[:, :, None] / d[:, None, :]
+        w, _ = _jacobi(np.concatenate([sub, B]))
+        lmin[rows] = w[: rows.size, 0]
+        betas[rows] = w[rows.size :, 0]
+        alphas[rows] = w[rows.size :, -1]
+    used_pts = pts[use]
     rep = sampled_bound(
         "diagonal-comparability",
         alphas,
@@ -151,11 +139,12 @@ def diag_elliptic_check(A, grid, cmax=DEFAULT_CMAX):
     if rep.verdict == PASS and (beta <= 0 or alpha / beta > cmax):
         rep.verdict = FAIL
         rep.details["reason"] = "global-bracket-cap"
-    if pd_witness is not None:
+    not_pd = np.flatnonzero(lmin <= 0)
+    if not_pd.size:
         rep.verdict = FAIL
-        rep.witness = pd_witness
+        rep.witness = used_pts[not_pd[0]].tolist()
         rep.details["reason"] = "not-positive-definite"
-        rep.details["min_eigenvalue"] = pd_min
+        rep.details["min_eigenvalue"] = float(lmin[not_pd[0]])
     if bad_row_witness is not None:
         rep.verdict = FAIL
         rep.witness = bad_row_witness
@@ -186,31 +175,28 @@ def subordinate_check(A, grid, cmax=DEFAULT_CMAX):
         avals[:, i, j] = avals[:, j, i] = jb.values[use]
         g = jb.gradient()[:, use]
         grads[:, :, i, j] = grads[:, :, j, i] = g.T
-    qf_ratios = np.zeros(len(use))
-    flat = np.zeros(len(use), dtype=bool)
-    for s in range(len(use)):
-        a = avals[s]
-        gmax = np.abs(grads[s]).max() if nv else 0.0
-        amax = np.abs(a).max()
-        if amax < FLAT_FLOOR and gmax < FLAT_FLOOR:
-            flat[s] = True
-            continue
-        if amax < FLAT_FLOOR:
-            qf_ratios[s] = np.inf
-            continue
-        w, v = _jacobi(a)
-        w = np.maximum(w, FLAT_FLOOR)
-        ratio = 0.0
-        for k in range(nv):
-            Bk = grads[s, k]
-            G = Bk.T @ Bk
-            T = (v.T @ G @ v) / np.sqrt(w)[:, None] / np.sqrt(w)[None, :]
-            if not np.isfinite(T).all():
-                ratio = np.inf
-                break
-            wt, _ = _jacobi(T)
-            ratio = max(ratio, float(wt[-1]))
-        qf_ratios[s] = ratio
+    amax = np.abs(avals).max(axis=(1, 2))
+    gmax = np.abs(grads).max(axis=(1, 2, 3)) if nv else np.zeros(len(use))
+    flat = (amax < FLAT_FLOOR) & (gmax < FLAT_FLOOR)
+    # sup over k of the largest eigenvalue of W^{-1/2} V^T G_k V W^{-1/2},
+    # G_k = (d_k A)^T (d_k A), at every sample that is not flat; infinite
+    # where A itself is flat or some G_k overflows the normalization
+    qf_ratios = np.full(len(use), np.inf)
+    solve = np.flatnonzero(~(amax < FLAT_FLOOR))
+    w, v = _jacobi(avals[solve])
+    sw = np.sqrt(np.maximum(w, FLAT_FLOOR))
+    vt = v.transpose(0, 2, 1)
+    T = np.empty((nv,) + v.shape)
+    for k in range(nv):
+        Bk = grads[solve, k]
+        G = Bk.transpose(0, 2, 1) @ Bk
+        T[k] = (vt @ G @ v) / sw[:, :, None] / sw[:, None, :]
+    finite = np.isfinite(T).all(axis=(0, 2, 3))
+    wt, _ = _jacobi(T[:, finite])
+    ratio = np.zeros(int(finite.sum()))
+    for k in range(nv):
+        ratio = np.where(wt[k, :, -1] > ratio, wt[k, :, -1], ratio)
+    qf_ratios[solve[finite]] = ratio
     qf_pts = pts[use][~flat]
     rep_qf = sampled_bound(
         "subordinate-quadratic-form",
@@ -455,38 +441,32 @@ def quasiconformal_check(Q, grid, reference=None, cmax=DEFAULT_CMAX):
                            counts={"evaluated": 0, "excluded": 0},
                            params={"empty_block": True})
     pts, vals, valid = _matrix_samples(Q, grid)
-    lmins, lmaxs, upts = [], [], []
     excluded = int((~valid).sum())
     refvals = None
     if reference is not None:
         refvals, refok = jets.eval_values(reference, pts, nvars=Q.nvars)
         refvals = np.where(refok, refvals, np.nan)
-    neg_witness = None
-    for s in range(len(pts)):
-        if not valid[s]:
-            continue
-        w, _ = _jacobi(vals[s])
-        scale = max(np.abs(vals[s]).max(), FLAT_FLOOR)
-        if w[0] < -1e-10 * scale:
-            neg_witness = pts[s].tolist()
-            break
-        if w[-1] < FLAT_FLOOR:
-            excluded += 1
-            continue
-        lmins.append(max(w[0], 0.0))
-        lmaxs.append(w[-1])
-        upts.append(s)
-    if neg_witness is not None:
+    idx = np.flatnonzero(valid)
+    w, _ = _jacobi(vals[idx])
+    scale = np.maximum(np.abs(vals[idx]).max(axis=(1, 2)), FLAT_FLOOR)
+    # samples after the first negative eigenvalue are not counted
+    neg = np.flatnonzero(w[:, 0] < -1e-10 * scale)
+    stop = neg[0] if neg.size else idx.size
+    flat = w[:stop, -1] < FLAT_FLOOR
+    excluded += int(flat.sum())
+    if neg.size:
         return CheckReport(
-            "quasiconformal", FAIL, witness=neg_witness,
+            "quasiconformal", FAIL, witness=pts[idx[stop]].tolist(),
             details={"reason": "negative-eigenvalue"},
-            counts={"evaluated": len(lmins) + 1, "excluded": excluded},
+            counts={"evaluated": int((~flat).sum()) + 1, "excluded": excluded},
         )
-    if not lmins:
+    if flat.all():
         return CheckReport("quasiconformal", INCONCLUSIVE,
                            counts={"evaluated": 0, "excluded": excluded})
-    lmins = np.array(lmins)
-    lmaxs = np.array(lmaxs)
+    upts = idx[~flat]
+    lmins = w[~flat, 0]
+    lmins = np.where(lmins < 0.0, 0.0, lmins)
+    lmaxs = w[~flat, -1]
     spts = pts[upts]
     rep = sampled_bound("quasiconformal", lmaxs, lmins, spts, cmax=cmax,
                         excluded=excluded)
@@ -531,30 +511,20 @@ def grushin_type_check(A, grid, degenerate_axes, ratio_cap=100.0, fibers=6):
     on_pts = pts.copy()
     on_pts[:, axes] = 0.0
     on_vals, on_ok = A.values(on_pts)
-    sing_ok = True
-    witness = None
-    for s in range(len(on_pts)):
-        if not on_ok[s]:
-            continue
-        w, _ = _jacobi(on_vals[s])
-        scale = max(np.abs(on_vals[s]).max(), 1.0)
-        if w[0] > 1e-10 * scale:
-            sing_ok = False
-            witness = on_pts[s].tolist()
-            break
+    on = np.flatnonzero(on_ok)
+    w, _ = _jacobi(on_vals[on])
+    scale = np.maximum(np.abs(on_vals[on]).max(axis=(1, 2)), 1.0)
+    regular = np.flatnonzero(w[:, 0] > 1e-10 * scale)
+    sing_ok = not regular.size
+    witness = None if sing_ok else on_pts[on[regular[0]]].tolist()
     off_vals, off_ok = A.values(pts)
-    pd_ok = True
     rad = grid.exclusions[0].radius if grid.exclusions else 0.05
-    for s in range(len(pts)):
-        if not off_ok[s]:
-            continue
-        if np.linalg.norm(pts[s, axes]) < rad:
-            continue
-        w, _ = _jacobi(off_vals[s])
-        if w[0] <= 0:
-            pd_ok = False
-            witness = pts[s].tolist()
-            break
+    off = np.flatnonzero(off_ok & ~(np.linalg.norm(pts[:, axes], axis=1) < rad))
+    w, _ = _jacobi(off_vals[off])
+    singular = np.flatnonzero(w[:, 0] <= 0)
+    pd_ok = not singular.size
+    if not pd_ok:
+        witness = pts[off[singular[0]]].tolist()
     comp = sorted(set(range(A.nvars)) - set(axes))
     worst = 1.0
     if comp:

@@ -77,3 +77,54 @@ def recip_chain_table(h0, h1, h2, h3):
         2.0 * h1**2 / h0**3 - h2 / h0**2,
         -6.0 * h1**3 / h0**4 + 6.0 * h1 * h2 / h0**3 - h3 / h0**2,
     ]
+
+
+def jacobi_scalar(a):
+    """The per-matrix cyclic Jacobi loop that `symmat._jacobi` batches.
+
+    Solves one (n, n) matrix with the same relative skip rule, the same
+    rotation formulas and the same 64-sweep cap; the stacked solver must
+    return bitwise the same eigenvalues and eigenvectors for every matrix
+    of a stack.
+    """
+    a = np.array(a, dtype=float)
+    n = a.shape[0]
+    v = np.eye(n)
+    if n == 1:
+        return a.diagonal().copy(), v
+    for _ in range(64):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                rel = np.sqrt(abs(a[p, p])) * np.sqrt(abs(a[q, q]))
+                if abs(apq) <= 1e-15 * rel:
+                    continue
+                d = a[q, q] - a[p, p]
+                if abs(apq) < 5e-151 * abs(d):
+                    t = apq / d
+                    if t == 0.0:
+                        continue
+                else:
+                    theta = d / (2.0 * apq)
+                    if theta == 0.0:
+                        t = 1.0
+                    else:
+                        t = np.sign(theta) / (abs(theta) + np.sqrt(theta**2 + 1.0))
+                rotated = True
+                c = 1.0 / np.sqrt(t**2 + 1.0)
+                s = t * c
+                rp, rq = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * rp - s * rq
+                a[q, :] = s * rp + c * rq
+                cp, cq = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * cp - s * cq
+                a[:, q] = s * cp + c * cq
+                vp, vq = v[:, p].copy(), v[:, q].copy()
+                v[:, p] = c * vp - s * vq
+                v[:, q] = s * vp + c * vq
+        if not rotated:
+            break
+    w = a.diagonal().copy()
+    order = np.argsort(w, kind="stable")
+    return w[order], v[:, order]

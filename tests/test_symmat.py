@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from matsos import symmat as sm
+from oracles import jacobi_scalar
 
 rng = np.random.default_rng(20240811)
 
@@ -29,6 +30,11 @@ class TestStorage:
     def test_asymmetry_rejected(self):
         with pytest.raises(ValueError):
             sm.SymMatrix.from_array([[1.0, 2.0], [0.0, 1.0]])
+
+    def test_tiny_asymmetry_rejected(self):
+        # the symmetry test is relative to the max-norm of the array
+        with pytest.raises(ValueError):
+            sm.SymMatrix.from_array([[1e-20, 2e-20], [0.0, 1e-20]])
 
     def test_dimension_bounds(self):
         with pytest.raises(ValueError):
@@ -103,6 +109,99 @@ class TestEigen:
                 assert w == pytest.approx(exact, rel=1e-13, abs=0)
 
 
+def assert_bitwise(x, y):
+    assert x.shape == y.shape
+    assert np.array_equal(x, y)
+    assert np.array_equal(np.signbit(x), np.signbit(y))
+
+
+class TestStackedJacobi:
+    """`_jacobi` on a stack returns, matrix by matrix, bitwise what the
+    per-matrix loop of the oracle returns (signs of zeros included)."""
+
+    def check(self, stack):
+        stack = np.asarray(stack, dtype=float)
+        w, v = sm._jacobi(stack)
+        n = stack.shape[-1]
+        assert w.shape == stack.shape[:-1] and v.shape == stack.shape
+        for a, wk, vk in zip(stack.reshape(-1, n, n), w.reshape(-1, n),
+                             v.reshape(-1, n, n)):
+            w1, v1 = jacobi_scalar(a)
+            assert_bitwise(wk, w1)
+            assert_bitwise(vk, v1)
+            # same memory layout too, so products with it round the same
+            assert vk.strides == v1.strides
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_random_symmetric_and_spd(self, n):
+        g = np.random.default_rng(n)
+        b = g.normal(size=(24, n, n))
+        sym = b + b.transpose(0, 2, 1)
+        spd = b @ b.transpose(0, 2, 1) + 0.1 * np.eye(n)
+        self.check(np.concatenate([sym, spd]))
+
+    def test_graded_dhd(self):
+        g = np.random.default_rng(1992)
+        for n in range(2, 9):
+            b = g.normal(size=(20, n, n))
+            d = 10.0 ** g.uniform(-150.0, 0.0, size=(20, n))
+            h = b @ b.transpose(0, 2, 1) + n * np.eye(n)
+            self.check(d[:, :, None] * h * d[:, None, :])
+
+    def test_subnormal_coupling_in_a_stack(self):
+        a = np.array([[1.0, 1e-310], [1e-310, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.check([a, [[2.0, 1.0], [1.0, 2.0]], a.T, np.eye(2)])
+
+    def test_signed_zeros(self):
+        z = -0.0
+        self.check([
+            [[z, z, 0.0], [z, 1.0, 0.5], [0.0, 0.5, z]],
+            [[z, 0.0, 0.0], [0.0, z, 0.0], [0.0, 0.0, z]],
+            [[1.0, 2.0, z], [2.0, 1.0, 3.0], [z, 3.0, 1.0]],
+            [[0.0, z, z], [z, 0.0, z], [z, z, 2.0]],
+        ])
+
+    def test_matrices_stop_after_their_own_sweeps(self, monkeypatch):
+        # a diagonal matrix stops after one sweep, a 2x2 block after two,
+        # a dense matrix after several; finished matrices are not swept
+        g = np.random.default_rng(7)
+        dense = g.normal(size=(6, 6))
+        block = np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        block[0, 1] = block[1, 0] = 0.5
+        stack = np.array([np.diag([3.0, -0.0, 1.0, 2.0, 0.0, 5.0]), block,
+                          dense + dense.T])
+        sizes = []
+        sweep = sm._rotate_sweep
+
+        def counting(a, v):
+            sizes.append(a.shape[0])
+            return sweep(a, v)
+
+        monkeypatch.setattr(sm, "_rotate_sweep", counting)
+        self.check(stack)
+        assert sizes[:3] == [3, 2, 1] and len(sizes) > 4
+
+    def test_empty_stack(self):
+        w, v = sm._jacobi(np.zeros((0, 4, 4)))
+        assert w.shape == (0, 4) and v.shape == (0, 4, 4)
+
+    def test_plain_matrix_and_nested_stack(self):
+        g = np.random.default_rng(3)
+        b = g.normal(size=(2, 3, 5, 5))
+        b = b + b.transpose(0, 1, 3, 2)
+        self.check(b)
+        w, v = sm._jacobi(b[1, 2])
+        w1, v1 = jacobi_scalar(b[1, 2])
+        assert_bitwise(w, w1)
+        assert_bitwise(v, v1)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            sm._jacobi(np.zeros((3, 2, 4)))
+
+
 class TestSqrtPsd:
     def test_identity(self):
         S = sm.sqrt_psd(sm.SymMatrix.from_array(np.eye(4)))
@@ -164,6 +263,13 @@ class TestBorderedDet:
         with pytest.raises(sm.SingularMatrixError):
             sm.bordered_det(1.0, [0.0, 0.0], M)
 
+    def test_tiny_invertible_block_is_not_singular(self):
+        # the singularity test is relative to the max-norm of M
+        M = sm.SymMatrix.from_array(np.diag([1e-20, 1e-30]))
+        assert sm.bordered_det(1.0, [0.0, 0.0], M) == pytest.approx(1e-50, rel=1e-12)
+        with pytest.raises(sm.SingularMatrixError):
+            sm.bordered_det(1.0, [0.0, 0.0], np.zeros((2, 2)))
+
 
 class TestLoewnerOrder:
     def test_reflexive(self):
@@ -184,6 +290,11 @@ class TestLoewnerOrder:
         with pytest.raises(ValueError):
             sm.loewner_leq(np.eye(2), np.eye(3))
 
+    def test_tolerance_scales_with_the_inputs(self):
+        # 1e-20 I <= 0.5e-20 I is as false as I <= 0.5 I
+        assert not sm.loewner_leq(1e-20 * np.eye(2), 0.5e-20 * np.eye(2))
+        assert sm.loewner_leq(0.5e-20 * np.eye(2), 1e-20 * np.eye(2))
+
 
 class TestComparable:
     def test_self_comparable(self):
@@ -193,6 +304,10 @@ class TestComparable:
     def test_bad_bracket_rejected(self):
         with pytest.raises(ValueError):
             sm.comparable(np.eye(2), np.eye(2), 0.5, 0.5)
+
+    def test_tiny_matrices_keep_their_bracket(self):
+        assert not sm.comparable(1e-20 * np.eye(2), 1e-23 * np.eye(2), 0.5, 2.0)
+        assert sm.comparable(1e-20 * np.eye(2), 1e-20 * np.eye(2), 0.5, 2.0)
 
     def test_scaled_diagonals(self):
         A = np.diag([1.0, 2.0])
@@ -275,6 +390,11 @@ class TestComparabilityGamma:
         if 0.9 > bound:
             assert (0, 2) in est.entrywise_violations
 
+    def test_entrywise_violations_scale_invariant(self):
+        A = np.array([[1.0, 0.1, 0.0], [0.1, 1.0, 0.9], [0.0, 0.9, 1.0]])
+        assert sm.comparability_gamma(A).entrywise_violations == [(1, 2)]
+        assert sm.comparability_gamma(1e-20 * A).entrywise_violations == [(1, 2)]
+
     def test_singular_block_raises(self):
         A = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 1.0], [0.0, 1.0, 1.0]])
         A[1:, 1:] = [[1.0, 1.0], [1.0, 1.0]]
@@ -293,6 +413,13 @@ class TestAlphaShift:
     def test_exact_boundary_is_true(self):
         # v = (1), G_alpha = (1), h^2 - alpha H = 1: non-strict boundary
         assert sm.alpha_shift_psd(2.0, 1.0, [1.0], [[2.0]], [[1.0]], 1.0)
+
+    def test_slack_is_relative(self):
+        # head 1e-20 against v^T G^{-1} v = 1e-40 / 9e-21: exactly False
+        assert not sm.alpha_shift_psd(2e-20, 1e-20, [1e-20], [[1e-20]],
+                                      [[1e-21]], 1.0)
+        assert sm.alpha_shift_psd(2e-20, 1e-20, [0.9e-20], [[1e-20]],
+                                  [[1e-21]], 1.0)
 
     def test_negative_shifted_block(self):
         assert not sm.alpha_shift_psd(2.0, 0.1, [0.0], [[1.0]], [[1.0]], 2.0)

@@ -17,6 +17,7 @@ from matsos.verify import (
     scalar_sos_hypothesis_check,
     strong_check,
     subordinate_check,
+    _active_masks,
 )
 
 X = ex.var(0)
@@ -64,6 +65,36 @@ class TestDiagElliptic:
         assert rep.verdict == "pass"
         assert rep.details["beta"] == pytest.approx(0.5, rel=1e-6)
         assert rep.details["alpha"] == pytest.approx(1.5, rel=1e-6)
+
+    def test_pd_witness_is_first_in_grid_order_across_active_sets(self):
+        # a coupling b > 1 breaks positivity near x = -0.4 and x = 0.8; the
+        # third diagonal entry is flat (and dropped) only near x = 0.8, so
+        # the failing samples fall into two active-index sets, and the set
+        # holding the later failures sorts first
+        def bump(c):
+            return ex.exp(ex.const(-20.0) * (X - ex.const(c)) ** 2)
+
+        b = ex.const(1.5) * (bump(-0.4) + bump(0.8))
+        h = ex.flat(X - ex.const(0.8))
+        A = SymMatFun.from_rows(
+            [[ex.ONE, b, ex.ZERO], [b, ex.ONE, ex.ZERO], [ex.ZERO, ex.ZERO, h]],
+            nvars=1,
+        )
+        g = grid1()
+        pts = g.sample_points()
+        vals, _ = A.values(pts)
+        keep, ok = _active_masks(vals)
+        assert ok.all() and len(np.unique(keep, axis=0)) == 2
+        x = pts[:, 0]
+        bx = 1.5 * (np.exp(-20 * (x + 0.4) ** 2) + np.exp(-20 * (x - 0.8) ** 2))
+        failing = np.flatnonzero(bx >= 1.0)
+        assert (~keep[failing, 2]).any() and keep[failing[0], 2]
+        rep = diag_elliptic_check(A, g)
+        assert rep.verdict == "fail"
+        assert rep.details["reason"] == "not-positive-definite"
+        assert rep.witness == pts[failing[0]].tolist()
+        assert rep.details["min_eigenvalue"] == pytest.approx(1.0 - bx[failing[0]])
+        assert rep.counts == {"evaluated": len(pts), "excluded": 0}
 
 
 class TestSubordinate:
@@ -276,6 +307,20 @@ class TestQuasiconformal:
         rep = quasiconformal_check(Q, grid1())
         assert rep.verdict == "fail"
 
+    def test_counts_stop_at_first_negative_eigenvalue(self):
+        # f (x + 1/2) is flat (excluded) at x = -0.525, -0.5, -0.475; the
+        # block turns negative from x = 0.525 on: the 57 samples before it,
+        # less the 3 flat ones, plus the failing one are evaluated
+        f = ex.flat(X + ex.const(0.5))
+        Q = SymMatFun.from_rows(
+            [[f, ex.ZERO], [ex.ZERO, f * (ex.const(0.5) - X)]], nvars=1
+        )
+        rep = quasiconformal_check(Q, grid1())
+        assert rep.verdict == "fail"
+        assert rep.details["reason"] == "negative-eigenvalue"
+        assert rep.witness == pytest.approx([0.525])
+        assert rep.counts == {"evaluated": 55, "excluded": 3}
+
     def test_reference_bracket(self):
         Q = SymMatFun.from_rows([[ex.mul(ex.const(0.75), F, F)]], nvars=1)
         rep = quasiconformal_check(Q, grid1(), reference=ex.mul(F, F))
@@ -383,3 +428,36 @@ def test_scalar_sos_hypotheses_exclude_flat_subregion():
     rep = scalar_sos_hypothesis_check(f, 0.3, g)
     assert rep.counts["excluded"] > 0
     assert rep.counts["evaluated"] > 0
+
+
+@pytest.mark.parametrize("name, grids", [
+    ("q-lambda", [None, {"resolution": 5}, {"resolution": 11}]),
+    ("block-M7", [None, {"max_points": 150}, {"max_points": 900}]),
+])
+def test_checkers_solve_whole_stacks(name, grids, monkeypatch):
+    """A gallery run makes a few stacked eigensolves, however many samples
+    its grid has: no checker loops over the samples one solve at a time."""
+    from matsos import decompose, gallery, symmat, verify
+    from matsos.report import run_config
+
+    solve = symmat._jacobi
+    calls = []
+
+    def counting(a):
+        calls.append(a.shape)
+        return solve(a)
+
+    for mod in (symmat, verify, decompose, gallery):
+        monkeypatch.setattr(mod, "_jacobi", counting)
+    counts, points = [], []
+    for grid in grids:
+        calls.clear()
+        cfg = {"version": 1, "matrix": {"gallery": name},
+               "pipeline": "gallery", "seed": 0}
+        if grid is not None:
+            cfg["grid"] = grid
+        report, _ = run_config(cfg)
+        counts.append(len(calls))
+        points.append(report["counts"]["grid_points"])
+    assert len(set(points)) == len(points)
+    assert max(counts) <= 4
