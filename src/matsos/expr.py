@@ -12,8 +12,12 @@ plus composition of any node with those univariate primitives.  Everything
 downstream (matrix functions, decompositions, checkers) is built from these
 trees, so evaluation and differentiation live in one place (`matsos.jets`).
 
-Trees are immutable; sharing subtrees is encouraged and is what makes the
-algebraic identities of the decomposition exact.
+Trees are immutable; sharing subtrees is what makes the algebraic
+identities of the decomposition exact.  Loading (`from_dict`) interns
+structurally equal nodes, so a tree that repeats a subexpression comes back
+as a DAG in which each distinct node is built once and shared; structural
+equality compares float parameters by their bits, so `const(0.0)` and
+`const(-0.0)` stay distinct.
 """
 
 from __future__ import annotations
@@ -133,14 +137,14 @@ class ScalarExpr:
             return NotImplemented
         return (
             self.kind == other.kind
-            and self.param == other.param
+            and _param_key(self.param) == _param_key(other.param)
             and self.children == other.children
         )
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.kind, self.param, self.children))
+            h = hash((self.kind, _param_key(self.param), self.children))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -148,6 +152,12 @@ class ScalarExpr:
     def nvars(self):
         """Smallest variable count covering every variable in the tree."""
         return self.max_index + 1
+
+
+def _param_key(param):
+    """A node parameter as equality and interning see it: floats by their
+    bits, so that 0.0 and -0.0 differ."""
+    return param.hex() if isinstance(param, float) else param
 
 
 def _coerce(v):
@@ -251,29 +261,79 @@ def to_dict(expr):
     return d
 
 
-def from_dict(d):
-    try:
-        kind = d["kind"]
-    except (TypeError, KeyError):
+def from_dict(d, table=None):
+    """Load an expression from its JSON form, interning equal nodes.
+
+    Each node is keyed on (kind, parameter bits, ids of its already interned
+    children) and built only when the key is new, so structurally equal
+    subtrees come back as one shared node.  Pass the same `table` (a dict,
+    kept by the caller) to several calls to share nodes across expressions.
+    Malformed input raises ExprError naming the offending field.
+    """
+    if table is None:
+        table = {}
+    if not isinstance(d, dict) or "kind" not in d:
         raise ExprError("expression node must be an object with a 'kind'")
+    kind = d["kind"]
+    if kind not in _ALL_KINDS:
+        raise ExprError(f"unknown node kind {kind!r}")
+    children = ()
+    param = None
     if kind == "var":
-        return var(int(d["index"]))
+        param = _integer_field(d, "index")
+    elif kind == "const":
+        param = _number_field(d, "value")
+    else:
+        children = d.get("children", [])
+        if not isinstance(children, list):
+            raise ExprError(f"{kind} node: 'children' must be a list")
+        children = tuple(from_dict(c, table) for c in children)
+        if kind == "intpow":
+            param = _integer_field(d, "exponent")
+    key = (kind, _param_key(param), tuple(map(id, children)))
+    node = table.get(key)
+    if node is None:
+        node = _build(kind, children, param)
+        table[key] = node
+    return node
+
+
+def _integer_field(d, name):
+    v = d.get(name)
+    if isinstance(v, float) and v.is_integer():
+        v = int(v)
+    if type(v) is not int:  # bool is not an index or an exponent
+        raise ExprError(f"{d['kind']} node: {name!r} must be an integer, "
+                        f"got {v!r}")
+    return v
+
+
+def _number_field(d, name):
+    v = d.get(name)
+    try:
+        value = float(v) if type(v) in (int, float) else math.nan
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ExprError(f"{d['kind']} node: {name!r} must be a finite number, "
+                        f"got {v!r}")
+    return value
+
+
+def _build(kind, children, param):
+    if kind == "var":
+        return var(param)
     if kind == "const":
-        return const(float(d["value"]))
-    children = [from_dict(c) for c in d.get("children", ())]
-    if kind == "intpow":
-        if len(children) != 1:
-            raise ExprError("intpow takes exactly one child")
-        return intpow(children[0], int(d["exponent"]))
+        return const(param)
     if kind == "sum":
-        return add(*children) if children else ZERO
+        return add(*children)
     if kind == "product":
-        return mul(*children) if children else ONE
-    if kind in _UNARY_KINDS:
-        if len(children) != 1:
-            raise ExprError(f"{kind} takes exactly one child")
-        return ScalarExpr(kind, (children[0],))
-    raise ExprError(f"unknown node kind {kind!r}")
+        return mul(*children)
+    if len(children) != 1:
+        raise ExprError(f"{kind} takes exactly one child")
+    if kind == "intpow":
+        return intpow(children[0], param)
+    return ScalarExpr(kind, children)
 
 
 def to_json(expr, **kwargs):

@@ -163,12 +163,16 @@ class SymMatFun:
 
     @classmethod
     def from_json_dict(cls, d):
+        """Inverse of `to_json_dict`; all entries are loaded through one
+        intern table, so subexpressions repeated within or across entries
+        are built once and shared."""
         n = int(d["dimension"])
         rows = d["entries"]
+        table = {}
         entries = {}
         for i in range(n):
             for j in range(i, n):
-                entries[(i, j)] = ex.from_dict(rows[i][j])
+                entries[(i, j)] = ex.from_dict(rows[i][j], table)
         return cls(n, int(d["nvars"]), entries)
 
 

@@ -5,15 +5,19 @@ function (a gallery reference with parameters, or inline expression
 trees), a pipeline selection, decomposition parameters, a sampling grid
 and a seed.  Reports echo the configuration and are byte-identical across
 reruns of the same (config, seed) apart from the timing field.
+
+Reports, the catalog and the schema are written by `dump_report`, byte-equal
+to `json.dumps(obj, sort_keys=True, indent=2) + "\n"`.
 """
 
 from __future__ import annotations
 
-import json
 import time
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import __version__
 from .decompose import ScalarSosBackend, assemble_vector_fields, iterated_sd
+from .expr import ExprError
 from .gallery import (
     GALLERY,
     block_trace_comparability,
@@ -144,6 +148,11 @@ def validate_config(cfg):
         for key in ("dimension", "nvars", "entries"):
             _require(key in matrix, f"matrix.{key}", "required for inline matrices")
         _require(1 <= int(matrix["nvars"]) <= 8, "matrix.nvars", "must lie in 1..8")
+        n = int(matrix["dimension"])
+        rows = matrix["entries"]
+        _require(isinstance(rows, list) and len(rows) == n
+                 and all(isinstance(r, list) and len(r) == n for r in rows),
+                 "matrix.entries", f"must be a {n} x {n} array of expressions")
     pipeline = cfg.get("pipeline", "all")
     _require(pipeline in PIPELINES, "pipeline", f"must be one of {PIPELINES}")
     params = cfg.get("params", {})
@@ -165,7 +174,10 @@ def build_matrix(cfg):
     if "gallery" in matrix:
         item = GALLERY[matrix["gallery"]]
         return item.build(matrix.get("params", {})), item
-    A = SymMatFun.from_json_dict(matrix)
+    try:
+        A = SymMatFun.from_json_dict(matrix)
+    except ExprError as e:
+        raise ConfigError("matrix.entries", str(e)) from e
     return A, None
 
 
@@ -311,13 +323,84 @@ def run_config(cfg, threads=1, grid_scale=1.0):
     return report, code
 
 
-def dump_report(report, sort_keys=True):
-    return json.dumps(report, sort_keys=sort_keys, indent=2) + "\n"
+_INF = float("inf")
+
+
+def dump_report(report):
+    """JSON text of a report (or of any JSON value): sorted keys, two-space
+    indent and a final newline, byte-equal to `json.dumps(report,
+    sort_keys=True, indent=2) + "\n"`.  Raises TypeError on a value json
+    cannot write and on a key that is not a str.
+
+    With `indent`, json runs its pure-Python encoder, which nests one
+    generator per level, so every token pays for the depth of the
+    expression tree around it; one recursive function appending chunks to
+    a list does not.
+    """
+    out = []
+    _emit(report, "", 0, out, [("\n", ",\n")])
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit(o, head, depth, out, levels):
+    """Append `head` and the JSON text of `o`, nested `depth` deep, to `out`.
+
+    `levels[d]` holds the newline and the item separator at indent `d`; it
+    grows as deeper containers are met, so each is built once per depth.
+    Every chunk starts with the separator before it, so that a scalar item
+    costs one string.  The type tests follow json's encoder in order.
+    """
+    if isinstance(o, str):
+        out.append(head + _encode_str(o))
+    elif o is None:
+        out.append(head + "null")
+    elif o is True:
+        out.append(head + "true")
+    elif o is False:
+        out.append(head + "false")
+    elif isinstance(o, int):
+        out.append(head + int.__repr__(o))
+    elif isinstance(o, float):
+        if o != o:
+            text = "NaN"
+        elif o == _INF:
+            text = "Infinity"
+        elif o == -_INF:
+            text = "-Infinity"
+        else:
+            text = float.__repr__(o)
+        out.append(head + text)
+    elif isinstance(o, (list, tuple, dict)):
+        is_dict = isinstance(o, dict)
+        if not o:
+            out.append(head + ("{}" if is_dict else "[]"))
+            return
+        if len(levels) == depth + 1:
+            newline = levels[depth][0] + "  "
+            levels.append((newline, "," + newline))
+        newline, sep = levels[depth + 1]
+        if is_dict:
+            item_head = head + "{" + newline
+            for key in sorted(o):  # _encode_str raises TypeError on a non-str
+                _emit(o[key], item_head + _encode_str(key) + ": ", depth + 1,
+                      out, levels)
+                item_head = sep
+            out.append(levels[depth][0] + "}")
+        else:
+            item_head = head + "[" + newline
+            for item in o:
+                _emit(item, item_head, depth + 1, out, levels)
+                item_head = sep
+            out.append(levels[depth][0] + "]")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON "
+                        f"serializable")
 
 
 def catalog_json():
-    return json.dumps(list_gallery(), sort_keys=True, indent=2) + "\n"
+    return dump_report(list_gallery())
 
 
 def schema_json():
-    return json.dumps(CONFIG_SCHEMA, sort_keys=True, indent=2) + "\n"
+    return dump_report(CONFIG_SCHEMA)

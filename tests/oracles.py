@@ -3,11 +3,15 @@
 These intentionally avoid the library's jet engine: finite differences
 with Richardson extrapolation for derivatives, a naive dictionary
 convolution for truncated products, and hand-expanded chain rules for
-reciprocals.
+reciprocals.  The tree-building expression loader and json's report text
+are kept here as references for the interning loader and the report writer.
 """
+
+import json
 
 import numpy as np
 
+from matsos import expr as ex
 from matsos import jets
 
 
@@ -128,3 +132,26 @@ def jacobi_scalar(a):
     w = a.diagonal().copy()
     order = np.argsort(w, kind="stable")
     return w[order], v[:, order]
+
+
+def from_dict_tree(d):
+    """The tree-building loader that `expr.from_dict` replaced: every copy
+    of a repeated subtree becomes a node of its own."""
+    kind = d["kind"]
+    if kind == "var":
+        return ex.var(int(d["index"]))
+    if kind == "const":
+        return ex.const(float(d["value"]))
+    children = [from_dict_tree(c) for c in d.get("children", ())]
+    if kind == "intpow":
+        return ex.intpow(children[0], int(d["exponent"]))
+    if kind == "sum":
+        return ex.add(*children)
+    if kind == "product":
+        return ex.mul(*children)
+    return ex.ScalarExpr(kind, (children[0],))
+
+
+def dump_json(obj):
+    """The text `report.dump_report` must produce, written by json."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"

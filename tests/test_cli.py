@@ -205,6 +205,43 @@ class TestRun:
         assert conds == ["diagonal-comparability", "subordinate", "quasiconformal"]
 
 
+def _inline_config(entries):
+    return {"version": 1, "pipeline": "verify",
+            "matrix": {"dimension": 2, "nvars": 1, "entries": entries}}
+
+
+ONE = {"kind": "const", "value": 1.0}
+
+
+@pytest.mark.parametrize("entries", [
+    [[ONE, ONE]],              # a row short
+    [[ONE, ONE], [ONE]],       # a column short
+    [[ONE, ONE], ONE],         # a row that is not a list
+    {"0": [ONE, ONE]},         # not a list of rows
+])
+def test_ragged_inline_matrix_is_a_configuration_error(entries, tmp_path,
+                                                       capsys):
+    with pytest.raises(ConfigError) as info:
+        validate_config(_inline_config(entries))
+    assert info.value.field == "matrix.entries"
+    cfg = tmp_path / "ragged.json"
+    cfg.write_text(json.dumps(_inline_config(entries)))
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "matrix.entries" in err
+
+
+def test_malformed_inline_expression_is_a_configuration_error(tmp_path,
+                                                              capsys):
+    x = {"kind": "var", "index": 0}
+    bad = {"kind": "intpow", "exponent": 1.5, "children": [x]}
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(_inline_config([[ONE, bad], [bad, ONE]])))
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "'exponent'" in err
+
+
 def test_main_entry_in_process(capsys):
     code = main(["list"])
     assert code == 0
