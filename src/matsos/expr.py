@@ -298,25 +298,36 @@ def from_dict(d, table=None):
     return node
 
 
-def _integer_field(d, name):
-    v = d.get(name)
+def as_integer(v):
+    """`v` as an int, or None when it is not one.  Integral floats such as
+    2.0 are integers; bools are not (no index or exponent is a bool)."""
     if isinstance(v, float) and v.is_integer():
         v = int(v)
-    if type(v) is not int:  # bool is not an index or an exponent
-        raise ExprError(f"{d['kind']} node: {name!r} must be an integer, "
-                        f"got {v!r}")
-    return v
+    return v if type(v) is int else None
 
 
-def _number_field(d, name):
-    v = d.get(name)
+def as_finite_number(v):
+    """`v` as a float when it is a finite int or float, else None."""
     try:
         value = float(v) if type(v) in (int, float) else math.nan
     except OverflowError:
         value = math.inf
-    if not math.isfinite(value):
+    return value if math.isfinite(value) else None
+
+
+def _integer_field(d, name):
+    v = as_integer(d.get(name))
+    if v is None:
+        raise ExprError(f"{d['kind']} node: {name!r} must be an integer, "
+                        f"got {d.get(name)!r}")
+    return v
+
+
+def _number_field(d, name):
+    value = as_finite_number(d.get(name))
+    if value is None:
         raise ExprError(f"{d['kind']} node: {name!r} must be a finite number, "
-                        f"got {v!r}")
+                        f"got {d.get(name)!r}")
     return value
 
 

@@ -7,6 +7,12 @@ Leibniz rule and compositions realize Faa di Bruno as plain arithmetic.
 Tables are batched over sample points (shape ``(ncoef, npts)``), which is
 what makes grid sweeps over thousands of points cheap.
 
+Every coefficient of a product is a sum of up to 16 terms, added in an order
+that matsos writes out itself (`JetSpace.mul`) instead of inheriting it from
+a numpy reduction: the first term plus numpy's pairwise sum of the others.
+That is the order of ``np.add.reduceat``, so the tables are bit for bit
+those of the gather/``reduceat`` product.
+
 Singularities are never silent.  Each point carries three flags:
 
 ``invalid``
@@ -101,19 +107,27 @@ class JetSpace:
         self.fact = np.array(
             [float(math.prod(math.factorial(k) for k in m)) for m in multi]
         )
-        trip = []
+        # Row k of a product sums the terms a[i] * b[j] over the pairs with
+        # mi + mj = mk, in increasing i; term 0 is a[0] * b[k], and row 0 has
+        # no other.  Rows 1.. are ranked by decreasing term count, so the
+        # rows that have a term t >= 1 form a prefix of the ranking, and
+        # _slabs[t - 1] holds the (i, j) index arrays of their term t.
+        terms = [[] for _ in multi]
         for i, mi in enumerate(multi):
             for j, mj in enumerate(multi):
                 if sum(mi) + sum(mj) <= order:
                     k = self.pos[tuple(a + b for a, b in zip(mi, mj))]
-                    trip.append((k, i, j))
-        trip.sort()
-        t = np.array(trip, dtype=np.intp).reshape(-1, 3)
-        self._mk, self._mi, self._mj = t[:, 0], t[:, 1], t[:, 2]
-        # every output row k occurs (k = k + 0), so reduceat groups cover
-        # 0..ncoef-1 in order
-        assert len(np.unique(self._mk)) == self.ncoef
-        self._kstart = np.searchsorted(self._mk, np.arange(self.ncoef))
+                    terms[k].append((i, j))
+        counts = np.array([len(t) for t in terms])
+        # at order <= 4 a row has at most 16 terms: one pairwise block of 8
+        assert counts.max() <= 16
+        rank = 1 + np.argsort(-counts[1:], kind="stable")
+        self._slabs = []
+        for t in range(1, counts.max()):
+            ij = np.array([terms[k][t] for k in rank if counts[k] > t],
+                          dtype=np.intp)
+            self._slabs.append((ij[:, 0], ij[:, 1]))
+        self._unrank = np.argsort(rank)
         if order >= 1:
             eye = np.eye(nvars, dtype=int)
             self.unit = [self.pos[tuple(row)] for row in eye.tolist()]
@@ -122,6 +136,16 @@ class JetSpace:
 
     def mul(self, a, b):
         """Truncated product of two Taylor-coefficient tables.
+
+        Output row k sums its terms ``x_t = a[i_t] * b[j_t]`` (the pairs with
+        ``mi + mj = mk``, in increasing ``i``) in one fixed order, written
+        out here rather than left to a numpy reduction:
+        ``x_0 + S(x_1, ..., x_{L-1})``, where ``S`` adds left to right when
+        it has fewer than 8 terms, and otherwise forms
+        ``((x_1+x_2)+(x_3+x_4))+((x_5+x_6)+(x_7+x_8))`` and then adds the
+        rest left to right.  That is how ``np.add.reduceat`` sums a group
+        (the first term, then numpy's pairwise sum of the others), so the
+        products equal the gather/``reduceat`` form bit for bit.
 
         Constant-operand shortcut: when one operand is a constant jet
         (every row but the value row is zero) the product is ``a[0] * b``,
@@ -137,8 +161,31 @@ class JetSpace:
             return a[0] * b
         if not b[1:].any():
             return a * b[0]
-        prod = a[self._mi] * b[self._mj]
-        return np.add.reduceat(prod, self._kstart, axis=0)
+        # Term t >= 1 of the ranked rows that have it, one slab at a time, so
+        # no temporary is larger than the output.  The sum S accumulates in
+        # place in s, whose rows are in ranked order.
+        add = np.add
+        slabs = self._slabs
+        s = a[slabs[0][0]] * b[slabs[0][1]]
+        big = len(slabs[7][0]) if len(slabs) > 7 else 0  # rows of 9+ terms
+        r = []
+        for i, j in slabs[1:8]:
+            xt = a[i] * b[j]
+            lo = big if r else 0
+            add(s[lo:len(xt)], xt[lo:], out=s[lo:len(xt)])
+            r.append(xt[:big])
+        if big:
+            # s[:big] is x1 + x2; add (x3 + x4) + ((x5 + x6) + (x7 + x8))
+            x3, x4, x5, x6, x7, x8 = r[1:]
+            for u, v in ((x3, x4), (x5, x6), (x7, x8), (x5, x7)):
+                add(u, v, out=u)
+            add(s[:big], x3, out=s[:big])
+            add(s[:big], x5, out=s[:big])
+            for i, j in slabs[8:]:
+                add(s[:len(i)], a[i] * b[j], out=s[:len(i)])
+        out = a[0] * b
+        add(out[1:], s[self._unrank], out=out[1:])
+        return out
 
     def const_table(self, values):
         out = np.zeros((self.ncoef, len(values)))

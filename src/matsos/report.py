@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import __version__
 from .decompose import ScalarSosBackend, assemble_vector_fields, iterated_sd
-from .expr import ExprError
+from .expr import ExprError, as_finite_number, as_integer
 from .gallery import (
     GALLERY,
     block_trace_comparability,
@@ -103,30 +103,80 @@ def _require(cond, field, reason):
         raise ConfigError(field, reason)
 
 
+def _integer(v, field):
+    """An integer config value, by the rule of `expr.from_dict`."""
+    n = as_integer(v)
+    _require(n is not None, field, f"must be an integer, got {v!r}")
+    return n
+
+
+def _number(v, field):
+    """A finite int or float config value, as a float."""
+    x = as_finite_number(v)
+    _require(x is not None, field, f"must be a finite number, got {v!r}")
+    return x
+
+
+# Defaults of the decomposition parameters, for validation and runs alike.
+PARAM_DEFAULTS = {"p": 2, "epsilon": 0.25, "delta": 0.1, "delta2": 0.2,
+                  "backend": "principal-sqrt"}
+
+
+def _params(cfg):
+    """Typed, range-checked `params` of a config, defaults filled in."""
+    given = cfg.get("params", {})
+    _require(isinstance(given, dict), "params", "must be an object")
+    p = {**PARAM_DEFAULTS, **given}
+    params = {"p": _integer(p["p"], "params.p")}
+    for key in ("epsilon", "delta", "delta2"):
+        params[key] = _number(p[key], f"params.{key}")
+    _require(0.25 <= params["epsilon"] < 1.0, "params.epsilon",
+             "must lie in [0.25, 1)")
+    for key in ("delta", "delta2"):
+        _require(0.0 < params[key] < 1.0, f"params.{key}", "must lie in (0, 1)")
+    _require(p["backend"] in ("principal-sqrt", "split-by-sign-cell"),
+             "params.backend", "unknown backend")
+    params["backend"] = p["backend"]
+    return params
+
+
 def parse_grid(d, nvars, scale=1.0, seed=0):
     if d is None:
         d = {}
+    _require(isinstance(d, dict), "grid", "must be an object")
     box = d.get("box")
     if box is None:
         box = [[-1.0, 1.0]] * nvars
-    _require(isinstance(box, list) and len(box) == nvars, "grid.box",
-             f"need {nvars} [lo, hi] pairs")
+    _require(isinstance(box, list) and len(box) == nvars
+             and all(isinstance(side, list) and len(side) == 2 for side in box),
+             "grid.box", f"need {nvars} [lo, hi] pairs")
+    _require(isinstance(d.get("exclusions", []), list), "grid.exclusions",
+             "must be a list")
     exclusions = []
     for i, e in enumerate(d.get("exclusions", [])):
-        _require(isinstance(e, dict) and "radius" in e, f"grid.exclusions[{i}]",
+        field = f"grid.exclusions[{i}]"
+        _require(isinstance(e, dict) and "radius" in e, field,
                  "need an object with 'radius' (and optional 'axes')")
         axes = e.get("axes")
-        exclusions.append(Exclusion(float(e["radius"]),
-                                    tuple(axes) if axes is not None else None))
-    res = int(d.get("resolution", 9) * scale)
+        if axes is not None:
+            _require(isinstance(axes, list), f"{field}.axes",
+                     "must be a list of variable indices")
+            axes = tuple(_integer(a, f"{field}.axes") for a in axes)
+            _require(all(0 <= a < nvars for a in axes), f"{field}.axes",
+                     f"indices must lie in 0..{nvars - 1}")
+        exclusions.append(Exclusion(_number(e["radius"], f"{field}.radius"),
+                                    axes))
+    res = int(_integer(d.get("resolution", 9), "grid.resolution") * scale)
     return GridSpec(
-        box=tuple((float(lo), float(hi)) for lo, hi in box),
+        box=tuple((_number(lo, "grid.box"), _number(hi, "grid.box"))
+                  for lo, hi in box),
         resolution=max(res, 2),
-        exclude_radius=float(d.get("exclude_radius",
-                                   0.05 if not exclusions else 0.0)),
+        exclude_radius=_number(d.get("exclude_radius",
+                                     0.05 if not exclusions else 0.0),
+                               "grid.exclude_radius"),
         exclusions=tuple(exclusions),
-        max_points=int(d.get("max_points", 4096)),
-        seed=int(d.get("seed", seed)),
+        max_points=_integer(d.get("max_points", 4096), "grid.max_points"),
+        seed=_integer(d.get("seed", seed), "grid.seed"),
     )
 
 
@@ -147,25 +197,18 @@ def validate_config(cfg):
     else:
         for key in ("dimension", "nvars", "entries"):
             _require(key in matrix, f"matrix.{key}", "required for inline matrices")
-        _require(1 <= int(matrix["nvars"]) <= 8, "matrix.nvars", "must lie in 1..8")
-        n = int(matrix["dimension"])
+        nvars = _integer(matrix["nvars"], "matrix.nvars")
+        _require(1 <= nvars <= 8, "matrix.nvars", "must lie in 1..8")
+        n = _integer(matrix["dimension"], "matrix.dimension")
+        _require(n >= 1, "matrix.dimension", "must be at least 1")
         rows = matrix["entries"]
         _require(isinstance(rows, list) and len(rows) == n
                  and all(isinstance(r, list) and len(r) == n for r in rows),
                  "matrix.entries", f"must be a {n} x {n} array of expressions")
     pipeline = cfg.get("pipeline", "all")
     _require(pipeline in PIPELINES, "pipeline", f"must be one of {PIPELINES}")
-    params = cfg.get("params", {})
-    _require(isinstance(params, dict), "params", "must be an object")
-    eps = float(params.get("epsilon", 0.25))
-    _require(0.25 <= eps < 1.0, "params.epsilon", "must lie in [0.25, 1)")
-    delta = float(params.get("delta", 0.1))
-    _require(0.0 < delta < 1.0, "params.delta", "must lie in (0, 1)")
-    delta2 = float(params.get("delta2", 2.0 * delta))
-    _require(0.0 < delta2 < 1.0, "params.delta2", "must lie in (0, 1)")
-    backend = params.get("backend", "principal-sqrt")
-    _require(backend in ("principal-sqrt", "split-by-sign-cell"),
-             "params.backend", "unknown backend")
+    _params(cfg)
+    _integer(cfg.get("seed", 0), "seed")
     return cfg
 
 
@@ -239,25 +282,17 @@ def run_config(cfg, threads=1, grid_scale=1.0):
     """
     cfg = validate_config(cfg)
     t0 = time.monotonic()
-    seed = int(cfg.get("seed", 0))
+    seed = _integer(cfg.get("seed", 0), "seed")
     A, item = build_matrix(cfg)
     grid_cfg = cfg.get("grid")
     if grid_cfg is None and item is not None:
         grid = item.default_grid(grid_scale, seed)
     else:
         grid = parse_grid(grid_cfg, A.nvars, grid_scale, seed)
-    p = cfg.get("params", {})
-    params = {
-        "p": int(p.get("p", min(2, A.n + 1))),
-        "epsilon": float(p.get("epsilon", 0.25)),
-        "delta": float(p.get("delta", 0.1)),
-        "delta2": float(p.get("delta2", 0.2)),
-        "backend": ScalarSosBackend(
-            name=p.get("backend", "principal-sqrt"),
-            delta=float(p.get("delta", 0.1)),
-            epsilon=float(p.get("epsilon", 0.25)),
-        ),
-    }
+    params = _params(cfg)
+    params["backend"] = ScalarSosBackend(
+        name=params["backend"], delta=params["delta"],
+        epsilon=params["epsilon"])
     pipeline = cfg.get("pipeline", "all")
     checks, extras = [], []
     decomposition = None

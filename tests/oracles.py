@@ -2,11 +2,13 @@
 
 These intentionally avoid the library's jet engine: finite differences
 with Richardson extrapolation for derivatives, a naive dictionary
-convolution for truncated products, and hand-expanded chain rules for
-reciprocals.  The tree-building expression loader and json's report text
-are kept here as references for the interning loader and the report writer.
+convolution for truncated products, the gather/``reduceat`` form of the
+dense jet product, and hand-expanded chain rules for reciprocals.  The
+tree-building expression loader and json's report text are kept here as
+references for the interning loader and the report writer.
 """
 
+import functools
 import json
 
 import numpy as np
@@ -70,6 +72,32 @@ def dict_convolve(ta, tb, order):
             if sum(ms) <= order:
                 out[ms] = out.get(ms, 0.0) + va * vb
     return {m: v * fact(m) for m, v in out.items()}
+
+
+def mul_reduceat(sp, a, b):
+    """The dense truncated product as one gather and ``np.add.reduceat``.
+
+    The (k, i, j) triples with ``multi[i] + multi[j] = multi[k]`` are built
+    from ``sp.multi`` and ``sp.pos`` and sorted, so numpy reduces each output
+    row k over its terms in increasing i.  `JetSpace.mul`, which writes
+    that summation order out, must equal it bit for bit; this form has no
+    constant-operand shortcut.
+    """
+    i, j, start = _reduceat_tables(sp.nvars, sp.order)
+    return np.add.reduceat(a[i] * b[j], start, axis=0)
+
+
+@functools.lru_cache(maxsize=None)
+def _reduceat_tables(nvars, order):
+    sp = jets.space(nvars, order)
+    trip = sorted(
+        (sp.pos[tuple(p + q for p, q in zip(mi, mj))], i, j)
+        for i, mi in enumerate(sp.multi)
+        for j, mj in enumerate(sp.multi)
+        if sum(mi) + sum(mj) <= order
+    )
+    k, i, j = np.array(trip, dtype=np.intp).T
+    return i, j, np.searchsorted(k, np.arange(sp.ncoef))
 
 
 def recip_chain_table(h0, h1, h2, h3):

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from matsos.cli import main
-from matsos.report import ConfigError, validate_config
+from matsos.report import ConfigError, run_config, validate_config
 
 
 def run_cli(args, stdin=None):
@@ -242,6 +242,59 @@ def test_malformed_inline_expression_is_a_configuration_error(tmp_path,
     assert err.startswith("configuration error") and "'exponent'" in err
 
 
+def test_delta2_default_is_the_one_runs_use():
+    """Validation and runs share one delta2 default (0.2): delta = 0.6 alone
+    is a valid config and runs as if delta2 = 0.2 were given."""
+    cfg = {"version": 1, "matrix": {"gallery": "grushin-2x2"},
+           "pipeline": "decompose", "params": {"delta": 0.6}}
+    validate_config(cfg)
+    explicit = dict(cfg, params={"delta": 0.6, "delta2": 0.2})
+    reports = []
+    for c in (cfg, explicit):
+        report, code = run_config(c)
+        assert code == 0
+        del report["timing"], report["config"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+GRUSHIN = {"gallery": "grushin-2x2"}
+INLINE_2X2 = {"nvars": 1, "entries": [[ONE, ONE], [ONE, ONE]]}
+
+
+@pytest.mark.parametrize("matrix, extra, field", [
+    (GRUSHIN, {"params": {"p": "x"}}, "params.p"),
+    (GRUSHIN, {"params": {"p": 2.7}}, "params.p"),
+    (GRUSHIN, {"params": {"p": True}}, "params.p"),
+    (GRUSHIN, {"params": {"delta": "0.1"}}, "params.delta"),
+    (GRUSHIN, {"seed": "abc"}, "seed"),
+    (GRUSHIN, {"grid": {"resolution": "x"}}, "grid.resolution"),
+    (GRUSHIN, {"grid": {"box": [[-1]]}}, "grid.box"),
+    (GRUSHIN, {"grid": {"max_points": 1.5}}, "grid.max_points"),
+    (GRUSHIN, {"grid": {"exclusions": [{"radius": 0.1, "axes": [3]}]}},
+     "grid.exclusions[0].axes"),
+    (dict(INLINE_2X2, dimension=2.7), {}, "matrix.dimension"),
+    (dict(INLINE_2X2, dimension="two"), {}, "matrix.dimension"),
+    (dict(INLINE_2X2, dimension=2, nvars=False), {}, "matrix.nvars"),
+])
+def test_mistyped_config_field_is_a_configuration_error(matrix, extra, field,
+                                                        tmp_path, capsys):
+    cfg = {"version": 1, "matrix": matrix, "pipeline": "verify", **extra}
+    with pytest.raises(ConfigError) as info:
+        run_config(cfg)
+    assert info.value.field == field
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and repr(field) in err
+
+
+def test_integral_floats_are_integer_fields():
+    validate_config({"version": 1, "matrix": dict(INLINE_2X2, dimension=2.0),
+                     "params": {"p": 2.0}, "seed": 3.0})
+
+
 def test_main_entry_in_process(capsys):
     code = main(["list"])
     assert code == 0
@@ -250,6 +303,7 @@ def test_main_entry_in_process(capsys):
 
 
 def test_import_does_not_load_scipy():
+    """Importing matsos loads no scipy and builds no jet space tables."""
     import os
 
     import matsos
@@ -257,8 +311,9 @@ def test_import_does_not_load_scipy():
     src = os.path.dirname(os.path.dirname(matsos.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, matsos; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "print(matsos.jets.space.cache_info().currsize)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split("\n")[:2] == ["[]", "0"]

@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from matsos import expr as ex
-from matsos import jets
+from matsos import gallery, jets
 
-from oracles import dict_convolve, func_of, recip_chain_table, richardson_derivative
+from oracles import (
+    dict_convolve,
+    func_of,
+    mul_reduceat,
+    recip_chain_table,
+    richardson_derivative,
+)
 
 X, Y = ex.var(0), ex.var(1)
 
@@ -248,11 +254,6 @@ def test_grid_partitions_merge_deterministically():
     assert (np.concatenate([p.invalid for p in parts]) == full.invalid).all()
 
 
-def _gather_mul(sp, a, b):
-    """The general truncated product: gather every multiindex pair, reduce."""
-    return np.add.reduceat(a[sp._mi] * b[sp._mj], sp._kstart, axis=0)
-
-
 @pytest.mark.parametrize("nvars", range(1, 9))
 @pytest.mark.parametrize("order", range(jets.MAX_ORDER + 1))
 def test_mul_constant_operand_shortcut_matches_gather(nvars, order):
@@ -265,4 +266,78 @@ def test_mul_constant_operand_shortcut_matches_gather(nvars, order):
     for a, b in [(const, dense), (dense, const), (const, const2), (dense, dense2)]:
         got = sp.mul(a, b)
         assert got.shape == (sp.ncoef, 5)
-        assert np.array_equal(got, _gather_mul(sp, a, b))
+        assert np.array_equal(got, mul_reduceat(sp, a, b))
+
+
+def _assert_bitwise(got, want):
+    """Equal values and NaN positions, and equal signs off NaN.
+
+    The sign of a NaN made from two NaNs is not compared: numpy's loops keep
+    either operand's NaN depending on where an element falls in a SIMD pass,
+    so it follows the memory layout, not the summation order.  Non-finite
+    columns are scrubbed as invalid before any result is read.
+    """
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    real = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[real]), np.signbit(want[real]))
+
+
+def _hostile_table(rng, ncoef, npts):
+    """Rows graded from 1e-300 to 1e300, with signed zeros and subnormals
+    throughout, and inf, -inf and NaN entries in columns 1, 2 and 3."""
+    x = rng.normal(size=(ncoef, npts)) * np.logspace(-300, 300, ncoef)[:, None]
+    r = rng.random((ncoef, npts))
+    x[r < 0.1] = 0.0
+    x[(r >= 0.1) & (r < 0.2)] = -0.0
+    sub = (r >= 0.2) & (r < 0.3)
+    x[sub] = 5e-324 * rng.integers(-8, 9, size=sub.sum())
+    if npts > 3:
+        x[r[:, 1] < 0.5, 1] = np.inf
+        x[r[:, 2] < 0.5, 2] = -np.inf
+        x[r[:, 3] < 0.5, 3] = np.nan
+        x[r[:, 3] > 0.8, 3] = -np.inf
+    return x
+
+
+@pytest.mark.parametrize("npts", [0, 1, 37])
+@pytest.mark.parametrize("nvars", range(1, 9))
+@pytest.mark.parametrize("order", range(jets.MAX_ORDER + 1))
+def test_mul_bitwise_equal_to_reduceat(nvars, order, npts):
+    """The explicit summation order of `JetSpace.mul` is numpy's: equal to
+    the gather/``reduceat`` product bit for bit, squares (``a is b``, as in
+    `intpow`) included."""
+    sp = jets.space(nvars, order)
+    rng = np.random.default_rng((nvars, order, npts))
+    a = _hostile_table(rng, sp.ncoef, npts)
+    b = _hostile_table(rng, sp.ncoef, npts)
+    if sp.ncoef > 1 and npts:
+        a[1, 0] = b[1, 0] = 1.5  # no constant operand: the dense kernel runs
+    with np.errstate(all="ignore"):
+        for x, y in [(a, b), (b, a), (a, a)]:
+            _assert_bitwise(sp.mul(x, y), mul_reduceat(sp, x, y))
+
+
+@pytest.mark.parametrize("name", sorted(gallery.GALLERY))
+def test_gallery_entry_jets_bitwise_equal_to_reduceat(name, monkeypatch):
+    """Order-4 jets of every gallery matrix on its default grid are the same
+    bits when every dense product is the gather/``reduceat`` form."""
+    item = gallery.GALLERY[name]
+    A = item.build({})
+    pts = item.default_grid().sample_points()
+    got, got_valid = A.entry_jets(pts, order=4)
+    mul = jets.JetSpace.mul
+
+    def former_mul(sp, a, b):
+        if not a[1:].any() or not b[1:].any():
+            return mul(sp, a, b)  # the constant-operand shortcut
+        return mul_reduceat(sp, a, b)
+
+    monkeypatch.setattr(jets.JetSpace, "mul", former_mul)
+    want, want_valid = A.entry_jets(pts, order=4)
+    assert np.array_equal(got_valid, want_valid)
+    for key, jb in want.items():
+        _assert_bitwise(got[key].coef, jb.coef)
+        for flag in ("invalid", "poly_singular", "flat_zero"):
+            assert np.array_equal(getattr(got[key], flag), getattr(jb, flag))
+        _assert_bitwise(got[key].limit, jb.limit)
