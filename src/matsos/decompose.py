@@ -120,57 +120,11 @@ class SquareDecomposition:
     def n(self):
         return self.matrix.n
 
-    def reconstruction_values(self, points):
-        """Evaluate sum_k Z_k Z_k^T + embed(Q_p) at points.
-
-        Returns (stack (npts, n, n), valid mask)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        n = self.n
-        memo = {}
-        out = np.zeros((pts.shape[0], n, n))
-        valid = np.ones(pts.shape[0], dtype=bool)
-        for Z in self.peel_vectors:
-            rows = []
-            for comp in Z:
-                jb = jets.eval_jet_batch(
-                    comp, pts, order=0, nvars=self.matrix.nvars, memo=memo
-                )
-                valid &= ~jb.invalid
-                rows.append(jb.values)
-            zv = np.stack(rows, axis=1)
-            out += zv[:, :, None] * zv[:, None, :]
-        if self.residual is not None and self.residual.n > 0:
-            off = n - self.residual.n
-            for (i, j), e in self.residual.upper_entries():
-                jb = jets.eval_jet_batch(
-                    e, pts, order=0, nvars=self.matrix.nvars, memo=memo
-                )
-                valid &= ~jb.invalid
-                out[:, off + i, off + j] += jb.values
-                if i != j:
-                    out[:, off + j, off + i] += jb.values
-        return out, valid
-
     def field_gram_values(self, k, points):
         """sum_i X_{k,i} X_{k,i}^T at points for peel index k (0-based)."""
         if self.fields is None:
             raise ValueError("vector fields not assembled yet")
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        n = self.n
-        memo = {}
-        out = np.zeros((pts.shape[0], n, n))
-        valid = np.ones(pts.shape[0], dtype=bool)
-        for X in self.fields[k]:
-            rows = []
-            for comp in X:
-                jb = jets.eval_jet_batch(
-                    comp, pts, order=0, nvars=self.matrix.nvars, memo=memo
-                )
-                valid &= ~jb.invalid
-                rows.append(jb.values)
-            xv = np.stack(rows, axis=1)
-            out += xv[:, :, None] * xv[:, None, :]
-        return out, valid
+        return _dyad_sum(_dyads(self.fields[k], points, self.matrix.nvars))
 
     def to_json_dict(self):
         d = {
@@ -187,6 +141,26 @@ class SquareDecomposition:
                 [[ex.to_dict(c) for c in X] for X in Xk] for Xk in self.fields
             ]
         return d
+
+
+def _dyads(vectors, pts, nvars):
+    """v v^T at pts for every expression vector v, each with the mask where
+    all of v is defined; all components are evaluated under one memo."""
+    jbs = iter(jets.eval_entries([c for v in vectors for c in v], pts, 0,
+                                 nvars=nvars))
+    out = []
+    for v in vectors:
+        vj = [next(jbs) for _ in v]
+        vals = np.stack([jb.values for jb in vj], axis=1)
+        out.append((vals[:, :, None] * vals[:, None, :],
+                    ~np.any([jb.invalid for jb in vj], axis=0)))
+    return out
+
+
+def _dyad_sum(dyads):
+    """Sum of `_dyads` output (at least one term), with the mask where every
+    term is defined."""
+    return sum(d for d, _ in dyads), np.logical_and.reduce([ok for _, ok in dyads])
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +250,15 @@ def _bracket_constants(mats, diags, k):
     return float(min(cs)), float(max(w2.max(axis=1)))
 
 
-def _dyad_domination_constant(Q, pts):
+def _dyad_domination_constant(Q, grid):
     """Sampled sharp constant in Z Z^T < C Q for one peel of Q.
 
     For the normalized first column the exact constant is Z^T Q^{-1} Z = 1
     wherever Q is invertible; the sampled value certifies finiteness (and
-    the quality of the evaluation) over the punctured grid.
+    the quality of the evaluation) over the first 200 grid samples.
     """
-    vals, ok = Q.values(pts)
+    rec = Q.sampled(grid)
+    vals, ok = rec.values[:200], rec.valid[:200]
     q = vals[ok & ~(vals[:, 0, 0] < FLAT_PIVOT)]
     w, v = _jacobi(q)
     pos = ~(w[:, 0] <= 0)
@@ -310,13 +285,12 @@ def iterated_sd(A, p, grid):
     pivots, pivot_rows, peel_vectors = [], [], []
     excluded_total = 0
     dyad_constants = []
-    sub = grid.sample_points()[:200]
     for k in range(p - 1):
         evaluated, excluded = _check_pivot(Q.entry(0, 0), A.nvars, grid)
         excluded_total += excluded
         pivots.append(Q.entry(0, 0))
         pivot_rows.append([Q.entry(0, j) for j in range(Q.n)])
-        dyad_constants.append(_dyad_domination_constant(Q, sub))
+        dyad_constants.append(_dyad_domination_constant(Q, grid))
         Y, Qn = one_sd(Q)
         peel_vectors.append([ex.ZERO] * k + Y)
         Q = Qn
@@ -328,41 +302,36 @@ def iterated_sd(A, p, grid):
         peel_vectors=peel_vectors,
         residual=Q,
     )
-    pts = grid.sample_points()
-    avals, avalid = A.values(pts)
-    rvals, rvalid = dec.reconstruction_values(pts)
-    use = avalid & rvalid
+    arec, qrec = A.sampled(grid), Q.sampled(grid)
+    dyads = _dyads(peel_vectors, arec.pts, A.nvars)
+    rvals, rvalid = _dyad_sum(dyads)
+    rvals[:, n - Q.n:, n - Q.n:] += qrec.values
+    use = arec.valid & rvalid & qrec.valid
     cert = {
         "samples": int(use.sum()),
         "excluded": int((~use).sum()) + excluded_total,
         "dyad_domination": dyad_constants,
     }
     if use.any():
-        diff = np.abs(avals[use] - rvals[use]).max(axis=(1, 2))
-        scale = 1.0 + np.abs(avals[use]).max(axis=(1, 2))
+        avals = arec.values[use]
+        diff = np.abs(avals - rvals[use]).max(axis=(1, 2))
+        scale = 1.0 + np.abs(avals).max(axis=(1, 2))
         cert["reconstruction_residual"] = float((diff / scale).max())
         cert["reconstruction_residual_abs"] = float(diff.max())
         zk = []
-        diags = np.stack([avals[use][:, i, i] for i in range(n)], axis=1)
-        for k, Z in enumerate(peel_vectors):
-            zrows = []
-            for comp in Z:
-                v, ok = jets.eval_values(comp, pts[use], nvars=A.nvars)
-                v = np.where(ok, v, np.nan)
-                zrows.append(v)
-            zv = np.stack(zrows, axis=1)
-            fin = np.isfinite(zv).all(axis=1)
-            zv, dv = zv[fin], diags[fin]
-            M = zv[:, :, None] * zv[:, None, :]
+        diags = avals.diagonal(axis1=1, axis2=2)
+        for k, (M, ok) in enumerate(dyads):
+            fin = ok[use]
+            M, dv = M[use][fin], diags[fin]
             tail = np.arange(k + 1, n)
             M[:, tail, tail] += dv[:, tail]
             c, C = _bracket_constants(M, dv, k)
             zk.append({"k": k + 1, "c": c, "C": C})
         cert["peel_brackets"] = zk
         if Q.n > 0:
-            qv, qok = Q.values(pts[use])
+            qv = qrec.values[use]
             ref = diags[:, p - 1]
-            sel = qok & ~(ref < FLAT_PIVOT)
+            sel = ~(ref < FLAT_PIVOT)
             w, _ = _jacobi(qv[sel])
             lo = min([np.inf, *(w[:, 0] / ref[sel])])
             hi = max([-np.inf, *(w[:, -1] / ref[sel])])
@@ -553,18 +522,11 @@ def assemble_vector_fields(dec, backend, grid, epsilon=None, delta=None, delta2=
     dec.fields = fields
     dec.sos_factors = sos_factors
     # Gram identity against the peeled dyads
-    for k in range(dec.depth - 1):
+    for k, (zz, zok) in enumerate(_dyads(dec.peel_vectors, pts, nv)):
         gv, gok = dec.field_gram_values(k, pts)
-        zrows = []
-        zok = np.ones(len(pts), dtype=bool)
-        for comp in dec.peel_vectors[k]:
-            v, okc = jets.eval_values(comp, pts, nvars=nv)
-            zok &= okc
-            zrows.append(v)
-        zv = np.stack(zrows, axis=1)
         use = gok & zok
         if use.any():
-            zz = zv[use][:, :, None] * zv[use][:, None, :]
+            zz = zz[use]
             num = np.abs(gv[use] - zz).max(axis=(1, 2))
             den = 1.0 + np.abs(zz).max(axis=(1, 2))
             gram_resid = max(gram_resid, float((num / den).max()))

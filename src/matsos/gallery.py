@@ -420,9 +420,7 @@ def c1omega_norm_estimate(h, omega, grid, pair_centers=6):
     if len(pts) == 0:
         raise ValueError("grid has no samples in the unit ball")
     nv = pts.shape[1]
-    sup_h = 0.0
-    sup_grad = 0.0
-    grads = []
+    grads, vals = [], []
     for comp in h:
         jb = jets.eval_jet_batch(comp, pts, order=1, nvars=nv)
         if jb.invalid.any():
@@ -430,10 +428,8 @@ def c1omega_norm_estimate(h, omega, grid, pair_centers=6):
                 "norm sample failed", point=pts[np.argmax(jb.invalid)]
             )
         grads.append(jb.gradient())
-    vals = np.stack(
-        [jets.eval_values(comp, pts, nvars=nv)[0] for comp in h], axis=0
-    )
-    sup_h = float(np.linalg.norm(vals, axis=0).max())
+        vals.append(jb.values)
+    sup_h = float(np.linalg.norm(np.stack(vals), axis=0).max())
     G = np.stack(grads, axis=0)  # (ncomp, nvars, npts)
     sup_grad = float(np.sqrt((G**2).sum(axis=(0, 1))).max())
     centers = pts[:: max(1, len(pts) // pair_centers)][:pair_centers]
@@ -540,8 +536,7 @@ def block_trace_comparability(M, grid, cmax=1e6):
     """M7 against blockdiag(I4, trace(F) I3): sampled bracket constants."""
     F = M.submatrix(range(4, 7))
     tr = ex.add(*[F.entry(i, i) for i in range(3)])
-    pts = grid.sample_points()
-    vals, ok = M.values(pts)
+    pts, ok, vals, _, _ = M.sampled(grid)
     tvals, tok = jets.eval_values(tr, pts, nvars=M.nvars)
     use = ok & tok & (tvals > 1e-300)
     # B = ref^{-1/2} M ref^{-1/2} with ref = blockdiag(I4, trace(F) I3)

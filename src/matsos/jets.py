@@ -535,8 +535,8 @@ def eval_jet_batch(expr, points, order=MAX_ORDER, nvars=None, memo=None):
     points : array_like, shape (npts, nvars)
     order : int in 0..4
     nvars : optional variable count override (>= expr.nvars)
-    memo : optional dict shared across calls evaluating several expressions
-        at the same points with the same order (entries of a matrix function
+    memo : dict shared by `eval_entries` across the expressions it
+        evaluates at the same points and order (entries of a matrix function
         share subtrees, which then get evaluated once)
     """
     if not isinstance(expr, ScalarExpr):

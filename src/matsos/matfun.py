@@ -3,18 +3,23 @@
 Entries are shared between the two triangles (symmetry by storage, not by
 assumption), and repeated subtrees across entries are evaluated once per
 batch of sample points.
+
+`SymMatFun.sampled(grid, order)` evaluates a matrix once per grid and
+order into a read-only `Sampled` record of stacks, which every checker of
+a run reads; evaluation at other points stays `values(points)`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import expr as ex
 from . import jets
 
-__all__ = ["StructureTags", "SymMatFun", "embed_tail", "blockdiag"]
+__all__ = ["Sampled", "StructureTags", "SymMatFun", "embed_tail", "blockdiag"]
 
 
 @dataclass(frozen=True)
@@ -29,6 +34,21 @@ class StructureTags:
 
     degenerate_axes: tuple = ()
     constant_blocks: tuple = ()
+
+
+class Sampled(NamedTuple):
+    """Stacks of a matrix function at S points from one `entry_jets` call.
+
+    valid (S,) is True where every entry evaluated; values (S, n, n).  From
+    order 1 up also grad (S, nvars, n, n) and dmax (order+1, S, n, n), the
+    largest |D^mu a_ij| over |mu| = m.  Invalid samples hold zeros.
+    """
+
+    pts: np.ndarray
+    valid: np.ndarray
+    values: np.ndarray
+    grad: np.ndarray | None
+    dmax: np.ndarray | None
 
 
 class SymMatFun:
@@ -57,6 +77,7 @@ class SymMatFun:
                 tri.setdefault((i, j), ex.ZERO)
         self._tri = tri
         self.tags = tags or StructureTags()
+        self._sampled = {}
 
     @classmethod
     def from_rows(cls, rows, nvars=None, tags=None):
@@ -100,24 +121,49 @@ class SymMatFun:
         every entry evaluated there.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        memo = {}
-        out = {}
+        keys = [key for key, _ in self.upper_entries()]
+        jbs = jets.eval_entries([self._tri[key] for key in keys], pts, order,
+                                nvars=self.nvars)
         valid = np.ones(pts.shape[0], dtype=bool)
-        for key, e in self.upper_entries():
-            jb = jets.eval_jet_batch(e, pts, order=order, nvars=self.nvars, memo=memo)
-            out[key] = jb
+        for jb in jbs:
             valid &= ~jb.invalid
-        return out, valid
+        return dict(zip(keys, jbs)), valid
+
+    def _stacks(self, points, order):
+        """A `Sampled` record of the matrix at `points` (writable arrays)."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        ejets, valid = self.entry_jets(pts, order=order)
+        S, n = pts.shape[0], self.n
+        values = np.zeros((S, n, n))
+        grad = np.zeros((S, self.nvars, n, n)) if order else None
+        dmax = np.zeros((order + 1, S, n, n)) if order else None
+        for (i, j), jb in ejets.items():
+            values[:, i, j] = values[:, j, i] = jb.values
+            if order:
+                grad[:, :, i, j] = grad[:, :, j, i] = jb.gradient().T
+                for m in range(order + 1):
+                    dmax[m, :, i, j] = dmax[m, :, j, i] = jb.max_abs_of_order(m)
+        return Sampled(pts, valid, values, grad, dmax)
+
+    def sampled(self, grid, order=0):
+        """The matrix at `grid.sample_points()` as a read-only `Sampled`
+        record of jets to `order`, built once per (grid, order) and kept on
+        this instance.  Orders are never sliced into each other: validity
+        depends on the order (sqrt at an interior zero is invalid from order
+        1 up), and value rows can differ in the sign of zero."""
+        key = (grid, order)
+        if key not in self._sampled:
+            rec = self._stacks(grid.sample_points(), order)
+            for a in rec:
+                if a is not None:
+                    a.flags.writeable = False
+            self._sampled[key] = rec
+        return self._sampled[key]
 
     def values(self, points):
         """Stack of matrices, shape (npts, n, n), with validity mask."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        ejets, valid = self.entry_jets(pts, order=0)
-        out = np.zeros((pts.shape[0], self.n, self.n))
-        for (i, j), jb in ejets.items():
-            out[:, i, j] = jb.values
-            out[:, j, i] = jb.values
-        return out, valid
+        rec = self._stacks(points, 0)
+        return rec.values, rec.valid
 
     def value(self, point):
         """Matrix at one point; raises if any entry is undefined there."""

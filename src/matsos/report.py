@@ -194,6 +194,10 @@ def validate_config(cfg):
                  f"unknown gallery item {name!r}; see the list command")
         params = matrix.get("params", {})
         _require(isinstance(params, dict), "matrix.params", "must be an object")
+        for key, value in params.items():
+            _require(key in GALLERY[name].param_schema, f"matrix.params.{key}",
+                     f"not a parameter of {name!r}")
+            _number(value, f"matrix.params.{key}")
     else:
         for key in ("dimension", "nvars", "entries"):
             _require(key in matrix, f"matrix.{key}", "required for inline matrices")
@@ -216,7 +220,12 @@ def build_matrix(cfg):
     matrix = cfg["matrix"]
     if "gallery" in matrix:
         item = GALLERY[matrix["gallery"]]
-        return item.build(matrix.get("params", {})), item
+        params = matrix.get("params", {})
+        try:
+            return item.build(params), item
+        except ValueError as e:
+            # a value out of range; no item takes more than one parameter
+            raise ConfigError("matrix.params." + ",".join(params), str(e)) from e
     try:
         A = SymMatFun.from_json_dict(matrix)
     except ExprError as e:

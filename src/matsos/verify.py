@@ -64,12 +64,6 @@ class HypothesisRefusal(RuntimeError):
         self.reports = reports
 
 
-def _matrix_samples(A, grid):
-    pts = grid.sample_points()
-    vals, valid = A.values(pts)
-    return pts, vals, valid
-
-
 def _active_masks(vals):
     """Flat directions of a stack of samples (S, n, n).
 
@@ -92,7 +86,7 @@ def diag_elliptic_check(A, grid, cmax=DEFAULT_CMAX):
     grid with alpha/beta below the cap and no divergence toward the origin.
     Reports the tightest (beta, alpha).
     """
-    pts, vals, valid = _matrix_samples(A, grid)
+    pts, valid, vals, _, _ = A.sampled(grid)
     keep, ok = _active_masks(vals)
     some = keep.any(axis=1)
     excluded = int((~valid).sum()) + int((valid & ok & ~some).sum())
@@ -163,18 +157,11 @@ def subordinate_check(A, grid, cmax=DEFAULT_CMAX):
     agree on diagonally elliptical instances (that equivalence is covered
     by the test suite); the merged report carries both.
     """
-    pts = grid.sample_points()
-    ejets, valid = A.entry_jets(pts, order=1)
-    n = A.n
-    nv = A.nvars
+    pts, valid, avals, grads, _ = A.sampled(grid, order=1)
+    n, nv = A.n, A.nvars
     excluded = int((~valid).sum())
     use = np.where(valid)[0]
-    avals = np.zeros((len(use), n, n))
-    grads = np.zeros((len(use), nv, n, n))
-    for (i, j), jb in ejets.items():
-        avals[:, i, j] = avals[:, j, i] = jb.values[use]
-        g = jb.gradient()[:, use]
-        grads[:, :, i, j] = grads[:, :, j, i] = g.T
+    avals, grads = avals[use], grads[use]
     amax = np.abs(avals).max(axis=(1, 2))
     gmax = np.abs(grads).max(axis=(1, 2, 3)) if nv else np.zeros(len(use))
     flat = (amax < FLAT_FLOOR) & (gmax < FLAT_FLOOR)
@@ -267,13 +254,12 @@ def strong_check(
         raise ValueError("epsilon must lie in (0, 1)")
     if not 1 <= ell <= A.n:
         raise ValueError("ell must lie in 1..n")
-    pts = grid.sample_points()
-    ejets, valid = A.entry_jets(pts, order=4)
-    use = np.where(valid)[0]
-    excluded = int((~valid).sum())
-    upts = pts[use]
+    rec = A.sampled(grid, order=4)
+    use = np.where(rec.valid)[0]
+    excluded = int((~rec.valid).sum())
+    upts = rec.pts[use]
     n = A.n
-    diag = np.stack([ejets[(i, i)].values[use] for i in range(n)], axis=1)
+    diag = rec.values[use].diagonal(axis1=1, axis2=2)
     mins = np.minimum.accumulate(diag, axis=1)
 
     def power_family(cond, pairs, base_fn):
@@ -282,11 +268,10 @@ def strong_check(
         flat_pairs = 0
         for (k, j) in pairs:
             base = np.maximum(base_fn(k, j), 0.0)
-            jb = ejets[(min(k, j), max(k, j))]
             offdiag = k != j
             orders = range(0 if offdiag else 1, 5)
             for m in orders:
-                dmax = jb.max_abs_of_order(m)[use]
+                dmax = rec.dmax[m, use, k, j]
                 if offdiag:
                     e_free = max(0.5 + (2 - m) * epsilon, 0.0) + delta_pp
                     e_pin = max(0.5 + (2 - m) * 0.25, 0.0) + delta_pp
@@ -338,10 +323,9 @@ def strong_check(
             Y, Z = grid.sample_pairs(x)
             sep = np.linalg.norm(Y - Z, axis=1)
             ok0 = sep > 1e-300
-            memo_y, memo_z = {}, {}
-            for e in entries:
-                jy = jets.eval_jet_batch(e, Y, order=4, nvars=A.nvars, memo=memo_y)
-                jz = jets.eval_jet_batch(e, Z, order=4, nvars=A.nvars, memo=memo_z)
+            jys = jets.eval_entries(entries, Y, 4, nvars=A.nvars)
+            jzs = jets.eval_entries(entries, Z, 4, nvars=A.nvars)
+            for jy, jz in zip(jys, jzs):
                 ok = ok0 & ~jy.invalid & ~jz.invalid
                 if not ok.any():
                     continue
@@ -440,7 +424,7 @@ def quasiconformal_check(Q, grid, reference=None, cmax=DEFAULT_CMAX):
         return CheckReport("quasiconformal", PASS, worst_ratio=1.0, constant=1.0,
                            counts={"evaluated": 0, "excluded": 0},
                            params={"empty_block": True})
-    pts, vals, valid = _matrix_samples(Q, grid)
+    pts, valid, vals, _, _ = Q.sampled(grid)
     excluded = int((~valid).sum())
     refvals = None
     if reference is not None:
@@ -507,17 +491,17 @@ def grushin_type_check(A, grid, degenerate_axes, ratio_cap=100.0, fibers=6):
     axes = sorted(set(int(a) for a in degenerate_axes))
     if not axes or any(not 0 <= a < A.nvars for a in axes):
         raise ValueError("degenerate_axes must name variables of A")
-    pts = grid.sample_points()
+    pts, off_ok, off_vals, _, _ = A.sampled(grid)
     on_pts = pts.copy()
     on_pts[:, axes] = 0.0
     on_vals, on_ok = A.values(on_pts)
     on = np.flatnonzero(on_ok)
     w, _ = _jacobi(on_vals[on])
-    scale = np.maximum(np.abs(on_vals[on]).max(axis=(1, 2)), 1.0)
+    # relative to each sample's max-norm: the verdict is scale invariant
+    scale = np.abs(on_vals[on]).max(axis=(1, 2))
     regular = np.flatnonzero(w[:, 0] > 1e-10 * scale)
     sing_ok = not regular.size
     witness = None if sing_ok else on_pts[on[regular[0]]].tolist()
-    off_vals, off_ok = A.values(pts)
     rad = grid.exclusions[0].radius if grid.exclusions else 0.05
     off = np.flatnonzero(off_ok & ~(np.linalg.norm(pts[:, axes], axis=1) < rad))
     w, _ = _jacobi(off_vals[off])
@@ -628,15 +612,14 @@ def decomposition_pipeline(
             refuse(bad[0] if bad else "strongly-c4")
 
     if 2 <= p <= n:
-        pts = grid.sample_points()
-        dvals, dok = A.values(pts)
+        rec = A.sampled(grid)
+        d = rec.values[rec.valid].diagonal(axis1=1, axis2=2)
+        pts = rec.pts[rec.valid]
         lhs, rhs, where = [], [], []
         for j in range(p, n):
-            lhs.append(dvals[dok][:, j, j])
-            rhs.append(dvals[dok][:, p - 1, p - 1])
-            lhs.append(dvals[dok][:, p - 1, p - 1])
-            rhs.append(dvals[dok][:, j, j])
-            where += [pts[dok], pts[dok]]
+            lhs += [d[:, j], d[:, p - 1]]
+            rhs += [d[:, p - 1], d[:, j]]
+            where += [pts, pts]
         if lhs:
             rep = sampled_bound(
                 "pivot-tail-comparability",

@@ -276,6 +276,12 @@ INLINE_2X2 = {"nvars": 1, "entries": [[ONE, ONE], [ONE, ONE]]}
     (dict(INLINE_2X2, dimension=2.7), {}, "matrix.dimension"),
     (dict(INLINE_2X2, dimension="two"), {}, "matrix.dimension"),
     (dict(INLINE_2X2, dimension=2, nvars=False), {}, "matrix.nvars"),
+    ({"gallery": "q-lambda", "params": {"lam": "x"}}, {}, "matrix.params.lam"),
+    ({"gallery": "q-lambda", "params": {"lam": True}}, {}, "matrix.params.lam"),
+    ({"gallery": "q-lambda", "params": {"lam": -1.0}}, {}, "matrix.params.lam"),
+    (dict(GRUSHIN, params={"gamma": "x"}), {}, "matrix.params.gamma"),
+    (dict(GRUSHIN, params={"gamma": 1.5}), {}, "matrix.params.gamma"),
+    (dict(GRUSHIN, params={"lam": 0.1}), {}, "matrix.params.lam"),
 ])
 def test_mistyped_config_field_is_a_configuration_error(matrix, extra, field,
                                                         tmp_path, capsys):

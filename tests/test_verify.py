@@ -347,6 +347,22 @@ class TestGrushinType:
         rep = grushin_type_check(A, g, degenerate_axes=(0,))
         assert rep.verdict == "fail"
 
+    @pytest.mark.parametrize("diag, verdict", [
+        ((ex.ONE, ex.ONE), "fail"),
+        ((ex.ONE, X**2), "pass"),
+    ])
+    def test_verdict_does_not_depend_on_scale(self, diag, verdict):
+        g = GridSpec(box=((-1, 1), (-1, 1)), resolution=9,
+                     exclusions=(Exclusion(0.1, axes=(0,)),))
+        reps = []
+        for s in (1e-20, 1.0, 1e20):
+            A = SymMatFun.from_rows(
+                [[ex.mul(ex.const(s), diag[0]), ex.ZERO],
+                 [ex.ZERO, ex.mul(ex.const(s), diag[1])]], nvars=2)
+            reps.append(grushin_type_check(A, g, degenerate_axes=(0,)))
+        assert [r.verdict for r in reps] == [verdict] * 3
+        assert all(r.details == reps[1].details for r in reps)
+
 
 class TestPipeline:
     def test_grushin_end_to_end(self):
