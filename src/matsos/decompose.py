@@ -391,7 +391,7 @@ def scalar_sos(f, backend, grid, nvars=None):
     nv = nvars or max(1, f.nvars)
     pts = grid.sample_points()
     fvals, fvalid = jets.eval_values(f, pts, nvars=nv)
-    scale = max(1.0, float(np.abs(fvals[fvalid]).max())) if fvalid.any() else 1.0
+    scale = float(np.abs(fvals[fvalid]).max()) if fvalid.any() else 0.0
     neg = fvalid & (fvals < -1e-12 * scale)
     if neg.any():
         raise ValueError(
@@ -521,6 +521,15 @@ def assemble_vector_fields(dec, backend, grid, epsilon=None, delta=None, delta2=
         fields.append(Xk)
     dec.fields = fields
     dec.sos_factors = sos_factors
+    # order-2 seminorms of the components of every peel, one batched
+    # evaluation per center
+    comps = [[c for X in Xk for c in X if c is not ex.ZERO] for Xk in fields]
+    centers = pts[:: max(1, len(pts) // 4)][:4]
+    mus = [tuple(2 if i == a else 0 for i in range(nv)) for a in range(nv)]
+    batch = [c for ck in comps for c in ck]
+    estimates = [holder_seminorm(batch, x, mus, delta, grid) if batch else []
+                 for x in centers]
+    lo = 0
     # Gram identity against the peeled dyads
     for k, (zz, zok) in enumerate(_dyads(dec.peel_vectors, pts, nv)):
         gv, gok = dec.field_gram_values(k, pts)
@@ -531,37 +540,24 @@ def assemble_vector_fields(dec, backend, grid, epsilon=None, delta=None, delta2=
             den = 1.0 + np.abs(zz).max(axis=(1, 2))
             gram_resid = max(gram_resid, float((num / den).max()))
         # sampled derivative magnitudes of the components, |mu| <= 2
-        stats = {"k": k + 1}
         sup = {0: 0.0, 1: 0.0, 2: 0.0}
-        for X in fields[k]:
-            for comp in X:
-                if comp is ex.ZERO:
-                    continue
-                jb = jets.eval_jet_batch(comp, pts, order=2, nvars=nv)
-                okc = ~jb.invalid
-                if not okc.any():
-                    continue
-                for m in range(3):
-                    sup[m] = max(sup[m], float(jb.max_abs_of_order(m)[okc].max()))
-        stats["component_sup"] = {f"order{m}": sup[m] for m in range(3)}
-        seminorms = []
-        centers = pts[:: max(1, len(pts) // 4)][:4]
-        mus = [tuple(2 if i == a else 0 for i in range(nv)) for a in range(nv)]
-        for x in centers:
-            worst = 0.0
-            for X in fields[k]:
-                for comp in X:
-                    if comp is ex.ZERO:
-                        continue
-                    try:
-                        worst = max(
-                            worst, holder_seminorm(comp, x, mus, delta, grid)
-                        )
-                    except jets.SingularDomainError:
-                        continue
-            seminorms.append({"center": x.tolist(), "estimate": worst})
-        stats["order2_seminorms"] = seminorms
-        deriv_stats.append(stats)
+        for jb in jets.eval_entries(comps[k], pts, 2, nvars=nv):
+            okc = ~jb.invalid
+            if not okc.any():
+                continue
+            for m in range(3):
+                sup[m] = max(sup[m], float(jb.max_abs_of_order(m)[okc].max()))
+        hi = lo + len(comps[k])
+        deriv_stats.append({
+            "k": k + 1,
+            "component_sup": {f"order{m}": sup[m] for m in range(3)},
+            "order2_seminorms": [
+                {"center": x.tolist(),
+                 "estimate": max([0.0] + [e for e in est[lo:hi] if e is not None])}
+                for x, est in zip(centers, estimates)
+            ],
+        })
+        lo = hi
     dec.certificates["gram_residual"] = gram_resid
     dec.certificates["field_derivative_stats"] = deriv_stats
     dec.certificates["sos_reports"] = [r.to_json_dict() for r in reports]

@@ -420,17 +420,19 @@ def c1omega_norm_estimate(h, omega, grid, pair_centers=6):
     if len(pts) == 0:
         raise ValueError("grid has no samples in the unit ball")
     nv = pts.shape[1]
-    grads, vals = [], []
-    for comp in h:
-        jb = jets.eval_jet_batch(comp, pts, order=1, nvars=nv)
-        if jb.invalid.any():
-            raise jets.SingularDomainError(
-                "norm sample failed", point=pts[np.argmax(jb.invalid)]
-            )
-        grads.append(jb.gradient())
-        vals.append(jb.values)
-    sup_h = float(np.linalg.norm(np.stack(vals), axis=0).max())
-    G = np.stack(grads, axis=0)  # (ncomp, nvars, npts)
+
+    def order1(P):
+        jbs = jets.eval_entries(h, P, 1, nvars=nv)
+        for jb in jbs:
+            if jb.invalid.any():
+                raise jets.SingularDomainError(
+                    "norm sample failed", point=P[np.argmax(jb.invalid)]
+                )
+        return jbs
+
+    jbs = order1(pts)
+    sup_h = float(np.linalg.norm(np.stack([jb.values for jb in jbs]), axis=0).max())
+    G = np.stack([jb.gradient() for jb in jbs], axis=0)  # (ncomp, nvars, npts)
     sup_grad = float(np.sqrt((G**2).sum(axis=(0, 1))).max())
     centers = pts[:: max(1, len(pts) // pair_centers)][:pair_centers]
     holder = 0.0
@@ -440,12 +442,7 @@ def c1omega_norm_estimate(h, omega, grid, pair_centers=6):
         Y, Z = Y[inside], Z[inside]
         if len(Y) == 0:
             continue
-        gy = np.stack(
-            [jets.eval_jet_batch(c, Y, order=1, nvars=nv).gradient() for c in h]
-        )
-        gz = np.stack(
-            [jets.eval_jet_batch(c, Z, order=1, nvars=nv).gradient() for c in h]
-        )
+        gy, gz = (np.stack([jb.gradient() for jb in order1(P)]) for P in (Y, Z))
         sep = np.linalg.norm(Y - Z, axis=1)
         ok = sep > 1e-300
         if not ok.any():

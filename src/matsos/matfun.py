@@ -7,6 +7,8 @@ batch of sample points.
 `SymMatFun.sampled(grid, order)` evaluates a matrix once per grid and
 order into a read-only `Sampled` record of stacks, which every checker of
 a run reads; evaluation at other points stays `values(points)`.
+`SymMatFun.paired(grid, center, mus, keys)` does the same for the Holder
+pair ladder of one seminorm center: each entry is evaluated there once.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from . import expr as ex
 from . import jets
 
-__all__ = ["Sampled", "StructureTags", "SymMatFun", "embed_tail", "blockdiag"]
+__all__ = ["Paired", "Sampled", "StructureTags", "SymMatFun", "embed_tail", "blockdiag"]
 
 
 @dataclass(frozen=True)
@@ -51,6 +53,19 @@ class Sampled(NamedTuple):
     dmax: np.ndarray | None
 
 
+class Paired(NamedTuple):
+    """D^mu rows of matrix entries on the pair ladder (Y, Z) of one center.
+
+    rows maps an upper entry (i, j) to (invalid_y, invalid_z, dy, dz): the
+    (P,) failure masks of the two sides and the (len(mus), P) derivative
+    rows, in the order of the multiindices asked for.
+    """
+
+    Y: np.ndarray
+    Z: np.ndarray
+    rows: dict
+
+
 class SymMatFun:
     """n x n symmetric matrix of ScalarExpr entries in `nvars` variables."""
 
@@ -78,6 +93,7 @@ class SymMatFun:
         self._tri = tri
         self.tags = tags or StructureTags()
         self._sampled = {}
+        self._paired = {}
 
     @classmethod
     def from_rows(cls, rows, nvars=None, tags=None):
@@ -159,6 +175,43 @@ class SymMatFun:
                     a.flags.writeable = False
             self._sampled[key] = rec
         return self._sampled[key]
+
+    def paired(self, grid, center, mus, keys):
+        """The upper entries `keys` on the pair ladder `grid.sample_pairs(center)`
+        as a `Paired` record of read-only D^mu rows, at order max |mu|.
+
+        The record is kept on this instance per (grid, center, mus); entries
+        not yet in it are evaluated under one `jets.eval_entries` memo per
+        side, so each entry is evaluated once per center and side.  Y, Z and
+        the centers stay separate point stacks: the jet product decides its
+        constant-operand shortcut over a whole stack, so a mixed stack could
+        flip the sign of a zero."""
+        mus = tuple(tuple(int(a) for a in m) for m in mus)
+        center = np.asarray(center, dtype=float)
+        key = (grid, center.tobytes(), mus)
+        if key not in self._paired:
+            Y, Z = grid.sample_pairs(center)
+            Y.flags.writeable = Z.flags.writeable = False
+            self._paired[key] = Paired(Y, Z, {})
+        rec = self._paired[key]
+        missing = [k for k in dict.fromkeys(keys) if k not in rec.rows]
+        if missing:
+            order = max(sum(m) for m in mus)
+            exprs = [self._tri[k] for k in missing]
+
+            def side(P):
+                # one block per side, and the jet tables die here, before
+                # the other side is evaluated
+                jbs = jets.eval_entries(exprs, P, order, nvars=self.nvars)
+                inv = np.array([jb.invalid for jb in jbs])
+                d = np.array([[jb.derivative(m) for m in mus] for jb in jbs])
+                inv.flags.writeable = d.flags.writeable = False
+                return inv, d
+
+            (inv_y, dy), (inv_z, dz) = side(rec.Y), side(rec.Z)
+            for i, k in enumerate(missing):
+                rec.rows[k] = (inv_y[i], inv_z[i], dy[i], dz[i])
+        return rec
 
     def values(self, points):
         """Stack of matrices, shape (npts, n, n), with validity mask."""

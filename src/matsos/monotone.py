@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import expr as ex
 from . import jets
 from .reporting import FAIL, INCONCLUSIVE, PASS, CheckReport, FLAT_FLOOR
 
@@ -68,9 +69,15 @@ def holder_seminorm(h, x, mu, delta, grid):
     sequence of them; for a sequence the result is the largest estimate,
     equal to the max of the single-multiindex calls, but the pairs are
     sampled once and h is evaluated once per distinct order |mu|.
-    Evaluation failure at any sampled point propagates with the offending
-    point.
+
+    `h` is one expression or a sequence of them.  A sequence is evaluated
+    under one `jets.eval_entries` memo per side and order, and gives a list
+    with one estimate per expression, equal to the single calls, or None
+    where a sample of that expression failed.  For a single expression an
+    evaluation failure raises SingularDomainError with the offending point.
     """
+    single = isinstance(h, ex.ScalarExpr)
+    hs = [h] if single else list(h)
     mus = [mu] if all(isinstance(k, (int, np.integer)) for k in mu) else list(mu)
     if not mus:
         raise ValueError("need at least one multiindex")
@@ -91,24 +98,30 @@ def holder_seminorm(h, x, mu, delta, grid):
             )
     sep = np.linalg.norm(Y - Z, axis=1)
     ok = sep > 1e-300
-    worst = 0.0
+    worst = [0.0] * len(hs)
     for order in sorted({sum(m) for m in mus}):
-        jy = jets.eval_jet_batch(h, Y, order=order, nvars=nv)
-        jz = jets.eval_jet_batch(h, Z, order=order, nvars=nv)
-        for jb, pts in ((jy, Y), (jz, Z)):
-            if jb.invalid.any():
-                bad = pts[np.argmax(jb.invalid)]
-                raise jets.SingularDomainError("seminorm sample failed", point=bad)
-        if not ok.any():
-            continue
-        for m in mus:
-            if sum(m) != order:
+        jys = jets.eval_entries(hs, Y, order, nvars=nv)
+        jzs = jets.eval_entries(hs, Z, order, nvars=nv)
+        for i, (jy, jz) in enumerate(zip(jys, jzs)):
+            if worst[i] is None:
                 continue
-            diff = np.abs(jy.derivative(m)[ok] - jz.derivative(m)[ok])
-            with np.errstate(divide="ignore"):
-                ratios = diff / sep[ok] ** delta
-            worst = max(worst, float(ratios.max()))
-    return worst
+            for jb, pts in ((jy, Y), (jz, Z)):
+                if single and jb.invalid.any():
+                    raise jets.SingularDomainError(
+                        "seminorm sample failed", point=pts[np.argmax(jb.invalid)])
+            if jy.invalid.any() or jz.invalid.any():
+                worst[i] = None
+                continue
+            if not ok.any():
+                continue
+            for m in mus:
+                if sum(m) != order:
+                    continue
+                diff = np.abs(jy.derivative(m)[ok] - jz.derivative(m)[ok])
+                with np.errstate(divide="ignore"):
+                    ratios = diff / sep[ok] ** delta
+                worst[i] = max(worst[i], float(ratios.max()))
+    return worst[0] if single else worst
 
 
 def omega_monotone_check(f, spec, grid, ball_count=64):
@@ -127,8 +140,7 @@ def omega_monotone_check(f, spec, grid, ball_count=64):
     if not valid.all():
         bad = allpts[np.argmax(~valid)]
         raise jets.SingularDomainError("monotonicity sample failed", point=bad)
-    scale = max(1.0, float(np.abs(vals).max()))
-    if vals.min() < -1e-12 * scale:
+    if vals.min() < -1e-12 * float(np.abs(vals).max()):
         raise ValueError("f must be nonnegative on the sampled grid")
     vals = np.maximum(vals, 0.0)
     fx = vals[-len(centers):]

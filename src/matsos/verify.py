@@ -306,33 +306,33 @@ def strong_check(
     d_sem = _delta_from_prime(delta_p) if delta is None else delta
     two_delta = min(2.0 * d_sem, 1.0)
 
+    # the pair ladders of every family, read from one record per center
+    centers = upts[:: max(1, len(upts) // seminorm_centers)][:seminorm_centers]
+    mus = [tuple(4 if a == b else 0 for a in range(A.nvars)) for b in range(A.nvars)]
+    if A.nvars >= 2:
+        mu = [0] * A.nvars
+        mu[0], mu[1] = 2, 2
+        mus.append(tuple(mu))
+    keys = [(k, j) for k in range(ell) for j in range(k, n)]
+    ladders = [A.paired(grid, x, mus, keys) for x in centers]
+
     def seminorm_family(cond, pairs):
         if not pairs:
             return CheckReport(cond, PASS, params={"vacuous": True},
                                counts={"evaluated": 0, "excluded": 0})
-        centers = upts[:: max(1, len(upts) // seminorm_centers)][:seminorm_centers]
-        mus = [tuple(4 if a == b else 0 for a in range(A.nvars)) for b in range(A.nvars)]
-        if A.nvars >= 2:
-            mu = [0] * A.nvars
-            mu[0], mu[1] = 2, 2
-            mus.append(tuple(mu))
-        entries = [A.entry(min(k, j), max(k, j)) for (k, j) in pairs]
         worst, wit = 0.0, None
         count = 0
-        for x in centers:
-            Y, Z = grid.sample_pairs(x)
-            sep = np.linalg.norm(Y - Z, axis=1)
+        for x, rec in zip(centers, ladders):
+            sep = np.linalg.norm(rec.Y - rec.Z, axis=1)
             ok0 = sep > 1e-300
-            jys = jets.eval_entries(entries, Y, 4, nvars=A.nvars)
-            jzs = jets.eval_entries(entries, Z, 4, nvars=A.nvars)
-            for jy, jz in zip(jys, jzs):
-                ok = ok0 & ~jy.invalid & ~jz.invalid
+            for key in pairs:
+                inv_y, inv_z, dys, dzs = rec.rows[key]
+                ok = ok0 & ~inv_y & ~inv_z
                 if not ok.any():
                     continue
-                for mu in mus:
-                    dy, dz = jy.derivative(mu)[ok], jz.derivative(mu)[ok]
+                for dy, dz in zip(dys, dzs):
                     est = float(
-                        (np.abs(dy - dz) / sep[ok] ** two_delta).max()
+                        (np.abs(dy[ok] - dz[ok]) / sep[ok] ** two_delta).max()
                     )
                     count += 1
                     if est > worst:

@@ -45,3 +45,6 @@ def test_traced_run_probes_arguments_and_results():
     assert t.counts["matfun.entry_jets.calls"] >= 3
     assert t.counts["jets.eval.points"] > t.counts["jets.eval.calls"] > 0
     assert t.counts["matfun.repeat"] == 0
+    # the pair work goes through the traced seminorm entry point
+    assert t.counts["monotone.holder_seminorm.calls"] > 0
+    assert t.counts["monotone.holder_seminorm.repeat"] == 0

@@ -238,6 +238,14 @@ class TestScalarSos:
         with pytest.raises(ValueError):
             scalar_sos(-ex.ONE, ScalarSosBackend(), grid1())
 
+    def test_negativity_guard_is_relative(self):
+        with pytest.raises(ValueError):
+            scalar_sos(ex.const(-1e-13) * (ex.ONE + X**2), ScalarSosBackend(),
+                       grid1())
+        res = scalar_sos(ex.const(1e-20) * (ex.ONE + X**2), ScalarSosBackend(),
+                         grid1())
+        assert res.report.details["sos_identity_residual"] <= 1e-12
+
     def test_split_backend_exact_identity(self):
         f = ex.intpow(ex.flat(X), 2)
         res = scalar_sos(

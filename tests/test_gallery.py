@@ -254,6 +254,15 @@ class TestNormFunctional:
         val = c1omega_norm_estimate(ex.var(0), lambda s: s, self.ball_grid())
         assert val == pytest.approx(2.0, abs=1e-9)
 
+    def test_failed_pair_sample_is_named_error(self):
+        # the grid points are defined, but pairs of the first center reach
+        # below the branch point
+        grid = GridSpec(box=((0.2, 0.8),))
+        h = [ex.sqrt(ex.var(0) + ex.const(-0.19))]
+        with pytest.raises(jets.SingularDomainError) as info:
+            c1omega_norm_estimate(h, lambda s: s, grid)
+        assert info.value.point[0] < 0.19
+
     def test_squared_norm(self):
         h = ex.var(0) ** 2 + ex.var(1) ** 2 + ex.var(2) ** 2
         val = c1omega_norm_estimate(h, lambda s: s, self.ball_grid())

@@ -1,9 +1,11 @@
-"""The sampled record: one evaluation of a matrix per grid and order."""
+"""The sampled and pair records: one evaluation of a matrix per grid and
+order, and of each entry per seminorm center and side."""
 
 import numpy as np
 import pytest
 
-from matsos import gallery
+from matsos import gallery, jets
+from matsos.grids import GridSpec
 from matsos.matfun import SymMatFun
 from matsos.report import run_config
 
@@ -102,4 +104,74 @@ def test_reports_equal_rebuilding_on_every_call(name, pipeline, monkeypatch):
     monkeypatch.setattr(SymMatFun, "sampled",
                         lambda A, grid, order=0:
                         A._stacks(grid.sample_points(), order))
+    assert _report(cfg) == want
+
+
+@pytest.mark.parametrize("name", sorted(gallery.GALLERY))
+def test_pair_record_equals_rows_of_entry_jets(name):
+    item = gallery.GALLERY[name]
+    A = item.build({})
+    grid = item.default_grid()
+    center = A.sampled(grid).pts[0]
+    nv = A.nvars
+    mus = [tuple(4 * (a == b) for a in range(nv)) for b in range(nv)]
+    keys = [key for key, _ in A.upper_entries()]
+    rec = A.paired(grid, center, mus, keys[:1])
+    assert A.paired(grid, center, mus, keys) is rec
+    assert list(rec.rows) == keys
+    Y, Z = grid.sample_pairs(center)
+    assert _same_bits(rec.Y, Y) and _same_bits(rec.Z, Z)
+    for key in keys:
+        inv_y, inv_z, dys, dzs = rec.rows[key]
+        for P, inv, ds in ((Y, inv_y, dys), (Z, inv_z, dzs)):
+            jb = jets.eval_jet_batch(A.entry(*key), P, 4, nvars=nv)
+            assert np.array_equal(inv, jb.invalid)
+            assert _same_bits(ds, np.array([jb.derivative(mu) for mu in mus]))
+        for a in (rec.Y, rec.Z) + rec.rows[key]:
+            assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("name, pipeline",
+                         [("f-phi-psi", "gallery"), ("block-M7", "all")])
+def test_each_expression_is_evaluated_once_per_pair_ladder(name, pipeline,
+                                                            monkeypatch):
+    ladders = set()
+    sample_pairs = GridSpec.sample_pairs
+
+    def recorded(grid, center):
+        Y, Z = sample_pairs(grid, center)
+        ladders.update((Y.tobytes(), Z.tobytes()))
+        return Y, Z
+
+    eval_jet_batch = jets.eval_jet_batch
+    seen = {}
+
+    def counted(expr, points, order=jets.MAX_ORDER, nvars=None, memo=None):
+        side = np.asarray(points, dtype=float).tobytes()
+        # an expression already in a shared memo is read, not evaluated
+        if side in ladders and not (memo and id(expr) in memo):
+            key = (id(expr), side, order)
+            assert key not in seen, "expression evaluated again on a pair ladder"
+            seen[key] = expr  # keeps the id from being reused
+        return eval_jet_batch(expr, points, order, nvars=nvars, memo=memo)
+
+    monkeypatch.setattr(GridSpec, "sample_pairs", recorded)
+    monkeypatch.setattr(jets, "eval_jet_batch", counted)
+    run_config(_config(name, pipeline))
+    assert seen
+
+
+@pytest.mark.parametrize("pipeline", ["gallery", "all"])
+@pytest.mark.parametrize("name", sorted(gallery.GALLERY))
+def test_reports_equal_rebuilding_pair_record_on_every_call(name, pipeline,
+                                                          monkeypatch):
+    cfg = _config(name, pipeline)
+    want = _report(cfg)
+    paired = SymMatFun.paired
+
+    def rebuilt(A, *args):
+        A._paired.clear()
+        return paired(A, *args)
+
+    monkeypatch.setattr(SymMatFun, "paired", rebuilt)
     assert _report(cfg) == want

@@ -87,6 +87,35 @@ class TestHolderSeminorm:
         assert holder_seminorm(h, x, mus, 0.4, grid) == max(single)
         assert max(single) > 0.0
 
+    def test_batch_equals_single_calls_bit_for_bit(self):
+        Y = ex.var(1)
+        hs = [
+            ex.exp(X * Y) * ex.recip(ex.const(2.0) + X**2),
+            ex.sqrt(ex.const(1.5) + Y) * ex.exp(X * Y),
+            ex.const(-2.0),
+            X**3 * Y - Y**2,
+        ]
+        grid = GridSpec(box=((-1.0, 1.0), (-1.0, 1.0)), pair_scales=6)
+        x = [0.3, -0.2]
+        mus = [(2, 0), (1, 1), (0, 2), (1, 0), (0, 3), (4, 0)]
+        batch = holder_seminorm(hs, x, mus, 0.4, grid)
+        assert batch == [holder_seminorm(h, x, mus, 0.4, grid) for h in hs]
+        assert holder_seminorm(hs[:1], x, mus, 0.4, grid) == batch[:1]
+        assert holder_seminorm(hs, x, (0, 2), 0.4, grid) == [
+            holder_seminorm(h, x, (0, 2), 0.4, grid) for h in hs]
+
+    def test_failing_expression_is_none_in_batch_and_raises_alone(self):
+        from matsos.jets import SingularDomainError
+
+        bad = ex.recip(X)
+        good = ex.exp(X)
+        batch = holder_seminorm([good, bad, good], [0.0], (1,), 0.5, grid1())
+        assert batch[1] is None
+        assert batch[0] == batch[2] == holder_seminorm(good, [0.0], (1,), 0.5, grid1())
+        with pytest.raises(SingularDomainError) as info:
+            holder_seminorm(bad, [0.0], (1,), 0.5, grid1())
+        assert info.value.point is not None
+
     def test_empty_multiindex_list_rejected(self):
         with pytest.raises(ValueError):
             holder_seminorm(X**2, [0.4], [], 0.3, grid1())
@@ -130,6 +159,16 @@ class TestOmegaMonotone:
     def test_negative_function_rejected(self):
         with pytest.raises(ValueError):
             omega_monotone_check(-ex.const(1.0), MonotoneSpec(s=0.5), grid1())
+
+    def test_nonnegativity_guard_is_relative(self):
+        # a uniformly negative function refused at any scale, a uniformly
+        # positive one accepted at any scale
+        with pytest.raises(ValueError):
+            omega_monotone_check(ex.const(-1e-13) * (ex.ONE + X**2),
+                                 MonotoneSpec(s=0.5), grid1())
+        rep = omega_monotone_check(ex.const(1e-20) * (ex.ONE + X**2),
+                                   MonotoneSpec(s=0.5), grid1())
+        assert rep.counts["evaluated"] > 0
 
     def test_non_monotone_fails(self):
         # f vanishing at x = 1/2 but not at x: the ball around x/2 sees
