@@ -13,6 +13,20 @@ a numpy reduction: the first term plus numpy's pairwise sum of the others.
 That is the order of ``np.add.reduceat``, so the tables are bit for bit
 those of the gather/``reduceat`` product.
 
+A jet space can keep only the multiindices a caller reads:
+``space(nvars, order, support)`` holds the downward closure
+``{m : m <= mu for some mu in support}``, in the order of the full space.
+Row k of a product sums the pairs with ``mi + mj = mk``; both lie below
+``mk``, so they are in the closure, and every kept row is computed with the
+same terms in the same order as in the full space.  A sub-space can differ
+from the full space in two places only:
+
+1. The constant-operand shortcut of `JetSpace.mul` is decided over the kept
+   rows.  An operand that is non-constant only in dropped rows takes the
+   shortcut, so only the sign of a zero derivative can differ.
+2. A sample is scrubbed as invalid only for non-finite values in kept rows,
+   so it fails only where a derivative that is read fails.
+
 Singularities are never silent.  Each point carries three flags:
 
 ``invalid``
@@ -36,6 +50,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from itertools import product as _iproduct
 
 import numpy as np
@@ -79,30 +94,51 @@ class LogEvalError(ValueError):
 # Jet spaces: multiindex enumeration and multiplication tables
 
 
+def _as_int(v):
+    """`v` as an int when it is one (numpy integers included), else None;
+    a bool is not an integer here, as in `expr.as_integer`."""
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+        return int(v)
+    return None
+
+
 @lru_cache(maxsize=None)
-def space(nvars, order):
-    return JetSpace(nvars, order)
+def space(nvars, order, support=None):
+    """The jet space of `nvars` variables to `order`; with a `support` (a
+    tuple of multiindices) the sub-space of their downward closure."""
+    return JetSpace(nvars, order, support)
 
 
 class JetSpace:
-    """Multiindex bookkeeping for jets in `nvars` variables up to `order`."""
+    """Multiindex bookkeeping for jets in `nvars` variables up to `order`.
 
-    def __init__(self, nvars, order):
+    Rows are the multiindices below some element of `support` (every
+    multiindex of total order `order` when None), sorted by (|m|, m).
+    """
+
+    def __init__(self, nvars, order, support=None):
         if not 1 <= nvars <= 8:
             raise ValueError("nvars must be in 1..8")
         if not 0 <= order <= MAX_ORDER:
             raise ValueError(f"order must be in 0..{MAX_ORDER}")
         self.nvars = nvars
         self.order = order
-        multi = [
-            m
-            for m in _iproduct(range(order + 1), repeat=nvars)
-            if sum(m) <= order
-        ]
-        multi.sort(key=lambda m: (sum(m), m))
+        if support is None:
+            support = [
+                tuple(c.count(a) for a in range(nvars))
+                for c in combinations_with_replacement(range(nvars), order)
+            ]
+        else:
+            support = [self._checked(mu) for mu in support]
+            if not support:
+                raise ValueError("a support needs at least one multiindex")
+        closure = set()
+        for mu in support:
+            closure.update(_iproduct(*(range(k + 1) for k in mu)))
+        multi = sorted(closure, key=lambda m: (sum(m), m))
         self.multi = tuple(multi)
         self.ncoef = len(multi)
-        self.pos = {m: i for i, m in enumerate(multi)}
+        self.pos = pos = {m: i for i, m in enumerate(multi)}
         self.total = np.array([sum(m) for m in multi])
         self.fact = np.array(
             [float(math.prod(math.factorial(k) for k in m)) for m in multi]
@@ -112,11 +148,14 @@ class JetSpace:
         # no other.  Rows 1.. are ranked by decreasing term count, so the
         # rows that have a term t >= 1 form a prefix of the ranking, and
         # _slabs[t - 1] holds the (i, j) index arrays of their term t.
+        # Only rows mj with |mi| + |mj| <= order can pair with mi; they are
+        # the prefix multi[:end[order - |mi|]].
+        end = np.searchsorted(self.total, np.arange(order + 1), side="right")
         terms = [[] for _ in multi]
         for i, mi in enumerate(multi):
-            for j, mj in enumerate(multi):
-                if sum(mi) + sum(mj) <= order:
-                    k = self.pos[tuple(a + b for a, b in zip(mi, mj))]
+            for j, mj in enumerate(multi[:end[order - sum(mi)]]):
+                k = pos.get(tuple(a + b for a, b in zip(mi, mj)))
+                if k is not None:
                     terms[k].append((i, j))
         counts = np.array([len(t) for t in terms])
         # at order <= 4 a row has at most 16 terms: one pairwise block of 8
@@ -130,9 +169,36 @@ class JetSpace:
         self._unrank = np.argsort(rank)
         if order >= 1:
             eye = np.eye(nvars, dtype=int)
-            self.unit = [self.pos[tuple(row)] for row in eye.tolist()]
+            # None where a unit row is not in the space: that variable
+            # seeds no derivative
+            self.unit = [pos.get(tuple(row)) for row in eye.tolist()]
         else:
             self.unit = []
+
+    def _checked(self, mu):
+        """`mu` as a tuple of ints, or a named error when no space of this
+        variable count and order can hold it."""
+        mu = tuple(mu)
+        if len(mu) != self.nvars:
+            raise VariableCountError(
+                f"multiindex length {len(mu)} != {self.nvars} variables"
+            )
+        ints = tuple(_as_int(k) for k in mu)
+        if None in ints or min(ints) < 0:
+            raise ValueError(
+                f"multiindex {mu} must have non-negative integer components"
+            )
+        if sum(ints) > self.order:
+            raise ValueError(f"multiindex {mu} exceeds order {self.order}")
+        return ints
+
+    def row(self, mu):
+        """Row index of multiindex `mu`, or a named error when it has none."""
+        i = self.pos.get(self._checked(mu))
+        if i is None:
+            raise ValueError(f"multiindex {tuple(mu)} is outside the support "
+                             f"of this jet space")
+        return i
 
     def mul(self, a, b):
         """Truncated product of two Taylor-coefficient tables.
@@ -284,9 +350,8 @@ class JetBatch:
         return self.coef * self.space.fact[:, None]
 
     def derivative(self, mu):
-        mu = tuple(mu)
-        sp = self.space
-        return self.coef[sp.pos[mu]] * sp.fact[sp.pos[mu]]
+        i = self.space.row(mu)
+        return self.coef[i] * self.space.fact[i]
 
     def max_abs_of_order(self, m):
         """max over |mu| = m of |D^mu| per point (0.0 where none)."""
@@ -298,6 +363,8 @@ class JetBatch:
 
     def gradient(self):
         sp = self.space
+        if None in sp.unit:
+            raise ValueError("the gradient rows are not in this jet space")
         return self.coef[sp.unit] * sp.fact[sp.unit, None]
 
 
@@ -336,7 +403,7 @@ def _eval_node(node, pts, sp, memo):
     elif kind == "var":
         out = _new(sp, npts)
         out.coef[0] = pts[:, node.param]
-        if sp.order >= 1:
+        if sp.order >= 1 and sp.unit[node.param] is not None:
             out.coef[sp.unit[node.param]] = 1.0
     elif kind == "sum":
         kids = [_eval_node(c, pts, sp, memo) for c in node.children]
@@ -526,35 +593,45 @@ def _as_points(points, nvars):
     return pts
 
 
-def eval_jet_batch(expr, points, order=MAX_ORDER, nvars=None, memo=None):
+def eval_jet_batch(expr, points, order=MAX_ORDER, nvars=None, memo=None,
+                   support=None):
     """Jets of `expr` at many points; invalid points are masked, not raised.
 
     Parameters
     ----------
     expr : ScalarExpr
     points : array_like, shape (npts, nvars)
-    order : int in 0..4
+    order : int in 0..4 (not a bool)
     nvars : optional variable count override (>= expr.nvars)
     memo : dict shared by `eval_entries` across the expressions it
-        evaluates at the same points and order (entries of a matrix function
-        share subtrees, which then get evaluated once)
+        evaluates at the same points, order and support (entries of a matrix
+        function share subtrees, which then get evaluated once)
+    support : optional multiindices, each of total order <= `order`; the
+        jets then hold only the rows of their downward closure (see the
+        module docstring for the two ways such jets can differ)
     """
     if not isinstance(expr, ScalarExpr):
         raise TypeError("expr must be a ScalarExpr")
     nv = max(expr.nvars, 1) if nvars is None else nvars
     pts = _as_points(points, nv)
-    sp = space(max(nv, 1), order)
+    o = _as_int(order)
+    if o is None or not 0 <= o <= MAX_ORDER:
+        raise ValueError(f"order must be an integer in 0..{MAX_ORDER}")
+    if support is not None:
+        support = tuple(tuple(mu) for mu in support)
+    sp = space(max(nv, 1), o, support)
     if memo is None:
         memo = {}
     with np.errstate(all="ignore"):
         return _eval_node(expr, pts, sp, memo)
 
 
-def eval_entries(exprs, points, order=MAX_ORDER, nvars=None):
+def eval_entries(exprs, points, order=MAX_ORDER, nvars=None, support=None):
     """Evaluate several expressions at shared points with a shared memo."""
     nv = nvars if nvars is not None else max([1] + [e.nvars for e in exprs])
     memo = {}
-    return [eval_jet_batch(e, points, order, nvars=nv, memo=memo) for e in exprs]
+    return [eval_jet_batch(e, points, order, nvars=nv, memo=memo,
+                           support=support) for e in exprs]
 
 
 class Jet4:
@@ -574,14 +651,7 @@ class Jet4:
         return float(self._coef[0])
 
     def derivative(self, mu):
-        mu = tuple(int(k) for k in mu)
-        if len(mu) != self.space.nvars:
-            raise VariableCountError(
-                f"multiindex length {len(mu)} != {self.space.nvars} variables"
-            )
-        i = self.space.pos.get(mu)
-        if i is None:
-            raise ValueError(f"multiindex {mu} exceeds order {self.space.order}")
+        i = self.space.row(mu)
         return float(self._coef[i] * self.space.fact[i])
 
     def table(self):
@@ -600,8 +670,6 @@ class Jet4:
 
 def eval_jet(expr, point, order=MAX_ORDER, nvars=None):
     """Exact partials of `expr` at one point, raising on singular domains."""
-    if not isinstance(order, (int, np.integer)) or not 0 <= order <= MAX_ORDER:
-        raise ValueError(f"order must be an integer in 0..{MAX_ORDER}")
     point = np.asarray(point, dtype=float).reshape(-1)
     jb = eval_jet_batch(expr, point[None, :], order, nvars=nvars)
     if jb.invalid[0]:

@@ -182,10 +182,12 @@ class SymMatFun:
 
         The record is kept on this instance per (grid, center, mus); entries
         not yet in it are evaluated under one `jets.eval_entries` memo per
-        side, so each entry is evaluated once per center and side.  Y, Z and
-        the centers stay separate point stacks: the jet product decides its
-        constant-operand shortcut over a whole stack, so a mixed stack could
-        flip the sign of a zero."""
+        side, so each entry is evaluated once per center and side.  It is
+        evaluated in the jet space spanned by `mus`, so the failure masks are
+        those of the rows read (see `jets`).  Y, Z and the centers stay
+        separate point stacks: the jet product decides its constant-operand
+        shortcut over a whole stack, so a mixed stack could flip the sign of
+        a zero."""
         mus = tuple(tuple(int(a) for a in m) for m in mus)
         center = np.asarray(center, dtype=float)
         key = (grid, center.tobytes(), mus)
@@ -202,7 +204,8 @@ class SymMatFun:
             def side(P):
                 # one block per side, and the jet tables die here, before
                 # the other side is evaluated
-                jbs = jets.eval_entries(exprs, P, order, nvars=self.nvars)
+                jbs = jets.eval_entries(exprs, P, order, nvars=self.nvars,
+                                        support=mus)
                 inv = np.array([jb.invalid for jb in jbs])
                 d = np.array([[jb.derivative(m) for m in mus] for jb in jbs])
                 inv.flags.writeable = d.flags.writeable = False

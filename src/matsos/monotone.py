@@ -68,7 +68,8 @@ def holder_seminorm(h, x, mu, delta, grid):
     |D^mu h(y) - D^mu h(z)| / |y - z|**delta.  `mu` is one multiindex or a
     sequence of them; for a sequence the result is the largest estimate,
     equal to the max of the single-multiindex calls, but the pairs are
-    sampled once and h is evaluated once per distinct order |mu|.
+    sampled once and h is evaluated once per distinct order |mu|, in the jet
+    space of the multiindices of that order (see `jets`).
 
     `h` is one expression or a sequence of them.  A sequence is evaluated
     under one `jets.eval_entries` memo per side and order, and gives a list
@@ -100,8 +101,10 @@ def holder_seminorm(h, x, mu, delta, grid):
     ok = sep > 1e-300
     worst = [0.0] * len(hs)
     for order in sorted({sum(m) for m in mus}):
-        jys = jets.eval_entries(hs, Y, order, nvars=nv)
-        jzs = jets.eval_entries(hs, Z, order, nvars=nv)
+        # only the rows below this order's multiindices are computed
+        support = tuple(m for m in mus if sum(m) == order)
+        jys = jets.eval_entries(hs, Y, order, nvars=nv, support=support)
+        jzs = jets.eval_entries(hs, Z, order, nvars=nv, support=support)
         for i, (jy, jz) in enumerate(zip(jys, jzs)):
             if worst[i] is None:
                 continue

@@ -50,6 +50,16 @@ def test_order_validation():
         jets.eval_jet(X, [0.0], order=-1)
 
 
+@pytest.mark.parametrize("order", [True, False])
+def test_bool_order_is_refused(order):
+    """A bool is not an order, though True == 1, also as a cache key."""
+    jets.eval_jet(X, [0.5], order=1)
+    with pytest.raises(ValueError, match="order"):
+        jets.eval_jet(X, [0.5], order=order)
+    with pytest.raises(ValueError, match="order"):
+        jets.eval_jet_batch(X, [[0.5]], order=order)
+
+
 def test_variable_count_mismatch():
     with pytest.raises(ex.VariableCountError):
         jets.eval_jet(ex.var(2), [0.0, 1.0], order=1)
@@ -341,3 +351,155 @@ def test_gallery_entry_jets_bitwise_equal_to_reduceat(name, monkeypatch):
         for flag in ("invalid", "poly_singular", "flat_zero"):
             assert np.array_equal(getattr(got[key], flag), getattr(jb, flag))
         _assert_bitwise(got[key].limit, jb.limit)
+
+
+# ---------------------------------------------------------------------------
+# Jet spaces with a support
+
+
+def _support(nvars, order, kind):
+    """Supports of total order `order`: the axis powers, the Holder seminorm
+    set (axis powers and (2, 2, 0, ...) at order 4), one lone multiindex
+    mixing the first and last variable, and every multiindex of the order."""
+    def e(a, k):
+        return tuple(k * (b == a) for b in range(nvars))
+
+    axes = tuple(e(a, order) for a in range(nvars))
+    if kind == "axes":
+        return axes
+    if kind == "seminorm":
+        half = (order - order // 2, order // 2) + (0,) * (nvars - 2)
+        return axes + ((half,) if nvars >= 2 else ())
+    if kind == "lone":
+        return ((1,) + (0,) * (nvars - 2) + (order - 1,),) if nvars >= 2 else axes
+    return tuple(m for m in jets.space(nvars, order).multi if sum(m) == order)
+
+
+SUPPORT_KINDS = ["axes", "seminorm", "lone", "full"]
+
+
+@pytest.mark.parametrize("kind", SUPPORT_KINDS)
+@pytest.mark.parametrize("nvars", range(1, 9))
+@pytest.mark.parametrize("order", range(1, jets.MAX_ORDER + 1))
+def test_support_space_is_the_closure_in_full_order(nvars, order, kind):
+    support = _support(nvars, order, kind)
+    full = jets.space(nvars, order)
+    sub = jets.space(nvars, order, support)
+    below = [m for m in full.multi
+             if any(all(a <= b for a, b in zip(m, mu)) for mu in support)]
+    assert sub.multi == tuple(below)
+    if kind == "full":
+        assert sub.multi == full.multi
+
+
+@pytest.mark.parametrize("kind", SUPPORT_KINDS)
+@pytest.mark.parametrize("nvars", range(1, 9))
+@pytest.mark.parametrize("order", range(1, jets.MAX_ORDER + 1))
+def test_mul_in_a_support_is_the_restriction_of_the_full_product(nvars, order,
+                                                                 kind):
+    """Row k of a product only reads rows below k, so on operands that are
+    not constant in the sub-space the product is the restriction of the
+    full one, bit for bit, on hostile tables."""
+    full = jets.space(nvars, order)
+    sub = jets.space(nvars, order, _support(nvars, order, kind))
+    rows = [full.pos[m] for m in sub.multi]
+    rng = np.random.default_rng((nvars, order, len(rows)))
+    a = _hostile_table(rng, full.ncoef, 37)
+    b = _hostile_table(rng, full.ncoef, 37)
+    a[rows[1], 0] = b[rows[1], 0] = 1.5  # not constant in the sub-space
+    with np.errstate(all="ignore"):
+        for x, y in [(a, b), (b, a), (a, a)]:
+            _assert_bitwise(sub.mul(x[rows], y[rows]), full.mul(x, y)[rows])
+
+
+@pytest.mark.parametrize("kind", SUPPORT_KINDS)
+@pytest.mark.parametrize("nvars", range(1, 9))
+@pytest.mark.parametrize("order", range(1, jets.MAX_ORDER + 1))
+def test_mul_shortcut_in_a_support_differs_only_in_the_sign_of_zero(nvars,
+                                                                     order,
+                                                                     kind):
+    """An operand constant in the kept rows but not in the dropped ones
+    takes the constant-operand shortcut in the sub-space only.  On finite
+    columns the product then differs from the full one at most in the sign
+    of a zero; the other columns are non-finite (so scrubbed) in both."""
+    full = jets.space(nvars, order)
+    sub = jets.space(nvars, order, _support(nvars, order, kind))
+    rows = [full.pos[m] for m in sub.multi]
+    rng = np.random.default_rng((nvars, order, len(rows), 1))
+    a = _hostile_table(rng, full.ncoef, 37)
+    b = _hostile_table(rng, full.ncoef, 37)
+    a[rows[1:]] = 0.0
+    a[sorted(set(range(full.ncoef)) - set(rows)), 0] = 1.5
+    b[rows[1], 0] = 1.5
+    with np.errstate(all="ignore"):
+        for x, y in [(a, b), (b, a)]:
+            got, want = sub.mul(x[rows], y[rows]), full.mul(x, y)[rows]
+            fin = np.isfinite(got).all(axis=0)
+            assert np.array_equal(fin, np.isfinite(want).all(axis=0))
+            assert np.array_equal(got[:, fin], want[:, fin])
+
+
+def test_scrub_ignores_non_finite_values_in_dropped_rows():
+    """exp(1e80 * y) at y = 1e-80 has finite x-derivatives but a fourth
+    y-derivative of 1e320 * e: the full jet is invalid there, the jet on
+    the x-axis powers is valid, and y seeds no derivative in it."""
+    f = ex.exp(ex.const(1e80) * Y)
+    pts = np.array([[0.3, 1e-80], [0.1, 2e-80]])
+    full = jets.eval_jet_batch(f, pts, 4, nvars=2)
+    sub = jets.eval_jet_batch(f, pts, 4, nvars=2, support=[(4, 0)])
+    assert full.invalid.all() and not sub.invalid.any()
+    assert np.array_equal(sub.values, jets.eval_jet_batch(f, pts, 3).values)
+    assert sub.derivative((4, 0)).tolist() == [0.0, 0.0]
+
+
+def test_bad_multiindices_are_named_errors():
+    jb = jets.eval_jet_batch(X * Y, [[0.5, 0.25]], 4, support=[(2, 2)])
+    assert jb.derivative((1, 1)).tolist() == [1.0]
+    with pytest.raises(ex.VariableCountError):
+        jb.derivative((1, 1, 0))
+    with pytest.raises(ValueError, match="exceeds order"):
+        jb.derivative((3, 2))
+    with pytest.raises(ValueError, match="outside the support"):
+        jb.derivative((3, 0))
+    with pytest.raises(ValueError, match="non-negative integer"):
+        jb.derivative((-1, 5))
+    with pytest.raises(ValueError, match="gradient"):
+        jets.eval_jet_batch(X * Y, [[0.5, 0.25]], 4, support=[(4, 0)]).gradient()
+    full = jets.eval_jet_batch(X * Y, [[0.5, 0.25]], 4)
+    with pytest.raises(ValueError, match="exceeds order"):
+        full.derivative((3, 2))
+    with pytest.raises(ex.VariableCountError):
+        full.derivative((4,))
+
+
+@pytest.mark.parametrize("support, error", [
+    ([(-1, 5)], ValueError),
+    ([(1, 0.5)], ValueError),
+    ([(True, 0)], ValueError),
+    ([(3, 2)], ValueError),
+    ([], ValueError),
+    ([(1, 1, 0)], ex.VariableCountError),
+    ([(2,)], ex.VariableCountError),
+])
+def test_supports_are_validated_when_their_space_is_built(support, error):
+    with pytest.raises(error):
+        jets.eval_jet_batch(X * Y, [[0.5, 0.25]], 4, support=support)
+
+
+def test_seminorm_support_in_8_variables_builds_only_its_closure(monkeypatch):
+    """The closure is the union of the boxes below each multiindex: 49
+    tuples for the 8-variable seminorm set, not the 5**8 of the full cube."""
+    iproduct = jets._iproduct
+    made = []
+
+    def counted(*ranges):
+        for m in iproduct(*ranges):
+            made.append(m)
+            yield m
+
+    monkeypatch.setattr(jets, "_iproduct", counted)
+    sp = jets.JetSpace(8, 4, _support(8, 4, "seminorm"))
+    assert len(made) == 8 * 5 + 9
+    assert sp.ncoef == 37
+    assert list(sp.multi) == sorted(sp.multi, key=lambda m: (sum(m), m))
+    assert sp.multi[0] == (0,) * 8 and sp.multi[-1] == (4,) + (0,) * 7

@@ -4,10 +4,14 @@ order, and of each entry per seminorm center and side."""
 import numpy as np
 import pytest
 
-from matsos import gallery, jets
+from matsos import decompose, gallery, jets
+from matsos import expr as ex
 from matsos.grids import GridSpec
 from matsos.matfun import SymMatFun
+from matsos.monotone import holder_seminorm
 from matsos.report import run_config
+
+X0, X1 = ex.var(0), ex.var(1)
 
 
 def _same_bits(a, b):
@@ -146,19 +150,74 @@ def test_each_expression_is_evaluated_once_per_pair_ladder(name, pipeline,
     eval_jet_batch = jets.eval_jet_batch
     seen = {}
 
-    def counted(expr, points, order=jets.MAX_ORDER, nvars=None, memo=None):
+    def counted(expr, points, order=jets.MAX_ORDER, nvars=None, memo=None,
+                support=None):
         side = np.asarray(points, dtype=float).tobytes()
         # an expression already in a shared memo is read, not evaluated
         if side in ladders and not (memo and id(expr) in memo):
-            key = (id(expr), side, order)
+            key = (id(expr), side, order, support)
             assert key not in seen, "expression evaluated again on a pair ladder"
             seen[key] = expr  # keeps the id from being reused
-        return eval_jet_batch(expr, points, order, nvars=nvars, memo=memo)
+        return eval_jet_batch(expr, points, order, nvars=nvars, memo=memo,
+                              support=support)
 
     monkeypatch.setattr(GridSpec, "sample_pairs", recorded)
     monkeypatch.setattr(jets, "eval_jet_batch", counted)
     run_config(_config(name, pipeline))
     assert seen
+
+
+@pytest.mark.parametrize("mus, error", [
+    ([(-1, 5)], ValueError),
+    ([(4, 0), (-1, 5)], ValueError),
+    ([(4,)], jets.VariableCountError),
+    ([(4, 0, 0)], jets.VariableCountError),
+])
+def test_pair_record_refuses_bad_multiindices(mus, error):
+    A = SymMatFun.from_rows([[1 + X0 * X0, X0 * X1], [X0 * X1, 1 + X1 * X1]])
+    grid = GridSpec(box=((-1.0, 1.0),) * 2, resolution=5)
+    with pytest.raises(error):
+        A.paired(grid, [0.5, 0.5], mus, [(0, 1)])
+
+
+@pytest.mark.parametrize("name, pipeline, zero",
+                         [("f-phi-psi", "decompose", False),
+                          ("block-M7", "all", True)])
+def test_peel_seminorms_equal_full_space_ones(name, pipeline, zero,
+                                              monkeypatch):
+    """The seminorms of the peel components, at the order 2 of
+    `assemble_vector_fields` and on the order-4 set of `strong_check`, equal
+    those evaluated in the full jet space (==).  The block-M7 components
+    have no second or fourth derivative that varies on the ladders."""
+    calls = []
+
+    def recorded(h, x, mu, delta, grid):
+        calls.append((h, x, delta, grid))
+        return holder_seminorm(h, x, mu, delta, grid)
+
+    monkeypatch.setattr(decompose, "holder_seminorm", recorded)
+    run_config(_config(name, pipeline))
+    assert calls
+    nv = len(calls[0][1])
+    order2 = [tuple(2 * (a == b) for a in range(nv)) for b in range(nv)]
+    order4 = [tuple(4 * (a == b) for a in range(nv)) for b in range(nv)]
+    order4.append((2, 2) + (0,) * (nv - 2))
+
+    def estimates():
+        return [holder_seminorm(h, x, mus, delta, grid)
+                for h, x, delta, grid in calls for mus in (order2, order4)]
+
+    got = estimates()
+    eval_entries = jets.eval_entries
+
+    def full_space(exprs, points, order=jets.MAX_ORDER, nvars=None,
+                   support=None):
+        return eval_entries(exprs, points, order, nvars=nvars)
+
+    monkeypatch.setattr(jets, "eval_entries", full_space)
+    assert estimates() == got
+    assert all(e is not None for est in got for e in est)
+    assert any(e > 0 for est in got for e in est) is not zero
 
 
 @pytest.mark.parametrize("pipeline", ["gallery", "all"])

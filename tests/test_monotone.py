@@ -127,6 +127,12 @@ class TestHolderSeminorm:
         with pytest.raises(VariableCountError):
             holder_seminorm(X**2, [0.3], (2,), 0.5, grid)
 
+    @pytest.mark.parametrize("mu", [(-1, 5), [(2, 0), (3, -1)], (-1, 1)])
+    def test_negative_multiindex_component_is_named_error(self, mu):
+        grid = GridSpec(box=((-1.0, 1.0),) * 2, resolution=5)
+        with pytest.raises(ValueError, match="non-negative integer"):
+            holder_seminorm(X * ex.var(1), [0.3, 0.2], mu, 0.5, grid)
+
 
 class TestOmegaMonotone:
     def test_constant_function(self):
