@@ -72,7 +72,7 @@ class ScalarExpr:
     their arguments.
     """
 
-    __slots__ = ("kind", "children", "param", "max_index", "_hash")
+    __slots__ = ("kind", "children", "param", "vmask", "_hash")
 
     def __init__(self, kind, children=(), param=None):
         if kind not in _ALL_KINDS:
@@ -80,12 +80,11 @@ class ScalarExpr:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "children", tuple(children))
         object.__setattr__(self, "param", param)
-        mi = -1
-        if kind == "var":
-            mi = param
+        # bit a is set when x_a occurs in the tree
+        vmask = 1 << param if kind == "var" else 0
         for c in self.children:
-            mi = max(mi, c.max_index)
-        object.__setattr__(self, "max_index", mi)
+            vmask |= c.vmask
+        object.__setattr__(self, "vmask", vmask)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -147,6 +146,11 @@ class ScalarExpr:
             h = hash((self.kind, _param_key(self.param), self.children))
             object.__setattr__(self, "_hash", h)
         return h
+
+    @property
+    def max_index(self):
+        """Largest variable index in the tree, -1 when it has none."""
+        return self.vmask.bit_length() - 1
 
     @property
     def nvars(self):

@@ -27,6 +27,27 @@ from the full space in two places only:
 2. A sample is scrubbed as invalid only for non-finite values in kept rows,
    so it fails only where a derivative that is read fails.
 
+Each node is evaluated in a smaller space still: the rows of the caller's
+space (full, or a support) whose multiindices involve only the variables
+the node reads (`ScalarExpr.vmask`), a restriction kept per (space, mask).
+A child's table is lifted into its parent's space by scattering its rows
+into zeros, and `eval_jet_batch` lifts the root into the requested space,
+so no caller sees a different shape.  This is the full-space evaluation up
+to the sign of a zero:
+
+- Every kept row sums the same terms in the same order as in the full
+  space: the terms of row mk pair multiindices below mk, and those involve
+  only the variables of mk.
+- Every dropped row is zero there in a finite column: each of its terms
+  has a factor from a dropped row of an operand.
+- A non-finite dropped row implies a non-finite kept row, since 0 * inf
+  needs a non-finite operand row, which reaches row 0 or row i of the
+  product through ``a[i] * b[0]`` (or ``a[0] * b[j]``).
+
+So values, NaN positions, the three flags below and `limit` are those of
+the full space; the constant-operand shortcut can then differ only as in
+point 1, in the sign of a zero.
+
 Singularities are never silent.  Each point carries three flags:
 
 ``invalid``
@@ -129,7 +150,7 @@ class JetSpace:
                 for c in combinations_with_replacement(range(nvars), order)
             ]
         else:
-            support = [self._checked(mu) for mu in support]
+            support = [self.checked(mu) for mu in support]
             if not support:
                 raise ValueError("a support needs at least one multiindex")
         closure = set()
@@ -175,7 +196,7 @@ class JetSpace:
         else:
             self.unit = []
 
-    def _checked(self, mu):
+    def checked(self, mu):
         """`mu` as a tuple of ints, or a named error when no space of this
         variable count and order can hold it."""
         mu = tuple(mu)
@@ -194,7 +215,7 @@ class JetSpace:
 
     def row(self, mu):
         """Row index of multiindex `mu`, or a named error when it has none."""
-        i = self.pos.get(self._checked(mu))
+        i = self.pos.get(self.checked(mu))
         if i is None:
             raise ValueError(f"multiindex {tuple(mu)} is outside the support "
                              f"of this jet space")
@@ -391,12 +412,57 @@ def _scrub(jet):
     return jet
 
 
-def _eval_node(node, pts, sp, memo):
-    got = memo.get(id(node))
-    if got is not None:
-        return got
+@lru_cache(maxsize=None)
+def _restrict(sp, vmask):
+    """The sub-space of `sp` whose multiindices involve only the variables
+    in `vmask` (bit a for x_a), and the indices of its rows in `sp` (None
+    when it keeps every row and is `sp` itself)."""
+    keep = [k for k, m in enumerate(sp.multi)
+            if not any(e and not vmask >> a & 1 for a, e in enumerate(m))]
+    if len(keep) == sp.ncoef:
+        return sp, None
+    sub = space(sp.nvars, sp.order, tuple(sp.multi[k] for k in keep))
+    return sub, np.array(keep, dtype=np.intp)
+
+
+def _lifted(node, jet, sp):
+    """The table of `node`'s jet in `sp`, a space at least as large as the
+    one it was evaluated in: its rows, and exact zeros in the rows of the
+    variables it does not read."""
+    rows = _restrict(sp, node.vmask)[1]
+    if rows is None:
+        return jet.coef
+    out = np.zeros((sp.ncoef, jet.npts))
+    out[rows] = jet.coef
+    return out
+
+
+def _eval_node(root, pts, sp, memo):
+    """Jets of every node under `root` not yet in `memo`, children first,
+    each in the restriction of `sp` to the variables it reads; returns the
+    jet of `root`.  The walk keeps its own stack, so the depth of a tree is
+    not bounded by Python's recursion limit."""
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if id(node) in memo:
+            stack.pop()
+            continue
+        todo = [c for c in node.children if id(c) not in memo]
+        if todo:
+            stack.extend(reversed(todo))
+            continue
+        stack.pop()
+        memo[id(node)] = _eval_one(node, pts, _restrict(sp, node.vmask)[0],
+                                   memo)
+    return memo[id(root)]
+
+
+def _eval_one(node, pts, sp, memo):
+    """Jet of `node` in `sp` from the jets of its children in `memo`."""
     kind = node.kind
     npts = pts.shape[0]
+    kids = [memo[id(c)] for c in node.children]
     if kind == "const":
         out = _new(sp, npts)
         out.coef[0] = node.param
@@ -406,10 +472,9 @@ def _eval_node(node, pts, sp, memo):
         if sp.order >= 1 and sp.unit[node.param] is not None:
             out.coef[sp.unit[node.param]] = 1.0
     elif kind == "sum":
-        kids = [_eval_node(c, pts, sp, memo) for c in node.children]
         out = _new(sp, npts)
-        for k in kids:
-            out.coef += k.coef
+        for c, k in zip(node.children, kids):
+            out.coef += _lifted(c, k, sp)
             out.invalid |= k.invalid
         out.poly_singular = np.ones(npts, dtype=bool)
         out.flat_zero = np.ones(npts, dtype=bool)
@@ -420,7 +485,6 @@ def _eval_node(node, pts, sp, memo):
         out.flat_zero &= ~out.invalid
         out = _scrub(out)
     elif kind == "product":
-        kids = [_eval_node(c, pts, sp, memo) for c in node.children]
         inv_any = np.zeros(npts, dtype=bool)
         flat_any = np.zeros(npts, dtype=bool)
         poly_ok = np.ones(npts, dtype=bool)
@@ -431,15 +495,15 @@ def _eval_node(node, pts, sp, memo):
         annihilated = flat_any & inv_any & poly_ok
         out = _new(sp, npts)
         out.coef[0] = 1.0
-        for k in kids:
-            out.coef = sp.mul(out.coef, k.coef)
+        for c, k in zip(node.children, kids):
+            out.coef = sp.mul(out.coef, _lifted(c, k, sp))
         out.invalid = inv_any & ~annihilated
         out.poly_singular = poly_ok & out.invalid
         out.flat_zero = flat_any & ~out.invalid
         out.coef[:, annihilated] = 0.0
         out = _scrub(out)
     elif kind == "intpow" and node.param >= 0:
-        child = _eval_node(node.children[0], pts, sp, memo)
+        child = kids[0]
         out = _new(sp, npts)
         out.coef[0] = 1.0
         base, k = child.coef, node.param
@@ -454,8 +518,7 @@ def _eval_node(node, pts, sp, memo):
         out.flat_zero = child.flat_zero & (node.param >= 1) & ~out.invalid
         out = _scrub(out)
     else:
-        out = _compose(node, _eval_node(node.children[0], pts, sp, memo), sp)
-    memo[id(node)] = out
+        out = _compose(node, kids[0], sp)
     return out
 
 
@@ -617,13 +680,18 @@ def eval_jet_batch(expr, points, order=MAX_ORDER, nvars=None, memo=None,
     o = _as_int(order)
     if o is None or not 0 <= o <= MAX_ORDER:
         raise ValueError(f"order must be an integer in 0..{MAX_ORDER}")
-    if support is not None:
-        support = tuple(tuple(mu) for mu in support)
-    sp = space(max(nv, 1), o, support)
+    if support is None:
+        sp = space(max(nv, 1), o)  # not (.., None): a second cache entry
+    else:
+        sp = space(max(nv, 1), o, tuple(tuple(mu) for mu in support))
     if memo is None:
         memo = {}
     with np.errstate(all="ignore"):
-        return _eval_node(expr, pts, sp, memo)
+        jet = _eval_node(expr, pts, sp, memo)
+    if jet.space is sp:
+        return jet
+    return JetBatch(sp, _lifted(expr, jet, sp), jet.invalid, jet.poly_singular,
+                    jet.flat_zero, jet.limit)
 
 
 def eval_entries(exprs, points, order=MAX_ORDER, nvars=None, support=None):

@@ -188,7 +188,8 @@ class SymMatFun:
         separate point stacks: the jet product decides its constant-operand
         shortcut over a whole stack, so a mixed stack could flip the sign of
         a zero."""
-        mus = tuple(tuple(int(a) for a in m) for m in mus)
+        mus = tuple(jets.space(self.nvars, jets.MAX_ORDER).checked(m)
+                    for m in mus)
         center = np.asarray(center, dtype=float)
         key = (grid, center.tobytes(), mus)
         if key not in self._paired:

@@ -79,24 +79,18 @@ def holder_seminorm(h, x, mu, delta, grid):
     """
     single = isinstance(h, ex.ScalarExpr)
     hs = [h] if single else list(h)
-    mus = [mu] if all(isinstance(k, (int, np.integer)) for k in mu) else list(mu)
+    mus = [mu] if all(np.ndim(k) == 0 for k in mu) else list(mu)
     if not mus:
         raise ValueError("need at least one multiindex")
-    mus = [tuple(int(k) for k in m) for m in mus]
-    if max(sum(m) for m in mus) > jets.MAX_ORDER:
-        raise ValueError(f"|mu| must be <= {jets.MAX_ORDER}")
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
     x = np.asarray(x, dtype=float)
+    nv = len(x)
+    # the jet space's rule: integer (not bool) components, |mu| <= MAX_ORDER
+    mus = [jets.space(nv, jets.MAX_ORDER).checked(m) for m in mus]
     Y, Z = grid.sample_pairs(x)
     if len(Y) == 0:
         raise ValueError("grid pair-sampling policy produced no pairs")
-    nv = len(x)
-    for m in mus:
-        if len(m) != nv:
-            raise jets.VariableCountError(
-                f"multiindex length {len(m)} != point dimension {nv}"
-            )
     sep = np.linalg.norm(Y - Z, axis=1)
     ok = sep > 1e-300
     worst = [0.0] * len(hs)

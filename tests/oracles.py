@@ -78,23 +78,23 @@ def mul_reduceat(sp, a, b):
     """The dense truncated product as one gather and ``np.add.reduceat``.
 
     The (k, i, j) triples with ``multi[i] + multi[j] = multi[k]`` are built
-    from ``sp.multi`` and ``sp.pos`` and sorted, so numpy reduces each output
+    from ``sp.multi`` and ``sp.pos`` (pairs whose sum is not a row of `sp`
+    are left out, as in a sub-space) and sorted, so numpy reduces each output
     row k over its terms in increasing i.  `JetSpace.mul`, which writes
     that summation order out, must equal it bit for bit; this form has no
     constant-operand shortcut.
     """
-    i, j, start = _reduceat_tables(sp.nvars, sp.order)
+    i, j, start = _reduceat_tables(sp)
     return np.add.reduceat(a[i] * b[j], start, axis=0)
 
 
 @functools.lru_cache(maxsize=None)
-def _reduceat_tables(nvars, order):
-    sp = jets.space(nvars, order)
+def _reduceat_tables(sp):
     trip = sorted(
-        (sp.pos[tuple(p + q for p, q in zip(mi, mj))], i, j)
+        (sp.pos[m], i, j)
         for i, mi in enumerate(sp.multi)
         for j, mj in enumerate(sp.multi)
-        if sum(mi) + sum(mj) <= order
+        if (m := tuple(p + q for p, q in zip(mi, mj))) in sp.pos
     )
     k, i, j = np.array(trip, dtype=np.intp).T
     return i, j, np.searchsorted(k, np.arange(sp.ncoef))

@@ -309,7 +309,8 @@ def test_main_entry_in_process(capsys):
 
 
 def test_import_does_not_load_scipy():
-    """Importing matsos loads no scipy and builds no jet space tables."""
+    """Importing matsos loads no scipy and builds no jet space tables and no
+    variable restriction of one."""
     import os
 
     import matsos
@@ -318,8 +319,9 @@ def test_import_does_not_load_scipy():
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, matsos; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
-            "print(matsos.jets.space.cache_info().currsize)")
+            "print(matsos.jets.space.cache_info().currsize); "
+            "print(matsos.jets._restrict.cache_info().currsize)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == ["[]", "0"]
+    assert proc.stdout.split("\n")[:3] == ["[]", "0", "0"]

@@ -503,3 +503,140 @@ def test_seminorm_support_in_8_variables_builds_only_its_closure(monkeypatch):
     assert sp.ncoef == 37
     assert list(sp.multi) == sorted(sp.multi, key=lambda m: (sum(m), m))
     assert sp.multi[0] == (0,) * 8 and sp.multi[-1] == (4,) + (0,) * 7
+
+
+# ---------------------------------------------------------------------------
+# Evaluation restricted to the variables a node reads
+
+
+def _full_space(monkeypatch):
+    """Evaluate every node in the caller's whole jet space."""
+    monkeypatch.setattr(jets, "_restrict", lambda sp, vmask: (sp, None))
+
+
+def _assert_same_up_to_zero_sign(got, want):
+    """Equal values and NaN positions, and equal signs where non-zero."""
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    nz = (want != 0) & ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[nz]), np.signbit(want[nz]))
+
+
+def _assert_same_jet(got, want):
+    assert got.space is want.space
+    _assert_same_up_to_zero_sign(got.coef, want.coef)
+    for flag in ("invalid", "poly_singular", "flat_zero"):
+        assert np.array_equal(getattr(got, flag), getattr(want, flag))
+    _assert_same_up_to_zero_sign(got.limit, want.limit)
+
+
+def test_block_m7_entries_read_at_most_4_of_7_variables():
+    A = gallery.GALLERY["block-M7"].build({})
+    masks = [e.vmask for _, e in A.upper_entries()]
+    assert A.nvars == 7
+    assert max(bin(m).count("1") for m in masks) <= 4
+    sp = jets.space(7, 4)
+    assert {jets._restrict(sp, m)[0].ncoef for m in masks} <= {1, 5, 15, 35, 70}
+
+
+@pytest.mark.parametrize("order", range(jets.MAX_ORDER + 1))
+@pytest.mark.parametrize("name", sorted(gallery.GALLERY))
+def test_gallery_entry_jets_equal_full_space_evaluation(name, order,
+                                                       monkeypatch):
+    item = gallery.GALLERY[name]
+    A = item.build({})
+    pts = item.default_grid().sample_points()
+    got, got_valid = A.entry_jets(pts, order=order)
+    _full_space(monkeypatch)
+    want, want_valid = A.entry_jets(pts, order=order)
+    assert np.array_equal(got_valid, want_valid)
+    for key, jb in want.items():
+        _assert_same_jet(got[key], jb)
+
+
+@pytest.mark.parametrize("name", sorted(gallery.GALLERY))
+def test_pair_records_equal_full_space_evaluation(name, monkeypatch):
+    item = gallery.GALLERY[name]
+    grid = item.default_grid()
+    nv = item.build({}).nvars
+    mus = [tuple(4 * (a == b) for a in range(nv)) for b in range(nv)]
+    mus += [(2, 2) + (0,) * (nv - 2)] if nv > 1 else [(3,)]
+
+    def rows():
+        A = item.build({})
+        center = A.sampled(grid).pts[0]
+        return A.paired(grid, center, mus,
+                        [key for key, _ in A.upper_entries()]).rows
+
+    got = rows()
+    _full_space(monkeypatch)
+    want = rows()
+    assert list(got) == list(want)
+    for key, parts in want.items():
+        for g, w in zip(got[key], parts):
+            _assert_same_up_to_zero_sign(g, w)
+
+
+def _hostile_points():
+    axis = [-1.0, -0.0, 0.0, 0.5, 2.0]
+    return np.array([(a, b, c) for a in axis for b in axis for c in axis])
+
+
+Z = ex.var(2)
+R = ex.sqrt(X**2 + Y**2)
+HOSTILE = {
+    "exp overflow": ex.exp(800.0 * X) * Y + Z,
+    "exp overflow squared": ex.exp(400.0 * X) ** 2 * (Y - Z),
+    "sqrt interior zero": ex.sqrt(X**2) * Y,
+    "sqrt interior zero at the root": ex.sqrt(X**2 + Y**2),
+    "flat of sqrt zero": ex.flat(R) * Z + ex.sqrt(Y**2 + Z**2),
+    "flat annihilates bump": ex.flat(R) * ex.bump(Z / R),
+    "flatabs annihilates recip": ex.flatabs(X) * ex.recip(X**2) * Y,
+    "const subtree under exp": ex.exp(ex.const(2.0) * ex.const(3.0)) * Y,
+    "const overflow under exp": ex.exp(ex.const(800.0)) * Y + X,
+    "sqrt of const zero": ex.sqrt(ex.const(0.0)) + Z,
+    "negative zero sums": (-X) * Y + X * Y - Z * 0.0,
+}
+
+
+@pytest.mark.parametrize("support", [None, ((2, 0, 0), (0, 1, 1)), ((0, 0, 3),)])
+@pytest.mark.parametrize("order", range(jets.MAX_ORDER + 1))
+def test_hostile_expressions_equal_full_space_evaluation(order, support,
+                                                         monkeypatch):
+    pts = _hostile_points()
+    if support is not None and max(sum(m) for m in support) > order:
+        support = ((0, 0, order),)
+    exprs = list(HOSTILE.values())
+    got = jets.eval_entries(exprs, pts, order, nvars=3, support=support)
+    _full_space(monkeypatch)
+    want = jets.eval_entries(exprs, pts, order, nvars=3, support=support)
+    for g, w in zip(got, want):
+        _assert_same_jet(g, w)
+    if order == jets.MAX_ORDER:
+        assert any(w.invalid.any() for w in want)
+        assert any(w.flat_zero.any() for w in want)
+        assert any((w.limit == 0.0).any() for w in want)
+
+
+def test_nodes_are_evaluated_in_the_space_of_their_variables():
+    memo = {}
+    e = X * Y + ex.exp(ex.const(2.0))
+    jb = jets.eval_jet_batch(e, _hostile_points(), 4, nvars=3, memo=memo)
+    assert jb.space is jets.space(3, 4)
+    assert memo[id(X)].space.multi == tuple((k, 0, 0) for k in range(5))
+    assert memo[id(e.children[1])].space.ncoef == 1
+    assert memo[id(e)].space.ncoef == 15
+    assert not jb.coef[[m[2] > 0 for m in jb.space.multi]].any()
+
+
+@pytest.mark.parametrize("order", [0, 2])
+def test_deep_chain_evaluates_without_recursion(order):
+    """A 10,000-level chain of reciprocals evaluates without hitting the
+    recursion limit, and its value is the plain float recurrence."""
+    e, v, x = X, 0.3, 0.3
+    for _ in range(10_000):
+        e = ex.recip(1.0 + 0.5 * e)
+        v = 1.0 / (1.0 + 0.5 * v)
+    jb = jets.eval_jet_batch(e, [[x]], order)
+    assert not jb.invalid[0]
+    assert jb.values[0] == pytest.approx(v, rel=1e-14, abs=0.0)

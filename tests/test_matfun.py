@@ -172,6 +172,9 @@ def test_each_expression_is_evaluated_once_per_pair_ladder(name, pipeline,
     ([(4, 0), (-1, 5)], ValueError),
     ([(4,)], jets.VariableCountError),
     ([(4, 0, 0)], jets.VariableCountError),
+    ([(2.5, 0)], ValueError),
+    ([(True, 0)], ValueError),
+    ([(2, 0), (0, -1)], ValueError),
 ])
 def test_pair_record_refuses_bad_multiindices(mus, error):
     A = SymMatFun.from_rows([[1 + X0 * X0, X0 * X1], [X0 * X1, 1 + X1 * X1]])

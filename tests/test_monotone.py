@@ -134,6 +134,16 @@ class TestHolderSeminorm:
             holder_seminorm(X * ex.var(1), [0.3, 0.2], mu, 0.5, grid)
 
 
+    @pytest.mark.parametrize("component", [2.5, True, -1])
+    @pytest.mark.parametrize("listed", [False, True])
+    def test_non_integer_multiindex_component_is_named_error(self, component,
+                                                             listed):
+        # 2.5 once ran as (2,) and True as (1,)
+        mu = [(component,)] if listed else (component,)
+        with pytest.raises(ValueError, match="non-negative integer"):
+            holder_seminorm(X**3, [0.4], mu, 0.5, grid1())
+
+
 class TestOmegaMonotone:
     def test_constant_function(self):
         rep = omega_monotone_check(ex.const(1.0), MonotoneSpec(s=0.5), grid1())
