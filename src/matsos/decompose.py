@@ -127,18 +127,23 @@ class SquareDecomposition:
         return _dyad_sum(_dyads(self.fields[k], points, self.matrix.nvars))
 
     def to_json_dict(self):
+        """JSON form; one `expr.to_dict` memo serves every expression, so a
+        node shared by peel vectors, residual and fields is one dict."""
+        memo = {}
         d = {
             "dimension": self.n,
             "depth": self.depth,
             "peel_vectors": [
-                [ex.to_dict(c) for c in Z] for Z in self.peel_vectors
+                [ex.to_dict(c, memo) for c in Z] for Z in self.peel_vectors
             ],
-            "residual": self.residual.to_json_dict() if self.residual else None,
+            "residual": (self.residual.to_json_dict(memo)
+                         if self.residual else None),
             "certificates": self.certificates,
         }
         if self.fields is not None:
             d["fields"] = [
-                [[ex.to_dict(c) for c in X] for X in Xk] for Xk in self.fields
+                [[ex.to_dict(c, memo) for c in X] for X in Xk]
+                for Xk in self.fields
             ]
         return d
 

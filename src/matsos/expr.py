@@ -17,7 +17,10 @@ identities of the decomposition exact.  Loading (`from_dict`) interns
 structurally equal nodes, so a tree that repeats a subexpression comes back
 as a DAG in which each distinct node is built once and shared; structural
 equality compares float parameters by their bits, so `const(0.0)` and
-`const(-0.0)` stay distinct.
+`const(-0.0)` stay distinct.  Loading also returns, on request, an echo of
+its input that shares one dict per byte-equal JSON subtree, and `to_dict`
+writes one dict per distinct node; both walk with their own stack, so
+depth is not limited by recursion (`==` and `hash()` still recurse).
 """
 
 from __future__ import annotations
@@ -254,52 +257,173 @@ ONE = const(1.0)
 # Floats rely on repr round-tripping, so parameters survive bit-exactly.
 
 
-def to_dict(expr):
-    if expr.kind == "var":
-        return {"kind": "var", "index": expr.param}
-    if expr.kind == "const":
-        return {"kind": "const", "value": expr.param}
-    d = {"kind": expr.kind, "children": [to_dict(c) for c in expr.children]}
-    if expr.kind == "intpow":
-        d["exponent"] = expr.param
-    return d
+def to_dict(expr, memo=None):
+    """The JSON form of `expr`, written without recursion.
+
+    Each distinct node becomes one dict, shared by every parent that reads
+    it, so the result is a DAG of dicts as large as the expression DAG.
+    Pass the same `memo` (a dict, kept by the caller) to several calls to
+    share dicts across expressions; it keys nodes by identity, so the
+    expressions must stay alive while it is in use.
+    """
+    if memo is None:
+        memo = {}
+    stack = [expr]
+    while stack:
+        node = stack[-1]
+        if id(node) in memo:
+            stack.pop()
+            continue
+        pending = [c for c in node.children if id(c) not in memo]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        kind = node.kind
+        if kind == "var":
+            d = {"kind": "var", "index": node.param}
+        elif kind == "const":
+            d = {"kind": "const", "value": node.param}
+        else:
+            d = {"kind": kind,
+                 "children": [memo[id(c)] for c in node.children]}
+            if kind == "intpow":
+                d["exponent"] = node.param
+        memo[id(node)] = d
+    return memo[id(expr)]
 
 
-def from_dict(d, table=None):
+def from_dict(d, table=None, *, echo=False):
     """Load an expression from its JSON form, interning equal nodes.
 
-    Each node is keyed on (kind, parameter bits, ids of its already interned
-    children) and built only when the key is new, so structurally equal
-    subtrees come back as one shared node.  Pass the same `table` (a dict,
-    kept by the caller) to several calls to share nodes across expressions.
-    Malformed input raises ExprError naming the offending field.
+    The walk keeps its own stack, so depth is not limited by recursion, and
+    visits each input dict once, however often it is shared.  `table` (a
+    dict, kept by the caller) holds two layers; pass the same one to
+    several calls to share nodes across expressions.
+
+    - Semantic: a node is keyed on (kind, parameter bits, ids of its
+      interned children) and built only when the key is new, so
+      structurally equal subtrees come back as one shared node (`1` and
+      `1.0` give one constant).
+    - Exact JSON: a node that has its kind's fields and no others is keyed
+      on (kind, parameter type and bits, ids of its children's echoes).
+      Equal keys mean byte-equal JSON, so a hit returns the node and its
+      echo without validating again.
+
+    The echo of a node is a copy of its dict whose children are the
+    children's echoes, so byte-equal subtrees share one echo; a node with
+    fields beyond its kind's is echoed as given and shared with nothing.
+    Returns the node, or (node, echo) with `echo=True`.  Malformed input
+    raises ExprError naming the offending field.
     """
     if table is None:
         table = {}
+    # id of an input node with children -> (node, echo), None while its
+    # children load; leaves are loaded where their parent is
+    done = {}
+    stack = [d]
+    while stack:
+        raw = stack[-1]
+        rid = id(raw)
+        state = done.get(rid, _UNSEEN)
+        if state is _UNSEEN:
+            kind = _kind(raw)
+            if kind in _LEAF_KINDS:  # the root
+                stack.pop()
+                done[rid] = _leaf(raw, table)
+                continue
+            children = raw.get("children", [])
+            if not isinstance(children, list):
+                raise ExprError(f"{kind} node: 'children' must be a list")
+            done[rid] = None
+            for c in children:
+                if type(c) is dict and c.get("kind") in _LEAF_KINDS:
+                    continue
+                if id(c) not in done:
+                    stack.append(c)
+                elif done[id(c)] is None:
+                    raise ExprError(f"{kind} node: cyclic children")
+            if stack[-1] is not raw:
+                continue
+        elif state is not None:  # loaded through another parent
+            stack.pop()
+            continue
+        stack.pop()
+        kind = raw["kind"]
+        loaded = [done.get(id(c)) or _leaf(c, table)
+                  for c in raw.get("children", ())]
+        exact = None
+        if kind == "intpow":
+            p = raw.get("exponent")
+            shaped = len(raw) == 3 and type(p) in (int, float)
+        else:
+            p = None
+            shaped = len(raw) == 2
+        if shaped and "children" in raw:
+            exact = (kind, type(p), _bits(p), tuple([id(e) for _, e in loaded]))
+            hit = table.get(exact)
+            if hit is not None:
+                done[rid] = hit
+                continue
+        done[rid] = _intern(raw, kind, loaded, exact, table)
+    return done[id(d)] if echo else done[id(d)][0]
+
+
+_UNSEEN = object()
+
+
+def _kind(d):
     if not isinstance(d, dict) or "kind" not in d:
         raise ExprError("expression node must be an object with a 'kind'")
     kind = d["kind"]
     if kind not in _ALL_KINDS:
         raise ExprError(f"unknown node kind {kind!r}")
-    children = ()
+    return kind
+
+
+def _bits(v):
+    """A JSON parameter as the exact-JSON key sees it, next to its type:
+    zeros by their sign bit (no two other floats compare equal)."""
+    return v.hex() if type(v) is float and not v else v
+
+
+def _leaf(d, table):
+    """(node, echo) of a `var` or `const` input node."""
+    kind = d["kind"]
+    v = d.get("index" if kind == "var" else "value")
+    exact = None
+    if len(d) == 2 and type(v) in (int, float):
+        exact = (kind, type(v), _bits(v), ())
+        hit = table.get(exact)
+        if hit is not None:
+            return hit
+    return _intern(d, kind, (), exact, table)
+
+
+def _intern(d, kind, loaded, exact, table):
+    """(node, echo) of an input node not yet in the exact-JSON layer, given
+    the (node, echo) of each child: validated, interned by meaning, and
+    entered under `exact` unless that is None."""
     param = None
     if kind == "var":
         param = _integer_field(d, "index")
     elif kind == "const":
         param = _number_field(d, "value")
-    else:
-        children = d.get("children", [])
-        if not isinstance(children, list):
-            raise ExprError(f"{kind} node: 'children' must be a list")
-        children = tuple(from_dict(c, table) for c in children)
-        if kind == "intpow":
-            param = _integer_field(d, "exponent")
+    elif kind == "intpow":
+        param = _integer_field(d, "exponent")
+    children = tuple([node for node, _ in loaded])
     key = (kind, _param_key(param), tuple(map(id, children)))
     node = table.get(key)
     if node is None:
         node = _build(kind, children, param)
         table[key] = node
-    return node
+    if exact is None:
+        return node, d
+    echo = dict(d)
+    if "children" in d:
+        echo["children"] = [e for _, e in loaded]
+    table[exact] = (node, echo)
+    return node, echo
 
 
 def as_integer(v):

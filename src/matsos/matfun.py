@@ -21,7 +21,8 @@ import numpy as np
 from . import expr as ex
 from . import jets
 
-__all__ = ["Paired", "Sampled", "StructureTags", "SymMatFun", "embed_tail", "blockdiag"]
+__all__ = ["EntryError", "Paired", "Sampled", "StructureTags", "SymMatFun",
+           "embed_tail", "blockdiag"]
 
 
 @dataclass(frozen=True)
@@ -254,29 +255,64 @@ class SymMatFun:
     def diagonal(self):
         return [self.entry(i, i) for i in range(self.n)]
 
-    def to_json_dict(self):
+    def to_json_dict(self, memo=None):
+        """JSON form; one `expr.to_dict` memo serves every entry (pass
+        `memo` to share it with other expressions), so a node shared within
+        or across entries is written as one shared dict."""
+        if memo is None:
+            memo = {}
         return {
             "dimension": self.n,
             "nvars": self.nvars,
             "entries": [
-                [ex.to_dict(self.entry(i, j)) for j in range(self.n)]
+                [ex.to_dict(self.entry(i, j), memo) for j in range(self.n)]
                 for i in range(self.n)
             ],
         }
 
     @classmethod
     def from_json_dict(cls, d):
-        """Inverse of `to_json_dict`; all entries are loaded through one
-        intern table, so subexpressions repeated within or across entries
-        are built once and shared."""
+        """Inverse of `to_json_dict`; see `load_json`."""
+        return cls.load_json(d)[0]
+
+    @classmethod
+    def load_json(cls, d):
+        """(matrix, echo of `d["entries"]`) from the JSON form.
+
+        All n x n entries are loaded through one intern table, so
+        subexpressions repeated within or across entries are built once and
+        shared, and byte-equal JSON subtrees share one echo (see
+        `expr.from_dict`).  An entry below the diagonal must intern to the
+        same node as its mirror above it.  A bad entry raises EntryError
+        naming it.
+        """
         n = int(d["dimension"])
         rows = d["entries"]
         table = {}
         entries = {}
+        echo = [[None] * n for _ in range(n)]
         for i in range(n):
-            for j in range(i, n):
-                entries[(i, j)] = ex.from_dict(rows[i][j], table)
-        return cls(n, int(d["nvars"]), entries)
+            for j in range(n):
+                try:
+                    node, echo[i][j] = ex.from_dict(rows[i][j], table,
+                                                    echo=True)
+                except ex.ExprError as e:
+                    raise EntryError(i, j, str(e)) from e
+                if i <= j:
+                    entries[(i, j)] = node
+                elif node is not entries[(j, i)]:
+                    raise EntryError(i, j, f"differs from entries[{j}][{i}]; "
+                                     "the matrix must be symmetric")
+        return cls(n, int(d["nvars"]), entries), echo
+
+
+class EntryError(ex.ExprError):
+    """A bad entry of a matrix in JSON form; `field` names its position."""
+
+    def __init__(self, i, j, reason):
+        self.field = f"entries[{i}][{j}]"
+        self.reason = reason
+        super().__init__(f"{self.field}: {reason}")
 
 
 def embed_tail(Q, n):

@@ -7,7 +7,11 @@ and a seed.  Reports echo the configuration and are byte-identical across
 reruns of the same (config, seed) apart from the timing field.
 
 Reports, the catalog and the schema are written by `dump_report`, byte-equal
-to `json.dumps(obj, sort_keys=True, indent=2) + "\n"`.
+to `json.dumps(obj, sort_keys=True, indent=2) + "\n"`; an object that
+occurs several times is written once per depth it occurs at.  The echo of
+an inline matrix shares one dict per distinct JSON subtree (see
+`expr.from_dict`), and decompositions share one dict per distinct node, so
+both are written in time linear in their distinct nodes.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .gallery import (
     q_lambda_positivity_certificate,
 )
 from .grids import Exclusion, GridSpec
-from .matfun import SymMatFun
+from .matfun import EntryError, SymMatFun
 from .reporting import FAIL
 from .verify import (
     HypothesisRefusal,
@@ -59,7 +63,8 @@ CONFIG_SCHEMA = {
                 {
                     "dimension": "integer >= 1",
                     "nvars": "integer in 1..8",
-                    "entries": "dimension x dimension array of expression trees",
+                    "entries": "symmetric dimension x dimension array of "
+                               "expression trees",
                 },
             ],
         },
@@ -217,20 +222,24 @@ def validate_config(cfg):
 
 
 def build_matrix(cfg):
+    """(matrix, gallery item or None, echo of an inline matrix's entries or
+    None); the echo is the entries' JSON with byte-equal subtrees shared."""
     matrix = cfg["matrix"]
     if "gallery" in matrix:
         item = GALLERY[matrix["gallery"]]
         params = matrix.get("params", {})
         try:
-            return item.build(params), item
+            return item.build(params), item, None
         except ValueError as e:
             # a value out of range; no item takes more than one parameter
             raise ConfigError("matrix.params." + ",".join(params), str(e)) from e
     try:
-        A = SymMatFun.from_json_dict(matrix)
+        A, echo = SymMatFun.load_json(matrix)
+    except EntryError as e:
+        raise ConfigError("matrix." + e.field, e.reason) from e
     except ExprError as e:
         raise ConfigError("matrix.entries", str(e)) from e
-    return A, None
+    return A, None, echo
 
 
 def _check_p(p, n):
@@ -292,7 +301,7 @@ def run_config(cfg, threads=1, grid_scale=1.0):
     cfg = validate_config(cfg)
     t0 = time.monotonic()
     seed = _integer(cfg.get("seed", 0), "seed")
-    A, item = build_matrix(cfg)
+    A, item, entries = build_matrix(cfg)
     grid_cfg = cfg.get("grid")
     if grid_cfg is None and item is not None:
         grid = item.default_grid(grid_scale, seed)
@@ -339,7 +348,8 @@ def run_config(cfg, threads=1, grid_scale=1.0):
         "tool": "matsos",
         "tool_version": __version__,
         "schema_version": SCHEMA_VERSION,
-        "config": cfg,
+        "config": cfg if entries is None else {
+            **cfg, "matrix": {**cfg["matrix"], "entries": entries}},
         "seed": seed,
         "checks": [c.to_json_dict() for c in checks],
         "gallery_certificates": extras,
@@ -379,21 +389,29 @@ def dump_report(report):
     With `indent`, json runs its pure-Python encoder, which nests one
     generator per level, so every token pays for the depth of the
     expression tree around it; one recursive function appending chunks to
-    a list does not.
+    a list does not.  A container met again at the same depth (a shared
+    subexpression, say) is written once: the repeat copies the chunks of
+    its first writing, so the work grows with the distinct (container,
+    depth) pairs, not with the size of the tree the text spells out.
     """
     out = []
-    _emit(report, "", 0, out, [("\n", ",\n")])
+    _emit(report, "", 0, out, [("\n", ",\n")], {})
     out.append("\n")
     return "".join(out)
 
 
-def _emit(o, head, depth, out, levels):
+def _emit(o, head, depth, out, levels, spans):
     """Append `head` and the JSON text of `o`, nested `depth` deep, to `out`.
 
     `levels[d]` holds the newline and the item separator at indent `d`; it
     grows as deeper containers are met, so each is built once per depth.
     Every chunk starts with the separator before it, so that a scalar item
     costs one string.  The type tests follow json's encoder in order.
+
+    `spans[(id(c), d)]` is (start, end, len(head)) of the chunks
+    `out[start:end]` written for the container `c` at depth `d`; its text
+    there does not depend on where it sits, except for the head that its
+    first chunk starts with.
     """
     if isinstance(o, str):
         out.append(head + _encode_str(o))
@@ -420,6 +438,14 @@ def _emit(o, head, depth, out, levels):
         if not o:
             out.append(head + ("{}" if is_dict else "[]"))
             return
+        ident = (id(o), depth)
+        span = spans.get(ident)
+        if span is not None:
+            start, end, hl = span
+            out.append(head + out[start][hl:])
+            out += out[start + 1:end]
+            return
+        start = len(out)
         if len(levels) == depth + 1:
             newline = levels[depth][0] + "  "
             levels.append((newline, "," + newline))
@@ -428,15 +454,16 @@ def _emit(o, head, depth, out, levels):
             item_head = head + "{" + newline
             for key in sorted(o):  # _encode_str raises TypeError on a non-str
                 _emit(o[key], item_head + _encode_str(key) + ": ", depth + 1,
-                      out, levels)
+                      out, levels, spans)
                 item_head = sep
             out.append(levels[depth][0] + "}")
         else:
             item_head = head + "[" + newline
             for item in o:
-                _emit(item, item_head, depth + 1, out, levels)
+                _emit(item, item_head, depth + 1, out, levels, spans)
                 item_head = sep
             out.append(levels[depth][0] + "]")
+        spans[ident] = (start, len(out), len(head))
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON "
                         f"serializable")

@@ -7,9 +7,12 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+from matsos import expr as ex
+from matsos import report as report_mod
 from matsos.matfun import SymMatFun
 from matsos.report import run_config
 
+X0 = ex.var(0)
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -48,3 +51,22 @@ def test_traced_run_probes_arguments_and_results():
     # the pair work goes through the traced seminorm entry point
     assert t.counts["monotone.holder_seminorm.calls"] > 0
     assert t.counts["monotone.holder_seminorm.repeat"] == 0
+
+
+def test_traced_inline_run_goes_through_the_loader_and_the_writer():
+    """An inline config is loaded through `expr.from_dict` and written by
+    `report.dump_report`, the functions the tracer wraps by name."""
+    tracer = _tracer()
+    t = tracer.Tracer()
+    Q = SymMatFun.from_rows([[2.0 + X0 * X0, X0], [X0, 3.0]], nvars=1)
+    cfg = {"version": 1, "matrix": Q.to_json_dict(), "pipeline": "verify",
+           "grid": {"box": [[-1, 1]], "resolution": 9}}
+    t.install()
+    try:
+        report, code = run_config(cfg)
+        text = report_mod.dump_report(report)
+    finally:
+        t.uninstall()
+    assert code in (0, 2)
+    assert t.counts["expr.from_dict.calls"] > 0
+    assert t.counts["report.bytes"] == len(text) > 0

@@ -231,6 +231,49 @@ def test_ragged_inline_matrix_is_a_configuration_error(entries, tmp_path,
     assert err.startswith("configuration error") and "matrix.entries" in err
 
 
+def _square_config(upper, lower, diagonal=30.0):
+    d = {"kind": "const", "value": diagonal}
+    return _inline_config([[d, upper], [lower, d]])
+
+
+@pytest.mark.parametrize("lower, reason", [
+    ({"kind": "bogus"}, "unknown node kind"),
+    ({"kind": "const", "value": 5.0}, "symmetric"),
+    ({"kind": "var", "index": 0}, "symmetric"),
+])
+def test_lower_triangle_is_read(lower, reason, tmp_path, capsys):
+    """Every entry is loaded: one below the diagonal must be well formed and
+    intern to the same node as its mirror above it."""
+    cfg = _square_config({"kind": "const", "value": 0.0}, lower)
+    with pytest.raises(ConfigError, match=reason) as info:
+        run_config(cfg)
+    assert info.value.field == "matrix.entries[1][0]"
+    path = tmp_path / "asymmetric.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path)]) == 1
+    assert "matrix.entries[1][0]" in capsys.readouterr().err
+
+
+def test_bad_upper_entry_is_named():
+    cfg = _square_config({"kind": "exp", "children": []},
+                         {"kind": "const", "value": 0.0})
+    with pytest.raises(ConfigError, match="one child") as info:
+        run_config(cfg)
+    assert info.value.field == "matrix.entries[0][1]"
+
+
+def test_equal_entries_spelled_differently_are_symmetric():
+    """5 and 5.0 are one constant: accepted, and each echoed as written."""
+    cfg = _square_config({"kind": "const", "value": 5},
+                         {"kind": "const", "value": 5.0})
+    report, code = run_config(cfg)
+    assert code in (0, 2)
+    entries = report["config"]["matrix"]["entries"]
+    assert type(entries[0][1]["value"]) is int
+    assert type(entries[1][0]["value"]) is float
+    assert json.dumps(report["config"]) == json.dumps(cfg)
+
+
 def test_malformed_inline_expression_is_a_configuration_error(tmp_path,
                                                               capsys):
     x = {"kind": "var", "index": 0}

@@ -6,6 +6,7 @@ import pytest
 from oracles import from_dict_tree
 
 from matsos import expr as ex
+from matsos import jets
 from matsos.decompose import one_sd
 from matsos.matfun import SymMatFun
 
@@ -196,3 +197,102 @@ def test_json_is_plain_data():
     d = json.loads(ex.to_json(tree))
     assert d["kind"] == "product"
     assert [c["kind"] for c in d["children"]] == ["flat", "bump"]
+
+
+def _chain(levels):
+    e = ex.var(0)
+    for _ in range(levels):
+        e = ex.recip(1.0 + 0.5 * e)
+    return e
+
+
+def test_deep_chain_round_trips_without_recursion():
+    """to_dict and from_dict walk with their own stack: a 10,000-level chain
+    survives the round trip and the reload evaluates bit for bit as the
+    original at orders 0 and 2.  (`==` still recurses, so it is not used.)"""
+    e = _chain(10_000)
+    back = ex.from_dict(ex.to_dict(e))
+    assert back.kind == "recip" and back is not e
+    for order in (0, 2):
+        want = jets.eval_jet_batch(e, [[0.3]], order)
+        got = jets.eval_jet_batch(back, [[0.3]], order)
+        assert _same_bits(got.coef, want.coef)
+        assert np.array_equal(got.invalid, want.invalid)
+
+
+def test_to_dict_writes_one_dict_per_node():
+    x = ex.var(0)
+    s = ex.sqrt(x * x + 1.0)
+    e = ex.add(s * s, ex.exp(s))
+    d = ex.to_dict(e)
+    product, exp_node = d["children"]
+    assert product["children"][0] is product["children"][1]
+    assert exp_node["children"][0] is product["children"][0]
+    memo = {}
+    assert ex.to_dict(s, memo) is ex.to_dict(ex.exp(s), memo)["children"][0]
+    assert json.loads(json.dumps(d)) == json.loads(ex.to_json(e))
+
+
+def test_from_dict_echo_keeps_the_spelling_and_shares_equal_json():
+    one_int = {"kind": "const", "value": 1}
+    one_float = {"kind": "const", "value": 1.0}
+    x = {"kind": "var", "index": 0}
+    table = {}
+    a, ea = ex.from_dict({"kind": "sum", "children": [dict(x), one_int]},
+                         table, echo=True)
+    b, eb = ex.from_dict({"kind": "sum", "children": [dict(x), one_float]},
+                         table, echo=True)
+    c, ec = ex.from_dict({"kind": "sum", "children": [dict(x), one_int]},
+                         table, echo=True)
+    # one node for 1 and 1.0, one echo per spelling
+    assert a is b is c
+    assert ec is ea and eb is not ea
+    assert json.dumps(ea) == '{"kind": "sum", "children": [{"kind": "var", ' \
+        '"index": 0}, {"kind": "const", "value": 1}]}'
+    assert ea["children"][0] is eb["children"][0]
+    # signed zeros and an exponent of 2 against 2.0 stay apart in the echo
+    zeros = [ex.from_dict({"kind": "const", "value": v}, table, echo=True)
+             for v in (0.0, -0.0, 0.0)]
+    assert zeros[0][1] is zeros[2][1] is not zeros[1][1]
+    assert json.dumps(zeros[1][1]) == '{"kind": "const", "value": -0.0}'
+    p2, e2 = ex.from_dict({"kind": "intpow", "exponent": 2,
+                           "children": [dict(x)]}, table, echo=True)
+    p2f, e2f = ex.from_dict({"kind": "intpow", "exponent": 2.0,
+                             "children": [dict(x)]}, table, echo=True)
+    assert p2 is p2f and e2["exponent"] == 2 and e2f["exponent"] == 2.0
+    assert type(e2f["exponent"]) is float
+
+
+def test_from_dict_echoes_extra_fields_as_given():
+    x = {"kind": "var", "index": 0}
+    noted = {"kind": "exp", "children": [x], "note": "kept"}
+    node, echo = ex.from_dict(noted, {}, echo=True)
+    assert echo is noted and node == ex.exp(ex.var(0))
+    # a field beyond the kind's is never shared with the canonical spelling
+    table = {}
+    plain = ex.from_dict({"kind": "var", "index": 0}, table, echo=True)[1]
+    extra = ex.from_dict({"kind": "var", "index": 0, "children": []}, table,
+                         echo=True)[1]
+    assert extra is not plain and extra == {"kind": "var", "index": 0,
+                                            "children": []}
+
+
+def test_from_dict_visits_a_shared_input_dict_once():
+    """A Python DAG of dicts 60 levels deep (2^60 root-to-leaf paths) loads
+    in time linear in its distinct dicts."""
+    d = {"kind": "var", "index": 0}
+    for _ in range(60):
+        d = {"kind": "product", "children": [d, d]}
+    node = ex.from_dict(d)
+    depth = 0
+    while node.kind == "product":
+        assert node.children[0] is node.children[1]
+        node, depth = node.children[0], depth + 1
+    assert depth == 60
+
+
+def test_from_dict_rejects_cyclic_input():
+    d = {"kind": "exp", "children": []}
+    d["children"].append({"kind": "sqrt", "children": [d]})
+    with pytest.raises(ex.ExprError, match="cyclic"):
+        ex.from_dict(d)

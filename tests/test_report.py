@@ -1,6 +1,8 @@
 """The report writer against json: byte for byte, on real reports and on
-generated JSON values."""
+generated JSON values with shared sub-values; the config echo and the
+decomposition dicts that make reports share them."""
 
+import json
 import math
 
 import numpy as np
@@ -9,7 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import dump_json
 
+from matsos import report as report_mod
 from matsos.gallery import GALLERY, list_gallery
+from matsos.grids import GridSpec
 from matsos.report import (
     CONFIG_SCHEMA,
     catalog_json,
@@ -17,6 +21,7 @@ from matsos.report import (
     run_config,
     schema_json,
 )
+from matsos.verify import decomposition_pipeline
 
 
 @pytest.mark.parametrize("pipeline", ["gallery", "verify", "all"])
@@ -44,13 +49,27 @@ scalars = (
     | st.text()
     | st.text(alphabet=st.characters(max_codepoint=0x1F))
 )
+
+
+def _nest(inner):
+    return (st.lists(inner, max_size=5)
+            | st.lists(inner, max_size=5).map(tuple)
+            | st.dictionaries(st.text(max_size=8), inner, max_size=5))
+
+
+# One sub-value is drawn once per example and placed, as the same object, at
+# several positions and depths, the way reports share expression dicts.
 json_values = st.recursive(
-    scalars,
-    lambda inner: (st.lists(inner, max_size=5)
-                   | st.lists(inner, max_size=5).map(tuple)
-                   | st.dictionaries(st.text(max_size=8), inner, max_size=5)),
+    scalars | st.shared(st.recursive(scalars, _nest, max_leaves=20),
+                        key="repeated"),
+    _nest,
     max_leaves=40,
 )
+
+SHARED = {"k": [1.5, "s", None], "t": ({"u": -0.0},)}
+# unwritable values that occur more than once in one document
+BAD = {"a": [np.float32(1)]}
+BAD_KEY = {"a": {3: 1}}
 
 
 @settings(max_examples=150, deadline=None)
@@ -58,6 +77,7 @@ json_values = st.recursive(
 @example([True, 1, 1.0, False, 0, 0.0, -0.0])
 @example({"b": [], "a": {}, "c": (), "é☃\U0001f600": "\x00\x1f "})
 @example([[[[[]]]], {"x": {"y": {"z": [-0.0, math.nan]}}}])
+@example([SHARED, [SHARED, (SHARED,)], {"a": SHARED, "b": {"c": [SHARED]}}])
 def test_generated_values_match_json(value):
     assert dump_report(value) == dump_json(value)
 
@@ -71,7 +91,153 @@ def test_generated_values_match_json(value):
     {"a": 1, 2: "b"},
     [np.int64(3)],
     {"s": {1, 2}},
+    [BAD, BAD],
+    {"x": BAD, "y": [BAD, {"z": BAD}]},
+    (BAD_KEY, [BAD_KEY]),
 ])
 def test_unwritable_values_raise_type_error(value):
     with pytest.raises(TypeError):
         dump_report(value)
+
+
+def _distinct_container_items(value):
+    """Sum of len(c) over the distinct non-empty (container, depth) pairs."""
+    seen, stack, total = set(), [(value, 0)], 0
+    while stack:
+        o, depth = stack.pop()
+        if not isinstance(o, (list, tuple, dict)) or not o:
+            continue
+        if (id(o), depth) in seen:
+            continue
+        seen.add((id(o), depth))
+        total += len(o)
+        stack.extend((v, depth + 1) for v in (o.values() if isinstance(o, dict)
+                                              else o))
+    return total
+
+
+def test_writer_work_follows_distinct_containers(monkeypatch):
+    """A 16-level doubling DAG of dicts spells out 2^16 leaves; the writer
+    makes one call per item of each distinct (container, depth) pair."""
+    node = {"leaf": [1.5, "x"], "n": None}
+    for level in range(16):
+        node = {"left": node, "right": node, "level": level}
+    report = {"dag": node, "again": [node], "tail": [1, 2]}
+    calls = []
+    emit = report_mod._emit
+
+    def counted(*args):
+        calls.append(1)
+        return emit(*args)
+
+    monkeypatch.setattr(report_mod, "_emit", counted)
+    text = dump_report(report)
+    assert len(calls) <= 1 + _distinct_container_items(report) < 300
+    assert text == dump_json(report)
+
+
+def _inline_echo_config():
+    """A 2x2 inline matrix whose entries spell equal nodes in several ways:
+    int 1 for 1.0, a single-child sum, a var with an empty children list,
+    extra fields, and a signed zero."""
+    x = {"kind": "var", "index": 0}
+    canonical = {"kind": "sum", "children": [
+        {"kind": "product", "children": [x, {"kind": "const", "value": 0.5}]},
+        {"kind": "const", "value": 1.0}]}
+    respelled = {"kind": "sum", "children": [
+        {"kind": "product", "children": [
+            {"kind": "var", "index": 0, "children": []},
+            {"kind": "const", "value": 0.5}]},
+        {"kind": "sum", "children": [{"kind": "const", "value": 1}]}]}
+    diagonal = {"kind": "sum", "children": [
+        {"kind": "exp", "children": [x], "note": "kept"},
+        {"kind": "const", "value": -0.0},
+        {"kind": "const", "value": 3},
+        canonical, respelled]}
+    return {"version": 1, "pipeline": "verify",
+            "matrix": {"dimension": 2, "nvars": 1,
+                       "entries": [[{"kind": "const", "value": 4}, canonical],
+                                   [respelled, diagonal]]},
+            "grid": {"box": [[-1, 1]], "resolution": 11,
+                     "exclude_radius": 0.05}}
+
+
+def test_config_echo_keeps_every_spelling():
+    text = json.dumps(_inline_echo_config())
+    cfg = json.loads(text)
+    report, _ = run_config(cfg)
+    assert json.dumps(cfg) == text  # the input is not mutated
+    echo = report["config"]
+    assert echo == cfg and echo is not cfg
+    assert json.dumps(echo) == text  # byte for byte, -0.0 and ints included
+    assert dump_report(report) == dump_json(report)
+    entries = echo["matrix"]["entries"]
+    # byte-equal JSON subtrees share one echo, across entries too
+    assert entries[1][1]["children"][3] is entries[0][1]
+    assert entries[0][1]["children"][0]["children"][1] is entries[1][0][
+        "children"][0]["children"][1]
+    # a subtree under a node with extra fields is shared with nothing
+    assert entries[1][1]["children"][4] == entries[1][0]
+    assert entries[1][1]["children"][4] is not entries[1][0]
+    assert entries[1][1]["children"][0] is cfg["matrix"]["entries"][1][1][
+        "children"][0]  # extra fields: echoed as given
+
+
+def test_config_echo_of_gallery_matrix_is_the_config():
+    cfg = {"version": 1, "matrix": {"gallery": "grushin-2x2"},
+           "pipeline": "verify"}
+    report, _ = run_config(cfg)
+    assert report["config"] is cfg
+
+
+def _expression_dicts(roots):
+    """Distinct expression dicts reachable from the roots, by identity."""
+    seen, stack = {}, list(roots)
+    while stack:
+        d = stack.pop()
+        if id(d) not in seen:
+            seen[id(d)] = d
+            stack.extend(d.get("children", ()))
+    return seen
+
+
+def _expression_nodes(roots):
+    seen, stack = set(), list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.children)
+    return seen
+
+
+def test_decomposition_json_has_one_dict_per_node():
+    """block-M7 under the full pipeline: peel vectors, residual and fields
+    share nodes, and the JSON form holds one dict per distinct node."""
+    A = GALLERY["block-M7"].build({})
+    grid = GridSpec(box=((-0.9, 0.9),) * 7, resolution=3, max_points=40,
+                    exclude_radius=0.25, seed=3)
+    dec = decomposition_pipeline(A, 5, 0.3, 0.1, 0.2, grid).decomposition
+    d = dec.to_json_dict()
+    R = dec.residual
+    nodes = [c for Z in dec.peel_vectors for c in Z]
+    nodes += [R.entry(i, j) for i in range(R.n) for j in range(R.n)]
+    nodes += [c for Xk in dec.fields for X in Xk for c in X]
+    dicts = [c for Z in d["peel_vectors"] for c in Z]
+    dicts += [c for row in d["residual"]["entries"] for c in row]
+    dicts += [c for Xk in d["fields"] for X in Xk for c in X]
+    distinct = _expression_dicts(dicts)
+    assert len(distinct) == len(_expression_nodes(nodes))
+    # the same JSON written as a tree would be several times larger
+    size, stack = {}, list(dicts)
+    while stack:
+        node = stack[-1]
+        pending = [c for c in node.get("children", ()) if id(c) not in size]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        size[id(node)] = 1 + sum(size[id(c)] for c in node.get("children", ()))
+    assert sum(size[id(c)] for c in dicts) > 3 * len(distinct)
+    report = {"decomposition": d}
+    assert dump_report(report) == dump_json(report)
