@@ -297,9 +297,10 @@ def from_dict(d, table=None, *, echo=False):
     """Load an expression from its JSON form, interning equal nodes.
 
     The walk keeps its own stack, so depth is not limited by recursion, and
-    visits each input dict once, however often it is shared.  `table` (a
-    dict, kept by the caller) holds two layers; pass the same one to
-    several calls to share nodes across expressions.
+    loads each input dict with children once, however often it is shared
+    (a leaf costs one lookup per occurrence).  `table` (a dict, kept by
+    the caller) holds two layers; pass the same one to several calls to
+    share nodes across expressions.
 
     - Semantic: a node is keyed on (kind, parameter bits, ids of its
       interned children) and built only when the key is new, so

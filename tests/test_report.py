@@ -116,13 +116,19 @@ def _distinct_container_items(value):
     return total
 
 
-def test_writer_work_follows_distinct_containers(monkeypatch):
-    """A 16-level doubling DAG of dicts spells out 2^16 leaves; the writer
-    makes one call per item of each distinct (container, depth) pair."""
+def _doubling_report(levels):
+    """A report holding, at two depths, a DAG of dicts in which each level
+    holds the one below twice: 2^levels leaves spelled out."""
     node = {"leaf": [1.5, "x"], "n": None}
-    for level in range(16):
+    for level in range(levels):
         node = {"left": node, "right": node, "level": level}
-    report = {"dag": node, "again": [node], "tail": [1, 2]}
+    return {"dag": node, "again": [node], "tail": [1, 2]}
+
+
+def test_writer_work_follows_distinct_containers(monkeypatch):
+    """On a 16-level doubling DAG the writer makes one call per item of
+    each distinct (container, depth) pair, not one per node of the tree."""
+    report = _doubling_report(16)
     calls = []
     emit = report_mod._emit
 
@@ -133,7 +139,9 @@ def test_writer_work_follows_distinct_containers(monkeypatch):
     monkeypatch.setattr(report_mod, "_emit", counted)
     text = dump_report(report)
     assert len(calls) <= 1 + _distinct_container_items(report) < 300
-    assert text == dump_json(report)
+    assert len(text) > 2**16 * 2 * len('"leaf"')
+    small = _doubling_report(8)  # json writes the 16-level one in seconds
+    assert dump_report(small) == dump_json(small)
 
 
 def _inline_echo_config():
