@@ -526,14 +526,14 @@ def assemble_vector_fields(dec, backend, grid, epsilon=None, delta=None, delta2=
         fields.append(Xk)
     dec.fields = fields
     dec.sos_factors = sos_factors
-    # order-2 seminorms of the components of every peel, one batched
-    # evaluation per center
+    # order-2 seminorms of the components of every peel at every center,
+    # one batched evaluation per side
     comps = [[c for X in Xk for c in X if c is not ex.ZERO] for Xk in fields]
     centers = pts[:: max(1, len(pts) // 4)][:4]
     mus = [tuple(2 if i == a else 0 for i in range(nv)) for a in range(nv)]
     batch = [c for ck in comps for c in ck]
-    estimates = [holder_seminorm(batch, x, mus, delta, grid) if batch else []
-                 for x in centers]
+    estimates = (holder_seminorm(batch, centers, mus, delta, grid) if batch
+                 else [[] for _ in centers])
     lo = 0
     # Gram identity against the peeled dyads
     for k, (zz, zok) in enumerate(_dyads(dec.peel_vectors, pts, nv)):

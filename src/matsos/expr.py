@@ -20,7 +20,9 @@ equality compares float parameters by their bits, so `const(0.0)` and
 `const(-0.0)` stay distinct.  Loading also returns, on request, an echo of
 its input that shares one dict per byte-equal JSON subtree, and `to_dict`
 writes one dict per distinct node; both walk with their own stack, so
-depth is not limited by recursion (`==` and `hash()` still recurse).
+depth is not limited by recursion.  Neither are `hash()`, which is computed
+at construction from the children's cached hashes, nor `==`, which walks
+both trees with its own stack and compares hashes first.
 """
 
 from __future__ import annotations
@@ -88,7 +90,9 @@ class ScalarExpr:
         for c in self.children:
             vmask |= c.vmask
         object.__setattr__(self, "vmask", vmask)
-        object.__setattr__(self, "_hash", None)
+        # from the children's cached hashes, so hash() never recurses
+        object.__setattr__(self, "_hash", hash(
+            (kind, _param_key(param), self.children)))
 
     def __setattr__(self, name, value):
         raise AttributeError("ScalarExpr nodes are immutable")
@@ -130,25 +134,28 @@ class ScalarExpr:
         args = ", ".join(repr(c) for c in self.children)
         return f"{self.kind}({args})"
 
-    # Structural equality (used by serialization tests; identity is what the
-    # evaluator memoizes on, so this is never on a hot path).
+    # Structural equality (used by interning and serialization tests;
+    # identity is what the evaluator memoizes on).  The walk keeps its own
+    # stack, compares hashes first, and compares each pair of nodes once.
     def __eq__(self, other):
-        if self is other:
-            return True
         if not isinstance(other, ScalarExpr):
             return NotImplemented
-        return (
-            self.kind == other.kind
-            and _param_key(self.param) == _param_key(other.param)
-            and self.children == other.children
-        )
+        stack = [(self, other)]
+        done = set()
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in done:
+                continue
+            if (a._hash != b._hash or a.kind != b.kind
+                    or len(a.children) != len(b.children)
+                    or _param_key(a.param) != _param_key(b.param)):
+                return False
+            done.add((id(a), id(b)))
+            stack.extend(zip(a.children, b.children))
+        return True
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.kind, _param_key(self.param), self.children))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return self._hash
 
     @property
     def max_index(self):

@@ -31,9 +31,11 @@ Each node is evaluated in a smaller space still: the rows of the caller's
 space (full, or a support) whose multiindices involve only the variables
 the node reads (`ScalarExpr.vmask`), a restriction kept per (space, mask).
 A child's table is lifted into its parent's space by scattering its rows
-into zeros, and `eval_jet_batch` lifts the root into the requested space,
-so no caller sees a different shape.  This is the full-space evaluation up
-to the sign of a zero:
+into zeros.  `eval_jet_batch` returns the root as a jet of the requested
+space, so no caller sees a different shape, but scatters its table only
+when `coef` is read: values, gradients, per-order maxima and
+`derivative_rows` read the kept rows (a block-M7 entry keeps at most 70
+of 330 rows).  This is the full-space evaluation up to the sign of a zero:
 
 - Every kept row sums the same terms in the same order as in the full
   space: the terms of row mk pair multiindices below mk, and those involve
@@ -47,6 +49,13 @@ to the sign of a zero:
 So values, NaN positions, the three flags below and `limit` are those of
 the full space; the constant-operand shortcut can then differ only as in
 point 1, in the sign of a zero.
+
+A column of a table depends on the other columns of its point stack only
+through that shortcut, which is decided over the whole stack; every other
+step works column by column.  So a stack of point blocks evaluates each
+block as if alone, up to the sign of a zero, and callers may stack the
+points of several evaluations (the Holder pair ladders of several centers)
+into one.
 
 Singularities are never silent.  Each point carries three flags:
 
@@ -85,6 +94,7 @@ __all__ = [
     "eval_jet",
     "eval_jet_batch",
     "eval_entries",
+    "derivative_rows",
     "eval_values",
     "eval_log_values",
     "SingularDomainError",
@@ -388,6 +398,60 @@ class JetBatch:
             raise ValueError("the gradient rows are not in this jet space")
         return self.coef[sp.unit] * sp.fact[sp.unit, None]
 
+    def kept(self):
+        """(space, table) of the rows this jet holds; every other row of
+        `space` is an exact zero."""
+        return self.space, self.coef
+
+
+class _LiftedBatch(JetBatch):
+    """A jet evaluated in a restriction of `space` (see `_restrict`), read
+    as a jet of `space`.  The rows the restriction drops are exact zeros;
+    they are scattered in only when `coef` is read, and values, gradients
+    and per-order maxima are read from the kept rows, with the same
+    products as from the full table."""
+
+    __slots__ = ("_jet", "_keep", "_full")
+
+    def __init__(self, space, jet, keep):
+        self.space = space
+        self.invalid = jet.invalid
+        self.poly_singular = jet.poly_singular
+        self.flat_zero = jet.flat_zero
+        self.limit = jet.limit
+        self._jet, self._keep, self._full = jet, keep, None
+
+    @property
+    def coef(self):
+        if self._full is None:
+            self._full = np.zeros((self.space.ncoef, self._jet.npts))
+            self._full[self._keep] = self._jet.coef
+        return self._full
+
+    @property
+    def npts(self):
+        return self._jet.npts
+
+    @property
+    def values(self):
+        return self._jet.values
+
+    def max_abs_of_order(self, m):
+        return self._jet.max_abs_of_order(m)
+
+    def gradient(self):
+        if None in self.space.unit:
+            raise ValueError("the gradient rows are not in this jet space")
+        sub = self._jet.space
+        out = np.zeros((self.space.nvars, self.npts))
+        for a, i in enumerate(sub.unit):
+            if i is not None:
+                out[a] = self._jet.coef[i] * sub.fact[i]
+        return out
+
+    def kept(self):
+        return self._jet.space, self._jet.coef
+
 
 def _new(space, npts):
     return JetBatch(
@@ -690,8 +754,7 @@ def eval_jet_batch(expr, points, order=MAX_ORDER, nvars=None, memo=None,
         jet = _eval_node(expr, pts, sp, memo)
     if jet.space is sp:
         return jet
-    return JetBatch(sp, _lifted(expr, jet, sp), jet.invalid, jet.poly_singular,
-                    jet.flat_zero, jet.limit)
+    return _LiftedBatch(sp, jet, _restrict(sp, expr.vmask)[1])
 
 
 def eval_entries(exprs, points, order=MAX_ORDER, nvars=None, support=None):
@@ -700,6 +763,31 @@ def eval_entries(exprs, points, order=MAX_ORDER, nvars=None, support=None):
     memo = {}
     return [eval_jet_batch(e, points, order, nvars=nv, memo=memo,
                            support=support) for e in exprs]
+
+
+def derivative_rows(jbs, mus):
+    """The D^mu rows of jets that share one space: one (len(mus), npts)
+    array per jet, row k `JetBatch.derivative(mus[k])`.  Each multiindex is
+    validated once, and its row looked up once per space of kept rows."""
+    if not jbs:
+        return []
+    sp = jbs[0].space
+    if any(jb.space is not sp for jb in jbs):
+        raise ValueError("the jets do not share one space")
+    want = [sp.multi[sp.row(m)] for m in mus]
+    lookup = {}
+    out = []
+    for jb in jbs:
+        sub, coef = jb.kept()
+        if sub not in lookup:
+            ks = [k for k, m in enumerate(want) if m in sub.pos]
+            rows = [sub.pos[want[k]] for k in ks]
+            lookup[sub] = ks, rows, sub.fact[rows, None]
+        ks, rows, fact = lookup[sub]
+        d = np.zeros((len(want), jb.npts))
+        d[ks] = coef[rows] * fact
+        out.append(d)
+    return out
 
 
 class Jet4:

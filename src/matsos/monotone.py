@@ -76,6 +76,15 @@ def holder_seminorm(h, x, mu, delta, grid):
     with one estimate per expression, equal to the single calls, or None
     where a sample of that expression failed.  For a single expression an
     evaluation failure raises SingularDomainError with the offending point.
+
+    `x` is one center or a (C, nvars) stack of them; a stack gives the list
+    of the single-center results.  The pair ladders of all centers are
+    evaluated as one point stack per side and order, which gives the same
+    estimates: a jet column depends on the other columns of its stack only
+    in the sign of a zero (see `jets`), and |D^mu h(y) - D^mu h(z)| erases
+    it.  A single failing expression raises at the point the single-center
+    calls would name: the first failure in (center, order, side, pair)
+    order.
     """
     single = isinstance(h, ex.ScalarExpr)
     hs = [h] if single else list(h)
@@ -85,40 +94,61 @@ def holder_seminorm(h, x, mu, delta, grid):
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
     x = np.asarray(x, dtype=float)
-    nv = len(x)
+    stacked = x.ndim == 2
+    centers = x if stacked else x[None]
+    nv = x.shape[-1]
     # the jet space's rule: integer (not bool) components, |mu| <= MAX_ORDER
     mus = [jets.space(nv, jets.MAX_ORDER).checked(m) for m in mus]
-    Y, Z = grid.sample_pairs(x)
-    if len(Y) == 0:
+    ladders = [grid.sample_pairs(c) for c in centers]
+    if any(len(Y) == 0 for Y, _ in ladders):
         raise ValueError("grid pair-sampling policy produced no pairs")
-    sep = np.linalg.norm(Y - Z, axis=1)
-    ok = sep > 1e-300
-    worst = [0.0] * len(hs)
+    if not ladders:
+        return []
+    # per order, for the y and the z side: the failure masks (len(hs), S)
+    # and, per expression, the D^mu rows (len(support), S) of the stacked
+    # ladders
+    tables = []
     for order in sorted({sum(m) for m in mus}):
         # only the rows below this order's multiindices are computed
         support = tuple(m for m in mus if sum(m) == order)
-        jys = jets.eval_entries(hs, Y, order, nvars=nv, support=support)
-        jzs = jets.eval_entries(hs, Z, order, nvars=nv, support=support)
-        for i, (jy, jz) in enumerate(zip(jys, jzs)):
-            if worst[i] is None:
-                continue
-            for jb, pts in ((jy, Y), (jz, Z)):
-                if single and jb.invalid.any():
-                    raise jets.SingularDomainError(
-                        "seminorm sample failed", point=pts[np.argmax(jb.invalid)])
-            if jy.invalid.any() or jz.invalid.any():
-                worst[i] = None
-                continue
-            if not ok.any():
-                continue
-            for m in mus:
-                if sum(m) != order:
+        sides = []
+        for side in zip(*ladders):
+            pts = np.concatenate(side)
+            jbs = jets.eval_entries(hs, pts, order, nvars=nv, support=support)
+            inv = np.array([jb.invalid for jb in jbs]).reshape(len(hs), len(pts))
+            sides.append((inv, jets.derivative_rows(jbs, support)))
+        tables.append(sides)
+    out = []
+    lo = 0
+    for Yc, Zc in ladders:
+        cols = slice(lo, lo + len(Yc))
+        lo = cols.stop
+        if single:
+            for (inv_y, _), (inv_z, _) in tables:
+                for inv, pts in ((inv_y, Yc), (inv_z, Zc)):
+                    if inv[0, cols].any():
+                        raise jets.SingularDomainError(
+                            "seminorm sample failed",
+                            point=pts[np.argmax(inv[0, cols])])
+        sep = np.linalg.norm(Yc - Zc, axis=1)
+        ok = sep > 1e-300
+        worst = [0.0] * len(hs)
+        for (inv_y, dys), (inv_z, dzs) in tables:
+            for i in range(len(hs)):
+                if worst[i] is None:
                     continue
-                diff = np.abs(jy.derivative(m)[ok] - jz.derivative(m)[ok])
-                with np.errstate(divide="ignore"):
-                    ratios = diff / sep[ok] ** delta
-                worst[i] = max(worst[i], float(ratios.max()))
-    return worst[0] if single else worst
+                if inv_y[i, cols].any() or inv_z[i, cols].any():
+                    worst[i] = None
+                    continue
+                if not ok.any():
+                    continue
+                for dy, dz in zip(dys[i][:, cols], dzs[i][:, cols]):
+                    diff = np.abs(dy[ok] - dz[ok])
+                    with np.errstate(divide="ignore"):
+                        ratios = diff / sep[ok] ** delta
+                    worst[i] = max(worst[i], float(ratios.max()))
+        out.append(worst[0] if single else worst)
+    return out if stacked else out[0]
 
 
 def omega_monotone_check(f, spec, grid, ball_count=64):

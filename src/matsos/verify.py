@@ -314,7 +314,7 @@ def strong_check(
         mu[0], mu[1] = 2, 2
         mus.append(tuple(mu))
     keys = [(k, j) for k in range(ell) for j in range(k, n)]
-    ladders = [A.paired(grid, x, mus, keys) for x in centers]
+    ladders = A.paired(grid, centers, mus, keys)
 
     def seminorm_family(cond, pairs):
         if not pairs:

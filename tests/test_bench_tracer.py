@@ -53,6 +53,26 @@ def test_traced_run_probes_arguments_and_results():
     assert t.counts["monotone.holder_seminorm.repeat"] == 0
 
 
+def test_traced_block_m7_run_makes_one_seminorm_call_per_assembly():
+    """The order-2 seminorms of `assemble_vector_fields` evaluate the pair
+    ladders of all their centers in one `holder_seminorm` call."""
+    tracer = _tracer()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        report, code = run_config({
+            "version": 1, "matrix": {"gallery": "block-M7"}, "pipeline": "all",
+            "params": {"p": 5, "epsilon": 0.3},
+            "grid": {"box": [[-0.9, 0.9]] * 7, "resolution": 9,
+                     "max_points": 40, "exclude_radius": 0.25}})
+    finally:
+        t.uninstall()
+    assert code == 0
+    assert t.counts["decompose.assemble_vector_fields.calls"] > 0
+    assert (t.counts["monotone.holder_seminorm.calls"]
+            == t.counts["decompose.assemble_vector_fields.calls"])
+
+
 def test_traced_inline_run_goes_through_the_loader_and_the_writer():
     """An inline config is loaded through `expr.from_dict` and written by
     `report.dump_report`, the functions the tracer wraps by name."""

@@ -199,8 +199,8 @@ def test_json_is_plain_data():
     assert [c["kind"] for c in d["children"]] == ["flat", "bump"]
 
 
-def _chain(levels):
-    e = ex.var(0)
+def _chain(levels, leaf=0):
+    e = ex.var(leaf)
     for _ in range(levels):
         e = ex.recip(1.0 + 0.5 * e)
     return e
@@ -209,15 +209,27 @@ def _chain(levels):
 def test_deep_chain_round_trips_without_recursion():
     """to_dict and from_dict walk with their own stack: a 10,000-level chain
     survives the round trip and the reload evaluates bit for bit as the
-    original at orders 0 and 2.  (`==` still recurses, so it is not used.)"""
+    original at orders 0 and 2."""
     e = _chain(10_000)
     back = ex.from_dict(ex.to_dict(e))
-    assert back.kind == "recip" and back is not e
+    assert back.kind == "recip" and back is not e and back == e
     for order in (0, 2):
         want = jets.eval_jet_batch(e, [[0.3]], order)
         got = jets.eval_jet_batch(back, [[0.3]], order)
         assert _same_bits(got.coef, want.coef)
         assert np.array_equal(got.invalid, want.invalid)
+
+
+def test_deep_chain_hashes_and_compares_without_recursion():
+    """hash() and == of a 10,000-level chain do not recurse: a chain built
+    separately hashes and compares equal, and one that differs only at its
+    leaf compares unequal."""
+    e, same, other = _chain(10_000), _chain(10_000), _chain(10_000, leaf=1)
+    assert same is not e
+    assert hash(same) == hash(e) and same == e and not same != e
+    assert len({e, same}) == 1
+    assert other != e and not other == e
+    assert e.children[0] == same.children[0] != other.children[0]
 
 
 def test_to_dict_writes_one_dict_per_node():

@@ -618,6 +618,66 @@ def test_hostile_expressions_equal_full_space_evaluation(order, support,
         assert any((w.limit == 0.0).any() for w in want)
 
 
+@pytest.mark.parametrize("support", [None, ((2, 0, 0), (0, 1, 1)), ((0, 0, 3),)])
+@pytest.mark.parametrize("order", range(jets.MAX_ORDER + 1))
+def test_hostile_expressions_do_not_depend_on_the_rest_of_the_stack(order,
+                                                                    support):
+    """Evaluated on a stack of point blocks, every block's columns equal the
+    evaluation of that block alone, up to the sign of a zero.  Blocks of
+    one point, repeated blocks and blocks out of order included."""
+    pts = _hostile_points()
+    if support is not None and max(sum(m) for m in support) > order:
+        support = ((0, 0, order),)
+    blocks = [pts[60:], pts[:1], pts[1:60], pts[:25], pts[7:8]]
+    exprs = list(HOSTILE.values())
+    stacked = jets.eval_entries(exprs, np.concatenate(blocks), order,
+                                nvars=3, support=support)
+    lo = 0
+    for block in blocks:
+        cols = slice(lo, lo + len(block))
+        lo = cols.stop
+        alone = jets.eval_entries(exprs, block, order, nvars=3,
+                                  support=support)
+        for jb, want in zip(stacked, alone):
+            got = jets.JetBatch(jb.space, jb.coef[:, cols], jb.invalid[cols],
+                                jb.poly_singular[cols], jb.flat_zero[cols],
+                                jb.limit[cols])
+            _assert_same_jet(got, want)
+
+
+def _same_bits(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@pytest.mark.parametrize("support", [None, ((2, 0, 0), (0, 1, 1))])
+@pytest.mark.parametrize("order", range(jets.MAX_ORDER + 1))
+def test_root_reads_equal_reads_of_its_full_table(order, support):
+    """A root evaluated in the rows of its variables gives the values,
+    derivatives, gradient and per-order maxima of its full table, bit for
+    bit, without building that table."""
+    if support is not None and max(sum(m) for m in support) > order:
+        support = None
+    pts = _hostile_points()
+    exprs = list(HOSTILE.values()) + [X, ex.exp(Y) * ex.const(-0.0)]
+    jbs = jets.eval_entries(exprs, pts, order, nvars=3, support=support)
+    # at order 0 every restriction is the whole one-row space
+    assert any(jb.kept()[0] is not jb.space for jb in jbs) is (order > 0)
+    multi = list(jbs[0].space.multi)
+    rows = jets.derivative_rows(jbs, multi[::-1])
+    for jb, d in zip(jbs, rows):
+        full = jets.JetBatch(jb.space, jb.coef.copy(), jb.invalid,
+                             jb.poly_singular, jb.flat_zero, jb.limit)
+        assert _same_bits(jb.values, full.values)
+        for m in range(order + 1):
+            assert _same_bits(jb.max_abs_of_order(m), full.max_abs_of_order(m))
+        for k, mu in enumerate(multi[::-1]):
+            assert _same_bits(jb.derivative(mu), full.derivative(mu))
+            assert _same_bits(d[k], full.derivative(mu))
+        if support is None and order:
+            assert _same_bits(jb.gradient(), full.gradient())
+
+
 def test_nodes_are_evaluated_in_the_space_of_their_variables():
     memo = {}
     e = X * Y + ex.exp(ex.const(2.0))

@@ -135,10 +135,51 @@ def test_pair_record_equals_rows_of_entry_jets(name):
             assert not a.flags.writeable
 
 
+def _same_up_to_zero_sign(a, b):
+    nz = (b != 0) & ~np.isnan(b)
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a[nz]), np.signbit(b[nz])))
+
+
+@pytest.mark.parametrize("name", sorted(gallery.GALLERY))
+def test_stacked_pair_records_equal_single_center_ones(name):
+    """The records of a stack of centers are those of the single centers,
+    up to the sign of a zero, also when some centers already hold some of
+    the rows or a center repeats."""
+    item = gallery.GALLERY[name]
+    grid = item.default_grid()
+    A = item.build({})
+    nv = A.nvars
+    pts = A.sampled(grid).pts
+    centers = pts[:: max(1, len(pts) // 4)][:4]
+    centers = np.concatenate([centers, centers[:1]])
+    mus = [tuple(4 * (a == b) for a in range(nv)) for b in range(nv)]
+    mus += [(2, 2) + (0,) * (nv - 2)] if nv > 1 else [(3,)]
+    keys = [key for key, _ in A.upper_entries()]
+    early = A.paired(grid, centers[1], mus, keys[:1])
+    recs = A.paired(grid, centers, mus, keys)
+    assert recs[1] is early and recs[-1] is recs[0]
+    again = A.paired(grid, centers, mus, keys)
+    assert all(r is rec for r, rec in zip(again, recs))
+    B = item.build({})
+    for x, rec in zip(centers, recs):
+        want = B.paired(grid, x, mus, keys)
+        assert _same_bits(rec.Y, want.Y) and _same_bits(rec.Z, want.Z)
+        assert list(rec.rows) == keys
+        for key in keys:
+            for g, w in zip(rec.rows[key], want.rows[key]):
+                assert _same_up_to_zero_sign(g, w)
+                assert not g.flags.writeable
+
+
 @pytest.mark.parametrize("name, pipeline",
                          [("f-phi-psi", "gallery"), ("block-M7", "all")])
 def test_each_expression_is_evaluated_once_per_pair_ladder(name, pipeline,
                                                             monkeypatch):
+    """Within one call of `paired` or `holder_seminorm`, every evaluation is
+    on the stack of one side of all the ladders the call sampled, and each
+    expression is evaluated once per (side, order, support); no stack or
+    single ladder is evaluated again by a later call."""
     ladders = set()
     sample_pairs = GridSpec.sample_pairs
 
@@ -147,14 +188,30 @@ def test_each_expression_is_evaluated_once_per_pair_ladder(name, pipeline,
         ladders.update((Y.tobytes(), Z.tobytes()))
         return Y, Z
 
+    calls = []
+
+    def ladder_call(fn, where):
+        def wrapped(*args):
+            grid, centers = where(*args)
+            ladders = [grid.sample_pairs(x) for x in np.atleast_2d(centers)]
+            calls.append({b"".join(L[s].tobytes() for L in ladders): s
+                          for s in (0, 1)})
+            try:
+                return fn(*args)
+            finally:
+                calls.pop()
+        return wrapped
+
     eval_jet_batch = jets.eval_jet_batch
     seen = {}
 
     def counted(expr, points, order=jets.MAX_ORDER, nvars=None, memo=None,
                 support=None):
         side = np.asarray(points, dtype=float).tobytes()
+        if calls:
+            assert side in calls[-1], "evaluated on part of a side's stack"
         # an expression already in a shared memo is read, not evaluated
-        if side in ladders and not (memo and id(expr) in memo):
+        if (calls or side in ladders) and not (memo and id(expr) in memo):
             key = (id(expr), side, order, support)
             assert key not in seen, "expression evaluated again on a pair ladder"
             seen[key] = expr  # keeps the id from being reused
@@ -162,6 +219,10 @@ def test_each_expression_is_evaluated_once_per_pair_ladder(name, pipeline,
                               support=support)
 
     monkeypatch.setattr(GridSpec, "sample_pairs", recorded)
+    monkeypatch.setattr(SymMatFun, "paired", ladder_call(
+        SymMatFun.paired, lambda A, grid, centers, mus, keys: (grid, centers)))
+    monkeypatch.setattr(decompose, "holder_seminorm", ladder_call(
+        holder_seminorm, lambda h, x, mu, delta, grid: (grid, x)))
     monkeypatch.setattr(jets, "eval_jet_batch", counted)
     run_config(_config(name, pipeline))
     assert seen
@@ -201,14 +262,16 @@ def test_peel_seminorms_equal_full_space_ones(name, pipeline, zero,
     monkeypatch.setattr(decompose, "holder_seminorm", recorded)
     run_config(_config(name, pipeline))
     assert calls
-    nv = len(calls[0][1])
+    nv = np.shape(calls[0][1])[-1]
     order2 = [tuple(2 * (a == b) for a in range(nv)) for b in range(nv)]
     order4 = [tuple(4 * (a == b) for a in range(nv)) for b in range(nv)]
     order4.append((2, 2) + (0,) * (nv - 2))
 
     def estimates():
-        return [holder_seminorm(h, x, mus, delta, grid)
-                for h, x, delta, grid in calls for mus in (order2, order4)]
+        # one list of per-expression estimates per call, order and center
+        return [est for h, x, delta, grid in calls for mus in (order2, order4)
+                for est in holder_seminorm(h, np.atleast_2d(x), mus, delta,
+                                           grid)]
 
     got = estimates()
     eval_entries = jets.eval_entries

@@ -116,6 +116,44 @@ class TestHolderSeminorm:
             holder_seminorm(bad, [0.0], (1,), 0.5, grid1())
         assert info.value.point is not None
 
+    def test_center_stack_equals_single_center_calls(self):
+        bad = ex.sqrt(X)  # fails left of 0, and at 0 from order 1 up
+        hs = [ex.exp(X) * X**3, bad, ex.const(2.0)]
+        centers = np.array([[0.6], [0.0], [-0.5], [0.6], [0.3]])
+        grid = grid1(pair_scales=5)
+        for mus in [(1,), [(2,), (0,), (1,)]]:
+            want = [holder_seminorm(hs, x, mus, 0.5, grid) for x in centers]
+            assert holder_seminorm(hs, centers, mus, 0.5, grid) == want
+            assert [w[1] is None for w in want] == [False, True, True, False,
+                                                   False]
+            good = [holder_seminorm(hs[0], x, mus, 0.5, grid) for x in centers]
+            assert holder_seminorm(hs[0], centers, mus, 0.5, grid) == good
+        assert holder_seminorm(hs, centers[:0], (1,), 0.5, grid) == []
+
+    @pytest.mark.parametrize("mus", [(0,), (1,), [(1,), (0,)], [(2,), (1,)]])
+    def test_center_stack_raises_at_the_first_failure_of_the_single_calls(
+            self, mus):
+        from matsos.jets import SingularDomainError
+
+        # at 0 only the anchored z rows fail, and only from order 1 up;
+        # left of -0.8 both sides fail at every order
+        bad = ex.sqrt(X**2) + ex.sqrt(X + 0.8)
+        grid = grid1(pair_scales=5)
+        centers = np.array([[0.6], [0.0], [-0.9]])
+        for stack in (centers, centers[1:], centers[::-1]):
+            first = None
+            for x in stack:
+                try:
+                    holder_seminorm(bad, x, mus, 0.5, grid)
+                except SingularDomainError as e:
+                    first = e.point
+                    break
+            assert first is not None
+            with pytest.raises(SingularDomainError) as info:
+                holder_seminorm(bad, stack, mus, 0.5, grid)
+            assert np.array_equal(info.value.point, first)
+            assert str(info.value).endswith(f"at point {first.tolist()}")
+
     def test_empty_multiindex_list_rejected(self):
         with pytest.raises(ValueError):
             holder_seminorm(X**2, [0.4], [], 0.3, grid1())
