@@ -95,6 +95,7 @@ __all__ = [
     "eval_jet_batch",
     "eval_entries",
     "derivative_rows",
+    "eval_ladders",
     "eval_values",
     "eval_log_values",
     "SingularDomainError",
@@ -370,11 +371,11 @@ class JetBatch:
 
     @property
     def npts(self):
-        return self.coef.shape[1]
+        return self.kept()[1].shape[1]
 
     @property
     def values(self):
-        return self.coef[0]
+        return self.kept()[1][0]
 
     def derivatives(self):
         """Derivative table D^mu (Taylor coefficients times mu!)."""
@@ -386,30 +387,35 @@ class JetBatch:
 
     def max_abs_of_order(self, m):
         """max over |mu| = m of |D^mu| per point (0.0 where none)."""
-        rows = self.space.total == m
+        sub, coef = self.kept()
+        rows = sub.total == m
         if not rows.any():
             return np.zeros(self.npts)
-        d = np.abs(self.coef[rows] * self.space.fact[rows, None])
+        d = np.abs(coef[rows] * sub.fact[rows, None])
         return d.max(axis=0)
 
     def gradient(self):
-        sp = self.space
-        if None in sp.unit:
+        if None in self.space.unit:
             raise ValueError("the gradient rows are not in this jet space")
-        return self.coef[sp.unit] * sp.fact[sp.unit, None]
+        sub, coef = self.kept()
+        out = np.zeros((len(sub.unit), self.npts))
+        for a, i in enumerate(sub.unit):
+            if i is not None:
+                out[a] = coef[i] * sub.fact[i]
+        return out
 
     def kept(self):
         """(space, table) of the rows this jet holds; every other row of
-        `space` is an exact zero."""
+        `space` is an exact zero.  Values, gradients and per-order maxima
+        are read from these rows, with the same products as from the full
+        table."""
         return self.space, self.coef
 
 
 class _LiftedBatch(JetBatch):
     """A jet evaluated in a restriction of `space` (see `_restrict`), read
     as a jet of `space`.  The rows the restriction drops are exact zeros;
-    they are scattered in only when `coef` is read, and values, gradients
-    and per-order maxima are read from the kept rows, with the same
-    products as from the full table."""
+    they are scattered in only when `coef` is read."""
 
     __slots__ = ("_jet", "_keep", "_full")
 
@@ -427,27 +433,6 @@ class _LiftedBatch(JetBatch):
             self._full = np.zeros((self.space.ncoef, self._jet.npts))
             self._full[self._keep] = self._jet.coef
         return self._full
-
-    @property
-    def npts(self):
-        return self._jet.npts
-
-    @property
-    def values(self):
-        return self._jet.values
-
-    def max_abs_of_order(self, m):
-        return self._jet.max_abs_of_order(m)
-
-    def gradient(self):
-        if None in self.space.unit:
-            raise ValueError("the gradient rows are not in this jet space")
-        sub = self._jet.space
-        out = np.zeros((self.space.nvars, self.npts))
-        for a, i in enumerate(sub.unit):
-            if i is not None:
-                out[a] = self._jet.coef[i] * sub.fact[i]
-        return out
 
     def kept(self):
         return self._jet.space, self._jet.coef
@@ -787,6 +772,40 @@ def derivative_rows(jbs, mus):
         d = np.zeros((len(want), jb.npts))
         d[ks] = coef[rows] * fact
         out.append(d)
+    return out
+
+
+def eval_ladders(exprs, ladders, order, nvars, support):
+    """The failure masks and D^mu rows of `exprs` on Holder pair ladders.
+
+    `ladders` is a list of (Y, Z) point stacks, one per center; the result
+    has one (inv_y, inv_z, dy, dz) per ladder: the (len(exprs), P) failure
+    masks of the two sides and, per expression, the (len(support), P)
+    `derivative_rows`, all read-only.  The Y rows of every ladder are one
+    point stack, evaluated by one `eval_entries` call at `order` in the
+    space of `support`, the Z rows another, and the results are sliced per
+    ladder: the rows of a ladder are those of its own evaluation up to the
+    sign of a zero (see the module docstring), which |dy - dz| erases.
+    One side's jet tables are freed before the other's are built (see
+    `SymMatFun.paired` for why the sides are not one stack)."""
+    def side(k):
+        pts = np.concatenate([L[k] for L in ladders])
+        jbs = eval_entries(exprs, pts, order, nvars=nvars, support=support)
+        inv = np.array([jb.invalid for jb in jbs]).reshape(len(exprs),
+                                                           len(pts))
+        rows = derivative_rows(jbs, support)
+        for a in [inv] + rows:
+            a.flags.writeable = False
+        return inv, rows
+
+    (inv_y, dy), (inv_z, dz) = side(0), side(1)
+    out = []
+    lo = 0
+    for Y, _ in ladders:
+        cols = slice(lo, lo + len(Y))
+        lo = cols.stop
+        out.append((inv_y[:, cols], inv_z[:, cols],
+                    [d[:, cols] for d in dy], [d[:, cols] for d in dz]))
     return out
 
 

@@ -190,16 +190,15 @@ class SymMatFun:
         per side: the Y ladders of every such center go through one
         `jets.eval_entries` memo, then the Z ladders through another, so
         each entry is evaluated once per side, and the rows are sliced per
-        center.  A jet column depends on the other columns of its stack
-        only through the constant-operand shortcut of the jet product,
-        which is decided over the whole stack, so a row can differ from the
-        single-center one only in the sign of a zero; the readers use
-        |dy - dz|, which erases it.  The two sides stay separate stacks,
-        and one side's jet tables are freed before the other's are built:
-        one stack for both sides raised the m7-peel peak RSS from about
-        61 MB to 78-81 MB in 3 of 3 runs.  Entries are evaluated in the jet
-        space spanned by `mus`, so the failure masks are those of the rows
-        read (see `jets`)."""
+        center by `jets.eval_ladders`.  A jet column depends on the other
+        columns of its stack only through the constant-operand shortcut of
+        the jet product, which is decided over the whole stack, so a row
+        can differ from the single-center one only in the sign of a zero;
+        the readers use |dy - dz|, which erases it.  The two sides stay
+        separate stacks: one stack for both raised the m7-peel peak RSS
+        from about 61 MB to 78-81 MB in 3 of 3 runs.  Entries are evaluated
+        in the jet space spanned by `mus`, so the failure masks are those of
+        the rows read (see `jets`)."""
         mus = tuple(jets.space(self.nvars, jets.MAX_ORDER).checked(m)
                     for m in mus)
         centers = np.asarray(centers, dtype=float)
@@ -224,29 +223,12 @@ class SymMatFun:
     def _fill(self, recs, keys, mus):
         """Evaluate the entries `keys` on the ladders of `recs`, one point
         stack per side, and store their rows in the records."""
-        order = max(sum(m) for m in mus)
         exprs = [self._tri[k] for k in keys]
-
-        def side(P):
-            # the jet tables of one side die here, before the other side
-            # is evaluated
-            jbs = jets.eval_entries(exprs, P, order, nvars=self.nvars,
-                                    support=mus)
-            inv = np.array([jb.invalid for jb in jbs])
-            d = jets.derivative_rows(jbs, mus)
-            for a in [inv] + d:
-                a.flags.writeable = False
-            return inv, d
-
-        inv_y, dy = side(np.concatenate([rec.Y for rec in recs]))
-        inv_z, dz = side(np.concatenate([rec.Z for rec in recs]))
-        lo = 0
-        for rec in recs:
-            cols = slice(lo, lo + len(rec.Y))
-            lo = cols.stop
+        slices = jets.eval_ladders(exprs, [(rec.Y, rec.Z) for rec in recs],
+                                   max(sum(m) for m in mus), self.nvars, mus)
+        for rec, (inv_y, inv_z, dy, dz) in zip(recs, slices):
             for i, k in enumerate(keys):
-                rec.rows[k] = (inv_y[i, cols], inv_z[i, cols],
-                               dy[i][:, cols], dz[i][:, cols])
+                rec.rows[k] = (inv_y[i], inv_z[i], dy[i], dz[i])
 
     def values(self, points):
         """Stack of matrices, shape (npts, n, n), with validity mask."""

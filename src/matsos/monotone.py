@@ -84,7 +84,8 @@ def holder_seminorm(h, x, mu, delta, grid):
     in the sign of a zero (see `jets`), and |D^mu h(y) - D^mu h(z)| erases
     it.  A single failing expression raises at the point the single-center
     calls would name: the first failure in (center, order, side, pair)
-    order.
+    order.  The stacking is `jets.eval_ladders`, shared with
+    `SymMatFun.paired`.
     """
     single = isinstance(h, ex.ScalarExpr)
     hs = [h] if single else list(h)
@@ -104,45 +105,36 @@ def holder_seminorm(h, x, mu, delta, grid):
         raise ValueError("grid pair-sampling policy produced no pairs")
     if not ladders:
         return []
-    # per order, for the y and the z side: the failure masks (len(hs), S)
-    # and, per expression, the D^mu rows (len(support), S) of the stacked
-    # ladders
+    # per order, one (inv_y, inv_z, dy, dz) per center: the failure masks
+    # (len(hs), P) and, per expression, the D^mu rows (len(support), P);
+    # only the rows below that order's multiindices are computed
     tables = []
     for order in sorted({sum(m) for m in mus}):
-        # only the rows below this order's multiindices are computed
         support = tuple(m for m in mus if sum(m) == order)
-        sides = []
-        for side in zip(*ladders):
-            pts = np.concatenate(side)
-            jbs = jets.eval_entries(hs, pts, order, nvars=nv, support=support)
-            inv = np.array([jb.invalid for jb in jbs]).reshape(len(hs), len(pts))
-            sides.append((inv, jets.derivative_rows(jbs, support)))
-        tables.append(sides)
+        tables.append(jets.eval_ladders(hs, ladders, order, nv, support))
     out = []
-    lo = 0
-    for Yc, Zc in ladders:
-        cols = slice(lo, lo + len(Yc))
-        lo = cols.stop
+    for c, (Yc, Zc) in enumerate(ladders):
         if single:
-            for (inv_y, _), (inv_z, _) in tables:
-                for inv, pts in ((inv_y, Yc), (inv_z, Zc)):
-                    if inv[0, cols].any():
+            for t in tables:
+                for inv, pts in ((t[c][0], Yc), (t[c][1], Zc)):
+                    if inv[0].any():
                         raise jets.SingularDomainError(
                             "seminorm sample failed",
-                            point=pts[np.argmax(inv[0, cols])])
+                            point=pts[np.argmax(inv[0])])
         sep = np.linalg.norm(Yc - Zc, axis=1)
         ok = sep > 1e-300
         worst = [0.0] * len(hs)
-        for (inv_y, dys), (inv_z, dzs) in tables:
+        for t in tables:
+            inv_y, inv_z, dys, dzs = t[c]
             for i in range(len(hs)):
                 if worst[i] is None:
                     continue
-                if inv_y[i, cols].any() or inv_z[i, cols].any():
+                if inv_y[i].any() or inv_z[i].any():
                     worst[i] = None
                     continue
                 if not ok.any():
                     continue
-                for dy, dz in zip(dys[i][:, cols], dzs[i][:, cols]):
+                for dy, dz in zip(dys[i], dzs[i]):
                     diff = np.abs(dy[ok] - dz[ok])
                     with np.errstate(divide="ignore"):
                         ratios = diff / sep[ok] ** delta

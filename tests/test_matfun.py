@@ -179,7 +179,7 @@ def test_each_expression_is_evaluated_once_per_pair_ladder(name, pipeline,
     """Within one call of `paired` or `holder_seminorm`, every evaluation is
     on the stack of one side of all the ladders the call sampled, and each
     expression is evaluated once per (side, order, support); no stack or
-    single ladder is evaluated again by a later call."""
+    single ladder is evaluated again, within a call or by a later one."""
     ladders = set()
     sample_pairs = GridSpec.sample_pairs
 
@@ -193,9 +193,10 @@ def test_each_expression_is_evaluated_once_per_pair_ladder(name, pipeline,
     def ladder_call(fn, where):
         def wrapped(*args):
             grid, centers = where(*args)
-            ladders = [grid.sample_pairs(x) for x in np.atleast_2d(centers)]
-            calls.append({b"".join(L[s].tobytes() for L in ladders): s
-                          for s in (0, 1)})
+            pairs = [grid.sample_pairs(x) for x in np.atleast_2d(centers)]
+            # a side's stack, and the single ladders it is made of
+            calls.append({b"".join(L[s].tobytes() for L in pairs):
+                          [L[s].tobytes() for L in pairs] for s in (0, 1)})
             try:
                 return fn(*args)
             finally:
@@ -210,11 +211,16 @@ def test_each_expression_is_evaluated_once_per_pair_ladder(name, pipeline,
         side = np.asarray(points, dtype=float).tobytes()
         if calls:
             assert side in calls[-1], "evaluated on part of a side's stack"
+            parts = [side] + calls[-1][side]
+        else:
+            parts = [side] if side in ladders else []
         # an expression already in a shared memo is read, not evaluated
-        if (calls or side in ladders) and not (memo and id(expr) in memo):
-            key = (id(expr), side, order, support)
-            assert key not in seen, "expression evaluated again on a pair ladder"
-            seen[key] = expr  # keeps the id from being reused
+        if not (memo and id(expr) in memo):
+            for part in parts:
+                key = (id(expr), part, order, support)
+                assert key not in seen, \
+                    "expression evaluated again on a pair ladder"
+                seen[key] = expr  # keeps the id from being reused
         return eval_jet_batch(expr, points, order, nvars=nvars, memo=memo,
                               support=support)
 
