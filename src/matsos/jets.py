@@ -74,11 +74,32 @@ that failed with a polynomially bounded singularity: flat times polynomial
 growth is exactly zero, jets included.  This is what lets expressions like
 ``flat(r) * bump(t/r)`` evaluate to their true zero jets on the set r = 0
 instead of erroring.
+
+Most jets carry no flag at all.  Such a *clean* jet shares the read-only
+all-False flag arrays of its length, and `limit` is built only when read
+(all NaN unless a primitive set it).  A sum, product or power of clean
+children skips the flag algebra and starts clean, and `_scrub` then costs
+one finiteness test, flagging and zeroing only the non-finite columns it
+finds.  The arithmetic is the same with or without flags, so the tables are
+bit for bit those of the flag algebra.
+
+Evaluations share work through memos keyed by node identity; every table a
+memo holds is read-only.  Within `run_table` (opened by `run_config` for a
+run) all order-0 evaluations share one table, one memo per (point stack
+shape and bytes, `JetSpace`): the space carries nvars, order and support,
+so no support is served from another's table, and the table keeps the
+roots it evaluated so that no `id()` in it is reused.  Order-0 tables of a
+grid are small and are read by many stages.  Orders >= 1 stay in per-call
+memos: keeping them too, with no eviction, raised the peak RSS of the
+block-M7 benchmark job (400 points in 7 variables) from 53.8 to 61.2 MB on
+a 2-vCPU host with Python 3.11 and numpy 2.4, next to its 15% bound.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+from contextlib import contextmanager
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from itertools import product as _iproduct
@@ -98,6 +119,7 @@ __all__ = [
     "eval_ladders",
     "eval_values",
     "eval_log_values",
+    "run_table",
     "SingularDomainError",
     "LogEvalError",
     "MAX_ORDER",
@@ -355,19 +377,39 @@ class JetBatch:
     primitive that failed still has one (sqrt at an interior zero of its
     argument); NaN otherwise.  Flat primitives consult it so that e.g.
     flat(sqrt(x^2+y^2)) is a certified zero jet at the origin.
+
+    Flags left out are all False, and a `limit` left out is all NaN; both
+    are then the shared read-only arrays of the jet's length.
     """
 
-    __slots__ = ("space", "coef", "invalid", "poly_singular", "flat_zero", "limit")
+    __slots__ = ("space", "coef", "invalid", "poly_singular", "flat_zero",
+                 "_limit")
 
-    def __init__(self, space, coef, invalid, poly_singular, flat_zero, limit=None):
+    def __init__(self, space, coef, invalid=None, poly_singular=None,
+                 flat_zero=None, limit=None):
         self.space = space
         self.coef = coef
+        if invalid is None:
+            invalid = poly_singular = flat_zero = _blank(coef.shape[1])[0]
         self.invalid = invalid
         self.poly_singular = poly_singular
         self.flat_zero = flat_zero
-        self.limit = (
-            limit if limit is not None else np.full(coef.shape[1], np.nan)
-        )
+        self._limit = limit
+
+    @property
+    def limit(self):
+        if self._limit is None:
+            return _blank(len(self.invalid))[1]
+        return self._limit
+
+    @property
+    def clean(self):
+        """True when no column is invalid or a flat zero (`poly_singular` is
+        a subset of `invalid`): the flags are the shared all-False arrays.
+        A jet whose flags are all False but not shared reads False, which
+        costs only the flag algebra it could have skipped."""
+        f = self.invalid
+        return f is self.flat_zero and f is _blank(len(f))[0]
 
     @property
     def npts(self):
@@ -386,7 +428,10 @@ class JetBatch:
         return self.coef[i] * self.space.fact[i]
 
     def max_abs_of_order(self, m):
-        """max over |mu| = m of |D^mu| per point (0.0 where none)."""
+        """max over |mu| = m of |D^mu| per point (0.0 where the space keeps
+        no row of that order); a named error when `m` is not an order of
+        the space."""
+        _check_order(m, self.space)
         sub, coef = self.kept()
         rows = sub.total == m
         if not rows.any():
@@ -395,8 +440,7 @@ class JetBatch:
         return d.max(axis=0)
 
     def gradient(self):
-        if None in self.space.unit:
-            raise ValueError("the gradient rows are not in this jet space")
+        _check_gradient(self.space)
         sub, coef = self.kept()
         out = np.zeros((len(sub.unit), self.npts))
         for a, i in enumerate(sub.unit):
@@ -424,7 +468,7 @@ class _LiftedBatch(JetBatch):
         self.invalid = jet.invalid
         self.poly_singular = jet.poly_singular
         self.flat_zero = jet.flat_zero
-        self.limit = jet.limit
+        self._limit = jet._limit
         self._jet, self._keep, self._full = jet, keep, None
 
     @property
@@ -438,19 +482,38 @@ class _LiftedBatch(JetBatch):
         return self._jet.space, self._jet.coef
 
 
-def _new(space, npts):
-    return JetBatch(
-        space,
-        np.zeros((space.ncoef, npts)),
-        np.zeros(npts, dtype=bool),
-        np.zeros(npts, dtype=bool),
-        np.zeros(npts, dtype=bool),
-    )
+def _check_order(m, sp):
+    if _as_int(m) is None or not 0 <= m <= sp.order:
+        raise ValueError(f"derivative order {m!r} is outside 0..{sp.order} "
+                         f"of this jet space")
+
+
+def _check_gradient(sp):
+    if not sp.order:
+        raise ValueError("an order-0 jet has no gradient")
+    if None in sp.unit:
+        raise ValueError("the gradient rows are not in this jet space")
+
+
+@lru_cache(maxsize=64)
+def _blank(npts):
+    """Read-only all-False flags and all-NaN limits of `npts` columns,
+    shared by every jet of that length that leaves them out."""
+    flags, limit = np.zeros(npts, dtype=bool), np.full(npts, np.nan)
+    flags.flags.writeable = limit.flags.writeable = False
+    return flags, limit
 
 
 def _scrub(jet):
-    """Zero out columns that are invalid or non-finite; flag the latter."""
+    """Zero out columns that are invalid or non-finite, and flag the latter.
+    A clean jet costs one finiteness test, and only the non-finite columns
+    it finds are flagged; a jet left without flags takes the shared ones."""
     bad = ~np.isfinite(jet.coef).all(axis=0)
+    if jet.clean:
+        if bad.any():
+            jet.invalid = bad
+            jet.coef[:, bad] = 0.0
+        return jet
     newbad = bad & ~jet.invalid
     if newbad.any():
         jet.invalid = jet.invalid | newbad
@@ -458,6 +521,8 @@ def _scrub(jet):
     if jet.invalid.any():
         jet.coef[:, jet.invalid] = 0.0
         jet.flat_zero = jet.flat_zero & ~jet.invalid
+    elif not jet.flat_zero.any():
+        jet.invalid = jet.poly_singular = jet.flat_zero = _blank(len(bad))[0]
     return jet
 
 
@@ -490,7 +555,9 @@ def _eval_node(root, pts, sp, memo):
     """Jets of every node under `root` not yet in `memo`, children first,
     each in the restriction of `sp` to the variables it reads; returns the
     jet of `root`.  The walk keeps its own stack, so the depth of a tree is
-    not bounded by Python's recursion limit."""
+    not bounded by Python's recursion limit.  The arrays of every jet put
+    in `memo` are made read-only: a memo (a run table's above all) hands
+    one jet to many readers."""
     stack = [root]
     while stack:
         node = stack[-1]
@@ -502,37 +569,62 @@ def _eval_node(root, pts, sp, memo):
             stack.extend(reversed(todo))
             continue
         stack.pop()
-        memo[id(node)] = _eval_one(node, pts, _restrict(sp, node.vmask)[0],
-                                   memo)
+        jet = _eval_one(node, pts, _restrict(sp, node.vmask)[0], memo)
+        for a in (jet.coef, jet.invalid, jet.poly_singular, jet.flat_zero):
+            a.flags.writeable = False
+        memo[id(node)] = jet
     return memo[id(root)]
 
 
 def _eval_one(node, pts, sp, memo):
-    """Jet of `node` in `sp` from the jets of its children in `memo`."""
+    """Jet of `node` in `sp` from the jets of its children in `memo`.  A
+    sum, product or power runs the flag algebra only when some child
+    carries a flag; its arithmetic is the same either way."""
     kind = node.kind
     npts = pts.shape[0]
     kids = [memo[id(c)] for c in node.children]
-    if kind == "const":
-        out = _new(sp, npts)
-        out.coef[0] = node.param
-    elif kind == "var":
-        out = _new(sp, npts)
-        out.coef[0] = pts[:, node.param]
-        if sp.order >= 1 and sp.unit[node.param] is not None:
-            out.coef[sp.unit[node.param]] = 1.0
-    elif kind == "sum":
-        out = _new(sp, npts)
+    if kind in ("const", "var"):
+        coef = np.zeros((sp.ncoef, npts))
+        if kind == "const":
+            coef[0] = node.param
+        else:
+            coef[0] = pts[:, node.param]
+            if sp.order >= 1 and sp.unit[node.param] is not None:
+                coef[sp.unit[node.param]] = 1.0
+        return JetBatch(sp, coef)
+    if kind not in ("sum", "product") and not (kind == "intpow"
+                                               and node.param >= 0):
+        return _compose(node, kids[0], sp)
+    if kind == "sum":
+        coef = np.zeros((sp.ncoef, npts))
         for c, k in zip(node.children, kids):
-            out.coef += _lifted(c, k, sp)
-            out.invalid |= k.invalid
-        out.poly_singular = np.ones(npts, dtype=bool)
-        out.flat_zero = np.ones(npts, dtype=bool)
+            coef += _lifted(c, k, sp)
+    else:
+        coef = np.zeros((sp.ncoef, npts))
+        coef[0] = 1.0
+        if kind == "product":
+            for c, k in zip(node.children, kids):
+                coef = sp.mul(coef, _lifted(c, k, sp))
+        else:
+            base, k = kids[0].coef, node.param
+            while k:
+                if k & 1:
+                    coef = sp.mul(coef, base)
+                k >>= 1
+                if k:
+                    base = sp.mul(base, base)
+    if all(k.clean for k in kids):
+        return _scrub(JetBatch(sp, coef))
+    if kind == "sum":
+        inv = np.zeros(npts, dtype=bool)
+        poly = np.ones(npts, dtype=bool)
+        flat = np.ones(npts, dtype=bool)
         for k in kids:
-            out.poly_singular &= k.poly_singular | ~k.invalid
-            out.flat_zero &= k.flat_zero
-        out.poly_singular &= out.invalid
-        out.flat_zero &= ~out.invalid
-        out = _scrub(out)
+            inv |= k.invalid
+            poly &= k.poly_singular | ~k.invalid
+            flat &= k.flat_zero
+        poly &= inv
+        flat &= ~inv
     elif kind == "product":
         inv_any = np.zeros(npts, dtype=bool)
         flat_any = np.zeros(npts, dtype=bool)
@@ -542,33 +634,16 @@ def _eval_one(node, pts, sp, memo):
             flat_any |= k.flat_zero
             poly_ok &= k.poly_singular | ~k.invalid
         annihilated = flat_any & inv_any & poly_ok
-        out = _new(sp, npts)
-        out.coef[0] = 1.0
-        for c, k in zip(node.children, kids):
-            out.coef = sp.mul(out.coef, _lifted(c, k, sp))
-        out.invalid = inv_any & ~annihilated
-        out.poly_singular = poly_ok & out.invalid
-        out.flat_zero = flat_any & ~out.invalid
-        out.coef[:, annihilated] = 0.0
-        out = _scrub(out)
-    elif kind == "intpow" and node.param >= 0:
-        child = kids[0]
-        out = _new(sp, npts)
-        out.coef[0] = 1.0
-        base, k = child.coef, node.param
-        while k:
-            if k & 1:
-                out.coef = sp.mul(out.coef, base)
-            k >>= 1
-            if k:
-                base = sp.mul(base, base)
-        out.invalid = child.invalid.copy()
-        out.poly_singular = child.poly_singular & out.invalid
-        out.flat_zero = child.flat_zero & (node.param >= 1) & ~out.invalid
-        out = _scrub(out)
+        inv = inv_any & ~annihilated
+        poly = poly_ok & inv
+        flat = flat_any & ~inv
+        coef[:, annihilated] = 0.0
     else:
-        out = _compose(node, kids[0], sp)
-    return out
+        child = kids[0]
+        inv = child.invalid.copy()
+        poly = child.poly_singular & inv
+        flat = child.flat_zero & (node.param >= 1) & ~inv
+    return _scrub(JetBatch(sp, coef, inv, poly, flat))
 
 
 def _compose(node, child, sp):
@@ -685,9 +760,11 @@ def _compose(node, child, sp):
     else:
         carried = child.poly_singular
     poly = np.where(child.invalid, carried, poly)
-    out = JetBatch(sp, coef, inv, poly & inv, flatz & ~inv)
-    if kind == "sqrt":
-        out.limit[inv & limit0] = 0.0
+    limit = None
+    if kind == "sqrt" and (inv & limit0).any():
+        limit = np.full(npts, np.nan)
+        limit[inv & limit0] = 0.0
+    out = JetBatch(sp, coef, inv, poly & inv, flatz & ~inv, limit)
     out.coef[:, out.flat_zero] = 0.0
     return _scrub(out)
 
@@ -705,6 +782,60 @@ def _as_points(points, nvars):
     return pts
 
 
+class _RunTable:
+    """The order-0 jets of one run: one memo per (point stack, space).
+
+    The key holds the shape and bytes of the points and the `JetSpace`
+    itself, which carries nvars, order and support, so one support is
+    never served from another's table.  Every root evaluated into a memo
+    is kept, and with it every node below it, so no `id()` in a memo is
+    reused while the table lives."""
+
+    def __init__(self):
+        self.memos = {}
+        self.roots = []
+
+    def memo(self, pts, sp):
+        return self.memos.setdefault((pts.shape, pts.tobytes(), sp), {})
+
+
+_RUN_TABLE = contextvars.ContextVar("matsos_run_table", default=None)
+
+
+@contextmanager
+def run_table():
+    """Keep the order-0 jets of every evaluation in the block, so each
+    (node, points, space) is evaluated once however many stages read it.
+    `report.run_config` opens one per run; library callers may open their
+    own.  The table is dropped when the block exits, normally or not; a
+    block inside another has its own table while it runs."""
+    token = _RUN_TABLE.set(_RunTable())
+    try:
+        yield
+    finally:
+        _RUN_TABLE.reset(token)
+
+
+def _memo(pts, sp):
+    """The memo for an evaluation at `pts` in `sp`: the open run table's
+    at order 0, else a fresh one."""
+    table = _RUN_TABLE.get()
+    if table is None or sp.order:
+        return {}
+    return table.memo(pts, sp)
+
+
+def _points_and_space(expr_nvars, points, order, nvars, support):
+    nv = max(expr_nvars, 1) if nvars is None else nvars
+    pts = _as_points(points, nv)
+    o = _as_int(order)
+    if o is None or not 0 <= o <= MAX_ORDER:
+        raise ValueError(f"order must be an integer in 0..{MAX_ORDER}")
+    if support is None:
+        return pts, space(max(nv, 1), o)  # not (.., None): a second entry
+    return pts, space(max(nv, 1), o, tuple(tuple(mu) for mu in support))
+
+
 def eval_jet_batch(expr, points, order=MAX_ORDER, nvars=None, memo=None,
                    support=None):
     """Jets of `expr` at many points; invalid points are masked, not raised.
@@ -717,24 +848,20 @@ def eval_jet_batch(expr, points, order=MAX_ORDER, nvars=None, memo=None,
     nvars : optional variable count override (>= expr.nvars)
     memo : dict shared by `eval_entries` across the expressions it
         evaluates at the same points, order and support (entries of a matrix
-        function share subtrees, which then get evaluated once)
+        function share subtrees, which then get evaluated once); by default
+        the open run table's at order 0 (see `run_table`), else a fresh one
     support : optional multiindices, each of total order <= `order`; the
         jets then hold only the rows of their downward closure (see the
         module docstring for the two ways such jets can differ)
     """
     if not isinstance(expr, ScalarExpr):
         raise TypeError("expr must be a ScalarExpr")
-    nv = max(expr.nvars, 1) if nvars is None else nvars
-    pts = _as_points(points, nv)
-    o = _as_int(order)
-    if o is None or not 0 <= o <= MAX_ORDER:
-        raise ValueError(f"order must be an integer in 0..{MAX_ORDER}")
-    if support is None:
-        sp = space(max(nv, 1), o)  # not (.., None): a second cache entry
-    else:
-        sp = space(max(nv, 1), o, tuple(tuple(mu) for mu in support))
+    pts, sp = _points_and_space(expr.nvars, points, order, nvars, support)
     if memo is None:
-        memo = {}
+        memo = _memo(pts, sp)
+    table = _RUN_TABLE.get()
+    if table is not None and not sp.order and id(expr) not in memo:
+        table.roots.append(expr)
     with np.errstate(all="ignore"):
         jet = _eval_node(expr, pts, sp, memo)
     if jet.space is sp:
@@ -743,10 +870,12 @@ def eval_jet_batch(expr, points, order=MAX_ORDER, nvars=None, memo=None,
 
 
 def eval_entries(exprs, points, order=MAX_ORDER, nvars=None, support=None):
-    """Evaluate several expressions at shared points with a shared memo."""
+    """Evaluate several expressions at shared points with a shared memo (the
+    open run table's at order 0)."""
     nv = nvars if nvars is not None else max([1] + [e.nvars for e in exprs])
-    memo = {}
-    return [eval_jet_batch(e, points, order, nvars=nv, memo=memo,
+    pts, sp = _points_and_space(nv, points, order, nv, support)
+    memo = _memo(pts, sp)
+    return [eval_jet_batch(e, pts, order, nvars=nv, memo=memo,
                            support=support) for e in exprs]
 
 
@@ -834,9 +963,11 @@ class Jet4:
         return {m: float(d[i]) for i, m in enumerate(self.space.multi)}
 
     def gradient(self):
+        _check_gradient(self.space)
         return np.array([self._coef[i] * self.space.fact[i] for i in self.space.unit])
 
     def max_abs_of_order(self, m):
+        _check_order(m, self.space)
         rows = self.space.total == m
         if not rows.any():
             return 0.0

@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 from json.encoder import encode_basestring_ascii as _encode_str
 
-from . import __version__
+from . import __version__, jets
 from .decompose import ScalarSosBackend, assemble_vector_fields, iterated_sd
 from .expr import ExprError, as_finite_number, as_integer
 from .gallery import (
@@ -297,7 +297,14 @@ def run_config(cfg, threads=1, grid_scale=1.0):
     failed certificate, 1 on execution errors (raised by the caller).
     `threads` is accepted and ignored: the checkers run in sequence, since
     a thread pool measured no gain for this pure-Python, GIL-bound work.
+    The run evaluates under one `jets.run_table`, closed when it returns
+    or raises.
     """
+    with jets.run_table():
+        return _run(cfg, grid_scale)
+
+
+def _run(cfg, grid_scale):
     cfg = validate_config(cfg)
     t0 = time.monotonic()
     seed = _integer(cfg.get("seed", 0), "seed")

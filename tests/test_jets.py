@@ -700,3 +700,93 @@ def test_deep_chain_evaluates_without_recursion(order):
     jb = jets.eval_jet_batch(e, [[x]], order)
     assert not jb.invalid[0]
     assert jb.values[0] == pytest.approx(v, rel=1e-14, abs=0.0)
+
+
+def test_orders_above_the_space_are_named_errors():
+    """A per-order maximum above the order of the requested space, or not
+    an integer order at all, is a named error and not a silent 0.0; so is
+    the gradient of an order-0 jet."""
+    j = jets.eval_jet(ex.exp(X), [0.5], order=2)
+    assert j.max_abs_of_order(2) == pytest.approx(math.exp(0.5), rel=1e-15)
+    # a root read in the rows of x0 only: the bound is the requested space's
+    jb = jets.eval_jet_batch(ex.exp(X), [[0.5, 0.25]], 2, nvars=2)
+    assert jb.kept()[0] is not jb.space
+    assert jb.max_abs_of_order(2)[0] == j.max_abs_of_order(2)
+    for jet in (j, jb):
+        for m in (3, -1, 2.0, True):
+            with pytest.raises(ValueError):
+                jet.max_abs_of_order(m)
+    for jet in (jets.eval_jet(X, [0.5], order=0),
+                jets.eval_jet_batch(X * Y, [[0.5, 0.25]], 0)):
+        with pytest.raises(ValueError, match="order-0"):
+            jet.gradient()
+
+
+MIXED = {
+    "recip at 0": ex.recip(X) * Y + Y,
+    "sqrt of a negative": ex.sqrt(X) * ex.exp(Y),
+    "flat(r) / r annihilated at r = 0": ex.flat(R) * ex.recip(R),
+    "overflow of clean factors": X * X * Y,
+    "clean": X * Y + ex.exp(Y) ** 3,
+}
+
+
+@pytest.mark.parametrize("order", range(jets.MAX_ORDER + 1))
+def test_mixed_stack_columns_equal_their_one_point_evaluations(order):
+    """Clean columns stacked with failing ones (a reciprocal at 0, sqrt of a
+    negative, flat(r) * (1/r) annihilated at r = 0, a product of clean
+    factors that overflows): every column's table
+    equals its one-point evaluation bit for bit, and so do its three flags
+    and `limit`."""
+    pts = np.array([[0.5, 0.25], [0.0, 0.5], [-0.5, -1.0], [0.0, 0.0],
+                    [2.0, -0.0], [-0.0, 0.0], [0.25, 1.5], [1e200, 0.5]])
+    for name, e in MIXED.items():
+        stacked = jets.eval_jet_batch(e, pts, order, nvars=2)
+        for c, p in enumerate(pts):
+            alone = jets.eval_jet_batch(e, p[None, :], order, nvars=2)
+            _assert_bitwise(stacked.coef[:, c:c + 1], alone.coef)
+            for flag in ("invalid", "poly_singular", "flat_zero"):
+                assert getattr(stacked, flag)[c] == getattr(alone, flag)[0]
+            _assert_bitwise(stacked.limit[c:c + 1], alone.limit)
+        assert stacked.clean is (name == "clean")
+    failed = {name: jets.eval_jet_batch(e, pts, 1, nvars=2).invalid
+              for name, e in MIXED.items()}
+    assert failed["recip at 0"][1] and failed["sqrt of a negative"][2]
+    assert failed["overflow of clean factors"].tolist() == [False] * 7 + [True]
+    annihilated = jets.eval_jet_batch(MIXED["flat(r) / r annihilated at r = 0"],
+                                      pts, order, nvars=2)
+    assert annihilated.flat_zero[3] and not annihilated.invalid[3]
+
+
+def test_clean_jets_share_read_only_flags():
+    pts = np.array([[0.5, 0.25], [1.0, -2.0]])
+    a = jets.eval_jet_batch(X * Y, pts, 2)
+    b = jets.eval_jet_batch(ex.exp(X) + Y, pts, 0)
+    assert a.clean and b.clean
+    assert a.invalid is b.invalid is a.flat_zero is b.poly_singular
+    assert np.isnan(a.limit).all() and a.limit is b.limit
+    for arr in (a.invalid, a.poly_singular, a.flat_zero, a.limit, a.values):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    # all-False flags that are not the shared arrays evaluate the same
+    own = jets.JetBatch(b.space, b.coef.copy(), np.zeros(2, dtype=bool),
+                        np.zeros(2, dtype=bool), np.zeros(2, dtype=bool))
+    assert not own.clean and np.isnan(own.limit).all()
+
+
+def test_run_table_serves_order_0_jets_within_a_block():
+    pts = np.array([[0.5, 0.25], [1.0, -2.0]])
+    e = ex.exp(X) * Y + X
+    assert jets.eval_jet_batch(e, pts, 0) is not jets.eval_jet_batch(e, pts, 0)
+    with jets.run_table():
+        first = jets.eval_jet_batch(e, pts, 0)
+        assert jets.eval_entries([X, e], pts, 0)[1] is first
+        assert jets.eval_jet_batch(e, pts.copy(), 0) is first
+        with jets.run_table():
+            assert jets.eval_jet_batch(e, pts, 0) is not first
+        # another space, other points, or order >= 1: evaluated again
+        assert jets.eval_jet_batch(e, pts, 0, support=[(0, 0)]) is not first
+        assert jets.eval_jet_batch(e, pts[::-1], 0) is not first
+        assert (jets.eval_jet_batch(e, pts, 1) is not
+                jets.eval_jet_batch(e, pts, 1))
+    assert jets.eval_jet_batch(e, pts, 0) is not first

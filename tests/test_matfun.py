@@ -94,6 +94,48 @@ def test_each_matrix_points_and_order_is_evaluated_once(name, pipeline,
     assert seen
 
 
+def test_each_order_0_jet_is_evaluated_once_per_run(monkeypatch):
+    """One run of block-M7 evaluates each (node, points, space) at order 0
+    once, under a run table whose tables are read-only; the table is
+    dropped when the run returns."""
+    eval_one = jets._eval_one
+    seen, tables = {}, []
+
+    def counted(node, pts, sp, memo):
+        jet = eval_one(node, pts, sp, memo)
+        if not sp.order:
+            key = (id(node), pts.shape, pts.tobytes(), sp)
+            assert key not in seen, "order-0 jet evaluated again in one run"
+            seen[key] = node  # keeps the id from being reused
+            tables.append(jet)
+        return jet
+
+    monkeypatch.setattr(jets, "_eval_one", counted)
+    run_config(_config("block-M7", "all"))
+    assert len(seen) > 100
+    assert jets._RUN_TABLE.get() is None
+    for jet in tables:
+        for a in (jet.coef, jet.invalid, jet.poly_singular, jet.flat_zero):
+            assert not a.flags.writeable
+
+
+def test_run_table_is_dropped_when_a_run_raises(monkeypatch):
+    eval_one = jets._eval_one
+    open_tables = []
+
+    def failing(node, pts, sp, memo):
+        open_tables.append(jets._RUN_TABLE.get())
+        if len(open_tables) == 50:
+            raise RuntimeError("evaluation failed")
+        return eval_one(node, pts, sp, memo)
+
+    monkeypatch.setattr(jets, "_eval_one", failing)
+    with pytest.raises(RuntimeError, match="evaluation failed"):
+        run_config(_config("block-M7", "all"))
+    assert open_tables[-1] is open_tables[0] and open_tables[0].memos
+    assert jets._RUN_TABLE.get() is None
+
+
 def _report(cfg):
     report, code = run_config(cfg)
     del report["timing"]
