@@ -93,6 +93,9 @@ grid are small and are read by many stages.  Orders >= 1 stay in per-call
 memos: keeping them too, with no eviction, raised the peak RSS of the
 block-M7 benchmark job (400 points in 7 variables) from 53.8 to 61.2 MB on
 a 2-vCPU host with Python 3.11 and numpy 2.4, next to its 15% bound.
+Of those orders the table keeps only the small output of `eval_ladders`,
+the failure mask and D^mu rows of each expression per (side stack of the
+Holder pair ladders, space), whichever checker asks.
 """
 
 from __future__ import annotations
@@ -783,20 +786,19 @@ def _as_points(points, nvars):
 
 
 class _RunTable:
-    """The order-0 jets of one run: one memo per (point stack, space).
+    """The order-0 jets and the pair-ladder rows of one run.
 
-    The key holds the shape and bytes of the points and the `JetSpace`
-    itself, which carries nvars, order and support, so one support is
-    never served from another's table.  Every root evaluated into a memo
-    is kept, and with it every node below it, so no `id()` in a memo is
-    reused while the table lives."""
+    `memos` holds a memo of jets, `rows` the `eval_ladders` rows, both by
+    node identity per (points shape and bytes, `JetSpace`); the space
+    carries nvars, order and support, so no support is served from
+    another's table.  They stay apart because an order-0 ladder side has
+    both under one key.  Every root evaluated into the table is kept, and
+    with it every node below it, so no `id()` in it is reused."""
 
     def __init__(self):
         self.memos = {}
+        self.rows = {}
         self.roots = []
-
-    def memo(self, pts, sp):
-        return self.memos.setdefault((pts.shape, pts.tobytes(), sp), {})
 
 
 _RUN_TABLE = contextvars.ContextVar("matsos_run_table", default=None)
@@ -804,8 +806,9 @@ _RUN_TABLE = contextvars.ContextVar("matsos_run_table", default=None)
 
 @contextmanager
 def run_table():
-    """Keep the order-0 jets of every evaluation in the block, so each
-    (node, points, space) is evaluated once however many stages read it.
+    """Keep the order-0 jets of every evaluation in the block, and the rows
+    of every `eval_ladders` call, so each (node, points, space) is evaluated
+    once however many stages read it.
     `report.run_config` opens one per run; library callers may open their
     own.  The table is dropped when the block exits, normally or not; a
     block inside another has its own table while it runs."""
@@ -822,7 +825,7 @@ def _memo(pts, sp):
     table = _RUN_TABLE.get()
     if table is None or sp.order:
         return {}
-    return table.memo(pts, sp)
+    return table.memos.setdefault((pts.shape, pts.tobytes(), sp), {})
 
 
 def _points_and_space(expr_nvars, points, order, nvars, support):
@@ -831,9 +834,11 @@ def _points_and_space(expr_nvars, points, order, nvars, support):
     o = _as_int(order)
     if o is None or not 0 <= o <= MAX_ORDER:
         raise ValueError(f"order must be an integer in 0..{MAX_ORDER}")
+    full = space(max(nv, 1), o)  # not (.., None): a second entry
     if support is None:
-        return pts, space(max(nv, 1), o)  # not (.., None): a second entry
-    return pts, space(max(nv, 1), o, tuple(tuple(mu) for mu in support))
+        return pts, full
+    # checked first: a cached (2, 0) would serve (2.0, 0)
+    return pts, space(full.nvars, o, tuple(full.checked(mu) for mu in support))
 
 
 def eval_jet_batch(expr, points, order=MAX_ORDER, nvars=None, memo=None,
@@ -915,27 +920,38 @@ def eval_ladders(exprs, ladders, order, nvars, support):
     space of `support`, the Z rows another, and the results are sliced per
     ladder: the rows of a ladder are those of its own evaluation up to the
     sign of a zero (see the module docstring), which |dy - dz| erases.
-    One side's jet tables are freed before the other's are built (see
-    `SymMatFun.paired` for why the sides are not one stack)."""
+
+    Within `run_table` a side stack's rows are kept per expression, and a
+    later call evaluates only the expressions not kept yet; outside one,
+    nothing outlives the call.  One side's jet tables are freed before the
+    other's are built: one stack for both raised the peak RSS of the
+    block-M7 benchmark job from about 61 to 78-81 MB in 3 of 3 runs."""
+    if not ladders:
+        return []
+    table = _RUN_TABLE.get() or _RunTable()
+
     def side(k):
-        pts = np.concatenate([L[k] for L in ladders])
-        jbs = eval_entries(exprs, pts, order, nvars=nvars, support=support)
-        inv = np.array([jb.invalid for jb in jbs]).reshape(len(exprs),
-                                                           len(pts))
-        rows = derivative_rows(jbs, support)
-        for a in [inv] + rows:
-            a.flags.writeable = False
-        return inv, rows
+        pts, sp = _points_and_space(nvars, np.concatenate(
+            [L[k] for L in ladders]), order, nvars, support)
+        kept = table.rows.setdefault((pts.shape, pts.tobytes(), sp), {})
+        new = [e for i, e in {id(e): e for e in exprs}.items()
+               if i not in kept]
+        jbs = eval_entries(new, pts, order, nvars=nvars, support=support)
+        for e, jb, d in zip(new, jbs, derivative_rows(jbs, support)):
+            d.flags.writeable = False
+            kept[id(e)] = jb.invalid, d
+        table.roots.extend(new)
+        inv = np.array([kept[id(e)][0] for e in exprs]).reshape(len(exprs),
+                                                                len(pts))
+        inv.flags.writeable = False
+        return inv, [kept[id(e)][1] for e in exprs]
 
     (inv_y, dy), (inv_z, dz) = side(0), side(1)
-    out = []
-    lo = 0
-    for Y, _ in ladders:
-        cols = slice(lo, lo + len(Y))
-        lo = cols.stop
-        out.append((inv_y[:, cols], inv_z[:, cols],
-                    [d[:, cols] for d in dy], [d[:, cols] for d in dz]))
-    return out
+    # cut every array at the ladder boundaries, and regroup per ladder
+    cuts = np.cumsum([len(Y) for Y, _ in ladders])[:-1]
+    m = len(exprs)
+    return [(p[0], p[1], list(p[2:2 + m]), list(p[2 + m:])) for p in zip(
+        *(np.split(a, cuts, axis=1) for a in [inv_y, inv_z] + dy + dz))]
 
 
 class Jet4:

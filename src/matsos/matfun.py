@@ -6,11 +6,9 @@ batch of sample points.
 
 `SymMatFun.sampled(grid, order)` evaluates a matrix once per grid and
 order into a read-only `Sampled` record of stacks, which every checker of
-a run reads; evaluation at other points stays `values(points)`.
-`SymMatFun.paired(grid, centers, mus, keys)` does the same for the Holder
-pair ladders of one seminorm center or a stack of them: each entry is
-evaluated there once, in one point stack per side for all centers.  That
-gives the single-center rows up to the sign of a zero (see `paired`).
+a run reads; evaluation at other points stays `values(points)`.  Entries
+on Holder pair ladders are read through `jets.eval_ladders`, which keeps
+their rows once per run (see `jets.run_table`).
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import numpy as np
 from . import expr as ex
 from . import jets
 
-__all__ = ["EntryError", "Paired", "Sampled", "StructureTags", "SymMatFun",
+__all__ = ["EntryError", "Sampled", "StructureTags", "SymMatFun",
            "embed_tail", "blockdiag"]
 
 
@@ -56,19 +54,6 @@ class Sampled(NamedTuple):
     dmax: np.ndarray | None
 
 
-class Paired(NamedTuple):
-    """D^mu rows of matrix entries on the pair ladder (Y, Z) of one center.
-
-    rows maps an upper entry (i, j) to (invalid_y, invalid_z, dy, dz): the
-    (P,) failure masks of the two sides and the (len(mus), P) derivative
-    rows, in the order of the multiindices asked for.
-    """
-
-    Y: np.ndarray
-    Z: np.ndarray
-    rows: dict
-
-
 class SymMatFun:
     """n x n symmetric matrix of ScalarExpr entries in `nvars` variables."""
 
@@ -96,7 +81,6 @@ class SymMatFun:
         self._tri = tri
         self.tags = tags or StructureTags()
         self._sampled = {}
-        self._paired = {}
 
     @classmethod
     def from_rows(cls, rows, nvars=None, tags=None):
@@ -178,57 +162,6 @@ class SymMatFun:
                     a.flags.writeable = False
             self._sampled[key] = rec
         return self._sampled[key]
-
-    def paired(self, grid, centers, mus, keys):
-        """The upper entries `keys` on the pair ladder `grid.sample_pairs(x)`
-        of a center x as a `Paired` record of read-only D^mu rows, at order
-        max |mu|; for a (C, nvars) stack of centers, the list of their
-        records.
-
-        A record is kept on this instance per (grid, center, mus).  The
-        entries missing from the records are evaluated in one point stack
-        per side: the Y ladders of every such center go through one
-        `jets.eval_entries` memo, then the Z ladders through another, so
-        each entry is evaluated once per side, and the rows are sliced per
-        center by `jets.eval_ladders`.  A jet column depends on the other
-        columns of its stack only through the constant-operand shortcut of
-        the jet product, which is decided over the whole stack, so a row
-        can differ from the single-center one only in the sign of a zero;
-        the readers use |dy - dz|, which erases it.  The two sides stay
-        separate stacks: one stack for both raised the m7-peel peak RSS
-        from about 61 MB to 78-81 MB in 3 of 3 runs.  Entries are evaluated
-        in the jet space spanned by `mus`, so the failure masks are those of
-        the rows read (see `jets`)."""
-        mus = tuple(jets.space(self.nvars, jets.MAX_ORDER).checked(m)
-                    for m in mus)
-        centers = np.asarray(centers, dtype=float)
-        recs = []
-        for center in (centers if centers.ndim == 2 else centers[None]):
-            key = (grid, center.tobytes(), mus)
-            if key not in self._paired:
-                Y, Z = grid.sample_pairs(center)
-                Y.flags.writeable = Z.flags.writeable = False
-                self._paired[key] = Paired(Y, Z, {})
-            recs.append(self._paired[key])
-        # centers that miss the same entries share one stack per side
-        groups = {}
-        for rec in {id(r): r for r in recs}.values():
-            missing = tuple(k for k in dict.fromkeys(keys) if k not in rec.rows)
-            if missing:
-                groups.setdefault(missing, []).append(rec)
-        for missing, group in groups.items():
-            self._fill(group, missing, mus)
-        return recs if centers.ndim == 2 else recs[0]
-
-    def _fill(self, recs, keys, mus):
-        """Evaluate the entries `keys` on the ladders of `recs`, one point
-        stack per side, and store their rows in the records."""
-        exprs = [self._tri[k] for k in keys]
-        slices = jets.eval_ladders(exprs, [(rec.Y, rec.Z) for rec in recs],
-                                   max(sum(m) for m in mus), self.nvars, mus)
-        for rec, (inv_y, inv_z, dy, dz) in zip(recs, slices):
-            for i, k in enumerate(keys):
-                rec.rows[k] = (inv_y[i], inv_z[i], dy[i], dz[i])
 
     def values(self, points):
         """Stack of matrices, shape (npts, n, n), with validity mask."""

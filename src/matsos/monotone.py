@@ -85,13 +85,16 @@ def holder_seminorm(h, x, mu, delta, grid):
     it.  A single failing expression raises at the point the single-center
     calls would name: the first failure in (center, order, side, pair)
     order.  The stacking is `jets.eval_ladders`, shared with
-    `SymMatFun.paired`.
+    `verify.strong_check`; within `jets.run_table` it evaluates each
+    expression once per side stack and space, whichever of them asks.
     """
     single = isinstance(h, ex.ScalarExpr)
     hs = [h] if single else list(h)
-    mus = [mu] if all(np.ndim(k) == 0 for k in mu) else list(mu)
+    mus = list(mu)
     if not mus:
         raise ValueError("need at least one multiindex")
+    if all(np.ndim(k) == 0 for k in mus):
+        mus = [mus]
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
     x = np.asarray(x, dtype=float)
@@ -103,8 +106,6 @@ def holder_seminorm(h, x, mu, delta, grid):
     ladders = [grid.sample_pairs(c) for c in centers]
     if any(len(Y) == 0 for Y, _ in ladders):
         raise ValueError("grid pair-sampling policy produced no pairs")
-    if not ladders:
-        return []
     # per order, one (inv_y, inv_z, dy, dz) per center: the failure masks
     # (len(hs), P) and, per expression, the D^mu rows (len(support), P);
     # only the rows below that order's multiindices are computed

@@ -54,6 +54,11 @@ __all__ = [
 # genuinely incomparable to the diagonal.
 ROW_FLAT_FLOOR = 1e-150
 
+# `strong_check` samples the order-4 seminorms around this many valid grid
+# points, and a family passes when its largest estimate is at most the cap.
+SEMINORM_CENTERS = 4
+SEMINORM_CAP = 1e3
+
 
 class HypothesisRefusal(RuntimeError):
     """A hypothesis check failed hard; the pipeline refuses to decompose."""
@@ -231,8 +236,6 @@ def strong_check(
     grid,
     delta=None,
     cmax=DEFAULT_CMAX,
-    seminorm_centers=4,
-    seminorm_cap=1e3,
 ):
     """The six differential-inequality families on entries up to order 4.
 
@@ -306,15 +309,15 @@ def strong_check(
     d_sem = _delta_from_prime(delta_p) if delta is None else delta
     two_delta = min(2.0 * d_sem, 1.0)
 
-    # the pair ladders of every family, read from one record per center
-    centers = upts[:: max(1, len(upts) // seminorm_centers)][:seminorm_centers]
-    mus = [tuple(4 if a == b else 0 for a in range(A.nvars)) for b in range(A.nvars)]
-    if A.nvars >= 2:
-        mu = [0] * A.nvars
-        mu[0], mu[1] = 2, 2
-        mus.append(tuple(mu))
+    # the pair ladders of every family, their entries' rows read once
+    centers = upts[:: max(1, len(upts) // SEMINORM_CENTERS)][:SEMINORM_CENTERS]
+    nv = A.nvars
+    mus = [tuple(4 * (a == b) for a in range(nv)) for b in range(nv)]
+    mus += [(2, 2) + (0,) * (nv - 2)] if nv >= 2 else []
     keys = [(k, j) for k in range(ell) for j in range(k, n)]
-    ladders = A.paired(grid, centers, mus, keys)
+    ladders = [grid.sample_pairs(x) for x in centers]
+    rows = jets.eval_ladders([A.entry(*key) for key in keys], ladders, 4, nv,
+                             tuple(mus))
 
     def seminorm_family(cond, pairs):
         if not pairs:
@@ -322,22 +325,22 @@ def strong_check(
                                counts={"evaluated": 0, "excluded": 0})
         worst, wit = 0.0, None
         count = 0
-        for x, rec in zip(centers, ladders):
-            sep = np.linalg.norm(rec.Y - rec.Z, axis=1)
+        for x, (Y, Z), (inv_y, inv_z, dys, dzs) in zip(centers, ladders,
+                                                      rows):
+            sep = np.linalg.norm(Y - Z, axis=1)
             ok0 = sep > 1e-300
-            for key in pairs:
-                inv_y, inv_z, dys, dzs = rec.rows[key]
-                ok = ok0 & ~inv_y & ~inv_z
+            for i in map(keys.index, pairs):
+                ok = ok0 & ~inv_y[i] & ~inv_z[i]
                 if not ok.any():
                     continue
-                for dy, dz in zip(dys, dzs):
+                for dy, dz in zip(dys[i], dzs[i]):
                     est = float(
                         (np.abs(dy[ok] - dz[ok]) / sep[ok] ** two_delta).max()
                     )
                     count += 1
                     if est > worst:
                         worst, wit = est, x.tolist()
-        rep = CheckReport(cond, PASS if worst <= seminorm_cap else FAIL,
+        rep = CheckReport(cond, PASS if worst <= SEMINORM_CAP else FAIL,
                           worst_ratio=worst, constant=worst, witness=wit,
                           params={"holder_exponent": two_delta},
                           counts={"evaluated": count, "excluded": 0})

@@ -5,6 +5,7 @@ import pytest
 
 from matsos import expr as ex
 from matsos import gallery, jets
+from matsos.grids import GridSpec
 
 from oracles import (
     dict_convolve,
@@ -565,16 +566,18 @@ def test_pair_records_equal_full_space_evaluation(name, monkeypatch):
     def rows():
         A = item.build({})
         center = A.sampled(grid).pts[0]
-        return A.paired(grid, center, mus,
-                        [key for key, _ in A.upper_entries()]).rows
+        [(inv_y, inv_z, dy, dz)] = jets.eval_ladders(
+            [e for _, e in A.upper_entries()], [grid.sample_pairs(center)], 4,
+            nv, mus)
+        return [inv_y, inv_z] + dy + dz
 
     got = rows()
     _full_space(monkeypatch)
     want = rows()
-    assert list(got) == list(want)
-    for key, parts in want.items():
-        for g, w in zip(got[key], parts):
-            _assert_same_up_to_zero_sign(g, w)
+    assert len(got) == len(want) == 2 + 2 * len(list(
+        item.build({}).upper_entries()))
+    for g, w in zip(got, want):
+        _assert_same_up_to_zero_sign(g, w)
 
 
 def _hostile_points():
@@ -790,3 +793,46 @@ def test_run_table_serves_order_0_jets_within_a_block():
         assert (jets.eval_jet_batch(e, pts, 1) is not
                 jets.eval_jet_batch(e, pts, 1))
     assert jets.eval_jet_batch(e, pts, 0) is not first
+
+
+def test_run_table_keeps_pair_ladder_rows_within_a_block(monkeypatch):
+    """In one table a later `eval_ladders` call evaluates only the
+    expressions not yet kept for its side stacks and space; outside a
+    table every call evaluates all of them."""
+    grid = GridSpec(box=((-1.0, 1.0),) * 2, resolution=5)
+    ladders = [grid.sample_pairs(c) for c in ([0.5, 0.25], [-0.5, 0.75])]
+    e1, e2 = ex.exp(X) * Y + X, X * X * Y
+    eval_entries = jets.eval_entries
+    calls = []
+
+    def counted(exprs, points, order=jets.MAX_ORDER, nvars=None,
+                support=None):
+        calls.append([id(e) for e in exprs])
+        return eval_entries(exprs, points, order, nvars=nvars,
+                            support=support)
+
+    monkeypatch.setattr(jets, "eval_entries", counted)
+
+    def both(order, support):
+        first = jets.eval_ladders([e1, e1], ladders, order, 2, support)
+        second = jets.eval_ladders([e2, e1], ladders, order, 2, support)
+        for a, b in zip(first, second):
+            assert np.array_equal(a[0][0], b[0][1])
+            assert np.array_equal(a[3][1], b[3][1], equal_nan=True)
+        return first, second
+
+    both(4, [(4, 0), (2, 2)])
+    assert calls == [[id(e1)]] * 2 + [[id(e2), id(e1)]] * 2
+    for order, support in ((4, [(4, 0), (2, 2)]), (0, [(0, 0)])):
+        calls.clear()
+        with jets.run_table():
+            both(order, support)
+            assert calls == [[id(e1)]] * 2 + [[id(e2)]] * 2
+            # another space: evaluated again
+            jets.eval_ladders([e1], ladders, order, 2, support + [(0, 0)])
+            assert calls[4:] == [[id(e1)]] * 2
+            # the rows are kept apart from the order-0 jets of the stack
+            ys = np.concatenate([L[0] for L in ladders])
+            assert isinstance(jets.eval_entries([e1], ys, order, nvars=2,
+                                                support=support)[0],
+                              jets.JetBatch)

@@ -1,5 +1,7 @@
-"""The sampled and pair records: one evaluation of a matrix per grid and
-order, and of each entry per seminorm center and side."""
+"""The sampled records and the pair-ladder rows: one evaluation of a matrix
+per grid and order, and of each entry per run, side stack and space."""
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -153,27 +155,34 @@ def test_reports_equal_rebuilding_on_every_call(name, pipeline, monkeypatch):
     assert _report(cfg) == want
 
 
+def _entry_ladders(A, ladders, mus, keys):
+    return jets.eval_ladders([A.entry(*key) for key in keys], ladders, 4,
+                             A.nvars, mus)
+
+
 @pytest.mark.parametrize("name", sorted(gallery.GALLERY))
 def test_pair_record_equals_rows_of_entry_jets(name):
+    """The ladder rows of every entry, some kept from an earlier call of
+    the run, are the rows of its jets on each side."""
     item = gallery.GALLERY[name]
     A = item.build({})
     grid = item.default_grid()
     center = A.sampled(grid).pts[0]
     nv = A.nvars
-    mus = [tuple(4 * (a == b) for a in range(nv)) for b in range(nv)]
+    mus = tuple(tuple(4 * (a == b) for a in range(nv)) for b in range(nv))
     keys = [key for key, _ in A.upper_entries()]
-    rec = A.paired(grid, center, mus, keys[:1])
-    assert A.paired(grid, center, mus, keys) is rec
-    assert list(rec.rows) == keys
     Y, Z = grid.sample_pairs(center)
-    assert _same_bits(rec.Y, Y) and _same_bits(rec.Z, Z)
-    for key in keys:
-        inv_y, inv_z, dys, dzs = rec.rows[key]
-        for P, inv, ds in ((Y, inv_y, dys), (Z, inv_z, dzs)):
+    with jets.run_table():
+        _entry_ladders(A, [(Y, Z)], mus, keys[:1])
+        [(inv_y, inv_z, dys, dzs)] = _entry_ladders(A, [(Y, Z)], mus, keys)
+    assert inv_y.shape == inv_z.shape == (len(keys), len(Y))
+    assert len(dys) == len(dzs) == len(keys)
+    for i, key in enumerate(keys):
+        for P, inv, ds in ((Y, inv_y[i], dys[i]), (Z, inv_z[i], dzs[i])):
             jb = jets.eval_jet_batch(A.entry(*key), P, 4, nvars=nv)
             assert np.array_equal(inv, jb.invalid)
             assert _same_bits(ds, np.array([jb.derivative(mu) for mu in mus]))
-        for a in (rec.Y, rec.Z) + rec.rows[key]:
+        for a in (inv_y, inv_z, dys[i], dzs[i]):
             assert not a.flags.writeable
 
 
@@ -183,11 +192,16 @@ def _same_up_to_zero_sign(a, b):
             and np.array_equal(np.signbit(a[nz]), np.signbit(b[nz])))
 
 
+def _parts(rows):
+    inv_y, inv_z, dys, dzs = rows
+    return [inv_y, inv_z] + dys + dzs
+
+
 @pytest.mark.parametrize("name", sorted(gallery.GALLERY))
 def test_stacked_pair_records_equal_single_center_ones(name):
-    """The records of a stack of centers are those of the single centers,
-    up to the sign of a zero, also when some centers already hold some of
-    the rows or a center repeats."""
+    """The rows of a stack of centers are those of the single centers, up
+    to the sign of a zero, also when the run already keeps some of them
+    or a center repeats."""
     item = gallery.GALLERY[name]
     grid = item.default_grid()
     A = item.build({})
@@ -195,33 +209,34 @@ def test_stacked_pair_records_equal_single_center_ones(name):
     pts = A.sampled(grid).pts
     centers = pts[:: max(1, len(pts) // 4)][:4]
     centers = np.concatenate([centers, centers[:1]])
+    ladders = [grid.sample_pairs(x) for x in centers]
     mus = [tuple(4 * (a == b) for a in range(nv)) for b in range(nv)]
     mus += [(2, 2) + (0,) * (nv - 2)] if nv > 1 else [(3,)]
+    mus = tuple(mus)
     keys = [key for key, _ in A.upper_entries()]
-    early = A.paired(grid, centers[1], mus, keys[:1])
-    recs = A.paired(grid, centers, mus, keys)
-    assert recs[1] is early and recs[-1] is recs[0]
-    again = A.paired(grid, centers, mus, keys)
-    assert all(r is rec for r, rec in zip(again, recs))
+    with jets.run_table():
+        _entry_ladders(A, ladders, mus, keys[:1])
+        got = _entry_ladders(A, ladders, mus, keys)
+        again = _entry_ladders(A, ladders, mus, keys)
     B = item.build({})
-    for x, rec in zip(centers, recs):
-        want = B.paired(grid, x, mus, keys)
-        assert _same_bits(rec.Y, want.Y) and _same_bits(rec.Z, want.Z)
-        assert list(rec.rows) == keys
-        for key in keys:
-            for g, w in zip(rec.rows[key], want.rows[key]):
-                assert _same_up_to_zero_sign(g, w)
-                assert not g.flags.writeable
+    for L, rows, same in zip(ladders, got, again):
+        [want] = _entry_ladders(B, [L], mus, keys)
+        assert all(_same_bits(g, s) for g, s in zip(_parts(rows), _parts(same)))
+        assert len(_parts(rows)) == len(_parts(want)) == 2 + 2 * len(keys)
+        for g, w in zip(_parts(rows), _parts(want)):
+            assert _same_up_to_zero_sign(g, w)
+            assert not g.flags.writeable
 
 
 @pytest.mark.parametrize("name, pipeline",
                          [("f-phi-psi", "gallery"), ("block-M7", "all")])
 def test_each_expression_is_evaluated_once_per_pair_ladder(name, pipeline,
                                                             monkeypatch):
-    """Within one call of `paired` or `holder_seminorm`, every evaluation is
-    on the stack of one side of all the ladders the call sampled, and each
-    expression is evaluated once per (side, order, support); no stack or
-    single ladder is evaluated again, within a call or by a later one."""
+    """Within one call of `jets.eval_ladders`, the path of `strong_check`
+    and of `holder_seminorm`, every evaluation is on the stack of one side
+    of all the ladders of the call, and each expression is evaluated once
+    per (side, order, support); no stack or single ladder is evaluated
+    again, within a call or by a later one."""
     ladders = set()
     sample_pairs = GridSpec.sample_pairs
 
@@ -231,19 +246,16 @@ def test_each_expression_is_evaluated_once_per_pair_ladder(name, pipeline,
         return Y, Z
 
     calls = []
+    eval_ladders = jets.eval_ladders
 
-    def ladder_call(fn, where):
-        def wrapped(*args):
-            grid, centers = where(*args)
-            pairs = [grid.sample_pairs(x) for x in np.atleast_2d(centers)]
-            # a side's stack, and the single ladders it is made of
-            calls.append({b"".join(L[s].tobytes() for L in pairs):
-                          [L[s].tobytes() for L in pairs] for s in (0, 1)})
-            try:
-                return fn(*args)
-            finally:
-                calls.pop()
-        return wrapped
+    def ladder_call(exprs, pairs, order, nvars, support):
+        # a side's stack, and the single ladders it is made of
+        calls.append({b"".join(L[s].tobytes() for L in pairs):
+                      [L[s].tobytes() for L in pairs] for s in (0, 1)})
+        try:
+            return eval_ladders(exprs, pairs, order, nvars, support)
+        finally:
+            calls.pop()
 
     eval_jet_batch = jets.eval_jet_batch
     seen = {}
@@ -253,7 +265,7 @@ def test_each_expression_is_evaluated_once_per_pair_ladder(name, pipeline,
         side = np.asarray(points, dtype=float).tobytes()
         if calls:
             assert side in calls[-1], "evaluated on part of a side's stack"
-            parts = [side] + calls[-1][side]
+            parts = {side, *calls[-1][side]}
         else:
             parts = [side] if side in ladders else []
         # an expression already in a shared memo is read, not evaluated
@@ -267,10 +279,7 @@ def test_each_expression_is_evaluated_once_per_pair_ladder(name, pipeline,
                               support=support)
 
     monkeypatch.setattr(GridSpec, "sample_pairs", recorded)
-    monkeypatch.setattr(SymMatFun, "paired", ladder_call(
-        SymMatFun.paired, lambda A, grid, centers, mus, keys: (grid, centers)))
-    monkeypatch.setattr(decompose, "holder_seminorm", ladder_call(
-        holder_seminorm, lambda h, x, mu, delta, grid: (grid, x)))
+    monkeypatch.setattr(jets, "eval_ladders", ladder_call)
     monkeypatch.setattr(jets, "eval_jet_batch", counted)
     run_config(_config(name, pipeline))
     assert seen
@@ -288,8 +297,8 @@ def test_each_expression_is_evaluated_once_per_pair_ladder(name, pipeline,
 def test_pair_record_refuses_bad_multiindices(mus, error):
     A = SymMatFun.from_rows([[1 + X0 * X0, X0 * X1], [X0 * X1, 1 + X1 * X1]])
     grid = GridSpec(box=((-1.0, 1.0),) * 2, resolution=5)
-    with pytest.raises(error):
-        A.paired(grid, [0.5, 0.5], mus, [(0, 1)])
+    with jets.run_table(), pytest.raises(error):
+        _entry_ladders(A, [grid.sample_pairs([0.5, 0.5])], mus, [(0, 1)])
 
 
 @pytest.mark.parametrize("name, pipeline, zero",
@@ -338,13 +347,10 @@ def test_peel_seminorms_equal_full_space_ones(name, pipeline, zero,
 @pytest.mark.parametrize("name", sorted(gallery.GALLERY))
 def test_reports_equal_rebuilding_pair_record_on_every_call(name, pipeline,
                                                           monkeypatch):
+    """With no run table, every order-0 jet and every pair-ladder row is
+    evaluated again by each stage that reads it; the reports are those of
+    the run that keeps them."""
     cfg = _config(name, pipeline)
     want = _report(cfg)
-    paired = SymMatFun.paired
-
-    def rebuilt(A, *args):
-        A._paired.clear()
-        return paired(A, *args)
-
-    monkeypatch.setattr(SymMatFun, "paired", rebuilt)
+    monkeypatch.setattr(jets, "run_table", contextlib.nullcontext)
     assert _report(cfg) == want

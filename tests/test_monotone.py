@@ -155,8 +155,14 @@ class TestHolderSeminorm:
             assert str(info.value).endswith(f"at point {first.tolist()}")
 
     def test_empty_multiindex_list_rejected(self):
-        with pytest.raises(ValueError):
-            holder_seminorm(X**2, [0.4], [], 0.3, grid1())
+        # once a VariableCountError about a multiindex of length 0
+        grid2 = GridSpec(box=((-1.0, 1.0),) * 2, resolution=5)
+        for h, x, grid in ((X**2, [0.4], grid1()),
+                           (X * ex.var(1), [0.5, 0.5], grid2)):
+            for mu in ([], (), np.zeros((0, len(x)), dtype=int)):
+                with pytest.raises(ValueError,
+                                   match="need at least one multiindex"):
+                    holder_seminorm(h, x, mu, 0.3, grid)
 
     def test_center_of_wrong_length_is_named_error(self):
         from matsos.expr import VariableCountError
