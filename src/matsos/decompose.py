@@ -337,7 +337,7 @@ def iterated_sd(A, p, grid):
             qv = qrec.values[use]
             ref = diags[:, p - 1]
             sel = ~(ref < FLAT_PIVOT)
-            w, _ = _jacobi(qv[sel])
+            w, _ = _jacobi(qv[sel], vectors=False)
             lo = min([np.inf, *(w[:, 0] / ref[sel])])
             hi = max([-np.inf, *(w[:, -1] / ref[sel])])
             if np.isfinite(lo):

@@ -539,7 +539,7 @@ def block_trace_comparability(M, grid, cmax=1e6):
     # B = ref^{-1/2} M ref^{-1/2} with ref = blockdiag(I4, trace(F) I3)
     d = np.ones((int(use.sum()), 7))
     d[:, 4:] = 1.0 / np.sqrt(tvals[use])[:, None]
-    w, _ = _jacobi(vals[use] * d[:, :, None] * d[:, None, :])
+    w, _ = _jacobi(vals[use] * d[:, :, None] * d[:, None, :], vectors=False)
     lhs = w[:, -1]
     rhs = np.where(w[:, 0] < 0.0, 0.0, w[:, 0])
     return sampled_bound(

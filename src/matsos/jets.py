@@ -102,7 +102,7 @@ from __future__ import annotations
 
 import contextvars
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from itertools import product as _iproduct
@@ -123,6 +123,7 @@ __all__ = [
     "eval_values",
     "eval_log_values",
     "run_table",
+    "within_run_table",
     "SingularDomainError",
     "LogEvalError",
     "MAX_ORDER",
@@ -819,6 +820,11 @@ def run_table():
         _RUN_TABLE.reset(token)
 
 
+def within_run_table():
+    """`run_table()`, unless one is open: then a block that keeps it."""
+    return run_table() if _RUN_TABLE.get() is None else nullcontext()
+
+
 def _memo(pts, sp):
     """The memo for an evaluation at `pts` in `sp`: the open run table's
     at order 0, else a fresh one."""
@@ -841,9 +847,10 @@ def _points_and_space(expr_nvars, points, order, nvars, support):
     return pts, space(full.nvars, o, tuple(full.checked(mu) for mu in support))
 
 
-def eval_jet_batch(expr, points, order=MAX_ORDER, nvars=None, memo=None,
-                   support=None):
+def eval_jet_batch(expr, points, order=MAX_ORDER, nvars=None, support=None):
     """Jets of `expr` at many points; invalid points are masked, not raised.
+    At order 0 the nodes are memoized in the open run table (see
+    `run_table`); `eval_entries` shares one memo across expressions.
 
     Parameters
     ----------
@@ -851,10 +858,6 @@ def eval_jet_batch(expr, points, order=MAX_ORDER, nvars=None, memo=None,
     points : array_like, shape (npts, nvars)
     order : int in 0..4 (not a bool)
     nvars : optional variable count override (>= expr.nvars)
-    memo : dict shared by `eval_entries` across the expressions it
-        evaluates at the same points, order and support (entries of a matrix
-        function share subtrees, which then get evaluated once); by default
-        the open run table's at order 0 (see `run_table`), else a fresh one
     support : optional multiindices, each of total order <= `order`; the
         jets then hold only the rows of their downward closure (see the
         module docstring for the two ways such jets can differ)
@@ -862,8 +865,24 @@ def eval_jet_batch(expr, points, order=MAX_ORDER, nvars=None, memo=None,
     if not isinstance(expr, ScalarExpr):
         raise TypeError("expr must be a ScalarExpr")
     pts, sp = _points_and_space(expr.nvars, points, order, nvars, support)
-    if memo is None:
-        memo = _memo(pts, sp)
+    return _evaluate(expr, pts, sp, _memo(pts, sp))
+
+
+def eval_entries(exprs, points, order=MAX_ORDER, nvars=None, support=None):
+    """Evaluate several expressions at shared points with a shared memo (the
+    open run table's at order 0); the points, order and support are
+    checked once for all of them."""
+    if not all(isinstance(e, ScalarExpr) for e in exprs):
+        raise TypeError("expr must be a ScalarExpr")
+    nv = nvars if nvars is not None else max([1] + [e.nvars for e in exprs])
+    pts, sp = _points_and_space(nv, points, order, nv, support)
+    memo = _memo(pts, sp)
+    return [_evaluate(e, pts, sp, memo) for e in exprs]
+
+
+def _evaluate(expr, pts, sp, memo):
+    """The jets of `expr` at checked points in the space `sp`: the one path
+    of every public evaluation."""
     table = _RUN_TABLE.get()
     if table is not None and not sp.order and id(expr) not in memo:
         table.roots.append(expr)
@@ -872,16 +891,6 @@ def eval_jet_batch(expr, points, order=MAX_ORDER, nvars=None, memo=None,
     if jet.space is sp:
         return jet
     return _LiftedBatch(sp, jet, _restrict(sp, expr.vmask)[1])
-
-
-def eval_entries(exprs, points, order=MAX_ORDER, nvars=None, support=None):
-    """Evaluate several expressions at shared points with a shared memo (the
-    open run table's at order 0)."""
-    nv = nvars if nvars is not None else max([1] + [e.nvars for e in exprs])
-    pts, sp = _points_and_space(nv, points, order, nv, support)
-    memo = _memo(pts, sp)
-    return [eval_jet_batch(e, pts, order, nvars=nv, memo=memo,
-                           support=support) for e in exprs]
 
 
 def derivative_rows(jbs, mus):

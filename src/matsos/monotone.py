@@ -22,7 +22,8 @@ from . import expr as ex
 from . import jets
 from .reporting import FAIL, INCONCLUSIVE, PASS, CheckReport, FLAT_FLOOR
 
-__all__ = ["MonotoneSpec", "omega_value", "holder_seminorm", "omega_monotone_check"]
+__all__ = ["MonotoneSpec", "omega_value", "holder_seminorm", "ladder_maxima",
+           "omega_monotone_check"]
 
 
 @dataclass(frozen=True)
@@ -67,26 +68,19 @@ def holder_seminorm(h, x, mu, delta, grid):
     Takes the max over sampled pairs (y, z) near x of
     |D^mu h(y) - D^mu h(z)| / |y - z|**delta.  `mu` is one multiindex or a
     sequence of them; for a sequence the result is the largest estimate,
-    equal to the max of the single-multiindex calls, but the pairs are
-    sampled once and h is evaluated once per distinct order |mu|, in the jet
-    space of the multiindices of that order (see `jets`).
+    equal to the max of the single-multiindex calls, with h evaluated once
+    per distinct order |mu|, in the jet space of that order's multiindices.
 
-    `h` is one expression or a sequence of them.  A sequence is evaluated
-    under one `jets.eval_entries` memo per side and order, and gives a list
-    with one estimate per expression, equal to the single calls, or None
-    where a sample of that expression failed.  For a single expression an
-    evaluation failure raises SingularDomainError with the offending point.
-
-    `x` is one center or a (C, nvars) stack of them; a stack gives the list
-    of the single-center results.  The pair ladders of all centers are
-    evaluated as one point stack per side and order, which gives the same
-    estimates: a jet column depends on the other columns of its stack only
-    in the sign of a zero (see `jets`), and |D^mu h(y) - D^mu h(z)| erases
-    it.  A single failing expression raises at the point the single-center
-    calls would name: the first failure in (center, order, side, pair)
-    order.  The stacking is `jets.eval_ladders`, shared with
-    `verify.strong_check`; within `jets.run_table` it evaluates each
-    expression once per side stack and space, whichever of them asks.
+    `h` is one expression or a sequence of them; a sequence gives one
+    estimate per expression, equal to the single calls, or None where a
+    sample of that expression failed.  For a single expression a failure
+    raises SingularDomainError at the first failing point in (center,
+    order, side, pair) order.  `x` is one center or a (C, nvars) stack of
+    them; a stack gives the list of the single-center results.  The
+    ladders of all centers are evaluated together by `jets.eval_ladders`,
+    shared with `verify.strong_check` (see there why the estimates are
+    those of single centers), and each ladder's ratios are reduced as one
+    array by `ladder_maxima`.
     """
     single = isinstance(h, ex.ScalarExpr)
     hs = [h] if single else list(h)
@@ -109,39 +103,53 @@ def holder_seminorm(h, x, mu, delta, grid):
     # per order, one (inv_y, inv_z, dy, dz) per center: the failure masks
     # (len(hs), P) and, per expression, the D^mu rows (len(support), P);
     # only the rows below that order's multiindices are computed
-    tables = []
-    for order in sorted({sum(m) for m in mus}):
-        support = tuple(m for m in mus if sum(m) == order)
-        tables.append(jets.eval_ladders(hs, ladders, order, nv, support))
-    out = []
-    for c, (Yc, Zc) in enumerate(ladders):
-        if single:
+    tables = [jets.eval_ladders(hs, ladders, order, nv,
+                                tuple(m for m in mus if sum(m) == order))
+              for order in sorted({sum(m) for m in mus})]
+    if single:
+        for c, L in enumerate(ladders):
             for t in tables:
-                for inv, pts in ((t[c][0], Yc), (t[c][1], Zc)):
+                for inv, pts in zip(t[c][:2], L):
                     if inv[0].any():
                         raise jets.SingularDomainError(
                             "seminorm sample failed",
                             point=pts[np.argmax(inv[0])])
-        sep = np.linalg.norm(Yc - Zc, axis=1)
-        ok = sep > 1e-300
-        worst = [0.0] * len(hs)
-        for t in tables:
-            inv_y, inv_z, dys, dzs = t[c]
-            for i in range(len(hs)):
-                if worst[i] is None:
-                    continue
-                if inv_y[i].any() or inv_z[i].any():
-                    worst[i] = None
-                    continue
-                if not ok.any():
-                    continue
-                for dy, dz in zip(dys[i], dzs[i]):
-                    diff = np.abs(dy[ok] - dz[ok])
-                    with np.errstate(divide="ignore"):
-                        ratios = diff / sep[ok] ** delta
-                    worst[i] = max(worst[i], float(ratios.max()))
-        out.append(worst[0] if single else worst)
+    out = _seminorms(ladders, tables, len(hs), delta)
+    if single:
+        out = [worst[0] for worst in out]
     return out if stacked else out[0]
+
+
+def ladder_maxima(ladder, inv, dy, dz, delta):
+    """Per (row, multiindex) of the (rows, multiindices, pairs) arrays dy
+    and dz, the max of |dy - dz| / |y - z|**delta over the pairs (y, z) of
+    `ladder` that are apart and not failed in `inv` (rows, pairs): 0 for
+    a row with no such pair, NaN where one of its ratios is NaN.  Also
+    returns the mask of the rows with such a pair."""
+    Y, Z = ladder
+    sep = np.linalg.norm(Y - Z, axis=1)
+    ok = (sep > 1e-300) & ~inv
+    with np.errstate(all="ignore"):
+        ratio = np.abs(dy - dz) / sep**delta
+    return np.where(ok[:, None, :], ratio, 0.0).max(axis=2), ok.any(axis=1)
+
+
+def _seminorms(ladders, tables, count, delta):
+    """Per ladder, the estimates of `count` expressions from the
+    `eval_ladders` tables of all orders, or None where a sample of one
+    failed; a NaN ratio never becomes an estimate."""
+    if not count:
+        return [[] for _ in ladders]
+    out = []
+    for c, L in enumerate(ladders):
+        parts = [t[c] for t in tables]
+        inv = np.any([p[0] | p[1] for p in parts], axis=0)
+        dy, dz = (np.concatenate([np.array(p[k]) for p in parts], axis=1)
+                  for k in (2, 3))
+        top = np.fmax.reduce(ladder_maxima(L, inv, dy, dz, delta)[0], axis=1)
+        out.append([None if f else max(0.0, float(t))
+                    for f, t in zip(inv.any(axis=1), top)])
+    return out
 
 
 def omega_monotone_check(f, spec, grid, ball_count=64):

@@ -192,7 +192,7 @@ def sampled_bound(
     )
     if not use.any():
         return report
-    lhs, rhs, pts = lhs[use], rhs[use], pts[use]
+    lhs, rhs, kept = lhs[use], rhs[use], np.flatnonzero(use)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = np.where(rhs > 0, lhs / np.where(rhs > 0, rhs, 1.0), np.inf)
         ratio = np.where(lhs == 0.0, 0.0, ratio)
@@ -200,8 +200,9 @@ def sampled_bound(
     worst = float(ratio[iworst])
     report.worst_ratio = worst
     report.constant = worst
-    report.witness = pts[iworst].tolist()
-    r = np.linalg.norm(pts, axis=1) if radii is None else np.asarray(radii)[use]
+    report.witness = pts[kept[iworst]].tolist()
+    r = (np.linalg.norm(pts[kept], axis=1) if radii is None
+         else np.asarray(radii)[kept])
     slope = shell_trend_slope(r, ratio)
     report.details["trend_slope"] = slope
     if not np.isfinite(worst) or worst > cmax:

@@ -112,7 +112,8 @@ def _as_array(M):
 
 
 def _rotate_sweep(a, v):
-    """One cyclic sweep over every pivot (p, q) of the stack `a`, in place.
+    """One cyclic sweep over every pivot (p, q) of the stack `a`, in place,
+    with its eigenvector stack `v` unless that is None.
 
     Rotates only the matrices whose pivot is not negligible, so a matrix
     that skips a pivot is left untouched (an identity rotation could flip
@@ -157,17 +158,19 @@ def _rotate_sweep(a, v):
             cp, cq = a[idx, :, p], a[idx, :, q]
             a[idx, :, p] = c * cp - s * cq
             a[idx, :, q] = s * cp + c * cq
-            vp, vq = v[idx, :, p], v[idx, :, q]
-            v[idx, :, p] = c * vp - s * vq
-            v[idx, :, q] = s * vp + c * vq
+            if v is not None:
+                vp, vq = v[idx, :, p], v[idx, :, q]
+                v[idx, :, p] = c * vp - s * vq
+                v[idx, :, q] = s * vp + c * vq
     return rotated
 
 
-def _jacobi(a):
+def _jacobi(a, vectors=True):
     """Cyclic Jacobi rotations on a matrix or a stack of matrices.
 
     `a` has shape (..., n, n); returns the eigenvalues ascending, shape
-    (..., n), and the eigenvectors as columns, shape (..., n, n).  Every
+    (..., n), and the eigenvectors as columns, shape (..., n, n), or None
+    when `vectors` is false (the rotations of `a` are the same).  Every
     matrix of the stack is solved exactly as it would be alone: it gets its
     own skip decision per pivot, stops after its own sweep without a
     rotation, and runs at most 64 sweeps.
@@ -187,18 +190,22 @@ def _jacobi(a):
     shape = a.shape
     n = shape[-1]
     a = a.reshape(-1, n, n)
-    v = np.broadcast_to(np.eye(n), a.shape).copy()
+    v = np.broadcast_to(np.eye(n), a.shape).copy() if vectors else None
     live = np.arange(a.shape[0])
     for _ in range(64):
         if not live.size:
             break
-        al, vl = a[live], v[live]
+        al, vl = a[live], (v[live] if vectors else None)
         rotated = _rotate_sweep(al, vl)
-        a[live], v[live] = al, vl
+        a[live] = al
+        if vectors:
+            v[live] = vl
         live = live[rotated]
     w = a.diagonal(axis1=1, axis2=2)
     order = np.argsort(w, axis=-1, kind="stable")
     w = np.take_along_axis(w, order, axis=-1)
+    if not vectors:
+        return w.reshape(shape[:-1]), None
     # each eigenvector matrix is stored column-major, as a single matrix's
     # v[:, order] is: products taken with it then call the same BLAS
     # kernels and round the same way
@@ -262,7 +269,7 @@ def loewner_leq(A, B, tol=PSD_TOL):
     a, b = _as_array(A), _as_array(B)
     if a.shape != b.shape:
         raise ValueError("dimension mismatch")
-    w, _ = _jacobi(b - a)
+    w, _ = _jacobi(b - a, vectors=False)
     scale = max(np.abs(a).max(), np.abs(b).max())
     return bool(w[0] >= -tol * scale)
 
@@ -352,7 +359,7 @@ def posdef_by_trailing_minors(M, tol=0.0):
     n = a.shape[0]
     for k in range(1, n + 1):
         sub = a[n - k :, n - k :]
-        w, _ = _jacobi(sub)
+        w, _ = _jacobi(sub, vectors=False)
         if float(np.prod(w)) <= tol:
             return False
     return True

@@ -25,6 +25,7 @@ from .decompose import (
     default_delta_prime,
     iterated_sd,
 )
+from .monotone import ladder_maxima
 from .reporting import (
     CheckReport,
     DEFAULT_CMAX,
@@ -119,7 +120,7 @@ def diag_elliptic_check(A, grid, cmax=DEFAULT_CMAX):
         sub = vals[use[rows]][:, k[:, None], k]
         d = np.sqrt(np.maximum(sub.diagonal(axis1=1, axis2=2), FLAT_FLOOR))
         B = sub / d[:, :, None] / d[:, None, :]
-        w, _ = _jacobi(np.concatenate([sub, B]))
+        w, _ = _jacobi(np.concatenate([sub, B]), vectors=False)
         lmin[rows] = w[: rows.size, 0]
         betas[rows] = w[rows.size :, 0]
         alphas[rows] = w[rows.size :, -1]
@@ -184,7 +185,7 @@ def subordinate_check(A, grid, cmax=DEFAULT_CMAX):
         G = Bk.transpose(0, 2, 1) @ Bk
         T[k] = (vt @ G @ v) / sw[:, :, None] / sw[:, None, :]
     finite = np.isfinite(T).all(axis=(0, 2, 3))
-    wt, _ = _jacobi(T[:, finite])
+    wt, _ = _jacobi(T[:, finite], vectors=False)
     ratio = np.zeros(int(finite.sum()))
     for k in range(nv):
         ratio = np.where(wt[k, :, -1] > ratio, wt[k, :, -1], ratio)
@@ -227,16 +228,72 @@ def _delta_from_prime(dprime):
     return (-b + np.sqrt(b * b + 16.0 * dprime)) / 4.0
 
 
-def strong_check(
-    A,
-    ell,
-    epsilon,
-    delta_p,
-    delta_pp,
-    grid,
-    delta=None,
-    cmax=DEFAULT_CMAX,
-):
+def _vacuous(cond):
+    return CheckReport(cond, PASS, params={"vacuous": True},
+                       counts={"evaluated": 0, "excluded": 0})
+
+
+def _power_family(cond, pairs, base, rec, epsilon, delta_x, cmax):
+    """The bound |D^mu a_kj| <= C base^e(|mu|) of one family of all
+    diagonal or all off-diagonal pairs, as one (pair, order, sample) array.
+    `base` (U, P) holds each pair's base at the valid samples of the
+    order-4 record `rec`; `delta_x` is the family's delta' or delta''."""
+    if not pairs:
+        return _vacuous(cond)
+    ks, js = np.array(pairs).T
+    offdiag = ks[0] != js[0]
+    orders = range(0 if offdiag else 1, 5)
+    power = ((lambda m, e: 0.5 + (2 - m) * e) if offdiag
+             else (lambda m, e: 1.0 - m * e))
+    e_free, e_pin = np.array([[max(power(m, e), 0.0) + delta_x for m in orders]
+                              for e in (epsilon, 0.25)])[:, :, None]
+    use = np.flatnonzero(rec.valid)
+    dmax = rec.dmax[orders[0]:, use[:, None], ks, js].transpose(2, 0, 1)
+    base = np.maximum(base.T, 0.0)[:, None, :]
+    # the exponent at the given epsilon where the base is <= 1, else at 1/4
+    with np.errstate(invalid="ignore"):
+        rhs = base ** np.where(base <= 1.0, e_free, e_pin)
+    # an underflowed base against a representable-but-flat derivative is a
+    # 0/0 sample in disguise
+    keep = ~((base < FLAT_FLOOR) & (dmax < ROW_FLAT_FLOOR))
+    sample = np.broadcast_to(np.arange(use.size), keep.shape)[keep]
+    upts = rec.pts[use]
+    rep = sampled_bound(
+        cond, dmax[keep], rhs[keep], upts[sample], cmax=cmax,
+        radii=np.linalg.norm(upts, axis=1)[sample],
+        excluded=int((~rec.valid).sum()) + int((~keep).sum()))
+    rep.details["pinned_base_gt1"] = int((base > 1.0).sum()) * len(orders)
+    return rep
+
+
+def _seminorm_family(cond, entries, centers, ladders, rows, two_delta):
+    """The order-4 Holder seminorm bound of the `entries` of the
+    `eval_ladders` rows, one (entry, multiindex, pair) array per center.
+    The witness is the center of the first estimate that strictly beats
+    the worst so far, so a NaN one never does; a family with entries but
+    no estimate is inconclusive."""
+    if not entries:
+        return _vacuous(cond)
+    worst, wit, count = 0.0, None, 0
+    for x, L, (inv_y, inv_z, dys, dzs) in zip(centers, ladders, rows):
+        est, live = ladder_maxima(L, inv_y[entries] | inv_z[entries],
+                                  np.array([dys[i] for i in entries]),
+                                  np.array([dzs[i] for i in entries]),
+                                  two_delta)
+        count += int(live.sum()) * est.shape[1]
+        top = np.fmax.reduce(est.ravel())
+        if top > worst:
+            worst, wit = float(top), x.tolist()
+    worst = worst if count else None
+    verdict = (INCONCLUSIVE if worst is None
+               else PASS if worst <= SEMINORM_CAP else FAIL)
+    return CheckReport(cond, verdict, worst_ratio=worst, constant=worst,
+                       witness=wit, params={"holder_exponent": two_delta},
+                       counts={"evaluated": count, "excluded": 0})
+
+
+def strong_check(A, ell, epsilon, delta_p, delta_pp, grid, delta=None,
+                 cmax=DEFAULT_CMAX):
     """The six differential-inequality families on entries up to order 4.
 
     For diagonal entries a_kk (k <= ell):
@@ -251,60 +308,18 @@ def strong_check(
     samples with base > 1 are checked at epsilon pinned to 1/4 (making them
     epsilon-independent) and counted separately.  Epsilon may lie anywhere
     in (0, 1) here so the sharpness regime below 1/4 can be expressed; the
-    decomposition pipeline itself enforces [1/4, 1).
+    decomposition pipeline itself enforces [1/4, 1).  A seminorm family
+    with pairs but no usable estimate is inconclusive.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     if not 1 <= ell <= A.n:
         raise ValueError("ell must lie in 1..n")
     rec = A.sampled(grid, order=4)
-    use = np.where(rec.valid)[0]
-    excluded = int((~rec.valid).sum())
-    upts = rec.pts[use]
+    upts = rec.pts[rec.valid]
     n = A.n
-    diag = rec.values[use].diagonal(axis1=1, axis2=2)
+    diag = rec.values[rec.valid].diagonal(axis1=1, axis2=2)
     mins = np.minimum.accumulate(diag, axis=1)
-
-    def power_family(cond, pairs, base_fn):
-        lhs_all, rhs_all, pt_all = [], [], []
-        pinned = 0
-        flat_pairs = 0
-        for (k, j) in pairs:
-            base = np.maximum(base_fn(k, j), 0.0)
-            offdiag = k != j
-            orders = range(0 if offdiag else 1, 5)
-            for m in orders:
-                dmax = rec.dmax[m, use, k, j]
-                if offdiag:
-                    e_free = max(0.5 + (2 - m) * epsilon, 0.0) + delta_pp
-                    e_pin = max(0.5 + (2 - m) * 0.25, 0.0) + delta_pp
-                else:
-                    e_free = max(1.0 - m * epsilon, 0.0) + delta_p
-                    e_pin = max(1.0 - m * 0.25, 0.0) + delta_p
-                expo = np.where(base <= 1.0, e_free, e_pin)
-                pinned += int((base > 1.0).sum())
-                with np.errstate(invalid="ignore"):
-                    rhs = base**expo
-                # an underflowed base against a representable-but-flat
-                # derivative is a 0/0 sample in disguise
-                keep = ~((base < FLAT_FLOOR) & (dmax < ROW_FLAT_FLOOR))
-                flat_pairs += int((~keep).sum())
-                lhs_all.append(dmax[keep])
-                rhs_all.append(rhs[keep])
-                pt_all.append(upts[keep])
-        if not lhs_all:
-            return CheckReport(cond, PASS, params={"vacuous": True},
-                               counts={"evaluated": 0, "excluded": 0})
-        rep = sampled_bound(
-            cond,
-            np.concatenate(lhs_all),
-            np.concatenate(rhs_all),
-            np.concatenate(pt_all),
-            cmax=cmax,
-            excluded=excluded + flat_pairs,
-        )
-        rep.details["pinned_base_gt1"] = pinned
-        return rep
 
     d_sem = _delta_from_prime(delta_p) if delta is None else delta
     two_delta = min(2.0 * d_sem, 1.0)
@@ -319,58 +334,28 @@ def strong_check(
     rows = jets.eval_ladders([A.entry(*key) for key in keys], ladders, 4, nv,
                              tuple(mus))
 
-    def seminorm_family(cond, pairs):
-        if not pairs:
-            return CheckReport(cond, PASS, params={"vacuous": True},
-                               counts={"evaluated": 0, "excluded": 0})
-        worst, wit = 0.0, None
-        count = 0
-        for x, (Y, Z), (inv_y, inv_z, dys, dzs) in zip(centers, ladders,
-                                                      rows):
-            sep = np.linalg.norm(Y - Z, axis=1)
-            ok0 = sep > 1e-300
-            for i in map(keys.index, pairs):
-                ok = ok0 & ~inv_y[i] & ~inv_z[i]
-                if not ok.any():
-                    continue
-                for dy, dz in zip(dys[i], dzs[i]):
-                    est = float(
-                        (np.abs(dy[ok] - dz[ok]) / sep[ok] ** two_delta).max()
-                    )
-                    count += 1
-                    if est > worst:
-                        worst, wit = est, x.tolist()
-        rep = CheckReport(cond, PASS if worst <= SEMINORM_CAP else FAIL,
-                          worst_ratio=worst, constant=worst, witness=wit,
-                          params={"holder_exponent": two_delta},
-                          counts={"evaluated": count, "excluded": 0})
-        return rep
+    def power(cond, pairs, table, side, delta_x):
+        base = table[:, [pair[side] for pair in pairs]]
+        return _power_family(cond, pairs, base, rec, epsilon, delta_x, cmax)
+
+    def seminorm(cond, pairs):
+        return _seminorm_family(cond, [keys.index(p) for p in pairs], centers,
+                                ladders, rows, two_delta)
 
     diag_pairs = [(k, k) for k in range(min(ell, n))]
     inner_pairs = [(k, j) for k in range(ell) for j in range(k + 1, ell)]
     cross_pairs = [(k, j) for k in range(ell) for j in range(ell, n)]
     reps = [
-        power_family("diagonal-power-bound", diag_pairs,
-                     lambda k, j: diag[:, k]),
-        seminorm_family("diagonal-seminorm-bound", diag_pairs),
-        power_family("offdiag-inner-power-bound", inner_pairs,
-                     lambda k, j: mins[:, j]),
-        seminorm_family("offdiag-inner-seminorm-bound", inner_pairs),
-        power_family("offdiag-cross-power-bound", cross_pairs,
-                     lambda k, j: mins[:, k]),
-        seminorm_family("offdiag-cross-seminorm-bound", cross_pairs),
+        power("diagonal-power-bound", diag_pairs, diag, 0, delta_p),
+        seminorm("diagonal-seminorm-bound", diag_pairs),
+        power("offdiag-inner-power-bound", inner_pairs, mins, 1, delta_pp),
+        seminorm("offdiag-inner-seminorm-bound", inner_pairs),
+        power("offdiag-cross-power-bound", cross_pairs, mins, 0, delta_pp),
+        seminorm("offdiag-cross-seminorm-bound", cross_pairs),
     ]
-    merged = merge_reports(
-        "strongly-c4",
-        reps,
-        params={
-            "ell": ell,
-            "epsilon": epsilon,
-            "delta": d_sem,
-            "delta_prime": delta_p,
-            "delta_pprime": delta_pp,
-        },
-    )
+    merged = merge_reports("strongly-c4", reps, params={
+        "ell": ell, "epsilon": epsilon, "delta": d_sem,
+        "delta_prime": delta_p, "delta_pprime": delta_pp})
     merged.details["family_verdicts"] = {r.condition: r.verdict for r in reps}
     return merged
 
@@ -434,7 +419,7 @@ def quasiconformal_check(Q, grid, reference=None, cmax=DEFAULT_CMAX):
         refvals, refok = jets.eval_values(reference, pts, nvars=Q.nvars)
         refvals = np.where(refok, refvals, np.nan)
     idx = np.flatnonzero(valid)
-    w, _ = _jacobi(vals[idx])
+    w, _ = _jacobi(vals[idx], vectors=False)
     scale = np.maximum(np.abs(vals[idx]).max(axis=(1, 2)), FLAT_FLOOR)
     # samples after the first negative eigenvalue are not counted
     neg = np.flatnonzero(w[:, 0] < -1e-10 * scale)
@@ -499,7 +484,7 @@ def grushin_type_check(A, grid, degenerate_axes, ratio_cap=100.0, fibers=6):
     on_pts[:, axes] = 0.0
     on_vals, on_ok = A.values(on_pts)
     on = np.flatnonzero(on_ok)
-    w, _ = _jacobi(on_vals[on])
+    w, _ = _jacobi(on_vals[on], vectors=False)
     # relative to each sample's max-norm: the verdict is scale invariant
     scale = np.abs(on_vals[on]).max(axis=(1, 2))
     regular = np.flatnonzero(w[:, 0] > 1e-10 * scale)
@@ -507,7 +492,7 @@ def grushin_type_check(A, grid, degenerate_axes, ratio_cap=100.0, fibers=6):
     witness = None if sing_ok else on_pts[on[regular[0]]].tolist()
     rad = grid.exclusions[0].radius if grid.exclusions else 0.05
     off = np.flatnonzero(off_ok & ~(np.linalg.norm(pts[:, axes], axis=1) < rad))
-    w, _ = _jacobi(off_vals[off])
+    w, _ = _jacobi(off_vals[off], vectors=False)
     singular = np.flatnonzero(w[:, 0] <= 0)
     pd_ok = not singular.size
     if not pd_ok:
@@ -561,18 +546,8 @@ class PipelineResult:
         return {r.condition: r for r in self.reports}
 
 
-def decomposition_pipeline(
-    A,
-    p,
-    epsilon,
-    delta,
-    delta_pp,
-    grid,
-    backend=None,
-    force=False,
-    cmax=DEFAULT_CMAX,
-    tail_ratio_cap=100.0,
-):
+def decomposition_pipeline(A, p, epsilon, delta, delta_pp, grid, backend=None,
+                           force=False, cmax=DEFAULT_CMAX, tail_ratio_cap=100.0):
     """Hypothesis checks, then peeling and vector-field assembly.
 
     Runs the diagonal-comparability check, the strong differential families
@@ -583,7 +558,8 @@ def decomposition_pipeline(
     also hold at ell = p, the subordinaticity report of the residual.
 
     p = 1 peels nothing: the matrix itself is the residual block and only
-    the comparability and quasiconformal checks run.
+    the comparability and quasiconformal checks run.  Everything runs in
+    the open `jets.run_table`, or in one of its own.
     """
     n = A.n
     if not 1 <= p <= n + 1:
@@ -600,64 +576,58 @@ def decomposition_pipeline(
         if not force:
             raise HypothesisRefusal(name, reports)
 
-    rep = diag_elliptic_check(A, grid, cmax=cmax)
-    reports.append(rep)
-    if rep.verdict == FAIL:
-        refuse("diagonal-comparability")
-
-    if p >= 2:
-        rep = strong_check(A, p - 1, epsilon, delta_p, delta_pp, grid,
-                           delta=delta, cmax=cmax)
+    # one run table for both strong checks, unless the caller has one
+    with jets.within_run_table():
+        rep = diag_elliptic_check(A, grid, cmax=cmax)
         reports.append(rep)
         if rep.verdict == FAIL:
-            fams = rep.details.get("family_verdicts", {})
-            bad = [k for k, v in fams.items() if v == FAIL]
-            refuse(bad[0] if bad else "strongly-c4")
+            refuse("diagonal-comparability")
 
-    if 2 <= p <= n:
-        rec = A.sampled(grid)
-        d = rec.values[rec.valid].diagonal(axis1=1, axis2=2)
-        pts = rec.pts[rec.valid]
-        lhs, rhs, where = [], [], []
-        for j in range(p, n):
-            lhs += [d[:, j], d[:, p - 1]]
-            rhs += [d[:, p - 1], d[:, j]]
-            where += [pts, pts]
-        if lhs:
+        if p >= 2:
+            rep = strong_check(A, p - 1, epsilon, delta_p, delta_pp, grid,
+                               delta=delta, cmax=cmax)
+            reports.append(rep)
+            if rep.verdict == FAIL:
+                fams = rep.details.get("family_verdicts", {})
+                bad = [k for k, v in fams.items() if v == FAIL]
+                refuse(bad[0] if bad else "strongly-c4")
+
+        if 2 <= p <= n:
+            rec = A.sampled(grid)
+            d = rec.values[rec.valid].diagonal(axis1=1, axis2=2)
+            pts = rec.pts[rec.valid]
+            # each tail entry against the pivot, both ways
+            sides = [(d[:, j], d[:, p - 1]) for j in range(p, n)]
             rep = sampled_bound(
                 "pivot-tail-comparability",
-                np.concatenate(lhs),
-                np.concatenate(rhs),
-                np.concatenate(where),
+                np.concatenate([c for s in sides for c in s]),
+                np.concatenate([c for s in sides for c in s[::-1]]),
+                np.concatenate([pts] * 2 * len(sides)),
                 cmax=tail_ratio_cap,
                 params={"ratio_cap": tail_ratio_cap},
-            )
-        else:
-            rep = CheckReport("pivot-tail-comparability", PASS,
-                              params={"vacuous": True},
-                              counts={"evaluated": 0, "excluded": 0})
-        reports.append(rep)
-        if rep.verdict == FAIL:
-            refuse("pivot-tail-comparability")
+            ) if sides else _vacuous("pivot-tail-comparability")
+            reports.append(rep)
+            if rep.verdict == FAIL:
+                refuse("pivot-tail-comparability")
 
-    if p == 1:
-        dec = SquareDecomposition(matrix=A, depth=1, residual=A)
-        rep = quasiconformal_check(A, grid, cmax=cmax)
+        if p == 1:
+            dec = SquareDecomposition(matrix=A, depth=1, residual=A)
+            rep = quasiconformal_check(A, grid, cmax=cmax)
+            reports.append(rep)
+            return PipelineResult(dec, reports)
+
+        dec = iterated_sd(A, p, grid)
+        dec = assemble_vector_fields(dec, backend, grid, epsilon=epsilon,
+                                     delta=delta, delta2=delta_pp)
+        ref_entry = A.entry(p - 1, p - 1) if p <= n else None
+        rep = quasiconformal_check(dec.residual, grid, reference=ref_entry, cmax=cmax)
         reports.append(rep)
+        if p <= n:
+            rep_p = strong_check(A, p, epsilon, delta_p, delta_pp, grid,
+                                 delta=delta, cmax=cmax)
+            rep_p.condition = RESIDUAL_GATE
+            rep_p.params["gates"] = "residual subordinaticity claim"
+            reports.append(rep_p)
+            if rep_p.verdict == PASS:
+                reports.append(subordinate_check(dec.residual, grid, cmax=cmax))
         return PipelineResult(dec, reports)
-
-    dec = iterated_sd(A, p, grid)
-    dec = assemble_vector_fields(dec, backend, grid, epsilon=epsilon,
-                                 delta=delta, delta2=delta_pp)
-    ref_entry = A.entry(p - 1, p - 1) if p <= n else None
-    rep = quasiconformal_check(dec.residual, grid, reference=ref_entry, cmax=cmax)
-    reports.append(rep)
-    if p <= n:
-        rep_p = strong_check(A, p, epsilon, delta_p, delta_pp, grid,
-                             delta=delta, cmax=cmax)
-        rep_p.condition = RESIDUAL_GATE
-        rep_p.params["gates"] = "residual subordinaticity claim"
-        reports.append(rep_p)
-        if rep_p.verdict == PASS:
-            reports.append(subordinate_check(dec.residual, grid, cmax=cmax))
-    return PipelineResult(dec, reports)

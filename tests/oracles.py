@@ -5,7 +5,9 @@ with Richardson extrapolation for derivatives, a naive dictionary
 convolution for truncated products, the gather/``reduceat`` form of the
 dense jet product, and hand-expanded chain rules for reciprocals.  The
 tree-building expression loader and json's report text are kept here as
-references for the interning loader and the report writer.
+references for the interning loader and the report writer, and the loop
+forms of the strongly-C^4 and Holder seminorm reductions as references
+for their stacked forms.
 """
 
 import functools
@@ -15,6 +17,9 @@ import numpy as np
 
 from matsos import expr as ex
 from matsos import jets
+from matsos.reporting import (FAIL, FLAT_FLOOR, INCONCLUSIVE, PASS,
+                              CheckReport, sampled_bound)
+from matsos.verify import ROW_FLAT_FLOOR, SEMINORM_CAP
 
 
 def func_of(expr, nvars):
@@ -183,3 +188,100 @@ def from_dict_tree(d):
 def dump_json(obj):
     """The text `report.dump_report` must produce, written by json."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def power_family_loop(cond, pairs, base, rec, epsilon, delta_x, cmax):
+    """`verify._power_family` as the loop over pairs, then orders, that
+    its (pair, order, sample) array replaced."""
+    use = np.where(rec.valid)[0]
+    excluded = int((~rec.valid).sum())
+    upts = rec.pts[use]
+    lhs_all, rhs_all, pt_all = [], [], []
+    pinned = 0
+    flat_pairs = 0
+    for p, (k, j) in enumerate(pairs):
+        b = np.maximum(base[:, p], 0.0)
+        offdiag = k != j
+        for m in range(0 if offdiag else 1, 5):
+            dmax = rec.dmax[m, use, k, j]
+            if offdiag:
+                e_free = max(0.5 + (2 - m) * epsilon, 0.0) + delta_x
+                e_pin = max(0.5 + (2 - m) * 0.25, 0.0) + delta_x
+            else:
+                e_free = max(1.0 - m * epsilon, 0.0) + delta_x
+                e_pin = max(1.0 - m * 0.25, 0.0) + delta_x
+            expo = np.where(b <= 1.0, e_free, e_pin)
+            pinned += int((b > 1.0).sum())
+            with np.errstate(invalid="ignore"):
+                rhs = b**expo
+            keep = ~((b < FLAT_FLOOR) & (dmax < ROW_FLAT_FLOOR))
+            flat_pairs += int((~keep).sum())
+            lhs_all.append(dmax[keep])
+            rhs_all.append(rhs[keep])
+            pt_all.append(upts[keep])
+    if not lhs_all:
+        return CheckReport(cond, PASS, params={"vacuous": True},
+                           counts={"evaluated": 0, "excluded": 0})
+    rep = sampled_bound(cond, np.concatenate(lhs_all),
+                        np.concatenate(rhs_all), np.concatenate(pt_all),
+                        cmax=cmax, excluded=excluded + flat_pairs)
+    rep.details["pinned_base_gt1"] = pinned
+    return rep
+
+
+def seminorm_family_loop(cond, entries, centers, ladders, rows, two_delta):
+    """`verify._seminorm_family` as the loop over centers, entries and
+    multiindices, one estimate at a time (with its rule that a family
+    with entries but no estimate is inconclusive)."""
+    if not entries:
+        return CheckReport(cond, PASS, params={"vacuous": True},
+                           counts={"evaluated": 0, "excluded": 0})
+    worst, wit = 0.0, None
+    count = 0
+    for x, (Y, Z), (inv_y, inv_z, dys, dzs) in zip(centers, ladders, rows):
+        sep = np.linalg.norm(Y - Z, axis=1)
+        ok0 = sep > 1e-300
+        for i in entries:
+            ok = ok0 & ~inv_y[i] & ~inv_z[i]
+            if not ok.any():
+                continue
+            for dy, dz in zip(dys[i], dzs[i]):
+                with np.errstate(all="ignore"):
+                    est = float((np.abs(dy[ok] - dz[ok])
+                                 / sep[ok] ** two_delta).max())
+                count += 1
+                if est > worst:
+                    worst, wit = est, x.tolist()
+    params = {"holder_exponent": two_delta}
+    if not count:
+        return CheckReport(cond, INCONCLUSIVE, params=params,
+                           counts={"evaluated": 0, "excluded": 0})
+    return CheckReport(cond, PASS if worst <= SEMINORM_CAP else FAIL,
+                       worst_ratio=worst, constant=worst, witness=wit,
+                       params=params, counts={"evaluated": count, "excluded": 0})
+
+
+def seminorms_loop(ladders, tables, count, delta):
+    """`monotone._seminorms` as the loop over ladders, orders, expressions
+    and multiindices, one estimate at a time."""
+    out = []
+    for c, (Yc, Zc) in enumerate(ladders):
+        sep = np.linalg.norm(Yc - Zc, axis=1)
+        ok = sep > 1e-300
+        worst = [0.0] * count
+        for t in tables:
+            inv_y, inv_z, dys, dzs = t[c]
+            for i in range(count):
+                if worst[i] is None:
+                    continue
+                if inv_y[i].any() or inv_z[i].any():
+                    worst[i] = None
+                    continue
+                if not ok.any():
+                    continue
+                for dy, dz in zip(dys[i], dzs[i]):
+                    with np.errstate(all="ignore"):
+                        ratios = np.abs(dy[ok] - dz[ok]) / sep[ok] ** delta
+                    worst[i] = max(worst[i], float(ratios.max()))
+        out.append(worst)
+    return out

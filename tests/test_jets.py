@@ -684,7 +684,7 @@ def test_root_reads_equal_reads_of_its_full_table(order, support):
 def test_nodes_are_evaluated_in_the_space_of_their_variables():
     memo = {}
     e = X * Y + ex.exp(ex.const(2.0))
-    jb = jets.eval_jet_batch(e, _hostile_points(), 4, nvars=3, memo=memo)
+    jb = jets._evaluate(e, _hostile_points(), jets.space(3, 4), memo)
     assert jb.space is jets.space(3, 4)
     assert memo[id(X)].space.multi == tuple((k, 0, 0) for k in range(5))
     assert memo[id(e.children[1])].space.ncoef == 1

@@ -257,12 +257,13 @@ def test_each_expression_is_evaluated_once_per_pair_ladder(name, pipeline,
         finally:
             calls.pop()
 
-    eval_jet_batch = jets.eval_jet_batch
+    evaluate = jets._evaluate
     seen = {}
 
-    def counted(expr, points, order=jets.MAX_ORDER, nvars=None, memo=None,
-                support=None):
-        side = np.asarray(points, dtype=float).tobytes()
+    def counted(expr, points, sp, memo):
+        # every public evaluation reaches the jets through `_evaluate`, at
+        # checked points in a space that carries the order and support
+        side = points.tobytes()
         if calls:
             assert side in calls[-1], "evaluated on part of a side's stack"
             parts = {side, *calls[-1][side]}
@@ -271,16 +272,15 @@ def test_each_expression_is_evaluated_once_per_pair_ladder(name, pipeline,
         # an expression already in a shared memo is read, not evaluated
         if not (memo and id(expr) in memo):
             for part in parts:
-                key = (id(expr), part, order, support)
+                key = (id(expr), part, sp.order, sp.multi)
                 assert key not in seen, \
                     "expression evaluated again on a pair ladder"
                 seen[key] = expr  # keeps the id from being reused
-        return eval_jet_batch(expr, points, order, nvars=nvars, memo=memo,
-                              support=support)
+        return evaluate(expr, points, sp, memo)
 
     monkeypatch.setattr(GridSpec, "sample_pairs", recorded)
     monkeypatch.setattr(jets, "eval_ladders", ladder_call)
-    monkeypatch.setattr(jets, "eval_jet_batch", counted)
+    monkeypatch.setattr(jets, "_evaluate", counted)
     run_config(_config(name, pipeline))
     assert seen
 

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import oracles
 from matsos import expr as ex
-from matsos import jets
+from matsos import gallery, jets, monotone, verify
 from matsos.decompose import ScalarSosBackend, default_delta_prime, one_sd
 from matsos.grids import Exclusion, GridSpec
-from matsos.matfun import SymMatFun
+from matsos.matfun import Sampled, SymMatFun
+from matsos.report import dump_report, run_config
 from matsos.reporting import sampled_bound
 from matsos.verify import (
     HypothesisRefusal,
@@ -459,9 +461,9 @@ def test_checkers_solve_whole_stacks(name, grids, monkeypatch):
     solve = symmat._jacobi
     calls = []
 
-    def counting(a):
+    def counting(a, vectors=True):
         calls.append(a.shape)
-        return solve(a)
+        return solve(a, vectors)
 
     for mod in (symmat, verify, decompose, gallery):
         monkeypatch.setattr(mod, "_jacobi", counting)
@@ -477,3 +479,190 @@ def test_checkers_solve_whole_stacks(name, grids, monkeypatch):
         points.append(report["counts"]["grid_points"])
     assert len(set(points)) == len(points)
     assert max(counts) <= 4
+
+
+def test_seminorm_family_without_estimates_is_inconclusive():
+    """A seminorm family with pairs but no usable sample has no estimate;
+    it was reported as a pass with worst 0.0 and made the whole check
+    pass on a matrix that is undefined everywhere."""
+    A = SymMatFun.from_rows([[ex.sqrt(-1 - X * X), X], [X, 1 + X * X]],
+                            nvars=1)
+    rep = strong_check(A, 1, 0.3, 0.01, 0.01, grid1())
+    fams = rep.details["family_verdicts"]
+    for cond in ("diagonal-seminorm-bound", "offdiag-cross-seminorm-bound"):
+        assert fams[cond] == "inconclusive-by-flatness"
+        assert rep.details[cond]["worst_ratio"] is None
+        assert rep.details[cond]["counts"]["evaluated"] == 0
+    assert fams["offdiag-inner-seminorm-bound"] == "pass"  # no pairs
+    assert rep.verdict == "inconclusive-by-flatness"
+    assert rep.worst_ratio is None
+    assert rep.counts["evaluated"] == 0
+
+
+def _loop_reductions(monkeypatch):
+    """Swap the stacked reductions for their loop forms; returns the list
+    of the reductions called."""
+    calls = []
+
+    def spy(name, fn):
+        def run(*args):
+            calls.append(name)
+            return fn(*args)
+        return run
+
+    monkeypatch.setattr(verify, "_power_family",
+                        spy("power", oracles.power_family_loop))
+    monkeypatch.setattr(verify, "_seminorm_family",
+                        spy("seminorm", oracles.seminorm_family_loop))
+    monkeypatch.setattr(monotone, "_seminorms",
+                        spy("holder", oracles.seminorms_loop))
+    return calls
+
+
+@pytest.mark.parametrize("pipeline", ["gallery", "all", "decompose"])
+@pytest.mark.parametrize("name", sorted(gallery.GALLERY))
+def test_stacked_reductions_equal_their_loops(name, pipeline, monkeypatch):
+    """The reports of every gallery item, on its default grid, equal bit
+    for bit those of the loop forms of the power, seminorm and Holder
+    reductions (tests/oracles.py).  block-M7 peels at p = 5, as in the
+    benchmark, so that its run reaches all three."""
+    cfg = {"version": 1, "matrix": {"gallery": name}, "pipeline": pipeline}
+    if name == "block-M7":
+        cfg["params"] = {"p": 5, "epsilon": 0.3}
+    report, code = run_config(cfg)
+    del report["timing"]
+    want = dump_report(report)
+    calls = _loop_reductions(monkeypatch)
+    report, loop_code = run_config(cfg)
+    del report["timing"]
+    assert (dump_report(report), loop_code) == (want, code)
+    if (name, pipeline) in (("block-M7", "all"), ("grushin-2x2", "gallery")):
+        assert set(calls) == {"power", "seminorm", "holder"}
+
+
+def _ladder_rows(rng, centers, pairs, nexpr, nmu, scales):
+    """Hand-made ladders around `centers` and `jets.eval_ladders` rows on
+    them, (inv_y, inv_z, dys, dzs) per center, the rows of center c
+    scaled by scales[c]."""
+    ladders, rows = [], []
+    for x, scale in zip(centers, scales):
+        Y = x + rng.uniform(-0.1, 0.1, (pairs, len(x)))
+        Z = x + rng.uniform(-0.1, 0.1, (pairs, len(x)))
+        Z[0] = Y[0]  # a zero separation, never used
+        ladders.append((Y, Z))
+        rows.append((np.zeros((nexpr, pairs), bool),
+                     np.zeros((nexpr, pairs), bool),
+                     [scale * rng.normal(size=(nmu, pairs))
+                      for _ in range(nexpr)],
+                     [scale * rng.normal(size=(nmu, pairs))
+                      for _ in range(nexpr)]))
+    return ladders, rows
+
+
+def _same_report(a, b):
+    return repr(a.to_json_dict()) == repr(b.to_json_dict())
+
+
+def test_stacked_seminorms_keep_the_loop_witness_on_ties_and_inf():
+    """The stacked seminorm reductions equal their loops (tests/oracles.py)
+    on a tie between centers, an inf estimate and a NaN estimate: the
+    witness is the first center of the worst estimate, and a NaN estimate
+    never becomes the worst."""
+    rng = np.random.default_rng(7)
+    centers = rng.uniform(-0.5, 0.5, (3, 2))
+    ladders, rows = _ladder_rows(rng, centers, 9, 4, 3, (1.0, 1.0, 1e-3))
+    dy, dz = rows[0][2], rows[0][3]
+    dy[2][1, 4] = dz[2][1, 4] = np.inf     # inf - inf: a NaN estimate
+    # center 1 has center 0's ladder and rows: a tie
+    ladders[1] = ladders[0]
+    rows[1] = rows[0]
+    rows[2][0][1, 3] = True                # one failed sample of entry 1
+    rows[2][1][3, :] = True                # entry 3 fails everywhere
+
+    def both(entries, two_delta):
+        args = ("diagonal-seminorm-bound", entries, centers, ladders, rows,
+                two_delta)
+        got = verify._seminorm_family(*args)
+        assert _same_report(got, oracles.seminorm_family_loop(*args))
+        return got
+
+    for two_delta in (0.4, 1.0):
+        got = both([0, 1, 2, 3], two_delta)
+        assert got.witness == centers[0].tolist()
+        assert np.isfinite(got.worst_ratio)
+        assert got.counts["evaluated"] == 3 * 4 * 3 - 3
+    # an inf estimate at the last center is the worst
+    rows[2][2][2][0, 5] = np.inf
+    got = both([1, 2], 0.5)
+    assert (got.verdict, got.worst_ratio) == ("fail", np.inf)
+    assert got.witness == centers[2].tolist()
+    # the Holder reduction over two orders, with failed expressions
+    tables = [rows, _ladder_rows(rng, centers, 9, 4, 2, (1.0,) * 3)[1]]
+    got = monotone._seminorms(ladders, tables, 4, 0.5)
+    assert got == oracles.seminorms_loop(ladders, tables, 4, 0.5)
+    assert all(e is not None and np.isfinite(e) for e in got[0])
+    assert (got[2][1], got[2][2], got[2][3]) == (None, np.inf, None)
+
+
+def test_stacked_power_family_equals_its_loop():
+    """`verify._power_family` equals its loop (tests/oracles.py) on bases
+    above 1, underflowed bases against flat and non-flat derivatives,
+    negative and NaN bases, and invalid samples."""
+    rng = np.random.default_rng(11)
+    S, n, nv = 40, 3, 2
+    pts = rng.uniform(-1.0, 1.0, (S, nv))
+    valid = rng.random(S) > 0.2
+    dmax = 10.0 ** rng.uniform(-320, 3, (5, S, n, n))
+    dmax = np.maximum(dmax, dmax.transpose(0, 1, 3, 2))
+    rec = Sampled(pts, valid, None, None, dmax)
+    U = int(valid.sum())
+    base = 10.0 ** np.where(rng.random((U, n)) < 0.5,
+                            rng.uniform(-320, -280, (U, n)),
+                            rng.uniform(-3, 1, (U, n)))
+    base[:3, 0] = [-1e-3, np.nan, 0.0]
+    for pairs, table in ([(0, 0), (1, 1), (2, 2)], base),  \
+                        ([(0, 1), (0, 2), (1, 2)], base[:, [0, 0, 1]]):
+        for epsilon, cmax in ((0.3, 1e6), (0.2, 1e300)):
+            got = verify._power_family("diagonal-power-bound", pairs, table,
+                                       rec, epsilon, 0.05, cmax)
+            want = oracles.power_family_loop("diagonal-power-bound", pairs,
+                                             table, rec, epsilon, 0.05, cmax)
+            assert _same_report(got, want)
+            assert got.details["pinned_base_gt1"] > 0
+            assert got.counts["excluded"] > int((~valid).sum())
+
+
+def test_library_pipeline_evaluates_each_pair_ladder_row_once(monkeypatch):
+    """`decomposition_pipeline` called by a library, outside `run_config`,
+    opens its own `jets.run_table`: its second `strong_check` reads the
+    pair-ladder rows of the first instead of evaluating them again, and
+    the table is closed when it returns."""
+    A = gallery.GALLERY["block-M7"].build({})
+    grid = GridSpec(box=((-0.9, 0.9),) * 7, resolution=9, max_points=40,
+                    exclude_radius=0.25)
+    stacks = set()
+    eval_ladders = jets.eval_ladders
+
+    def ladder_call(exprs, ladders, order, nvars, support):
+        stacks.update(b"".join(L[s].tobytes() for L in ladders)
+                      for s in (0, 1))
+        return eval_ladders(exprs, ladders, order, nvars, support)
+
+    evaluate = jets._evaluate
+    seen = {}
+
+    def counted(expr, points, sp, memo):
+        side = points.tobytes()
+        if side in stacks and id(expr) not in memo:
+            key = (id(expr), side, sp)
+            seen[key] = expr, seen.get(key, (expr, 0))[1] + 1
+        return evaluate(expr, points, sp, memo)
+
+    monkeypatch.setattr(jets, "eval_ladders", ladder_call)
+    monkeypatch.setattr(jets, "_evaluate", counted)
+    res = decomposition_pipeline(A, 5, 0.3, 0.1, 0.2, grid)
+    assert RESIDUAL_GATE in res.report_map()  # both strong checks ran
+    orders = {sp.order for _, _, sp in seen}
+    assert orders == {2, 4}
+    assert seen and max(n for _, n in seen.values()) == 1
+    assert jets._RUN_TABLE.get() is None
