@@ -7,15 +7,10 @@ obstructs squares of C^(1,beta) fields whenever the isotropic part decays
 fast enough, checked in log space where doubles underflow.
 """
 
-import numpy as np
-
 from matsos import expr as ex
 from matsos.gallery import (
-    DeltaNuQuery,
     FPhiPsiParams,
     build_blocks,
-    build_q_lambda,
-    delta_nu_estimate,
     failure_condition_check,
     incomparable_profiles_check,
     q_lambda_non_sos_certificate,
@@ -48,12 +43,6 @@ slow = FPhiPsiParams(psi=lambda t: ex.mul(ex.flat(t), ex.intpow(t, 2)))
 rep = failure_condition_check(slow, beta=0.5, grid=tgrid)
 print(f"   slow isotropic decay: {rep.details['obstruction']} "
       f"(tau -> 0: {rep.details['tau_to_zero']})")
-
-print("== bounded-coefficient approximation gap on the sphere")
-L = build_q_lambda(0.02)
-for nu in range(4):
-    q = DeltaNuQuery(nu=nu, sphere_count=300, multistarts=4, seed=7)
-    print(f"   nu = {nu}: gap estimate {delta_nu_estimate(L, q):.4f}")
 
 print("== the block assemblies")
 M = build_blocks("M7")

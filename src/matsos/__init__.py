@@ -46,21 +46,7 @@ from .monotone import (  # noqa: F401
     omega_value,
 )
 from .reporting import CheckReport, FAIL, INCONCLUSIVE, PASS  # noqa: F401
-from .symmat import (  # noqa: F401
-    GammaEstimate,
-    NotPSDError,
-    SingularMatrixError,
-    SymMatrix,
-    alpha_shift_psd,
-    bordered_det,
-    comparability_gamma,
-    comparable,
-    eigen,
-    loewner_leq,
-    posdef_by_trailing_minors,
-    sqrt_psd,
-)
-from .matfun import StructureTags, SymMatFun, blockdiag, embed_tail  # noqa: F401
+from .matfun import StructureTags, SymMatFun, blockdiag  # noqa: F401
 from .decompose import (  # noqa: F401
     PivotError,
     ScalarSosBackend,
@@ -78,14 +64,12 @@ from .verify import (  # noqa: F401
     PipelineResult,
     decomposition_pipeline,
     diag_elliptic_check,
-    grushin_type_check,
     quasiconformal_check,
     scalar_sos_hypothesis_check,
     strong_check,
     subordinate_check,
 )
 from .gallery import (  # noqa: F401
-    DeltaNuQuery,
     FPhiPsiParams,
     GALLERY,
     NonSosCertificate,
@@ -95,8 +79,6 @@ from .gallery import (  # noqa: F401
     build_nondiag_noncomparable_2x2,
     build_q_lambda,
     build_q_lambda_dehomogenized,
-    c1omega_norm_estimate,
-    delta_nu_estimate,
     failure_condition_check,
     list_gallery,
     q_lambda_non_sos_certificate,

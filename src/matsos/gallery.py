@@ -2,9 +2,8 @@
 
 Everything here is closed-form: the positive-but-not-sum-of-squares
 quadratic family, its flat smooth extension on the cylinder, the rank-two
-degenerate example, the block assemblies, and the bounded-coefficient
-approximation gap estimator.  Certificates are arithmetic identities and
-sampled inequalities, not SDP solves.
+degenerate example and the block assemblies.  Certificates are arithmetic
+identities and sampled inequalities, not SDP solves.
 """
 
 from __future__ import annotations
@@ -30,9 +29,6 @@ __all__ = [
     "FPhiPsiParams",
     "build_f_phi_psi",
     "failure_condition_check",
-    "DeltaNuQuery",
-    "delta_nu_estimate",
-    "c1omega_norm_estimate",
     "build_grushin_2x2",
     "build_nondiag_noncomparable_2x2",
     "build_blocks",
@@ -298,161 +294,6 @@ def failure_condition_check(params, beta, grid, cmax=1e6):
         }
     )
     return rep
-
-
-# ---------------------------------------------------------------------------
-# Bounded-coefficient approximation gap on the sphere
-
-
-@dataclass(frozen=True)
-class DeltaNuQuery:
-    """Search budget for the approximation-gap estimate.
-
-    c0 bounds every coefficient (the a-priori bound C sqrt(sup L + 1) from
-    the certificate argument); reading selects the matrix-dyad objective
-    (default) or the literal scalar quadratic-form reading, which is kept
-    available because the written definition mixes a matrix with a scalar
-    and can vanish by matching at a single sphere point.
-    """
-
-    nu: int
-    c0: float = 4.0
-    sphere_count: int = 400
-    multistarts: int = 8
-    seed: int = 0
-    reading: str = "dyad"
-
-    def __post_init__(self):
-        if not 0 <= self.nu <= 16:
-            raise ValueError("nu must lie in 0..16")
-        if self.c0 <= 0:
-            raise ValueError("c0 must be positive")
-        if self.reading not in ("dyad", "literal"):
-            raise ValueError("reading must be 'dyad' or 'literal'")
-
-
-def _sphere_matrix_values(L, W):
-    vals, ok = L.values(W)
-    if not ok.all():
-        raise ValueError("matrix function undefined on a sphere sample")
-    return vals
-
-
-def delta_nu_estimate(L, query):
-    """Smallest sampled gap between L on the sphere and nu bounded forms.
-
-    dyad reading: min over coefficient vectors f_1..f_nu (|entries| <= c0)
-    of the minimum over sphere samples of ||L(W) - sum f f^T||_F.
-    literal reading: scalar forms S(W) = f . W against the quadratic form
-    W^T L(W) W, objective |W^T L(W) W - sum S(W)^2| minimized.
-
-    Multistart local search (bounded Nelder-Mead); every level seeds with
-    the zero-padded best coefficients of nu - 1, so the estimate is
-    monotone nonincreasing in nu by construction.
-    """
-    # scipy is imported here, not at module level: it is most of the cost of
-    # `import matsos`, and nothing else uses it
-    from scipy.optimize import minimize
-
-    if L.n != 3:
-        raise ValueError("expected a 3x3 quadratic matrix family")
-    W = _fibonacci_sphere(query.sphere_count)
-    Ls = _sphere_matrix_values(L, W)
-    qs = np.einsum("si,sij,sj->s", W, Ls, W)
-
-    def objective(c):
-        f = c.reshape(-1, 3)
-        if query.reading == "dyad":
-            approx = np.einsum("li,lj->ij", f, f)
-            gaps = np.linalg.norm(Ls - approx[None, :, :], axis=(1, 2))
-        else:
-            s = W @ f.T
-            gaps = np.abs(qs - (s**2).sum(axis=1))
-        return float(gaps.min())
-
-    if query.reading == "dyad":
-        base = float(np.linalg.norm(Ls, axis=(1, 2)).min())
-    else:
-        base = float(np.abs(qs).min())
-    best_prev = np.zeros((0, 3))
-    best_val = base
-    for nu in range(1, query.nu + 1):
-        rng = np.random.default_rng((query.seed, nu))
-        starts = [np.vstack([best_prev, np.zeros((1, 3))])]
-        for _ in range(query.multistarts - 1):
-            starts.append(rng.uniform(-query.c0, query.c0, size=(nu, 3)))
-        level_best_val = np.inf
-        level_best = None
-        bounds = [(-query.c0, query.c0)] * (3 * nu)
-        for s0 in starts:
-            res = minimize(
-                objective,
-                s0.ravel(),
-                method="Nelder-Mead",
-                bounds=bounds,
-                options={"maxiter": 400 * nu, "fatol": 1e-12, "xatol": 1e-10},
-            )
-            cand = min(objective(s0.ravel()), float(res.fun))
-            vec = res.x if res.fun <= objective(s0.ravel()) else s0.ravel()
-            if cand < level_best_val:
-                level_best_val = cand
-                level_best = vec.reshape(nu, 3)
-        best_prev = level_best
-        best_val = min(best_val, level_best_val)
-    return float(best_val)
-
-
-# ---------------------------------------------------------------------------
-# Norm functional on the unit ball
-
-
-def c1omega_norm_estimate(h, omega, grid, pair_centers=6):
-    """sup |h| + sup |grad h| + sampled sup |grad h(W) - grad h(W')| / omega(|W - W'|).
-
-    h is a list of expressions (a vector field; wrap a scalar in a list);
-    omega is a callable modulus.  Samples are the grid points inside the
-    closed unit ball; the result is a lower bound of the true norm.
-    """
-    if isinstance(h, ex.ScalarExpr):
-        h = [h]
-    pts = grid.sample_points()
-    pts = pts[np.linalg.norm(pts, axis=1) <= 1.0 + 1e-12]
-    if len(pts) == 0:
-        raise ValueError("grid has no samples in the unit ball")
-    nv = pts.shape[1]
-
-    def order1(P):
-        jbs = jets.eval_entries(h, P, 1, nvars=nv)
-        for jb in jbs:
-            if jb.invalid.any():
-                raise jets.SingularDomainError(
-                    "norm sample failed", point=P[np.argmax(jb.invalid)]
-                )
-        return jbs
-
-    jbs = order1(pts)
-    sup_h = float(np.linalg.norm(np.stack([jb.values for jb in jbs]), axis=0).max())
-    G = np.stack([jb.gradient() for jb in jbs], axis=0)  # (ncomp, nvars, npts)
-    sup_grad = float(np.sqrt((G**2).sum(axis=(0, 1))).max())
-    centers = pts[:: max(1, len(pts) // pair_centers)][:pair_centers]
-    holder = 0.0
-    for x in centers:
-        Y, Z = grid.sample_pairs(x)
-        inside = (np.linalg.norm(Y, axis=1) <= 1.0) & (np.linalg.norm(Z, axis=1) <= 1.0)
-        Y, Z = Y[inside], Z[inside]
-        if len(Y) == 0:
-            continue
-        gy, gz = (np.stack([jb.gradient() for jb in order1(P)]) for P in (Y, Z))
-        sep = np.linalg.norm(Y - Z, axis=1)
-        ok = sep > 1e-300
-        if not ok.any():
-            continue
-        num = np.sqrt(((gy - gz) ** 2).sum(axis=(0, 1)))[ok]
-        den = np.array([omega(s) for s in sep[ok]])
-        good = den > 0
-        if good.any():
-            holder = max(holder, float((num[good] / den[good]).max()))
-    return sup_h + sup_grad + holder
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,11 @@ from . import expr as ex
 from . import jets
 
 __all__ = ["EntryError", "Sampled", "StructureTags", "SymMatFun",
-           "embed_tail", "blockdiag"]
+           "blockdiag", "MAX_DIM"]
+
+# The declared limit on matrix dimension, enforced here and by config
+# parsing.
+MAX_DIM = 16
 
 
 @dataclass(frozen=True)
@@ -58,8 +62,8 @@ class SymMatFun:
     """n x n symmetric matrix of ScalarExpr entries in `nvars` variables."""
 
     def __init__(self, n, nvars, entries, tags=None):
-        if n < 0:
-            raise ValueError("dimension must be >= 0")
+        if not 0 <= n <= MAX_DIM:
+            raise ValueError(f"dimension {n} outside 0..MAX_DIM ({MAX_DIM})")
         if not 1 <= nvars <= ex.MAX_VARS:
             raise ValueError(f"nvars must be in 1..{ex.MAX_VARS}")
         self.n = n
@@ -258,15 +262,6 @@ class EntryError(ex.ExprError):
         self.field = f"entries[{i}][{j}]"
         self.reason = reason
         super().__init__(f"{self.field}: {reason}")
-
-
-def embed_tail(Q, n):
-    """Embed a k x k matrix function into the bottom-right corner of n x n."""
-    off = n - Q.n
-    entries = {}
-    for (i, j), e in Q.upper_entries():
-        entries[(i + off, j + off)] = e
-    return SymMatFun(n, Q.nvars, entries, Q.tags)
 
 
 def blockdiag(blocks, nvars=None, tags=None):

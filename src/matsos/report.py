@@ -32,7 +32,7 @@ from .gallery import (
     q_lambda_positivity_certificate,
 )
 from .grids import Exclusion, GridSpec
-from .matfun import EntryError, SymMatFun
+from .matfun import MAX_DIM, EntryError, SymMatFun
 from .reporting import FAIL
 from .verify import (
     HypothesisRefusal,
@@ -61,7 +61,7 @@ CONFIG_SCHEMA = {
                     "params": "object of per-item parameters",
                 },
                 {
-                    "dimension": "integer >= 1",
+                    "dimension": f"integer in 1..{MAX_DIM}",
                     "nvars": "integer in 1..8",
                     "entries": "symmetric dimension x dimension array of "
                                "expression trees",
@@ -209,7 +209,8 @@ def validate_config(cfg):
         nvars = _integer(matrix["nvars"], "matrix.nvars")
         _require(1 <= nvars <= 8, "matrix.nvars", "must lie in 1..8")
         n = _integer(matrix["dimension"], "matrix.dimension")
-        _require(n >= 1, "matrix.dimension", "must be at least 1")
+        _require(1 <= n <= MAX_DIM, "matrix.dimension",
+                 f"must lie in 1..{MAX_DIM}")
         rows = matrix["entries"]
         _require(isinstance(rows, list) and len(rows) == n
                  and all(isinstance(r, list) and len(r) == n for r in rows),

@@ -60,7 +60,6 @@ CONDITION_IDS = frozenset(
         "residual-pivot-comparability-lower",
         "residual-subordinaticity-gate",
         "pivot-tail-comparability",
-        "grushin-type",
         "omega-monotone",
         "quadratic-form-positivity",
         "linear-sos-obstruction",

@@ -45,7 +45,6 @@ __all__ = [
     "strong_check",
     "scalar_sos_hypothesis_check",
     "quasiconformal_check",
-    "grushin_type_check",
     "decomposition_pipeline",
     "PipelineResult",
 ]
@@ -465,64 +464,6 @@ def quasiconformal_check(Q, grid, reference=None, cmax=DEFAULT_CMAX):
     merged = merge_reports("quasiconformal", reps)
     merged.details["K"] = rep.worst_ratio
     return merged
-
-
-def grushin_type_check(A, grid, degenerate_axes, ratio_cap=100.0, fibers=6):
-    """Singular exactly where the declared coordinates vanish, diagonal
-    entries varying only in them (up to bounded ratio).
-
-    `degenerate_axes` names the variables carrying the degeneracy: the
-    singular set is {x : x_a = 0 for all a in degenerate_axes} and each
-    diagonal entry must be comparable to a function of those variables
-    alone.
-    """
-    axes = sorted(set(int(a) for a in degenerate_axes))
-    if not axes or any(not 0 <= a < A.nvars for a in axes):
-        raise ValueError("degenerate_axes must name variables of A")
-    pts, off_ok, off_vals, _, _ = A.sampled(grid)
-    on_pts = pts.copy()
-    on_pts[:, axes] = 0.0
-    on_vals, on_ok = A.values(on_pts)
-    on = np.flatnonzero(on_ok)
-    w, _ = _jacobi(on_vals[on], vectors=False)
-    # relative to each sample's max-norm: the verdict is scale invariant
-    scale = np.abs(on_vals[on]).max(axis=(1, 2))
-    regular = np.flatnonzero(w[:, 0] > 1e-10 * scale)
-    sing_ok = not regular.size
-    witness = None if sing_ok else on_pts[on[regular[0]]].tolist()
-    rad = grid.exclusions[0].radius if grid.exclusions else 0.05
-    off = np.flatnonzero(off_ok & ~(np.linalg.norm(pts[:, axes], axis=1) < rad))
-    w, _ = _jacobi(off_vals[off], vectors=False)
-    singular = np.flatnonzero(w[:, 0] <= 0)
-    pd_ok = not singular.size
-    if not pd_ok:
-        witness = pts[off[singular[0]]].tolist()
-    comp = sorted(set(range(A.nvars)) - set(axes))
-    worst = 1.0
-    if comp:
-        rng = np.random.default_rng(grid.seed)
-        centers = pts[:: max(1, len(pts) // fibers)][:fibers]
-        lo = np.array([grid.box[c][0] for c in comp])
-        hi = np.array([grid.box[c][1] for c in comp])
-        for x in centers:
-            fiber = np.repeat(x[None, :], 16, axis=0)
-            fiber[:, comp] = lo + rng.random((16, len(comp))) * (hi - lo)
-            fvals, fok = A.values(fiber)
-            for i in range(A.n):
-                d = fvals[fok][:, i, i]
-                d = d[d > FLAT_FLOOR]
-                if len(d) >= 2:
-                    worst = max(worst, float(d.max() / d.min()))
-    verdict = PASS if (sing_ok and pd_ok and worst <= ratio_cap) else FAIL
-    return CheckReport(
-        "grushin-type",
-        verdict,
-        worst_ratio=worst,
-        constant=worst,
-        witness=witness,
-        params={"degenerate_axes": axes, "ratio_cap": ratio_cap},
-        details={"singular_on_subspace": sing_ok, "positive_off_subspace": pd_ok},
-    )
 
 
 RESIDUAL_GATE = "residual-subordinaticity-gate"

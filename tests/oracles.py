@@ -7,16 +7,21 @@ dense jet product, and hand-expanded chain rules for reciprocals.  The
 tree-building expression loader and json's report text are kept here as
 references for the interning loader and the report writer, and the loop
 forms of the strongly-C^4 and Holder seminorm reductions as references
-for their stacked forms.
+for their stacked forms.  The helpers that pin paper claims without a
+pipeline behind them (the coupling constant gamma, the tail embedding,
+the bounded-coefficient approximation gap) live here too.
 """
 
 import functools
 import json
 
 import numpy as np
+import pytest
 
 from matsos import expr as ex
 from matsos import jets
+from matsos.gallery import _fibonacci_sphere
+from matsos.matfun import SymMatFun
 from matsos.reporting import (FAIL, FLAT_FLOOR, INCONCLUSIVE, PASS,
                               CheckReport, sampled_bound)
 from matsos.verify import ROW_FLAT_FLOOR, SEMINORM_CAP
@@ -285,3 +290,60 @@ def seminorms_loop(ladders, tables, count, delta):
                     worst[i] = max(worst[i], float(ratios.max()))
         out.append(worst)
     return out
+
+
+def schur_gamma(a):
+    """gamma = sqrt(b^T D^{-1} b / a11) of the partition [[a11, b^T], [b, D]]:
+    the coupling of the first row to the trailing block."""
+    a = np.asarray(a, dtype=float)
+    b, D = a[1:, 0], a[1:, 1:]
+    return float(np.sqrt(b @ np.linalg.solve(D, b) / a[0, 0]))
+
+
+def embed_tail(Q, n):
+    """Embed a k x k matrix function into the bottom-right corner of n x n."""
+    off = n - Q.n
+    entries = {(i + off, j + off): e for (i, j), e in Q.upper_entries()}
+    return SymMatFun(n, Q.nvars, entries, Q.tags)
+
+
+def delta_nu_estimate(L, nu, c0=4.0, sphere_count=400, multistarts=8, seed=0):
+    """Smallest sampled gap between a 3x3 quadratic family L on the sphere
+    and nu dyads of bounded coefficient vectors.
+
+    min over f_1..f_nu (|entries| <= c0) of the minimum over sphere samples
+    of ||L(W) - sum f f^T||_F, by multistart bounded Nelder-Mead.  Every
+    level seeds with the zero-padded best coefficients of nu - 1, so the
+    estimate is nonincreasing in nu by construction.
+    """
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    W = _fibonacci_sphere(sphere_count)
+    Ls, ok = L.values(W)
+    assert ok.all(), "matrix function undefined on a sphere sample"
+
+    def objective(c):
+        f = c.reshape(-1, 3)
+        gaps = np.linalg.norm(Ls - f.T @ f, axis=(1, 2))
+        return float(gaps.min())
+
+    best_prev = np.zeros((0, 3))
+    best_val = float(np.linalg.norm(Ls, axis=(1, 2)).min())
+    for level in range(1, nu + 1):
+        rng = np.random.default_rng((seed, level))
+        starts = [np.vstack([best_prev, np.zeros((1, 3))])]
+        starts += [rng.uniform(-c0, c0, size=(level, 3))
+                   for _ in range(multistarts - 1)]
+        level_val, level_best = np.inf, None
+        for s0 in starts:
+            res = minimize(objective, s0.ravel(), method="Nelder-Mead",
+                           bounds=[(-c0, c0)] * (3 * level),
+                           options={"maxiter": 400 * level, "fatol": 1e-12,
+                                    "xatol": 1e-10})
+            at_start = objective(s0.ravel())
+            vec = res.x if res.fun <= at_start else s0.ravel()
+            if min(at_start, float(res.fun)) < level_val:
+                level_val = min(at_start, float(res.fun))
+                level_best = vec.reshape(level, 3)
+        best_prev = level_best
+        best_val = min(best_val, level_val)
+    return best_val

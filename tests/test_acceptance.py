@@ -22,19 +22,17 @@ from matsos.decompose import (
     residual_dyads,
 )
 from matsos.gallery import (
-    DeltaNuQuery,
     build_q_lambda,
-    delta_nu_estimate,
     failure_condition_check,
     q_lambda_non_sos_certificate,
     q_lambda_positivity_certificate,
 )
 from matsos.grids import Exclusion, GridSpec
-from matsos.matfun import SymMatFun, embed_tail
-from matsos.symmat import comparability_gamma
+from matsos.matfun import SymMatFun
 from matsos.verify import decomposition_pipeline, strong_check, subordinate_check
 
-from oracles import dict_convolve, func_of, richardson_derivative
+from oracles import (delta_nu_estimate, dict_convolve, embed_tail, func_of,
+                     richardson_derivative, schur_gamma)
 
 rng = np.random.default_rng(0xACCE)
 
@@ -102,7 +100,7 @@ def test_criterion_2_schur_inheritance():
         gamma_target = rng.uniform(0.2, 0.9)
         b *= math.sqrt(gamma_target**2 * m[0, 0] / quad)
         m[0, 1:] = m[1:, 0] = b
-        gamma = comparability_gamma(m).gamma
+        gamma = schur_gamma(m)
         assert gamma <= 0.9 + 1e-12
         Z, Q = one_sd(SymMatFun.constant(m, nvars=1), grid)
         qv, _ = Q.values(np.array([[0.0]]))
@@ -346,9 +344,7 @@ def test_criterion_7_property_suite():
 
     L = build_q_lambda(0.02)
     vals = [
-        delta_nu_estimate(
-            L, DeltaNuQuery(nu=k, sphere_count=200, multistarts=3, seed=7)
-        )
+        delta_nu_estimate(L, k, sphere_count=200, multistarts=3, seed=7)
         for k in range(4)
     ]
     delta_ok = all(v >= 0 for v in vals) and all(

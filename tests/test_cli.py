@@ -339,6 +339,18 @@ def test_mistyped_config_field_is_a_configuration_error(matrix, extra, field,
     assert err.startswith("configuration error") and repr(field) in err
 
 
+def test_dimension_above_max_dim_exits_one(tmp_path, capsys):
+    # a 20 x 20 inline matrix is well formed but larger than MAX_DIM = 16
+    cfg = _inline_config([[ONE] * 20 for _ in range(20)])
+    cfg["matrix"]["dimension"] = 20
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error")
+    assert "'matrix.dimension'" in err and "1..16" in err
+
+
 def test_integral_floats_are_integer_fields():
     validate_config({"version": 1, "matrix": dict(INLINE_2X2, dimension=2.0),
                      "params": {"p": 2.0}, "seed": 3.0})

@@ -6,7 +6,6 @@ import pytest
 from matsos import expr as ex
 from matsos import jets
 from matsos.gallery import (
-    DeltaNuQuery,
     FPhiPsiParams,
     GALLERY,
     LAMBDA_THRESHOLD,
@@ -17,8 +16,6 @@ from matsos.gallery import (
     build_q_lambda,
     build_q_lambda_dehomogenized,
     block_trace_comparability,
-    c1omega_norm_estimate,
-    delta_nu_estimate,
     failure_condition_check,
     incomparable_profiles_check,
     list_gallery,
@@ -29,6 +26,7 @@ from matsos.gallery import (
 )
 from matsos.grids import Exclusion, GridSpec
 from matsos.verify import diag_elliptic_check, quasiconformal_check
+from oracles import delta_nu_estimate
 
 rng = np.random.default_rng(5)
 
@@ -185,12 +183,13 @@ class TestFailureCondition:
 
 
 class TestDeltaNu:
+    """The approximation-gap oracle that acceptance criterion 7 reads."""
+
     def L(self):
         return build_q_lambda(0.02)
 
     def test_zero_forms_positive(self):
-        q = DeltaNuQuery(nu=0, sphere_count=500)
-        val = delta_nu_estimate(self.L(), q)
+        val = delta_nu_estimate(self.L(), 0, sphere_count=500)
         assert val > 0
         # dense-sphere oracle: min over many samples of the Frobenius norm
         from matsos.gallery import _fibonacci_sphere, _q_lambda_values
@@ -201,10 +200,8 @@ class TestDeltaNu:
 
     def test_monotone_nonincreasing_and_nonnegative(self):
         vals = [
-            delta_nu_estimate(
-                self.L(),
-                DeltaNuQuery(nu=k, sphere_count=200, multistarts=4, seed=3),
-            )
+            delta_nu_estimate(self.L(), k, sphere_count=200, multistarts=4,
+                              seed=3)
             for k in range(4)
         ]
         assert all(v >= 0 for v in vals)
@@ -219,54 +216,10 @@ class TestDeltaNu:
              for i in range(3)],
             nvars=3,
         )
-        q1 = DeltaNuQuery(nu=2, c0=4.0, sphere_count=200, multistarts=3, seed=1)
-        q4 = DeltaNuQuery(nu=2, c0=8.0, sphere_count=200, multistarts=3, seed=1)
-        v1 = delta_nu_estimate(L, q1)
-        v4 = delta_nu_estimate(L4, q4)
+        kw = dict(sphere_count=200, multistarts=3, seed=1)
+        v1 = delta_nu_estimate(L, 2, c0=4.0, **kw)
+        v4 = delta_nu_estimate(L4, 2, c0=8.0, **kw)
         assert v4 == pytest.approx(4.0 * v1, rel=1e-9)
-
-    def test_literal_reading_available(self):
-        q = DeltaNuQuery(nu=1, sphere_count=200, multistarts=3, reading="literal")
-        val = delta_nu_estimate(self.L(), q)
-        assert val >= 0.0
-
-    def test_query_validation(self):
-        with pytest.raises(ValueError):
-            DeltaNuQuery(nu=17)
-        with pytest.raises(ValueError):
-            DeltaNuQuery(nu=1, c0=0.0)
-        with pytest.raises(ValueError):
-            DeltaNuQuery(nu=1, reading="matrix")
-
-
-class TestNormFunctional:
-    def ball_grid(self):
-        return GridSpec(box=((-1.0, 1.0),) * 3, resolution=7,
-                        exclude_radius=0.0, pair_base=0.25)
-
-    def test_constant(self):
-        val = c1omega_norm_estimate(
-            ex.const(-3.0), lambda s: s, self.ball_grid()
-        )
-        assert val == pytest.approx(3.0)
-
-    def test_coordinate_function(self):
-        val = c1omega_norm_estimate(ex.var(0), lambda s: s, self.ball_grid())
-        assert val == pytest.approx(2.0, abs=1e-9)
-
-    def test_failed_pair_sample_is_named_error(self):
-        # the grid points are defined, but pairs of the first center reach
-        # below the branch point
-        grid = GridSpec(box=((0.2, 0.8),))
-        h = [ex.sqrt(ex.var(0) + ex.const(-0.19))]
-        with pytest.raises(jets.SingularDomainError) as info:
-            c1omega_norm_estimate(h, lambda s: s, grid)
-        assert info.value.point[0] < 0.19
-
-    def test_squared_norm(self):
-        h = ex.var(0) ** 2 + ex.var(1) ** 2 + ex.var(2) ** 2
-        val = c1omega_norm_estimate(h, lambda s: s, self.ball_grid())
-        assert val == pytest.approx(5.0, abs=0.1)
 
 
 class TestSmallExamples:

@@ -1,0 +1,137 @@
+"""Every public name of the package is reached by a run, or is allowlisted
+with a reason.
+
+The trace runs `run_config` on every gallery item under every pipeline,
+one inline `verify` configuration whose entries pass through
+`expr.from_json` and whose report is written by `dump_report`, and the
+CLI `list` and `schema` commands, all under `sys.setprofile`.  A function
+is reached when its code is called, a class when the code of any function
+in its body is.  Exceptions and data names (constants, tables) are not
+checked: a profile sees calls, not raises or reads.
+"""
+
+import contextlib
+import importlib
+import inspect
+import io
+import pkgutil
+import sys
+
+import pytest
+
+import matsos
+from matsos import cli, report
+from matsos import expr as ex
+from matsos.gallery import GALLERY
+
+# Not reached yet; the ROADMAP plans to wire each into a pipeline.  An entry
+# that a run reaches fails the test, so it leaves the list with the wiring.
+PLANNED = {
+    "monotone.omega_monotone_check": "to check omega-monotonicity in a run",
+    "monotone.omega_value": "the modulus omega_monotone_check evaluates",
+    "monotone.MonotoneSpec": "the modulus omega_monotone_check evaluates",
+    "grids.GridSpec.ball_points": "the samples of omega_monotone_check",
+    "verify.scalar_sos_hypothesis_check": "to vet each pivot before its SOS",
+    "decompose.residual_dyads": "to write a 1x1 residual as two dyads",
+}
+
+# Library API for callers of the package, reached by a run or not.
+_BUILD = "expression constructor, library API"
+_SERIAL = "expression serializer, library API"
+LIBRARY = {
+    **{f"expr.{name}": _BUILD for name in (
+        "var", "const", "add", "mul", "intpow", "recip", "sqrt", "exp",
+        "flat", "flatabs", "bump")},
+    **{f"expr.{name}": _SERIAL for name in (
+        "to_dict", "from_dict", "to_json", "from_json")},
+    "jets.eval_jet": "one jet at one point, library API",
+    "jets.Jet4": "the single-point jet eval_jet returns, library API",
+}
+
+
+def _modules():
+    for info in pkgutil.iter_modules(matsos.__path__):
+        yield importlib.import_module(f"matsos.{info.name}")
+
+
+def _codes(obj):
+    """Code objects of a function, or of every function in a class body."""
+    if inspect.isfunction(obj):
+        return {obj.__code__}
+    out = set()
+    for v in vars(obj).values():
+        f = v.fget if isinstance(v, property) else getattr(v, "__func__", v)
+        if inspect.isfunction(f):
+            out.add(f.__code__)
+    return out
+
+
+def _resolve(dotted):
+    module, *path = dotted.split(".")
+    obj = importlib.import_module(f"matsos.{module}")
+    for name in path:
+        obj = getattr(obj, name)
+    return obj
+
+
+def _traced_runs():
+    x = ex.var(0)
+    f = ex.from_json(ex.to_json(ex.flat(x)))
+    half_f = ex.mul(ex.const(0.5), f)
+    rows = [[ex.ONE, half_f], [half_f, ex.mul(f, f)]]
+    entries = [[ex.to_dict(e) for e in row] for row in rows]
+    inline = {"version": 1, "pipeline": "verify",
+              "matrix": {"dimension": 2, "nvars": 1, "entries": entries}}
+    for name in GALLERY:
+        for pipeline in report.PIPELINES:
+            cfg = {"version": 1, "matrix": {"gallery": name},
+                   "pipeline": pipeline, "seed": 0}
+            report.dump_report(report.run_config(cfg, grid_scale=0.6)[0])
+    report.dump_report(report.run_config(inline, grid_scale=0.6)[0])
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["list"]) == 0
+        assert cli.main(["schema"]) == 0
+
+
+@pytest.fixture(scope="module")
+def called():
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        _traced_runs()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def test_public_names_are_reached_or_allowlisted(called):
+    unreached = []
+    for mod in _modules():
+        for name in getattr(mod, "__all__", ()):
+            obj = getattr(mod, name)
+            if not (inspect.isfunction(obj) or inspect.isclass(obj)):
+                continue
+            if inspect.isclass(obj) and issubclass(obj, BaseException):
+                continue
+            dotted = f"{mod.__name__.split('.', 1)[1]}.{name}"
+            if dotted in PLANNED or dotted in LIBRARY:
+                continue
+            if not _codes(obj) & called:
+                unreached.append(dotted)
+    assert not unreached, f"public but reached by no run: {unreached}"
+
+
+def test_planned_names_exist_and_are_not_reached(called):
+    for dotted in PLANNED:
+        assert not _codes(_resolve(dotted)) & called, (
+            f"{dotted} is reached now; drop it from PLANNED")
+
+
+def test_library_names_exist():
+    for dotted in LIBRARY:
+        assert _codes(_resolve(dotted)), dotted

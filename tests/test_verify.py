@@ -5,7 +5,7 @@ import oracles
 from matsos import expr as ex
 from matsos import gallery, jets, monotone, verify
 from matsos.decompose import ScalarSosBackend, default_delta_prime, one_sd
-from matsos.grids import Exclusion, GridSpec
+from matsos.grids import GridSpec
 from matsos.matfun import Sampled, SymMatFun
 from matsos.report import dump_report, run_config
 from matsos.reporting import sampled_bound
@@ -14,7 +14,6 @@ from matsos.verify import (
     RESIDUAL_GATE,
     decomposition_pipeline,
     diag_elliptic_check,
-    grushin_type_check,
     quasiconformal_check,
     scalar_sos_hypothesis_check,
     strong_check,
@@ -328,42 +327,6 @@ class TestQuasiconformal:
         rep = quasiconformal_check(Q, grid1(), reference=ex.mul(F, F))
         sub = rep.details["residual-pivot-comparability-lower"]
         assert sub["details"]["beta"] == pytest.approx(0.75, rel=1e-9)
-
-
-class TestGrushinType:
-    def test_canonical_grushin_structure(self):
-        A = SymMatFun.from_rows(
-            [[ex.ONE, ex.ZERO], [ex.ZERO, X**2]], nvars=2
-        )
-        g = GridSpec(box=((-1, 1), (-1, 1)), resolution=9,
-                     exclusions=(Exclusion(0.1, axes=(0,)),))
-        rep = grushin_type_check(A, g, degenerate_axes=(0,))
-        assert rep.verdict == "pass"
-
-    def test_wrong_subspace_fails(self):
-        A = SymMatFun.from_rows(
-            [[ex.ONE, ex.ZERO], [ex.ZERO, X**2 + ex.var(1) ** 2]], nvars=2
-        )
-        g = GridSpec(box=((-1, 1), (-1, 1)), resolution=9,
-                     exclusions=(Exclusion(0.1, axes=(0,)),))
-        rep = grushin_type_check(A, g, degenerate_axes=(0,))
-        assert rep.verdict == "fail"
-
-    @pytest.mark.parametrize("diag, verdict", [
-        ((ex.ONE, ex.ONE), "fail"),
-        ((ex.ONE, X**2), "pass"),
-    ])
-    def test_verdict_does_not_depend_on_scale(self, diag, verdict):
-        g = GridSpec(box=((-1, 1), (-1, 1)), resolution=9,
-                     exclusions=(Exclusion(0.1, axes=(0,)),))
-        reps = []
-        for s in (1e-20, 1.0, 1e20):
-            A = SymMatFun.from_rows(
-                [[ex.mul(ex.const(s), diag[0]), ex.ZERO],
-                 [ex.ZERO, ex.mul(ex.const(s), diag[1])]], nvars=2)
-            reps.append(grushin_type_check(A, g, degenerate_axes=(0,)))
-        assert [r.verdict for r in reps] == [verdict] * 3
-        assert all(r.details == reps[1].details for r in reps)
 
 
 class TestPipeline:
