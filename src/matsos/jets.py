@@ -78,7 +78,8 @@ instead of erroring.
 Most jets carry no flag at all.  Such a *clean* jet shares the read-only
 all-False flag arrays of its length, and `limit` is built only when read
 (all NaN unless a primitive set it).  A sum, product or power of clean
-children skips the flag algebra and starts clean, and `_scrub` then costs
+children skips the flag algebra and starts clean, and so does a unary
+primitive of a clean child that flags none of its columns; `_scrub` then costs
 one finiteness test, flagging and zeroing only the non-finite columns it
 finds.  The arithmetic is the same with or without flags, so the tables are
 bit for bit those of the flag algebra.
@@ -89,19 +90,25 @@ run) all order-0 evaluations share one table, one memo per (point stack
 shape and bytes, `JetSpace`): the space carries nvars, order and support,
 so no support is served from another's table, and the table keeps the
 roots it evaluated so that no `id()` in it is reused.  Order-0 tables of a
-grid are small and are read by many stages.  Orders >= 1 stay in per-call
-memos: keeping them too, with no eviction, raised the peak RSS of the
-block-M7 benchmark job (400 points in 7 variables) from 53.8 to 61.2 MB on
-a 2-vCPU host with Python 3.11 and numpy 2.4, next to its 15% bound.
-Of those orders the table keeps only the small output of `eval_ladders`,
-the failure mask and D^mu rows of each expression per (side stack of the
-Holder pair ladders, space), whichever checker asks.
+grid are small and are read by many stages, so that memo keeps every
+table until the run ends.  Every other evaluation (orders >= 1, and order
+0 outside a run table) has a memo of its own call, a `_Memo`: it counts
+the parent edges that will read each node of the roots' DAG, plus one per
+requested root, and drops a table at its last read, so it holds the live
+frontier of the walk and is empty when the call returns.  Keeping every
+table instead peaked at 30.7 MB (tracemalloc) for the order-4 record of
+f-phi-psi on its 2,052-point default grid, and at 14.1 MB with the
+frontier.  Of orders >= 1 the run table keeps only the small output of
+`eval_ladders`, the failure mask and D^mu rows of each expression per
+(side stack of the Holder pair ladders, space), for the two
+`verify.strong_check` calls of a pipeline.
 """
 
 from __future__ import annotations
 
 import contextvars
 import math
+from collections import Counter
 from contextlib import contextmanager, nullcontext
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -293,14 +300,15 @@ class JetSpace:
         s = a[slabs[0][0]] * b[slabs[0][1]]
         big = len(slabs[7][0]) if len(slabs) > 7 else 0  # rows of 9+ terms
         r = []
-        for i, j in slabs[1:8]:
+        for t, (i, j) in enumerate(slabs[1:8]):
             xt = a[i] * b[j]
-            lo = big if r else 0
+            lo = big if t else 0
             add(s[lo:len(xt)], xt[lo:], out=s[lo:len(xt)])
-            r.append(xt[:big])
+            if t and big:  # a copy, so that the slab product is freed
+                r.append(xt[:big].copy())
         if big:
             # s[:big] is x1 + x2; add (x3 + x4) + ((x5 + x6) + (x7 + x8))
-            x3, x4, x5, x6, x7, x8 = r[1:]
+            x3, x4, x5, x6, x7, x8 = r
             for u, v in ((x3, x4), (x5, x6), (x7, x8), (x5, x7)):
                 add(u, v, out=u)
             add(s[:big], x3, out=s[:big])
@@ -555,13 +563,46 @@ def _lifted(node, jet, sp):
     return out
 
 
+class _Memo(dict):
+    """A per-call memo that frees each table after its last reader.
+
+    `readers` counts, per node of the DAG of `roots`, the parent edges that
+    will read its table, plus one per occurrence of the node in `roots`.
+    `_eval_node` reads the children of each node it evaluates, and
+    `_evaluate` its root, through `read`; the last read drops the table.
+    So the memo holds the live frontier of the walk, and is empty once
+    every root has been evaluated."""
+
+    __slots__ = ("readers",)
+
+    def __init__(self, roots):
+        super().__init__()
+        edges, stack, seen = list(roots), list(roots), set()
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                edges += node.children
+                stack += node.children
+        self.readers = Counter(map(id, edges))
+
+    def read(self, node):
+        k = id(node)
+        self.readers[k] -= 1
+        if not self.readers[k]:
+            del self[k]
+
+
 def _eval_node(root, pts, sp, memo):
     """Jets of every node under `root` not yet in `memo`, children first,
     each in the restriction of `sp` to the variables it reads; returns the
     jet of `root`.  The walk keeps its own stack, so the depth of a tree is
     not bounded by Python's recursion limit.  The arrays of every jet put
     in `memo` are made read-only: a memo (a run table's above all) hands
-    one jet to many readers."""
+    one jet to many readers.  A `_Memo` is read once per child edge of
+    each node evaluated, and so frees a child's table after its last
+    parent; any other memo keeps every table."""
+    read = memo.read if isinstance(memo, _Memo) else None
     stack = [root]
     while stack:
         node = stack[-1]
@@ -577,6 +618,9 @@ def _eval_node(root, pts, sp, memo):
         for a in (jet.coef, jet.invalid, jet.poly_singular, jet.flat_zero):
             a.flags.writeable = False
         memo[id(node)] = jet
+        if read is not None:
+            for c in node.children:
+                read(c)
     return memo[id(root)]
 
 
@@ -651,103 +695,100 @@ def _eval_one(node, pts, sp, memo):
 
 
 def _compose(node, child, sp):
-    """Unary primitives via truncated composition with a univariate series."""
+    """Unary primitives via truncated composition with a univariate series.
+
+    Each primitive names the columns it flags itself: `bad` (invalid),
+    `poly` (of those, polynomially singular) and `flatz` (certified flat
+    zeros), None for none.  A clean child of which it flags no column gives
+    a clean jet, with no flag algebra; the arithmetic is the same either
+    way.  Runs under the `errstate` of `_evaluate`."""
     kind = node.kind
     npts = child.npts
     L = sp.order + 1
     u0 = child.values
-    inv = child.invalid.copy()
-    poly = np.zeros(npts, dtype=bool)
-    flatz = np.zeros(npts, dtype=bool)
-    ok = ~inv
-    series = np.zeros((L, npts))
+    ok = ~child.invalid
+    bad = poly = flatz = rescued = limit = None
 
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
-        if kind == "recip":
-            sing = ok & (u0 <= 0.0)
-            poly = sing & (u0 == 0.0) & ~child.flat_zero
-            inv |= sing
-            safe = np.where(sing, 1.0, u0)
-            for m in range(L):
-                series[m] = (-1.0) ** m * safe ** -(m + 1)
-        elif kind == "sqrt":
-            neg = ok & (u0 < 0.0)
-            zero = ok & (u0 == 0.0)
-            certified = zero & child.flat_zero
-            hard = zero & ~child.flat_zero & (sp.order >= 1)
-            inv |= neg | hard
-            poly = hard
-            flatz = certified
-            limit0 = hard
-            safe = np.where(u0 <= 0.0, 1.0, u0)
-            series = _binom_series(safe, 0.5, L)
-            series[:, zero & ~inv] = 0.0
-        elif kind == "exp":
-            series = np.zeros((L, npts))
-            e0 = np.exp(u0)
-            f = 1.0
-            for m in range(L):
-                series[m] = e0 / f
-                f *= m + 1
-        elif kind == "intpow":  # negative exponent only; k >= 0 handled above
-            k = node.param
-            zero = ok & (u0 == 0.0)
+    if kind == "recip":
+        bad = ok & (u0 <= 0.0)
+        poly = bad & (u0 == 0.0) & ~child.flat_zero
+        safe = np.where(bad, 1.0, u0)
+        series = np.empty((L, npts))
+        for m in range(L):
+            series[m] = (-1.0) ** m * safe ** -(m + 1)
+    elif kind == "sqrt":
+        zero = ok & (u0 == 0.0)
+        bad = ok & (u0 < 0.0)
+        if sp.order >= 1:
+            # a zero that is not a certified flat zero: invalid, limit 0
             poly = zero & ~child.flat_zero
-            inv |= zero
-            safe = np.where(u0 == 0.0, 1.0, u0)
-            series = np.empty((L, npts))
-            coeff = np.ones(npts)
-            for m in range(L):
-                series[m] = coeff * safe ** (k - m)
-                coeff = coeff * (k - m) / (m + 1)
-        elif kind == "flat":
-            rescued = child.invalid & child.poly_singular & (child.limit == 0.0)
-            inv &= ~rescued
-            zero = (ok & ((u0 == 0.0) | child.flat_zero)) | rescued
-            flatz = zero
-            safe = np.where(u0 == 0.0, 1.0, u0)
-            s = np.empty((L, npts))
+            if poly.any():
+                bad |= poly
+                limit = np.full(npts, np.nan)
+                limit[poly] = 0.0
+        if not child.clean:
+            flatz = zero & child.flat_zero
+        safe = np.where(u0 <= 0.0, 1.0, u0)
+        series = _binom_series(safe, 0.5, L)
+        series[:, zero & ~bad] = 0.0
+    elif kind == "exp":
+        series = np.empty((L, npts))
+        e0 = np.exp(u0)
+        f = 1.0
+        for m in range(L):
+            series[m] = e0 / f
+            f *= m + 1
+    elif kind == "intpow":  # negative exponent only; k >= 0 handled above
+        k = node.param
+        bad = ok & (u0 == 0.0)
+        poly = bad & ~child.flat_zero
+        safe = np.where(u0 == 0.0, 1.0, u0)
+        series = np.empty((L, npts))
+        coeff = np.ones(npts)
+        for m in range(L):
+            series[m] = coeff * safe ** (k - m)
+            coeff = coeff * (k - m) / (m + 1)
+    elif kind in ("flat", "flatabs"):
+        flatz = ok & ((u0 == 0.0) | child.flat_zero)
+        if not child.clean:
+            # a polynomially singular child with limit 0 is a flat zero
+            rescued = (child.invalid & child.poly_singular
+                       & (child.limit == 0.0))
+            flatz |= rescued
+        safe = np.where(u0 == 0.0, 1.0, np.abs(u0) if kind == "flatabs"
+                        else u0)
+        s = np.empty((L, npts))
+        if kind == "flat":
             s[0] = -(safe ** -2.0)
             for m in range(1, L):
                 s[m] = (-1.0) ** (m + 1) * (m + 1) * safe ** -(2.0 + m)
-            dead = s[0] <= _TINY_LOG
-            s[:, dead] = 0.0
-            series = _series_exp(s)
-            series[:, dead] = 0.0
-            series[:, zero] = 0.0
-        elif kind == "flatabs":
-            rescued = child.invalid & child.poly_singular & (child.limit == 0.0)
-            inv &= ~rescued
-            zero = (ok & ((u0 == 0.0) | child.flat_zero)) | rescued
-            flatz = zero
-            safe = np.where(u0 == 0.0, 1.0, np.abs(u0))
+        else:
             sgn = np.where(u0 >= 0.0, 1.0, -1.0)
-            s = np.empty((L, npts))
             spow = np.ones(npts)
             for m in range(L):
                 s[m] = -((-1.0) ** m) * safe ** -(m + 1.0) * spow
                 spow = spow * sgn
-            dead = s[0] <= _TINY_LOG
-            s[:, dead] = 0.0
-            series = _series_exp(s)
-            series[:, dead] = 0.0
-            series[:, zero] = 0.0
-        elif kind == "bump":
-            outside = ok & (np.abs(u0) >= 1.0)
-            flatz = outside
-            safe = np.where(np.abs(u0) >= 1.0, 0.0, u0)
-            v = np.zeros((L, npts))
-            v[0] = 1.0 - safe ** 2
-            if L > 1:
-                v[1] = -2.0 * safe
-            if L > 2:
-                v[2] = -1.0
-            w = -_series_recip(v)
-            w[0] += 1.0
-            series = _series_exp(w)
-            series[:, outside] = 0.0
-        else:  # pragma: no cover
-            raise AssertionError(kind)
+        dead = s[0] <= _TINY_LOG
+        s[:, dead] = 0.0
+        series = _series_exp(s)
+        series[:, dead] = 0.0
+        series[:, flatz] = 0.0
+    elif kind == "bump":
+        outside = np.abs(u0) >= 1.0
+        flatz = ok & outside
+        safe = np.where(outside, 0.0, u0)
+        v = np.zeros((L, npts))
+        v[0] = 1.0 - safe ** 2
+        if L > 1:
+            v[1] = -2.0 * safe
+        if L > 2:
+            v[2] = -1.0
+        w = -_series_recip(v)
+        w[0] += 1.0
+        series = _series_exp(w)
+        series[:, flatz] = 0.0
+    else:  # pragma: no cover
+        raise AssertionError(kind)
 
     # Horner composition in (u - u0)
     w = child.coef.copy()
@@ -756,21 +797,21 @@ def _compose(node, child, sp):
     for m in range(L - 2, -1, -1):
         coef = sp.mul(coef, w)
         coef[0] += series[m]
+    if child.clean and not any(f is not None and f.any()
+                               for f in (bad, flatz)):
+        return _scrub(JetBatch(sp, coef))
+    none = np.zeros(npts, dtype=bool)
+    inv = child.invalid if rescued is None else child.invalid & ~rescued
+    if bad is not None:
+        inv = inv | bad
     # Where the child itself failed: reciprocal-type and bounded primitives
     # of a polynomially singular subtree stay polynomially singular; exp of
     # one does not (the blowup can be super-polynomial).
-    if kind == "exp":
-        carried = np.zeros(npts, dtype=bool)
-    else:
-        carried = child.poly_singular
-    poly = np.where(child.invalid, carried, poly)
-    limit = None
-    if kind == "sqrt" and (inv & limit0).any():
-        limit = np.full(npts, np.nan)
-        limit[inv & limit0] = 0.0
-    out = JetBatch(sp, coef, inv, poly & inv, flatz & ~inv, limit)
-    out.coef[:, out.flat_zero] = 0.0
-    return _scrub(out)
+    carried = none if kind == "exp" else child.poly_singular
+    poly = np.where(child.invalid, carried, none if poly is None else poly)
+    flatz = none if flatz is None else flatz & ~inv
+    coef[:, flatz] = 0.0
+    return _scrub(JetBatch(sp, coef, inv, poly & inv, flatz, limit))
 
 
 # ---------------------------------------------------------------------------
@@ -793,8 +834,10 @@ class _RunTable:
     node identity per (points shape and bytes, `JetSpace`); the space
     carries nvars, order and support, so no support is served from
     another's table.  They stay apart because an order-0 ladder side has
-    both under one key.  Every root evaluated into the table is kept, and
-    with it every node below it, so no `id()` in it is reused."""
+    both under one key.  Unlike a `_Memo`, nothing is freed before the
+    table is dropped: several stages read the same order-0 jets and rows.
+    Every root evaluated into the table is kept, and with it every node
+    below it, so no `id()` in it is reused."""
 
     def __init__(self):
         self.memos = {}
@@ -809,10 +852,12 @@ _RUN_TABLE = contextvars.ContextVar("matsos_run_table", default=None)
 def run_table():
     """Keep the order-0 jets of every evaluation in the block, and the rows
     of every `eval_ladders` call, so each (node, points, space) is evaluated
-    once however many stages read it.
+    once however many stages read it; every other evaluation frees each
+    table after its last reader within its own call (see `_Memo`).
     `report.run_config` opens one per run; library callers may open their
     own.  The table is dropped when the block exits, normally or not; a
-    block inside another has its own table while it runs."""
+    block inside another has its own table while it runs, which
+    `monotone.holder_seminorm` uses for rows that no later stage reads."""
     token = _RUN_TABLE.set(_RunTable())
     try:
         yield
@@ -825,12 +870,13 @@ def within_run_table():
     return run_table() if _RUN_TABLE.get() is None else nullcontext()
 
 
-def _memo(pts, sp):
-    """The memo for an evaluation at `pts` in `sp`: the open run table's
-    at order 0, else a fresh one."""
+def _memo(pts, sp, roots):
+    """The memo for an evaluation of `roots` at `pts` in `sp`: the open
+    run table's at order 0, which keeps every table, else a fresh `_Memo`
+    that frees each table after its last reader."""
     table = _RUN_TABLE.get()
     if table is None or sp.order:
-        return {}
+        return _Memo(roots)
     return table.memos.setdefault((pts.shape, pts.tobytes(), sp), {})
 
 
@@ -865,7 +911,7 @@ def eval_jet_batch(expr, points, order=MAX_ORDER, nvars=None, support=None):
     if not isinstance(expr, ScalarExpr):
         raise TypeError("expr must be a ScalarExpr")
     pts, sp = _points_and_space(expr.nvars, points, order, nvars, support)
-    return _evaluate(expr, pts, sp, _memo(pts, sp))
+    return _evaluate(expr, pts, sp, _memo(pts, sp, [expr]))
 
 
 def eval_entries(exprs, points, order=MAX_ORDER, nvars=None, support=None):
@@ -876,18 +922,21 @@ def eval_entries(exprs, points, order=MAX_ORDER, nvars=None, support=None):
         raise TypeError("expr must be a ScalarExpr")
     nv = nvars if nvars is not None else max([1] + [e.nvars for e in exprs])
     pts, sp = _points_and_space(nv, points, order, nv, support)
-    memo = _memo(pts, sp)
+    memo = _memo(pts, sp, exprs)
     return [_evaluate(e, pts, sp, memo) for e in exprs]
 
 
 def _evaluate(expr, pts, sp, memo):
     """The jets of `expr` at checked points in the space `sp`: the one path
-    of every public evaluation."""
+    of every public evaluation.  A `_Memo` drops the root's table after
+    its last read, here; the caller holds the returned jet."""
     table = _RUN_TABLE.get()
     if table is not None and not sp.order and id(expr) not in memo:
         table.roots.append(expr)
     with np.errstate(all="ignore"):
         jet = _eval_node(expr, pts, sp, memo)
+    if isinstance(memo, _Memo):
+        memo.read(expr)
     if jet.space is sp:
         return jet
     return _LiftedBatch(sp, jet, _restrict(sp, expr.vmask)[1])

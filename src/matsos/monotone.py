@@ -80,7 +80,10 @@ def holder_seminorm(h, x, mu, delta, grid):
     ladders of all centers are evaluated together by `jets.eval_ladders`,
     shared with `verify.strong_check` (see there why the estimates are
     those of single centers), and each ladder's ratios are reduced as one
-    array by `ladder_maxima`.
+    array by `ladder_maxima`.  The rows are evaluated in a `jets.run_table`
+    of their own, and freed when the call returns: unlike those of
+    `strong_check`, which runs twice per pipeline, no later stage of a run
+    reads them.
     """
     single = isinstance(h, ex.ScalarExpr)
     hs = [h] if single else list(h)
@@ -103,9 +106,10 @@ def holder_seminorm(h, x, mu, delta, grid):
     # per order, one (inv_y, inv_z, dy, dz) per center: the failure masks
     # (len(hs), P) and, per expression, the D^mu rows (len(support), P);
     # only the rows below that order's multiindices are computed
-    tables = [jets.eval_ladders(hs, ladders, order, nv,
-                                tuple(m for m in mus if sum(m) == order))
-              for order in sorted({sum(m) for m in mus})]
+    with jets.run_table():
+        tables = [jets.eval_ladders(hs, ladders, order, nv,
+                                    tuple(m for m in mus if sum(m) == order))
+                  for order in sorted({sum(m) for m in mus})]
     if single:
         for c, L in enumerate(ladders):
             for t in tables:

@@ -4,6 +4,8 @@ These intentionally avoid the library's jet engine: finite differences
 with Richardson extrapolation for derivatives, a naive dictionary
 convolution for truncated products, the gather/``reduceat`` form of the
 dense jet product, and hand-expanded chain rules for reciprocals.  The
+walk that keeps every node's jet until the evaluation returns is kept as
+the reference for the walk that frees each one after its last reader.  The
 tree-building expression loader and json's report text are kept here as
 references for the interning loader and the report writer, and the loop
 forms of the strongly-C^4 and Holder seminorm reductions as references
@@ -108,6 +110,35 @@ def _reduceat_tables(sp):
     )
     k, i, j = np.array(trip, dtype=np.intp).T
     return i, j, np.searchsorted(k, np.arange(sp.ncoef))
+
+
+def keep_everything_entries(exprs, points, order, nvars):
+    """The jets of `exprs` at `points` in the full space of `nvars`
+    variables to `order`, from one memo that keeps the jet of every node
+    until the call returns.  Each node is evaluated once, children first,
+    by `jets._eval_one` in the rows of the variables it reads."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    sp = jets.space(nvars, order)
+    memo = {}
+    out = []
+    with np.errstate(all="ignore"):
+        for root in exprs:
+            stack = [root]
+            while stack:
+                node = stack[-1]
+                if id(node) in memo:
+                    stack.pop()
+                    continue
+                todo = [c for c in node.children if id(c) not in memo]
+                if todo:
+                    stack.extend(reversed(todo))
+                    continue
+                stack.pop()
+                memo[id(node)] = jets._eval_one(
+                    node, pts, jets._restrict(sp, node.vmask)[0], memo)
+            jet, rows = memo[id(root)], jets._restrict(sp, root.vmask)[1]
+            out.append(jet if rows is None else jets._LiftedBatch(sp, jet, rows))
+    return out
 
 
 def recip_chain_table(h0, h1, h2, h3):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from matsos.grids import GridSpec
 from oracles import (
     dict_convolve,
     func_of,
+    keep_everything_entries,
     mul_reduceat,
     recip_chain_table,
     richardson_derivative,
@@ -836,3 +838,162 @@ def test_run_table_keeps_pair_ladder_rows_within_a_block(monkeypatch):
             assert isinstance(jets.eval_entries([e1], ys, order, nvars=2,
                                                 support=support)[0],
                               jets.JetBatch)
+
+
+# ---------------------------------------------------------------------------
+# Tables freed after their last reader
+
+
+def _same_jet_bytes(got, want):
+    """The kept rows, flags and limit of two jets, bit for bit."""
+    (gsp, gcoef), (wsp, wcoef) = got.kept(), want.kept()
+    return (got.space is want.space and gsp is wsp
+            and gcoef.tobytes() == wcoef.tobytes()
+            and all(getattr(got, f).tobytes() == getattr(want, f).tobytes()
+                    for f in ("invalid", "poly_singular", "flat_zero",
+                              "limit")))
+
+
+def _memos(monkeypatch):
+    """The memos `jets._evaluate` is called with, in call order."""
+    memos = []
+    evaluate = jets._evaluate
+
+    def spy(expr, pts, sp, memo):
+        memos.append(memo)
+        return evaluate(expr, pts, sp, memo)
+
+    monkeypatch.setattr(jets, "_evaluate", spy)
+    return memos
+
+
+@pytest.mark.parametrize("order", [0, 1, jets.MAX_ORDER])
+@pytest.mark.parametrize("name", sorted(gallery.GALLERY))
+def test_freed_tables_equal_a_keep_everything_memo(name, order, monkeypatch):
+    """Outside a run table, the entries of every gallery matrix on its
+    default grid equal, bit for bit, those of a memo that keeps every
+    node's table; the memo of the call is empty when it returns."""
+    item = gallery.GALLERY[name]
+    A = item.build({})
+    pts = item.default_grid().sample_points()
+    exprs = [e for _, e in A.upper_entries()]
+    memos = _memos(monkeypatch)
+    got = jets.eval_entries(exprs, pts, order, nvars=A.nvars)
+    want = keep_everything_entries(exprs, pts, order, A.nvars)
+    assert all(_same_jet_bytes(g, w) for g, w in zip(got, want))
+    assert len(memos) == len(exprs) and not memos[0]
+
+
+def _chain(depth):
+    e = X
+    for _ in range(depth):
+        e = ex.recip(1.0 + 0.5 * e) * Y
+    return e
+
+
+@pytest.mark.parametrize("order", [0, 1, jets.MAX_ORDER])
+def test_freed_tables_keep_repeated_and_nested_roots(order, monkeypatch):
+    """A root listed twice, a root that is also a child of another root
+    (before and after it), a product of a node with itself, and a chain
+    deeper than the recursion limit: every jet equals the keep-everything
+    memo's, bit for bit, and no table outlives the call."""
+    pts = np.array([[0.5, 0.25], [0.0, -1.0], [-0.0, 0.0], [2.0, 1e-200]])
+    inner = ex.exp(X) * Y + X
+    outer = ex.recip(inner) + inner
+    square = ex.mul(inner, inner)
+    assert square.children[0] is square.children[1]
+    chain = _chain(3000)
+    memos = _memos(monkeypatch)
+    for exprs in ([inner, inner], [inner, outer], [outer, inner],
+                  [square, inner, square], [X, ex.mul(X, X)], [chain]):
+        memos.clear()
+        got = jets.eval_entries(exprs, pts, order, nvars=2)
+        want = keep_everything_entries(exprs, pts, order, 2)
+        assert all(_same_jet_bytes(g, w) for g, w in zip(got, want))
+        assert not memos[0]
+        # one call per root, and the repeated root is the same jet
+        assert len(memos) == len(exprs)
+        if exprs[0] is exprs[-1]:
+            assert got[0] is got[-1]
+
+
+def test_eval_entries_holds_only_its_live_frontier(monkeypatch):
+    """While a node is evaluated, the memo holds no table that no later
+    node or root reads.  For a balanced product tree of 16 leaves
+    exp((k + 1) x0) it holds x0, one finished operand per level of the
+    tree (4) and one factor of the leaf being built: at most 6 tables,
+    where keeping every table reaches 63."""
+    leaves = [ex.exp(X * (k + 1)) for k in range(16)]
+    level = leaves
+    while len(level) > 1:
+        level = [a * b for a, b in zip(level[::2], level[1::2])]
+    sizes = []
+    eval_one = jets._eval_one
+
+    def counted(node, pts, sp, memo):
+        sizes.append(len(memo))
+        return eval_one(node, pts, sp, memo)
+
+    monkeypatch.setattr(jets, "_eval_one", counted)
+    jets.eval_entries(level, np.array([[0.5], [0.25]]), 2, nvars=1)
+    assert len(sizes) == 64 and max(sizes) == 6
+
+
+def test_order_4_matrix_build_peak_memory():
+    """The tracemalloc peak of building f-phi-psi's order-4 record on its
+    default grid (2,052 points) stays at 16 MB: the memo holds the live
+    frontier of the walk, and a product keeps no whole slab product alive
+    (keeping every table peaked at 30.7 MB)."""
+    item = gallery.GALLERY["f-phi-psi"]
+    A, grid = item.build({}), item.default_grid()
+    pts = grid.sample_points()
+    A._stacks(pts[:2], 4)  # the jet spaces of the entries, built once
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        rec = A.sampled(grid, 4)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(rec.pts) == len(pts) == 2052
+    assert peak <= 16e6, f"peak {peak / 1e6:.1f} MB"
+
+
+_UNARY = {
+    "recip": ex.recip, "sqrt": ex.sqrt, "exp": ex.exp, "flat": ex.flat,
+    "flatabs": ex.flatabs, "bump": ex.bump,
+    "intpow": lambda u: ex.intpow(u, -3),
+}
+
+
+@pytest.mark.parametrize("order", range(jets.MAX_ORDER + 1))
+@pytest.mark.parametrize("kind", sorted(_UNARY))
+def test_clean_compositions_equal_the_flag_algebra(kind, order):
+    """A unary primitive of a clean child equals, bit for bit, the same
+    composition of that child with its all-False flags as its own arrays
+    (which runs the flag algebra); the result is clean exactly when no
+    column is flagged.  The hostile points hit every domain edge: zeros of
+    both signs, negatives, |u| >= 1, underflow and overflow; on the tame
+    ones no column is flagged."""
+    vals = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 1e-200, -1e-200,
+            1e-160, 1e200, 0.03, -700.0]
+    hostile = np.array([[v, w] for v in vals for w in (0.5, -0.25)])
+    tame = np.array([[0.25, 0.5], [0.5, 0.25], [0.5, -0.25]])
+    u = X * Y + X  # a clean child with non-zero derivative rows
+    sp = jets.space(2, order)
+    node = _UNARY[kind](u)
+    for pts, flagged in ((hostile, True), (tame, False)):
+        child = jets.eval_jet_batch(u, pts, order)
+        assert child.clean
+        no = np.zeros(len(pts), dtype=bool)
+        own = jets.JetBatch(child.space, child.coef, no, no.copy(), no.copy())
+        with np.errstate(all="ignore"):
+            fast = jets._compose(node, child, sp)
+            slow = jets._compose(node, own, sp)
+        assert _same_jet_bytes(fast, slow)
+        assert bool(fast.invalid.any() or fast.flat_zero.any()) is flagged
+        assert fast.clean is not flagged

@@ -121,6 +121,25 @@ def test_each_order_0_jet_is_evaluated_once_per_run(monkeypatch):
             assert not a.flags.writeable
 
 
+def test_run_table_keeps_no_row_that_no_later_stage_reads(monkeypatch):
+    """After a block-M7 `all` run, its run table holds the order-4 ladder
+    rows that both `strong_check` calls read, and none of the order-2 rows
+    of `holder_seminorm`, which no later stage reads: those live in a table
+    of the call only."""
+    tables = []
+
+    class Recorded(jets._RunTable):
+        def __init__(self):
+            super().__init__()
+            tables.append(self)
+
+    monkeypatch.setattr(jets, "_RunTable", Recorded)
+    run_config(_config("block-M7", "all"))
+    run, *inner = tables
+    assert {sp.order for _, _, sp in run.rows} == {4}
+    assert {sp.order for t in inner for _, _, sp in t.rows} == {2}
+
+
 def test_run_table_is_dropped_when_a_run_raises(monkeypatch):
     eval_one = jets._eval_one
     open_tables = []
