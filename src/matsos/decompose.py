@@ -67,16 +67,14 @@ class ScalarSosBackend:
         input is a perfect square / exponential / flat form, else as a
         sqrt node whose smoothness is verified numerically and reported.
     split-by-sign-cell: two factors weighted by a smooth two-cell partition
-        of unity w = (1 +- u / sqrt(u^2 + a^2)) / 2 along `split_axis`
-        (softness a); exercises multi-factor assembly while keeping
+        of unity w = (1 +- u / sqrt(u^2 + a^2)) / 2 in u = x0 (softness
+        a); exercises multi-factor assembly while keeping
         sum-of-squares exact.
     """
 
     name: str = "principal-sqrt"
     delta: float = 0.1
-    delta_prime: float | None = None
     epsilon: float = 0.25
-    split_axis: int = 0
     split_softness: float = 0.5
 
     def __post_init__(self):
@@ -84,15 +82,11 @@ class ScalarSosBackend:
             raise ValueError(f"unknown backend {self.name!r}")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
-        if self.delta_prime is not None and not 0 < self.delta_prime < 1:
-            raise ValueError("delta_prime must lie in (0, 1)")
         if not 0.25 <= self.epsilon < 1:
             raise ValueError("epsilon must lie in [1/4, 1)")
 
     @property
     def dprime(self):
-        if self.delta_prime is not None:
-            return self.delta_prime
         return default_delta_prime(self.delta)
 
 
@@ -375,7 +369,7 @@ def _symbolic_sqrt(e):
 
 
 def _sign_cell_weights(backend):
-    u = ex.var(backend.split_axis)
+    u = ex.var(0)
     a2 = ex.const(backend.split_softness**2)
     s = ex.mul(u, ex.recip(ex.sqrt(ex.add(ex.intpow(u, 2), a2))))
     half = ex.const(0.5)

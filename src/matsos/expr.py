@@ -19,10 +19,11 @@ as a DAG in which each distinct node is built once and shared; structural
 equality compares float parameters by their bits, so `const(0.0)` and
 `const(-0.0)` stay distinct.  Loading also returns, on request, an echo of
 its input that shares one dict per byte-equal JSON subtree, and `to_dict`
-writes one dict per distinct node; both walk with their own stack, so
-depth is not limited by recursion.  Neither are `hash()`, which is computed
-at construction from the children's cached hashes, nor `==`, which walks
-both trees with its own stack and compares hashes first.
+writes one dict per distinct node from `post_order`, the walk that every
+evaluator in `matsos.jets` shares too; both walks keep their own stack,
+so depth is not limited by recursion.  Neither are `hash()`, which is
+computed at construction from the children's cached hashes, nor `==`,
+which walks both trees with its own stack and compares hashes first.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = [
     "bump",
     "ZERO",
     "ONE",
+    "post_order",
     "to_dict",
     "from_dict",
     "to_json",
@@ -264,6 +266,27 @@ ONE = const(1.0)
 # Floats rely on repr round-tripping, so parameters survive bit-exactly.
 
 
+def post_order(roots, done=()):
+    """The distinct nodes under `roots` that `done` (a memo keyed by `id()`)
+    does not hold, each after its children: a depth-first walk, with its
+    own stack, that takes roots and children in order and does not descend
+    below a node in `done`.  The one walk of the DAG in `to_dict` and
+    `matsos.jets`."""
+    out, seen = [], set()
+    stack = [(None, iter(roots))]  # the roots are the children of None
+    while stack:
+        node, kids = stack[-1]
+        for c in kids:
+            if id(c) not in seen and id(c) not in done:
+                seen.add(id(c))
+                stack.append((c, iter(c.children)))
+                break
+        else:
+            out.append(stack.pop()[0])
+    out.pop()  # None
+    return out
+
+
 def to_dict(expr, memo=None):
     """The JSON form of `expr`, written without recursion.
 
@@ -275,17 +298,7 @@ def to_dict(expr, memo=None):
     """
     if memo is None:
         memo = {}
-    stack = [expr]
-    while stack:
-        node = stack[-1]
-        if id(node) in memo:
-            stack.pop()
-            continue
-        pending = [c for c in node.children if id(c) not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
+    for node in post_order([expr], memo):
         kind = node.kind
         if kind == "var":
             d = {"kind": "var", "index": node.param}

@@ -10,7 +10,7 @@ seminorm estimators.  Identical specs always produce identical samples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
@@ -116,39 +116,6 @@ class GridSpec:
             return float(self.pair_base)
         return min(hi - lo for lo, hi in self.box) / 8.0
 
-    @cached_property
-    def _pair_offsets(self):
-        """(dY, dZ, anchor): pair offsets from the center, drawn once per spec.
-
-        `anchor` marks the rows whose z is the center itself; their dZ row
-        is unused.
-        """
-        base = self.default_pair_base()
-        dys, dzs, anchor = [], [], []
-        for k in range(self.pair_scales):
-            r = base / 2.0**k
-            for i in range(self.pairs_per_scale):
-                rng = np.random.default_rng((self.seed, 2, k, i))
-                u = rng.normal(size=self.dim)
-                u /= max(np.linalg.norm(u), 1e-300)
-                v = rng.normal(size=self.dim)
-                v /= max(np.linalg.norm(v), 1e-300)
-                dys.append(r * u * rng.random())
-                dzs.append(r * v * rng.random())
-                anchor.append(False)
-            rng = np.random.default_rng((self.seed, 3, k))
-            d = rng.normal(size=self.dim)
-            d /= max(np.linalg.norm(d), 1e-300)
-            dys.append(r * d)
-            dzs.append(np.zeros(self.dim))
-            anchor.append(True)
-        shape = (len(dys), self.dim)
-        out = (np.array(dys).reshape(shape), np.array(dzs).reshape(shape),
-               np.array(anchor, dtype=bool))
-        for a in out:
-            a.flags.writeable = False
-        return out
-
     def sample_pairs(self, center):
         """Pairs (y, z) concentrating at `center` on a dyadic scale ladder.
 
@@ -172,7 +139,9 @@ class GridSpec:
             raise VariableCountError(
                 f"pair center has shape {center.shape}, grid has {self.dim} coordinates"
             )
-        dY, dZ, anchor = self._pair_offsets
+        dY, dZ, anchor = _pair_offsets(self.seed, self.dim,
+                                       self.default_pair_base(),
+                                       self.pair_scales, self.pairs_per_scale)
         Y = center + dY
         Z = center + dZ
         Z[anchor] = center
@@ -201,5 +170,37 @@ class GridSpec:
             pts.append(center + radius * (u / nu) * rng.random() ** (1.0 / self.dim))
         return np.array(pts)
 
-    def radii(self, pts):
-        return np.linalg.norm(pts, axis=1)
+
+@lru_cache(maxsize=64, typed=True)
+def _pair_offsets(seed, dim, base, scales, per_scale):
+    """(dY, dZ, anchor): the read-only pair offsets from a center of every
+    `GridSpec` with these fields, drawn once per process however many
+    specs share them (each run builds its own spec).
+
+    `anchor` marks the rows whose z is the center itself; their dZ row is
+    unused.
+    """
+    dys, dzs, anchor = [], [], []
+    for k in range(scales):
+        r = base / 2.0**k
+        for i in range(per_scale):
+            rng = np.random.default_rng((seed, 2, k, i))
+            u = rng.normal(size=dim)
+            u /= max(np.linalg.norm(u), 1e-300)
+            v = rng.normal(size=dim)
+            v /= max(np.linalg.norm(v), 1e-300)
+            dys.append(r * u * rng.random())
+            dzs.append(r * v * rng.random())
+            anchor.append(False)
+        rng = np.random.default_rng((seed, 3, k))
+        d = rng.normal(size=dim)
+        d /= max(np.linalg.norm(d), 1e-300)
+        dys.append(r * d)
+        dzs.append(np.zeros(dim))
+        anchor.append(True)
+    shape = (len(dys), dim)
+    out = (np.array(dys).reshape(shape), np.array(dzs).reshape(shape),
+           np.array(anchor, dtype=bool))
+    for a in out:
+        a.flags.writeable = False
+    return out

@@ -84,24 +84,27 @@ one finiteness test, flagging and zeroing only the non-finite columns it
 finds.  The arithmetic is the same with or without flags, so the tables are
 bit for bit those of the flag algebra.
 
-Evaluations share work through memos keyed by node identity; every table a
-memo holds is read-only.  Within `run_table` (opened by `run_config` for a
-run) all order-0 evaluations share one table, one memo per (point stack
-shape and bytes, `JetSpace`): the space carries nvars, order and support,
-so no support is served from another's table, and the table keeps the
-roots it evaluated so that no `id()` in it is reused.  Order-0 tables of a
-grid are small and are read by many stages, so that memo keeps every
-table until the run ends.  Every other evaluation (orders >= 1, and order
-0 outside a run table) has a memo of its own call, a `_Memo`: it counts
-the parent edges that will read each node of the roots' DAG, plus one per
-requested root, and drops a table at its last read, so it holds the live
-frontier of the walk and is empty when the call returns.  Keeping every
-table instead peaked at 30.7 MB (tracemalloc) for the order-4 record of
-f-phi-psi on its 2,052-point default grid, and at 14.1 MB with the
-frontier.  Of orders >= 1 the run table keeps only the small output of
-`eval_ladders`, the failure mask and D^mu rows of each expression per
-(side stack of the Holder pair ladders, space), for the two
-`verify.strong_check` calls of a pipeline.
+Every evaluation is one `expr.post_order` walk of its roots' DAG, which
+lists the nodes its memo does not hold, children first, and one loop that
+evaluates them; `eval_log_values` walks the same way.  Evaluations share
+work through memos keyed by node identity; every table a memo holds is
+read-only.  Within `run_table` (opened by `run_config` for a run) all
+order-0 evaluations share one table, one memo per (point stack shape and
+bytes, `JetSpace`): the space carries nvars, order and support, so no
+support is served from another's table, and the table keeps the roots it
+evaluated so that no `id()` in it is reused.  Order-0 tables of a grid are
+small and are read by many stages, so that memo keeps every table until
+the run ends.  Every other evaluation (orders >= 1, and order 0 outside a
+run table) has a memo of its own call: from the walk it counts the parent
+edges that will read each node, plus one per requested root, and drops a
+table at its last read, so it holds the live frontier of the walk and is
+empty when the call returns.  Keeping every table instead peaked at
+30.7 MB (tracemalloc) for the order-4 record of f-phi-psi on its
+2,052-point default grid, and at 14.1 MB with the frontier.  Of orders
+>= 1 the run table keeps only the small output of `eval_ladders`, the
+failure mask and D^mu rows of each expression per (side stack of the
+Holder pair ladders, space), for the two `verify.strong_check` calls of a
+pipeline.
 """
 
 from __future__ import annotations
@@ -116,7 +119,7 @@ from itertools import product as _iproduct
 
 import numpy as np
 
-from .expr import ScalarExpr, VariableCountError
+from .expr import ScalarExpr, VariableCountError, post_order
 
 __all__ = [
     "JetSpace",
@@ -563,67 +566,6 @@ def _lifted(node, jet, sp):
     return out
 
 
-class _Memo(dict):
-    """A per-call memo that frees each table after its last reader.
-
-    `readers` counts, per node of the DAG of `roots`, the parent edges that
-    will read its table, plus one per occurrence of the node in `roots`.
-    `_eval_node` reads the children of each node it evaluates, and
-    `_evaluate` its root, through `read`; the last read drops the table.
-    So the memo holds the live frontier of the walk, and is empty once
-    every root has been evaluated."""
-
-    __slots__ = ("readers",)
-
-    def __init__(self, roots):
-        super().__init__()
-        edges, stack, seen = list(roots), list(roots), set()
-        while stack:
-            node = stack.pop()
-            if id(node) not in seen:
-                seen.add(id(node))
-                edges += node.children
-                stack += node.children
-        self.readers = Counter(map(id, edges))
-
-    def read(self, node):
-        k = id(node)
-        self.readers[k] -= 1
-        if not self.readers[k]:
-            del self[k]
-
-
-def _eval_node(root, pts, sp, memo):
-    """Jets of every node under `root` not yet in `memo`, children first,
-    each in the restriction of `sp` to the variables it reads; returns the
-    jet of `root`.  The walk keeps its own stack, so the depth of a tree is
-    not bounded by Python's recursion limit.  The arrays of every jet put
-    in `memo` are made read-only: a memo (a run table's above all) hands
-    one jet to many readers.  A `_Memo` is read once per child edge of
-    each node evaluated, and so frees a child's table after its last
-    parent; any other memo keeps every table."""
-    read = memo.read if isinstance(memo, _Memo) else None
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        if id(node) in memo:
-            stack.pop()
-            continue
-        todo = [c for c in node.children if id(c) not in memo]
-        if todo:
-            stack.extend(reversed(todo))
-            continue
-        stack.pop()
-        jet = _eval_one(node, pts, _restrict(sp, node.vmask)[0], memo)
-        for a in (jet.coef, jet.invalid, jet.poly_singular, jet.flat_zero):
-            a.flags.writeable = False
-        memo[id(node)] = jet
-        if read is not None:
-            for c in node.children:
-                read(c)
-    return memo[id(root)]
-
-
 def _eval_one(node, pts, sp, memo):
     """Jet of `node` in `sp` from the jets of its children in `memo`.  A
     sum, product or power runs the flag algebra only when some child
@@ -834,8 +776,9 @@ class _RunTable:
     node identity per (points shape and bytes, `JetSpace`); the space
     carries nvars, order and support, so no support is served from
     another's table.  They stay apart because an order-0 ladder side has
-    both under one key.  Unlike a `_Memo`, nothing is freed before the
-    table is dropped: several stages read the same order-0 jets and rows.
+    both under one key.  Unlike the memo of a single call, nothing is
+    freed before the table is dropped: several stages read the same order-0
+    jets and rows.
     Every root evaluated into the table is kept, and with it every node
     below it, so no `id()` in it is reused."""
 
@@ -853,7 +796,7 @@ def run_table():
     """Keep the order-0 jets of every evaluation in the block, and the rows
     of every `eval_ladders` call, so each (node, points, space) is evaluated
     once however many stages read it; every other evaluation frees each
-    table after its last reader within its own call (see `_Memo`).
+    table after its last reader within its own call (see `_evaluate`).
     `report.run_config` opens one per run; library callers may open their
     own.  The table is dropped when the block exits, normally or not; a
     block inside another has its own table while it runs, which
@@ -871,13 +814,16 @@ def within_run_table():
 
 
 def _memo(pts, sp, roots):
-    """The memo for an evaluation of `roots` at `pts` in `sp`: the open
-    run table's at order 0, which keeps every table, else a fresh `_Memo`
-    that frees each table after its last reader."""
+    """The memo for an evaluation of `roots` at `pts` in `sp`: the open run
+    table's at order 0, which keeps every table and the roots not in it
+    yet, else None (a memo of the call that frees each table after its
+    last reader)."""
     table = _RUN_TABLE.get()
     if table is None or sp.order:
-        return _Memo(roots)
-    return table.memos.setdefault((pts.shape, pts.tobytes(), sp), {})
+        return None
+    memo = table.memos.setdefault((pts.shape, pts.tobytes(), sp), {})
+    table.roots += [e for e in roots if id(e) not in memo]
+    return memo
 
 
 def _points_and_space(expr_nvars, points, order, nvars, support):
@@ -911,35 +857,56 @@ def eval_jet_batch(expr, points, order=MAX_ORDER, nvars=None, support=None):
     if not isinstance(expr, ScalarExpr):
         raise TypeError("expr must be a ScalarExpr")
     pts, sp = _points_and_space(expr.nvars, points, order, nvars, support)
-    return _evaluate(expr, pts, sp, _memo(pts, sp, [expr]))
+    return _evaluate([expr], pts, sp, _memo(pts, sp, [expr]))[0]
 
 
 def eval_entries(exprs, points, order=MAX_ORDER, nvars=None, support=None):
     """Evaluate several expressions at shared points with a shared memo (the
     open run table's at order 0); the points, order and support are
-    checked once for all of them."""
+    checked once for all of them, and their DAG is walked once."""
     if not all(isinstance(e, ScalarExpr) for e in exprs):
         raise TypeError("expr must be a ScalarExpr")
     nv = nvars if nvars is not None else max([1] + [e.nvars for e in exprs])
     pts, sp = _points_and_space(nv, points, order, nv, support)
-    memo = _memo(pts, sp, exprs)
-    return [_evaluate(e, pts, sp, memo) for e in exprs]
+    return _evaluate(exprs, pts, sp, _memo(pts, sp, exprs))
 
 
-def _evaluate(expr, pts, sp, memo):
-    """The jets of `expr` at checked points in the space `sp`: the one path
-    of every public evaluation.  A `_Memo` drops the root's table after
-    its last read, here; the caller holds the returned jet."""
-    table = _RUN_TABLE.get()
-    if table is not None and not sp.order and id(expr) not in memo:
-        table.roots.append(expr)
+def _evaluate(exprs, pts, sp, memo):
+    """The jets of `exprs` at checked points in the space `sp`: the one path
+    of every public evaluation.  One `expr.post_order` walk lists the nodes
+    not in `memo`, children first, and one loop evaluates each in the
+    restriction of `sp` to the variables it reads.  The arrays of every jet
+    put in a memo are made read-only: a memo (a run table's above all)
+    hands one jet to many readers.  `memo` keeps every table; None stands
+    for a memo of this call that counts, from the walk, the parent edges
+    and roots that will read each node, and drops a table at its last
+    read, so it holds the live frontier of the walk and is empty when the
+    call returns.  The caller holds the returned jets."""
+    nodes = post_order(exprs, memo or ())
+    readers = None
+    if memo is None:
+        edges = list(exprs)
+        for node in nodes:
+            edges += node.children
+        memo, readers = {}, Counter(map(id, edges))
     with np.errstate(all="ignore"):
-        jet = _eval_node(expr, pts, sp, memo)
-    if isinstance(memo, _Memo):
-        memo.read(expr)
-    if jet.space is sp:
-        return jet
-    return _LiftedBatch(sp, jet, _restrict(sp, expr.vmask)[1])
+        for node in nodes:
+            jet = _eval_one(node, pts, _restrict(sp, node.vmask)[0], memo)
+            for a in (jet.coef, jet.invalid, jet.poly_singular, jet.flat_zero):
+                a.flags.writeable = False
+            memo[id(node)] = jet
+            if readers is None:
+                continue
+            for c in node.children:
+                readers[id(c)] -= 1
+                if not readers[id(c)]:
+                    del memo[id(c)]
+    out = [memo[id(e)] for e in exprs]
+    if readers is not None:
+        memo.clear()  # the roots, the only tables left
+    return [jet if jet.space is sp else
+            _LiftedBatch(sp, jet, _restrict(sp, e.vmask)[1])
+            for e, jet in zip(exprs, out)]
 
 
 def derivative_rows(jbs, mus):
@@ -1075,10 +1042,29 @@ def eval_log_values(expr, points, nvars=None):
     primitives, and sums of such.  Exact where ordinary evaluation would
     underflow (flat factors at small arguments).  Raises LogEvalError when
     the structure cannot guarantee a sign.
+
+    Each distinct node's log is computed once, in one loop over
+    `expr.post_order`: linear in distinct nodes, with no depth limit.  A
+    node whose log fails holds its LogEvalError, a parent takes that of its
+    first failing child, and only the root's is raised.  So an even power
+    falls back to log |values| of its child, and exp, flat, flatabs and
+    bump, which read plain values (under one run table), raise no log error
+    from below.
     """
     nv = max(expr.nvars, 1) if nvars is None else nvars
     pts = _as_points(points, nv)
-    return _log_eval(expr, pts)
+    logs = {}
+    with within_run_table(), np.errstate(divide="ignore", invalid="ignore",
+                                         over="ignore"):
+        for node in post_order([expr]):
+            try:
+                logs[id(node)] = _log_one(node, pts, logs)
+            except LogEvalError as err:
+                logs[id(node)] = err
+    out = logs[id(expr)]
+    if isinstance(out, LogEvalError):
+        raise out
+    return out
 
 
 def _plain_values(expr, pts):
@@ -1088,47 +1074,43 @@ def _plain_values(expr, pts):
     return jb.values
 
 
-def _log_eval(node, pts):
+def _log_one(node, pts, logs):
+    """log of `node` at `pts` from the logs of its children in `logs`, or
+    the LogEvalError of its first failing child."""
     kind = node.kind
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if kind == "const":
-            if node.param < 0:
-                raise LogEvalError("negative constant")
-            return np.full(pts.shape[0], np.log(node.param))
-        if kind == "var":
-            v = pts[:, node.param]
-            if (v < 0).any():
-                raise LogEvalError("variable takes negative values")
-            return np.log(v)
-        if kind == "product":
-            return sum(_log_eval(c, pts) for c in node.children)
-        if kind == "sum":
-            logs = np.stack([_log_eval(c, pts) for c in node.children])
-            return np.logaddexp.reduce(logs, axis=0)
-        if kind == "intpow":
-            k = node.param
-            if k % 2 == 0:
-                try:
-                    return k * _log_eval(node.children[0], pts)
-                except LogEvalError:
-                    v = _plain_values(node.children[0], pts)
-                    return k * np.log(np.abs(v))
-            return k * _log_eval(node.children[0], pts)
-        if kind == "recip":
-            return -_log_eval(node.children[0], pts)
-        if kind == "sqrt":
-            return 0.5 * _log_eval(node.children[0], pts)
+    if kind in ("exp", "flat", "flatabs", "bump"):
+        v = _plain_values(node.children[0], pts)
         if kind == "exp":
-            return _plain_values(node.children[0], pts)
-        if kind == "flat":
-            v = _plain_values(node.children[0], pts)
-            return np.where(v == 0.0, -np.inf, -1.0 / np.where(v == 0, 1, v) ** 2)
-        if kind == "flatabs":
-            v = _plain_values(node.children[0], pts)
-            return np.where(v == 0.0, -np.inf, -1.0 / np.abs(np.where(v == 0, 1, v)))
-        if kind == "bump":
-            v = _plain_values(node.children[0], pts)
-            inside = np.abs(v) < 1.0
-            safe = np.where(inside, v, 0.0)
-            return np.where(inside, 1.0 - 1.0 / (1.0 - safe**2), -np.inf)
-    raise LogEvalError(f"unsupported node kind {kind!r}")
+            return v
+        if kind != "bump":  # flat, flatabs
+            w = np.where(v == 0, 1, v)
+            w = w**2 if kind == "flat" else np.abs(w)
+            return np.where(v == 0.0, -np.inf, -1.0 / w)
+        inside = np.abs(v) < 1.0
+        safe = np.where(inside, v, 0.0)
+        return np.where(inside, 1.0 - 1.0 / (1.0 - safe**2), -np.inf)
+    kids = [logs[id(c)] for c in node.children]
+    for k in kids:
+        if isinstance(k, LogEvalError):
+            if kind == "intpow" and node.param % 2 == 0:
+                v = _plain_values(node.children[0], pts)
+                return node.param * np.log(np.abs(v))
+            return k
+    if kind == "const":
+        if node.param < 0:
+            raise LogEvalError("negative constant")
+        return np.full(pts.shape[0], np.log(node.param))
+    if kind == "var":
+        v = pts[:, node.param]
+        if (v < 0).any():
+            raise LogEvalError("variable takes negative values")
+        return np.log(v)
+    if kind == "product":
+        return sum(kids)
+    if kind == "sum":
+        return np.logaddexp.reduce(np.stack(kids), axis=0)
+    if kind == "intpow":
+        return node.param * kids[0]
+    if kind == "recip":
+        return -kids[0]
+    return 0.5 * kids[0]  # sqrt

@@ -189,10 +189,6 @@ class SymMatFun:
                 entries[(a, b)] = self.entry(i, j)
         return SymMatFun(len(indices), self.nvars, entries, self.tags)
 
-    def tail(self, k):
-        """Trailing principal block on indices k..n-1."""
-        return self.submatrix(range(k, self.n))
-
     def permuted(self, perm):
         perm = list(perm)
         entries = {}

@@ -86,11 +86,11 @@ CONFIG_SCHEMA = {
                 "resolution": "integer >= 2",
                 "exclude_radius": "number >= 0",
                 "exclusions": "list of {radius, axes}",
-                "max_points": "integer",
-                "seed": "integer",
+                "max_points": "integer >= 1",
+                "seed": "integer >= 0",
             },
         },
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
         "out": {"type": "string", "optional": True},
     },
 }
@@ -108,17 +108,21 @@ def _require(cond, field, reason):
         raise ConfigError(field, reason)
 
 
-def _integer(v, field):
-    """An integer config value, by the rule of `expr.from_dict`."""
+def _integer(v, field, least=None):
+    """An integer config value (by the rule of `expr.from_dict`) >= least."""
     n = as_integer(v)
     _require(n is not None, field, f"must be an integer, got {v!r}")
+    _require(least is None or n >= least, field,
+             f"must be >= {least}, got {v!r}")
     return n
 
 
-def _number(v, field):
-    """A finite int or float config value, as a float."""
+def _number(v, field, least=None):
+    """A finite int or float config value >= least, as a float."""
     x = as_finite_number(v)
     _require(x is not None, field, f"must be a finite number, got {v!r}")
+    _require(least is None or x >= least, field,
+             f"must be >= {least}, got {v!r}")
     return x
 
 
@@ -169,19 +173,23 @@ def parse_grid(d, nvars, scale=1.0, seed=0):
             axes = tuple(_integer(a, f"{field}.axes") for a in axes)
             _require(all(0 <= a < nvars for a in axes), f"{field}.axes",
                      f"indices must lie in 0..{nvars - 1}")
-        exclusions.append(Exclusion(_number(e["radius"], f"{field}.radius"),
-                                    axes))
-    res = int(_integer(d.get("resolution", 9), "grid.resolution") * scale)
+        exclusions.append(Exclusion(
+            _number(e["radius"], f"{field}.radius", least=0), axes))
+    box = tuple((_number(lo, "grid.box"), _number(hi, "grid.box"))
+                for lo, hi in box)
+    _require(all(lo < hi for lo, hi in box), "grid.box",
+             "each [lo, hi] needs lo < hi")
+    res = _integer(d.get("resolution", 9), "grid.resolution", least=2)
     return GridSpec(
-        box=tuple((_number(lo, "grid.box"), _number(hi, "grid.box"))
-                  for lo, hi in box),
-        resolution=max(res, 2),
+        box=box,
+        resolution=max(int(res * scale), 2),  # --grid-scale may shrink it
         exclude_radius=_number(d.get("exclude_radius",
                                      0.05 if not exclusions else 0.0),
-                               "grid.exclude_radius"),
+                               "grid.exclude_radius", least=0),
         exclusions=tuple(exclusions),
-        max_points=_integer(d.get("max_points", 4096), "grid.max_points"),
-        seed=_integer(d.get("seed", seed), "grid.seed"),
+        max_points=_integer(d.get("max_points", 4096), "grid.max_points",
+                            least=1),
+        seed=_integer(d.get("seed", seed), "grid.seed", least=0),
     )
 
 
@@ -218,7 +226,7 @@ def validate_config(cfg):
     pipeline = cfg.get("pipeline", "all")
     _require(pipeline in PIPELINES, "pipeline", f"must be one of {PIPELINES}")
     _params(cfg)
-    _integer(cfg.get("seed", 0), "seed")
+    _integer(cfg.get("seed", 0), "seed", least=0)
     return cfg
 
 

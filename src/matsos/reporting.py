@@ -71,7 +71,7 @@ CONDITION_IDS = frozenset(
 
 FLAT_FLOOR = 1e-300
 DEFAULT_CMAX = 1e6
-DEFAULT_TREND_SLOPE = 0.05
+TREND_SLOPE = 0.05
 
 
 @dataclass
@@ -167,8 +167,6 @@ def sampled_bound(
     *,
     params=None,
     cmax=DEFAULT_CMAX,
-    trend_slope=DEFAULT_TREND_SLOPE,
-    flat_floor=FLAT_FLOOR,
     radii=None,
     excluded=0,
 ):
@@ -180,7 +178,7 @@ def sampled_bound(
     lhs = np.abs(np.asarray(lhs, dtype=float))
     rhs = np.asarray(rhs, dtype=float)
     pts = np.asarray(pts, dtype=float)
-    flat = (lhs < flat_floor) & (rhs < flat_floor)
+    flat = (lhs < FLAT_FLOOR) & (rhs < FLAT_FLOOR)
     n_flat = int(flat.sum())
     use = ~flat
     report = CheckReport(
@@ -207,7 +205,7 @@ def sampled_bound(
     if not np.isfinite(worst) or worst > cmax:
         report.verdict = FAIL
         report.details["reason"] = "ratio-cap"
-    elif slope is not None and slope < -trend_slope:
+    elif slope is not None and slope < -TREND_SLOPE:
         report.verdict = FAIL
         report.details["reason"] = "divergence-trend"
     else:

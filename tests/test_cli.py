@@ -1,21 +1,15 @@
 import json
-import subprocess
-import sys
 
 import pytest
 
 from matsos.cli import main
 from matsos.report import ConfigError, run_config, validate_config
 
+from fresh import run_python
+
 
 def run_cli(args, stdin=None):
-    proc = subprocess.run(
-        [sys.executable, "-m", "matsos.cli", *args],
-        capture_output=True,
-        text=True,
-        input=stdin,
-    )
-    return proc
+    return run_python(["-m", "matsos.cli", *args], stdin=stdin)
 
 
 class TestCatalogAndSchema:
@@ -325,6 +319,17 @@ INLINE_2X2 = {"nvars": 1, "entries": [[ONE, ONE], [ONE, ONE]]}
     (dict(GRUSHIN, params={"gamma": "x"}), {}, "matrix.params.gamma"),
     (dict(GRUSHIN, params={"gamma": 1.5}), {}, "matrix.params.gamma"),
     (dict(GRUSHIN, params={"lam": 0.1}), {}, "matrix.params.lam"),
+    (GRUSHIN, {"grid": {"max_points": -5}}, "grid.max_points"),
+    (GRUSHIN, {"grid": {"max_points": 0}}, "grid.max_points"),
+    (GRUSHIN, {"grid": {"box": [[0.5, 0.5]]}}, "grid.box"),
+    (GRUSHIN, {"grid": {"box": [[1, -1]]}}, "grid.box"),
+    (GRUSHIN, {"seed": -1}, "seed"),
+    (GRUSHIN, {"pipeline": "all", "seed": -1}, "seed"),
+    (GRUSHIN, {"grid": {"seed": -1}}, "grid.seed"),
+    (GRUSHIN, {"grid": {"exclude_radius": -0.1}}, "grid.exclude_radius"),
+    (GRUSHIN, {"grid": {"exclusions": [{"radius": -0.1}]}},
+     "grid.exclusions[0].radius"),
+    (GRUSHIN, {"grid": {"resolution": 1}}, "grid.resolution"),
 ])
 def test_mistyped_config_field_is_a_configuration_error(matrix, extra, field,
                                                         tmp_path, capsys):
@@ -337,6 +342,22 @@ def test_mistyped_config_field_is_a_configuration_error(matrix, extra, field,
     assert main(["run", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and repr(field) in err
+
+
+def test_negative_cli_seed_is_a_configuration_error(capsys):
+    assert main(["gallery", "block-M7", "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "'seed'" in err
+
+
+def test_grid_scale_clamps_a_scaled_resolution_to_two():
+    """A given resolution must be >= 2, but `--grid-scale` may shrink it
+    below 2: the scaled lattice of grushin-2x2 (one variable) keeps 2
+    points."""
+    cfg = {"version": 1, "matrix": GRUSHIN, "pipeline": "verify",
+           "grid": {"resolution": 3, "exclude_radius": 0.0}}
+    report, _ = run_config(cfg, grid_scale=0.4)
+    assert report["counts"]["grid_points"] == 2
 
 
 def test_dimension_above_max_dim_exits_one(tmp_path, capsys):
@@ -366,17 +387,10 @@ def test_main_entry_in_process(capsys):
 def test_import_does_not_load_scipy():
     """Importing matsos loads no scipy and builds no jet space tables and no
     variable restriction of one."""
-    import os
-
-    import matsos
-
-    src = os.path.dirname(os.path.dirname(matsos.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, matsos; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
             "print(matsos.jets.space.cache_info().currsize); "
             "print(matsos.jets._restrict.cache_info().currsize)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env)
+    proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:3] == ["[]", "0", "0"]

@@ -1,13 +1,10 @@
 """Every script under demos/ runs to completion in a fresh interpreter."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import matsos
+from fresh import run_python
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
@@ -18,9 +15,5 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_exits_zero(demo):
-    src = os.path.dirname(os.path.dirname(matsos.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path),
-                          timeout=300)
+    proc = run_python([str(demo)])
     assert proc.returncode == 0, proc.stderr

@@ -121,6 +121,31 @@ def test_pairs_returned_arrays_are_fresh():
     assert np.array_equal(Y2, Yr) and np.array_equal(Z2, Zr)
 
 
+def test_pair_offsets_are_drawn_once_per_spec_fields(monkeypatch):
+    """Two specs with the same seed, dimension, pair base and pair counts
+    (each run builds its own) share one draw of the 99 pair generators; a
+    spec that differs in one of them draws its own."""
+    import matsos.grids as grids
+
+    calls = []
+    rng = np.random.default_rng
+
+    def counted(seed):
+        calls.append(seed)
+        return rng(seed)
+
+    monkeypatch.setattr(grids.np.random, "default_rng", counted)
+    grids._pair_offsets.cache_clear()
+    box = ((-1, 1), (-1, 1))
+    first = GridSpec(box=box, seed=41).sample_pairs([0.1, 0.2])
+    assert len(calls) == 11 * (8 + 1)
+    again = GridSpec(box=box, seed=41, resolution=5).sample_pairs([0.1, 0.2])
+    assert len(calls) == 99
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    GridSpec(box=box, seed=41, pair_base=0.2).sample_pairs([0.1, 0.2])
+    assert len(calls) == 2 * 99
+
+
 def test_pair_center_of_wrong_length_is_named_error():
     g = GridSpec(box=((-1, 1),) * 3)
     with pytest.raises(VariableCountError):

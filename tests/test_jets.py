@@ -254,6 +254,89 @@ def test_log_values_reject_signed_structure():
         jets.eval_log_values(X - ex.const(1.0), np.array([[0.5]]))
 
 
+def test_log_values_keep_their_error_rules():
+    """The first failing child, in child order, names the error; an even
+    power of a signed child falls back to log |values|; exp, flat, flatabs
+    and bump read plain values, so a log error below them does not raise."""
+    pts = np.array([[0.5], [-0.25]])
+    neg, signed = ex.const(-2.0), X - ex.const(1.0)
+    with pytest.raises(jets.LogEvalError, match="variable takes negative"):
+        jets.eval_log_values(ex.mul(X, neg), pts)
+    with pytest.raises(jets.LogEvalError, match="negative constant"):
+        jets.eval_log_values(ex.add(neg, X), pts)
+    with pytest.raises(jets.LogEvalError, match="negative constant"):
+        jets.eval_log_values(ex.intpow(ex.mul(neg, X), 3), pts)
+    lv = jets.eval_log_values(ex.intpow(signed, 2), pts)
+    assert lv.tolist() == (2 * np.log(np.abs([-0.5, -1.25]))).tolist()
+    for f in (ex.exp, ex.flat, ex.flatabs, ex.bump):
+        lv = jets.eval_log_values(f(signed) * f(signed * ex.const(0.5)), pts)
+        with np.errstate(divide="ignore"):  # bump is 0 outside (-1, 1)
+            want = np.log(jets.eval_values(f(signed), pts)[0]) + np.log(
+                jets.eval_values(f(signed * ex.const(0.5)), pts)[0])
+        assert lv == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_log_values_compute_each_distinct_node_once(monkeypatch):
+    """The doubling DAG e = e * e over 1 + x0, 40 levels deep, has 43
+    distinct nodes and 2**42 - 1 tree nodes: each distinct node's log is
+    computed once, and the value is exactly 2**40 log(1.5) at x0 = 0.5,
+    where the plain value overflows."""
+    e = ex.add(ex.ONE, X)
+    for _ in range(40):
+        e = ex.mul(e, e)
+    calls = {}
+    log_one = jets._log_one
+
+    def counted(node, pts, logs):
+        calls[id(node)] = calls.get(id(node), 0) + 1
+        return log_one(node, pts, logs)
+
+    monkeypatch.setattr(jets, "_log_one", counted)
+    lv = jets.eval_log_values(e, np.array([[0.5]]))
+    assert len(calls) == 43 and set(calls.values()) == {1}
+    assert lv[0] == 2.0**40 * math.log(1.5)
+
+
+def test_log_values_of_a_deep_chain():
+    """A 10,000-level chain e = sqrt(e**2) * e_const (40,001 nodes) has log
+    log(x0) + 10,000, exactly at x0 = 1; its depth is not limited by
+    recursion."""
+    e = X
+    for _ in range(10_000):
+        e = ex.sqrt(ex.intpow(e, 2)) * ex.const(math.e)
+    lv = jets.eval_log_values(e, np.array([[1.0], [2.0]]))
+    assert lv[0] == 10_000.0
+    assert lv[1] == pytest.approx(10_000.0 + math.log(2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("order", [0, 2])
+def test_eval_entries_walks_its_roots_once(order, monkeypatch):
+    """One `eval_entries` call walks the DAG of all its roots once, and
+    lists each distinct node once; within a run table, a second call at
+    order 0 finds every node in the memo."""
+    walks = []
+    post_order = jets.post_order
+
+    def spy(roots, done=()):
+        nodes = post_order(roots, done)
+        walks.append((list(roots), nodes))
+        return nodes
+
+    monkeypatch.setattr(jets, "post_order", spy)
+    inner = ex.exp(X) * Y + X
+    exprs = [inner, ex.recip(inner) + inner, ex.mul(inner, inner), inner]
+    pts = np.array([[0.5, 0.25], [-1.0, 2.0]])
+    with jets.run_table():
+        for again in (False, True):
+            walks.clear()
+            jets.eval_entries(exprs, pts, order, nvars=2)
+            assert len(walks) == 1
+            roots, nodes = walks[0]
+            assert all(r is e for r, e in zip(roots, exprs))
+            assert len({id(n) for n in nodes}) == len(nodes)
+            assert len(nodes) == (0 if again and not order else 8)
+
+
 def test_grid_partitions_merge_deterministically():
     """Evaluating a partitioned batch yields exactly the full-batch tables:
     sweeps can be split across workers with deterministic merges."""
@@ -686,7 +769,7 @@ def test_root_reads_equal_reads_of_its_full_table(order, support):
 def test_nodes_are_evaluated_in_the_space_of_their_variables():
     memo = {}
     e = X * Y + ex.exp(ex.const(2.0))
-    jb = jets._evaluate(e, _hostile_points(), jets.space(3, 4), memo)
+    jb, = jets._evaluate([e], _hostile_points(), jets.space(3, 4), memo)
     assert jb.space is jets.space(3, 4)
     assert memo[id(X)].space.multi == tuple((k, 0, 0) for k in range(5))
     assert memo[id(e.children[1])].space.ncoef == 1
@@ -855,15 +938,26 @@ def _same_jet_bytes(got, want):
 
 
 def _memos(monkeypatch):
-    """The memos `jets._evaluate` is called with, in call order."""
-    memos = []
-    evaluate = jets._evaluate
+    """One entry per `jets._evaluate` call, in call order: the memo that
+    `jets._eval_one` read the children's jets from in that call."""
+    memos, inside = [], []
+    evaluate, eval_one = jets._evaluate, jets._eval_one
 
-    def spy(expr, pts, sp, memo):
-        memos.append(memo)
-        return evaluate(expr, pts, sp, memo)
+    def spy(exprs, pts, sp, memo):
+        memos.append(None)
+        inside.append(True)
+        try:
+            return evaluate(exprs, pts, sp, memo)
+        finally:
+            inside.pop()
+
+    def spy_one(node, pts, sp, memo):
+        if inside:
+            memos[-1] = memo
+        return eval_one(node, pts, sp, memo)
 
     monkeypatch.setattr(jets, "_evaluate", spy)
+    monkeypatch.setattr(jets, "_eval_one", spy_one)
     return memos
 
 
@@ -881,7 +975,7 @@ def test_freed_tables_equal_a_keep_everything_memo(name, order, monkeypatch):
     got = jets.eval_entries(exprs, pts, order, nvars=A.nvars)
     want = keep_everything_entries(exprs, pts, order, A.nvars)
     assert all(_same_jet_bytes(g, w) for g, w in zip(got, want))
-    assert len(memos) == len(exprs) and not memos[0]
+    assert memos == [{}]  # one call for all roots, its memo empty after it
 
 
 def _chain(depth):
@@ -910,9 +1004,8 @@ def test_freed_tables_keep_repeated_and_nested_roots(order, monkeypatch):
         got = jets.eval_entries(exprs, pts, order, nvars=2)
         want = keep_everything_entries(exprs, pts, order, 2)
         assert all(_same_jet_bytes(g, w) for g, w in zip(got, want))
-        assert not memos[0]
-        # one call per root, and the repeated root is the same jet
-        assert len(memos) == len(exprs)
+        # one call for all roots, and the repeated root is the same jet
+        assert memos == [{}]
         if exprs[0] is exprs[-1]:
             assert got[0] is got[-1]
 

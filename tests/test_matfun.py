@@ -279,7 +279,7 @@ def test_each_expression_is_evaluated_once_per_pair_ladder(name, pipeline,
     evaluate = jets._evaluate
     seen = {}
 
-    def counted(expr, points, sp, memo):
+    def counted(exprs, points, sp, memo):
         # every public evaluation reaches the jets through `_evaluate`, at
         # checked points in a space that carries the order and support
         side = points.tobytes()
@@ -289,13 +289,15 @@ def test_each_expression_is_evaluated_once_per_pair_ladder(name, pipeline,
         else:
             parts = [side] if side in ladders else []
         # an expression already in a shared memo is read, not evaluated
-        if not (memo and id(expr) in memo):
+        for expr in {id(e): e for e in exprs}.values():
+            if memo and id(expr) in memo:
+                continue
             for part in parts:
                 key = (id(expr), part, sp.order, sp.multi)
                 assert key not in seen, \
                     "expression evaluated again on a pair ladder"
                 seen[key] = expr  # keeps the id from being reused
-        return evaluate(expr, points, sp, memo)
+        return evaluate(exprs, points, sp, memo)
 
     monkeypatch.setattr(GridSpec, "sample_pairs", recorded)
     monkeypatch.setattr(jets, "eval_ladders", ladder_call)

@@ -614,12 +614,13 @@ def test_library_pipeline_evaluates_each_pair_ladder_row_once(monkeypatch):
     evaluate = jets._evaluate
     seen = {}
 
-    def counted(expr, points, sp, memo):
+    def counted(exprs, points, sp, memo):
         side = points.tobytes()
-        if side in stacks and id(expr) not in memo:
-            key = (id(expr), side, sp)
-            seen[key] = expr, seen.get(key, (expr, 0))[1] + 1
-        return evaluate(expr, points, sp, memo)
+        for expr in {id(e): e for e in exprs}.values():
+            if side in stacks and not (memo and id(expr) in memo):
+                key = (id(expr), side, sp)
+                seen[key] = expr, seen.get(key, (expr, 0))[1] + 1
+        return evaluate(exprs, points, sp, memo)
 
     monkeypatch.setattr(jets, "eval_ladders", ladder_call)
     monkeypatch.setattr(jets, "_evaluate", counted)
