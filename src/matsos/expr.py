@@ -13,23 +13,30 @@ downstream (matrix functions, decompositions, checkers) is built from these
 trees, so evaluation and differentiation live in one place (`matsos.jets`).
 
 Trees are immutable; sharing subtrees is what makes the algebraic
-identities of the decomposition exact.  Loading (`from_dict`) interns
-structurally equal nodes, so a tree that repeats a subexpression comes back
-as a DAG in which each distinct node is built once and shared; structural
-equality compares float parameters by their bits, so `const(0.0)` and
-`const(-0.0)` stay distinct.  Loading also returns, on request, an echo of
-its input that shares one dict per byte-equal JSON subtree, and `to_dict`
-writes one dict per distinct node from `post_order`, the walk that every
-evaluator in `matsos.jets` shares too; both walks keep their own stack,
-so depth is not limited by recursion.  Neither are `hash()`, which is
-computed at construction from the children's cached hashes, nor `==`,
-which walks both trees with its own stack and compares hashes first.
+identities of the decomposition exact.  Every node is hash-consed at
+construction: `ScalarExpr.__new__` looks up (kind, parameter, children) in
+a weak table of the live nodes and returns the node already there, so two
+structurally equal expressions are one object, however and wherever they
+were built (by the builders or by loading), and identity, the default
+`==` and `hash()` are structural equality.  Float parameters are compared
+by their bits, so `const(0.0)` and `const(-0.0)` stay distinct.  The table
+keeps no node alive, and a lock makes its lookup and insert one step, so
+threads get one node per structure too.  Every walk and memo keys nodes by
+the node itself.
+
+Loading (`from_dict`) returns, on request, an echo of its input that shares
+one dict per byte-equal JSON subtree, and `to_dict` writes one dict per
+distinct node from `post_order`, the walk that every evaluator in
+`matsos.jets` shares too; both walks keep their own stack, so depth is not
+limited by recursion.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import threading
+import weakref
 
 __all__ = [
     "ScalarExpr",
@@ -76,25 +83,34 @@ class ScalarExpr:
 
     Do not call the constructor directly; use the module-level builders
     (`var`, `const`, `add`, ...) or the arithmetic operators, which validate
-    their arguments.
+    their arguments.  Nodes are hash-consed: building a node equal in
+    structure to a live one returns that node, so structure is identity.
     """
 
-    __slots__ = ("kind", "children", "param", "vmask", "_hash")
+    __slots__ = ("kind", "children", "param", "vmask", "__weakref__")
 
-    def __init__(self, kind, children=(), param=None):
-        if kind not in _ALL_KINDS:
-            raise ExprError(f"unknown node kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "children", tuple(children))
-        object.__setattr__(self, "param", param)
-        # bit a is set when x_a occurs in the tree
-        vmask = 1 << param if kind == "var" else 0
-        for c in self.children:
-            vmask |= c.vmask
-        object.__setattr__(self, "vmask", vmask)
-        # from the children's cached hashes, so hash() never recurses
-        object.__setattr__(self, "_hash", hash(
-            (kind, _param_key(param), self.children)))
+    def __new__(cls, kind, children=(), param=None):
+        children = tuple(children)
+        key = (kind, _param_key(param), children)
+        # lookup and insert as one step, so that threads building one
+        # structure at once still get one node
+        with _NODES_LOCK:
+            node = _NODES.get(key)
+            if node is not None:
+                return node
+            if kind not in _ALL_KINDS:
+                raise ExprError(f"unknown node kind {kind!r}")
+            node = object.__new__(cls)
+            object.__setattr__(node, "kind", kind)
+            object.__setattr__(node, "children", children)
+            object.__setattr__(node, "param", param)
+            # bit a is set when x_a occurs in the tree
+            vmask = 1 << param if kind == "var" else 0
+            for c in children:
+                vmask |= c.vmask
+            object.__setattr__(node, "vmask", vmask)
+            _NODES[key] = node
+        return node
 
     def __setattr__(self, name, value):
         raise AttributeError("ScalarExpr nodes are immutable")
@@ -136,29 +152,6 @@ class ScalarExpr:
         args = ", ".join(repr(c) for c in self.children)
         return f"{self.kind}({args})"
 
-    # Structural equality (used by interning and serialization tests;
-    # identity is what the evaluator memoizes on).  The walk keeps its own
-    # stack, compares hashes first, and compares each pair of nodes once.
-    def __eq__(self, other):
-        if not isinstance(other, ScalarExpr):
-            return NotImplemented
-        stack = [(self, other)]
-        done = set()
-        while stack:
-            a, b = stack.pop()
-            if a is b or (id(a), id(b)) in done:
-                continue
-            if (a._hash != b._hash or a.kind != b.kind
-                    or len(a.children) != len(b.children)
-                    or _param_key(a.param) != _param_key(b.param)):
-                return False
-            done.add((id(a), id(b)))
-            stack.extend(zip(a.children, b.children))
-        return True
-
-    def __hash__(self):
-        return self._hash
-
     @property
     def max_index(self):
         """Largest variable index in the tree, -1 when it has none."""
@@ -170,9 +163,15 @@ class ScalarExpr:
         return self.max_index + 1
 
 
+# (kind, parameter key, children) -> the live node of that structure; the
+# table holds no node alive, and a node's entry goes when the node does
+_NODES = weakref.WeakValueDictionary()
+_NODES_LOCK = threading.Lock()
+
+
 def _param_key(param):
-    """A node parameter as equality and interning see it: floats by their
-    bits, so that 0.0 and -0.0 differ."""
+    """A node parameter as interning sees it: floats by their bits, so that
+    0.0 and -0.0 differ."""
     return param.hex() if isinstance(param, float) else param
 
 
@@ -189,7 +188,8 @@ def _coerce(v):
 
 def var(index):
     """Coordinate variable x_index, 0-based, at most 8 variables."""
-    if not isinstance(index, int) or not 0 <= index < MAX_VARS:
+    # a bool is no index: var(True) would intern as var(1)
+    if type(index) is not int or not 0 <= index < MAX_VARS:
         raise ExprError(f"variable index must be an int in 0..{MAX_VARS - 1}")
     return ScalarExpr("var", (), index)
 
@@ -220,7 +220,7 @@ def mul(*factors):
 
 
 def intpow(base, exponent):
-    if not isinstance(exponent, int):
+    if type(exponent) is not int:
         raise ExprError("intpow exponent must be an integer")
     return ScalarExpr("intpow", (_coerce(base),), exponent)
 
@@ -267,7 +267,7 @@ ONE = const(1.0)
 
 
 def post_order(roots, done=()):
-    """The distinct nodes under `roots` that `done` (a memo keyed by `id()`)
+    """The distinct nodes under `roots` that `done` (a memo keyed by node)
     does not hold, each after its children: a depth-first walk, with its
     own stack, that takes roots and children in order and does not descend
     below a node in `done`.  The one walk of the DAG in `to_dict` and
@@ -277,8 +277,8 @@ def post_order(roots, done=()):
     while stack:
         node, kids = stack[-1]
         for c in kids:
-            if id(c) not in seen and id(c) not in done:
-                seen.add(id(c))
+            if c not in seen and c not in done:
+                seen.add(c)
                 stack.append((c, iter(c.children)))
                 break
         else:
@@ -292,9 +292,8 @@ def to_dict(expr, memo=None):
 
     Each distinct node becomes one dict, shared by every parent that reads
     it, so the result is a DAG of dicts as large as the expression DAG.
-    Pass the same `memo` (a dict, kept by the caller) to several calls to
-    share dicts across expressions; it keys nodes by identity, so the
-    expressions must stay alive while it is in use.
+    Pass the same `memo` (a dict from node to dict, kept by the caller) to
+    several calls to share dicts across expressions.
     """
     if memo is None:
         memo = {}
@@ -306,30 +305,28 @@ def to_dict(expr, memo=None):
             d = {"kind": "const", "value": node.param}
         else:
             d = {"kind": kind,
-                 "children": [memo[id(c)] for c in node.children]}
+                 "children": [memo[c] for c in node.children]}
             if kind == "intpow":
                 d["exponent"] = node.param
-        memo[id(node)] = d
-    return memo[id(expr)]
+        memo[node] = d
+    return memo[expr]
 
 
 def from_dict(d, table=None, *, echo=False):
-    """Load an expression from its JSON form, interning equal nodes.
+    """Load an expression from its JSON form.
 
     The walk keeps its own stack, so depth is not limited by recursion, and
     loads each input dict with children once, however often it is shared
-    (a leaf costs one lookup per occurrence).  `table` (a dict, kept by
-    the caller) holds two layers; pass the same one to several calls to
-    share nodes across expressions.
+    (a leaf costs one lookup per occurrence).  Nodes are built through the
+    builders, which hash-cons them, so structurally equal subtrees come
+    back as one shared node (`1` and `1.0` give one constant).
 
-    - Semantic: a node is keyed on (kind, parameter bits, ids of its
-      interned children) and built only when the key is new, so
-      structurally equal subtrees come back as one shared node (`1` and
-      `1.0` give one constant).
-    - Exact JSON: a node that has its kind's fields and no others is keyed
-      on (kind, parameter type and bits, ids of its children's echoes).
-      Equal keys mean byte-equal JSON, so a hit returns the node and its
-      echo without validating again.
+    `table` (a dict, kept by the caller) is the exact-JSON layer; pass the
+    same one to several calls to share echoes across expressions.  A node
+    that has its kind's fields and no others is keyed there on (kind,
+    parameter type and bits, ids of its children's echoes).  Equal keys
+    mean byte-equal JSON, so a hit returns the node and its echo without
+    validating again.
 
     The echo of a node is a copy of its dict whose children are the
     children's echoes, so byte-equal subtrees share one echo; a node with
@@ -423,8 +420,8 @@ def _leaf(d, table):
 
 def _intern(d, kind, loaded, exact, table):
     """(node, echo) of an input node not yet in the exact-JSON layer, given
-    the (node, echo) of each child: validated, interned by meaning, and
-    entered under `exact` unless that is None."""
+    the (node, echo) of each child: validated, built, and entered under
+    `exact` unless that is None."""
     param = None
     if kind == "var":
         param = _integer_field(d, "index")
@@ -432,12 +429,7 @@ def _intern(d, kind, loaded, exact, table):
         param = _number_field(d, "value")
     elif kind == "intpow":
         param = _integer_field(d, "exponent")
-    children = tuple([node for node, _ in loaded])
-    key = (kind, _param_key(param), tuple(map(id, children)))
-    node = table.get(key)
-    if node is None:
-        node = _build(kind, children, param)
-        table[key] = node
+    node = _build(kind, [node for node, _ in loaded], param)
     if exact is None:
         return node, d
     echo = dict(d)

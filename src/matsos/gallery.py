@@ -344,16 +344,14 @@ def build_blocks(kind, params=None):
         eye4 = SymMatFun.constant(np.eye(4), nvars=7)
         F = build_f_phi_psi(p)
         M = blockdiag([eye4, F], nvars=7,
-                      tags=StructureTags(degenerate_axes=(0, 1, 2, 3),
-                                         constant_blocks=((0, 4),)))
+                      tags=StructureTags(degenerate_axes=(0, 1, 2, 3)))
         return M
     if kind == "N8":
         M = build_blocks("M7", p)
         q = FPhiPsiParams(lam=p.lam, phi=_second_profile, window=p.window)
         G = build_f_phi_psi(q)
         return blockdiag([M, G], nvars=8,
-                         tags=StructureTags(degenerate_axes=(0, 1, 2, 3),
-                                            constant_blocks=((0, 4),)))
+                         tags=StructureTags(degenerate_axes=(0, 1, 2, 3)))
     if kind == "P7":
         prm = params if isinstance(params, dict) else {}
         r5sq = ex.add(*[ex.intpow(ex.var(i), 2) for i in range(5)])
@@ -364,8 +362,7 @@ def build_blocks(kind, params=None):
         return blockdiag(
             [eye5, tail],
             nvars=7,
-            tags=StructureTags(degenerate_axes=(0, 1, 2, 3, 4),
-                               constant_blocks=((0, 5),)),
+            tags=StructureTags(degenerate_axes=(0, 1, 2, 3, 4)),
         )
     raise ValueError(f"unknown block kind {kind!r}; use M7, N8 or P7")
 

@@ -20,7 +20,8 @@ __all__ = ["Exclusion", "GridSpec", "MisconfiguredGridError"]
 
 
 class MisconfiguredGridError(ValueError):
-    """The sampling plan excludes everything it was asked to sample."""
+    """The sampling plan has a field out of range, or excludes everything it
+    was asked to sample."""
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,13 @@ class GridSpec:
         for lo, hi in box:
             if not lo < hi:
                 raise MisconfiguredGridError(f"empty box side ({lo}, {hi})")
+        for name, least in (("seed", 0), ("resolution", 2),
+                            ("exclude_radius", 0), ("max_points", 1),
+                            ("pair_scales", 1), ("pairs_per_scale", 1)):
+            if not getattr(self, name) >= least:
+                raise MisconfiguredGridError(
+                    f"{name} must be at least {least}, "
+                    f"got {getattr(self, name)!r}")
         object.__setattr__(self, "box", box)
         excl = tuple(self.exclusions)
         if self.exclude_radius > 0:

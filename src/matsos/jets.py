@@ -87,12 +87,13 @@ bit for bit those of the flag algebra.
 Every evaluation is one `expr.post_order` walk of its roots' DAG, which
 lists the nodes its memo does not hold, children first, and one loop that
 evaluates them; `eval_log_values` walks the same way.  Evaluations share
-work through memos keyed by node identity; every table a memo holds is
+work through memos keyed by the node itself: nodes are hash-consed (see
+`matsos.expr`), so a memo entry serves every expression that contains that
+structure, and its key keeps the node alive.  Every table a memo holds is
 read-only.  Within `run_table` (opened by `run_config` for a run) all
 order-0 evaluations share one table, one memo per (point stack shape and
 bytes, `JetSpace`): the space carries nvars, order and support, so no
-support is served from another's table, and the table keeps the roots it
-evaluated so that no `id()` in it is reused.  Order-0 tables of a grid are
+support is served from another's table.  Order-0 tables of a grid are
 small and are read by many stages, so that memo keeps every table until
 the run ends.  Every other evaluation (orders >= 1, and order 0 outside a
 run table) has a memo of its own call: from the walk it counts the parent
@@ -572,7 +573,7 @@ def _eval_one(node, pts, sp, memo):
     carries a flag; its arithmetic is the same either way."""
     kind = node.kind
     npts = pts.shape[0]
-    kids = [memo[id(c)] for c in node.children]
+    kids = [memo[c] for c in node.children]
     if kind in ("const", "var"):
         coef = np.zeros((sp.ncoef, npts))
         if kind == "const":
@@ -772,20 +773,17 @@ def _as_points(points, nvars):
 class _RunTable:
     """The order-0 jets and the pair-ladder rows of one run.
 
-    `memos` holds a memo of jets, `rows` the `eval_ladders` rows, both by
-    node identity per (points shape and bytes, `JetSpace`); the space
+    `memos` holds a memo of jets, `rows` the `eval_ladders` rows, both
+    keyed by node per (points shape and bytes, `JetSpace`); the space
     carries nvars, order and support, so no support is served from
     another's table.  They stay apart because an order-0 ladder side has
     both under one key.  Unlike the memo of a single call, nothing is
     freed before the table is dropped: several stages read the same order-0
-    jets and rows.
-    Every root evaluated into the table is kept, and with it every node
-    below it, so no `id()` in it is reused."""
+    jets and rows."""
 
     def __init__(self):
         self.memos = {}
         self.rows = {}
-        self.roots = []
 
 
 _RUN_TABLE = contextvars.ContextVar("matsos_run_table", default=None)
@@ -795,7 +793,9 @@ _RUN_TABLE = contextvars.ContextVar("matsos_run_table", default=None)
 def run_table():
     """Keep the order-0 jets of every evaluation in the block, and the rows
     of every `eval_ladders` call, so each (node, points, space) is evaluated
-    once however many stages read it; every other evaluation frees each
+    once however many stages read it, and a node is a structure: the equal
+    subexpressions of different stages are one node (see `matsos.expr`)
+    and share one entry.  Every other evaluation frees each
     table after its last reader within its own call (see `_evaluate`).
     `report.run_config` opens one per run; library callers may open their
     own.  The table is dropped when the block exits, normally or not; a
@@ -813,17 +813,14 @@ def within_run_table():
     return run_table() if _RUN_TABLE.get() is None else nullcontext()
 
 
-def _memo(pts, sp, roots):
-    """The memo for an evaluation of `roots` at `pts` in `sp`: the open run
-    table's at order 0, which keeps every table and the roots not in it
-    yet, else None (a memo of the call that frees each table after its
-    last reader)."""
+def _memo(pts, sp):
+    """The memo for an evaluation at `pts` in `sp`: the open run table's at
+    order 0, which keeps every table, else None (a memo of the call that
+    frees each table after its last reader)."""
     table = _RUN_TABLE.get()
     if table is None or sp.order:
         return None
-    memo = table.memos.setdefault((pts.shape, pts.tobytes(), sp), {})
-    table.roots += [e for e in roots if id(e) not in memo]
-    return memo
+    return table.memos.setdefault((pts.shape, pts.tobytes(), sp), {})
 
 
 def _points_and_space(expr_nvars, points, order, nvars, support):
@@ -857,7 +854,7 @@ def eval_jet_batch(expr, points, order=MAX_ORDER, nvars=None, support=None):
     if not isinstance(expr, ScalarExpr):
         raise TypeError("expr must be a ScalarExpr")
     pts, sp = _points_and_space(expr.nvars, points, order, nvars, support)
-    return _evaluate([expr], pts, sp, _memo(pts, sp, [expr]))[0]
+    return _evaluate([expr], pts, sp, _memo(pts, sp))[0]
 
 
 def eval_entries(exprs, points, order=MAX_ORDER, nvars=None, support=None):
@@ -868,7 +865,7 @@ def eval_entries(exprs, points, order=MAX_ORDER, nvars=None, support=None):
         raise TypeError("expr must be a ScalarExpr")
     nv = nvars if nvars is not None else max([1] + [e.nvars for e in exprs])
     pts, sp = _points_and_space(nv, points, order, nv, support)
-    return _evaluate(exprs, pts, sp, _memo(pts, sp, exprs))
+    return _evaluate(exprs, pts, sp, _memo(pts, sp))
 
 
 def _evaluate(exprs, pts, sp, memo):
@@ -888,20 +885,20 @@ def _evaluate(exprs, pts, sp, memo):
         edges = list(exprs)
         for node in nodes:
             edges += node.children
-        memo, readers = {}, Counter(map(id, edges))
+        memo, readers = {}, Counter(edges)
     with np.errstate(all="ignore"):
         for node in nodes:
             jet = _eval_one(node, pts, _restrict(sp, node.vmask)[0], memo)
             for a in (jet.coef, jet.invalid, jet.poly_singular, jet.flat_zero):
                 a.flags.writeable = False
-            memo[id(node)] = jet
+            memo[node] = jet
             if readers is None:
                 continue
             for c in node.children:
-                readers[id(c)] -= 1
-                if not readers[id(c)]:
-                    del memo[id(c)]
-    out = [memo[id(e)] for e in exprs]
+                readers[c] -= 1
+                if not readers[c]:
+                    del memo[c]
+    out = [memo[e] for e in exprs]
     if readers is not None:
         memo.clear()  # the roots, the only tables left
     return [jet if jet.space is sp else
@@ -959,17 +956,15 @@ def eval_ladders(exprs, ladders, order, nvars, support):
         pts, sp = _points_and_space(nvars, np.concatenate(
             [L[k] for L in ladders]), order, nvars, support)
         kept = table.rows.setdefault((pts.shape, pts.tobytes(), sp), {})
-        new = [e for i, e in {id(e): e for e in exprs}.items()
-               if i not in kept]
+        new = [e for e in dict.fromkeys(exprs) if e not in kept]
         jbs = eval_entries(new, pts, order, nvars=nvars, support=support)
         for e, jb, d in zip(new, jbs, derivative_rows(jbs, support)):
             d.flags.writeable = False
-            kept[id(e)] = jb.invalid, d
-        table.roots.extend(new)
-        inv = np.array([kept[id(e)][0] for e in exprs]).reshape(len(exprs),
-                                                                len(pts))
+            kept[e] = jb.invalid, d
+        inv = np.array([kept[e][0] for e in exprs]).reshape(len(exprs),
+                                                            len(pts))
         inv.flags.writeable = False
-        return inv, [kept[id(e)][1] for e in exprs]
+        return inv, [kept[e][1] for e in exprs]
 
     (inv_y, dy), (inv_z, dz) = side(0), side(1)
     # cut every array at the ladder boundaries, and regroup per ladder
@@ -1058,10 +1053,10 @@ def eval_log_values(expr, points, nvars=None):
                                          over="ignore"):
         for node in post_order([expr]):
             try:
-                logs[id(node)] = _log_one(node, pts, logs)
+                logs[node] = _log_one(node, pts, logs)
             except LogEvalError as err:
-                logs[id(node)] = err
-    out = logs[id(expr)]
+                logs[node] = err
+    out = logs[expr]
     if isinstance(out, LogEvalError):
         raise out
     return out
@@ -1089,7 +1084,7 @@ def _log_one(node, pts, logs):
         inside = np.abs(v) < 1.0
         safe = np.where(inside, v, 0.0)
         return np.where(inside, 1.0 - 1.0 / (1.0 - safe**2), -np.inf)
-    kids = [logs[id(c)] for c in node.children]
+    kids = [logs[c] for c in node.children]
     for k in kids:
         if isinstance(k, LogEvalError):
             if kind == "intpow" and node.param % 2 == 0:

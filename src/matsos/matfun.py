@@ -35,12 +35,10 @@ class StructureTags:
 
     degenerate_axes: variable indices the matrix degenerates in (the
         singular set is where these coordinates vanish; diagonal entries
-        are expected to vary, up to bounded ratio, only in them);
-    constant_blocks: index ranges (start, stop) whose entries are constant.
+        are expected to vary, up to bounded ratio, only in them).
     """
 
     degenerate_axes: tuple = ()
-    constant_blocks: tuple = ()
 
 
 class Sampled(NamedTuple):
@@ -216,18 +214,13 @@ class SymMatFun:
         }
 
     @classmethod
-    def from_json_dict(cls, d):
-        """Inverse of `to_json_dict`; see `load_json`."""
-        return cls.load_json(d)[0]
-
-    @classmethod
     def load_json(cls, d):
         """(matrix, echo of `d["entries"]`) from the JSON form.
 
-        All n x n entries are loaded through one intern table, so
-        subexpressions repeated within or across entries are built once and
-        shared, and byte-equal JSON subtrees share one echo (see
-        `expr.from_dict`).  An entry below the diagonal must intern to the
+        Nodes are hash-consed, so subexpressions repeated within or across
+        entries come back as one shared node; all n x n entries are loaded
+        through one echo table, so byte-equal JSON subtrees share one echo
+        (see `expr.from_dict`).  An entry below the diagonal must be the
         same node as its mirror above it.  A bad entry raises EntryError
         naming it.
         """

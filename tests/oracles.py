@@ -20,7 +20,6 @@ import json
 import numpy as np
 import pytest
 
-from matsos import expr as ex
 from matsos import jets
 from matsos.gallery import _fibonacci_sphere
 from matsos.matfun import SymMatFun
@@ -126,17 +125,17 @@ def keep_everything_entries(exprs, points, order, nvars):
             stack = [root]
             while stack:
                 node = stack[-1]
-                if id(node) in memo:
+                if node in memo:
                     stack.pop()
                     continue
-                todo = [c for c in node.children if id(c) not in memo]
+                todo = [c for c in node.children if c not in memo]
                 if todo:
                     stack.extend(reversed(todo))
                     continue
                 stack.pop()
-                memo[id(node)] = jets._eval_one(
+                memo[node] = jets._eval_one(
                     node, pts, jets._restrict(sp, node.vmask)[0], memo)
-            jet, rows = memo[id(root)], jets._restrict(sp, root.vmask)[1]
+            jet, rows = memo[root], jets._restrict(sp, root.vmask)[1]
             out.append(jet if rows is None else jets._LiftedBatch(sp, jet, rows))
     return out
 
@@ -203,22 +202,38 @@ def jacobi_scalar(a):
     return w[order], v[:, order]
 
 
-def from_dict_tree(d):
-    """The tree-building loader that `expr.from_dict` replaced: every copy
-    of a repeated subtree becomes a node of its own."""
-    kind = d["kind"]
-    if kind == "var":
-        return ex.var(int(d["index"]))
-    if kind == "const":
-        return ex.const(float(d["value"]))
-    children = [from_dict_tree(c) for c in d.get("children", ())]
-    if kind == "intpow":
-        return ex.intpow(children[0], int(d["exponent"]))
-    if kind == "sum":
-        return ex.add(*children)
-    if kind == "product":
-        return ex.mul(*children)
-    return ex.ScalarExpr(kind, (children[0],))
+def tree_entries(exprs, points, order, nvars):
+    """The jets of `exprs` at `points` in the full space of `nvars`
+    variables to `order` under tree semantics: every occurrence of a node
+    is evaluated on its own, from the jets of its own children's
+    occurrences, with no memo, so no jet is shared between two parents
+    (a node that reads one child twice takes the jet of the later
+    occurrence for both).  Each evaluation is `jets._eval_one` in the rows
+    of the variables the node reads.  Returns (jets, occurrences), the
+    number of nodes evaluated."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    sp = jets.space(nvars, order)
+    out, occurrences = [], 0
+    with np.errstate(all="ignore"):
+        for root in exprs:
+            # (occurrence, jets of its children's occurrences so far)
+            stack = [(root, [])]
+            while True:
+                node, kids = stack[-1]
+                if len(kids) < len(node.children):
+                    stack.append((node.children[len(kids)], []))
+                    continue
+                stack.pop()
+                occurrences += 1
+                jet = jets._eval_one(node, pts,
+                                     jets._restrict(sp, node.vmask)[0],
+                                     dict(zip(node.children, kids)))
+                if not stack:
+                    break
+                stack[-1][1].append(jet)
+            rows = jets._restrict(sp, root.vmask)[1]
+            out.append(jet if rows is None else jets._LiftedBatch(sp, jet, rows))
+    return out, occurrences
 
 
 def dump_json(obj):

@@ -1,9 +1,12 @@
+import gc
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
-from oracles import from_dict_tree
+from oracles import tree_entries
 
 from matsos import expr as ex
 from matsos import jets
@@ -124,13 +127,13 @@ def test_from_dict_accepts_integral_floats():
 
 def _reachable(roots):
     """Distinct node objects reachable from the roots, by identity."""
-    seen, stack = {}, list(roots)
+    seen, stack = set(), list(roots)
     while stack:
         node = stack.pop()
-        if id(node) not in seen:
-            seen[id(node)] = node
+        if node not in seen:
+            seen.add(node)
             stack.extend(node.children)
-    return list(seen.values())
+    return seen
 
 
 def _peeled_spd(n, peels, rng):
@@ -155,25 +158,27 @@ def _same_bits(a, b):
 
 @pytest.mark.parametrize("seed, n, peels", [(0, 3, 1), (1, 4, 1), (2, 4, 2)])
 def test_interned_load_matches_tree_load(seed, n, peels):
+    """A loaded peeled matrix shares its repeated subexpressions, and its
+    jets and flags equal, bit for bit, those of evaluating every occurrence
+    of every node on its own: sharing changes no jet or flag."""
     d = _peeled_spd(n, peels, np.random.default_rng(seed))
-    A = SymMatFun.from_json_dict(d)
-    n = d["dimension"]
-    tree = SymMatFun(n, 2, {(i, j): from_dict_tree(d["entries"][i][j])
-                            for i in range(n) for j in range(i, n)})
-    interned = _reachable([e for _, e in A.upper_entries()])
-    copies = _reachable([e for _, e in tree.upper_entries()])
-    # one object per distinct structure, and far fewer objects than copies
-    assert len(interned) == len(set(interned)) == len(set(copies))
-    assert len(interned) < len(copies)
+    A = SymMatFun.load_json(d)[0]
+    exprs = [e for _, e in A.upper_entries()]
+    # a second load is the same objects: one node per distinct structure
+    again = SymMatFun.load_json(json.loads(json.dumps(d)))[0]
+    assert all(a is b for (_, a), (_, b) in zip(A.upper_entries(),
+                                                  again.upper_entries()))
     rng = np.random.default_rng(seed)
     pts = np.vstack([rng.uniform(-1.0, 1.0, size=(40, 2)),
                      [[0.0, 0.0], [-0.0, 0.5], [1.0, -0.0]]])
     for order in (0, 4):
         got, got_ok = A.entry_jets(pts, order=order)
-        want, want_ok = tree.entry_jets(pts, order=order)
+        want, occurrences = tree_entries(exprs, pts, order, A.nvars)
+        # far fewer distinct nodes than occurrences in the trees
+        assert len(_reachable(exprs)) < occurrences
+        want_ok = ~np.any([jb.invalid for jb in want], axis=0)
         assert np.array_equal(got_ok, want_ok)
-        for key, jb in want.items():
-            g = got[key]
+        for g, jb in zip(got.values(), want):
             assert _same_bits(g.coef, jb.coef)
             for flag in ("invalid", "poly_singular", "flat_zero"):
                 assert np.array_equal(getattr(g, flag), getattr(jb, flag))
@@ -185,7 +190,7 @@ def test_interned_load_keeps_both_signed_zeros():
     one = {"kind": "const", "value": 1.0}
     d = json.loads(json.dumps({"dimension": 2, "nvars": 1,
                                "entries": [[one, neg], [neg, pos]]}))
-    A = SymMatFun.from_json_dict(d)
+    A = SymMatFun.load_json(d)[0]
     vals, ok = A.values(np.array([[0.5], [-0.25]]))
     assert ok.all()
     assert np.signbit(vals[:, 0, 1]).all() and np.signbit(vals[:, 1, 0]).all()
@@ -208,11 +213,11 @@ def _chain(levels, leaf=0):
 
 def test_deep_chain_round_trips_without_recursion():
     """to_dict and from_dict walk with their own stack: a 10,000-level chain
-    survives the round trip and the reload evaluates bit for bit as the
-    original at orders 0 and 2."""
+    survives the round trip, comes back as the original node, and
+    evaluates bit for bit as it at orders 0 and 2."""
     e = _chain(10_000)
     back = ex.from_dict(ex.to_dict(e))
-    assert back.kind == "recip" and back is not e and back == e
+    assert back.kind == "recip" and back is e
     for order in (0, 2):
         want = jets.eval_jet_batch(e, [[0.3]], order)
         got = jets.eval_jet_batch(back, [[0.3]], order)
@@ -221,15 +226,63 @@ def test_deep_chain_round_trips_without_recursion():
 
 
 def test_deep_chain_hashes_and_compares_without_recursion():
-    """hash() and == of a 10,000-level chain do not recurse: a chain built
-    separately hashes and compares equal, and one that differs only at its
-    leaf compares unequal."""
+    """Building, hashing and comparing a 10,000-level chain do not recurse:
+    a chain built separately is the original node, and one that differs
+    only at its leaf is another node at every level."""
     e, same, other = _chain(10_000), _chain(10_000), _chain(10_000, leaf=1)
-    assert same is not e
+    assert same is e
     assert hash(same) == hash(e) and same == e and not same != e
     assert len({e, same}) == 1
-    assert other != e and not other == e
-    assert e.children[0] == same.children[0] != other.children[0]
+    assert other is not e and other != e and not other == e
+    assert e.children[0] is same.children[0] is not other.children[0]
+
+
+def test_equal_builds_are_one_node_and_parameters_keep_their_bits():
+    x = ex.var(0)
+    assert ex.recip(x + 1.0) is ex.recip(ex.add(ex.var(0), ex.const(1)))
+    assert ex.const(0.0) is ex.ZERO and ex.const(0.0) is not ex.const(-0.0)
+    assert ex.intpow(x, 2) is not ex.intpow(x, 3)
+    assert ex.mul(x, ex.ONE) is not ex.mul(ex.ONE, x)
+    with pytest.raises(ex.ExprError, match="index"):
+        ex.var(True)
+    with pytest.raises(ex.ExprError, match="exponent"):
+        ex.intpow(x, True)
+
+
+def test_the_node_table_keeps_no_node_alive():
+    """A 10,000-level chain enters the node table and leaves it again, with
+    no recursion, when it is dropped."""
+    gc.collect()
+    before = len(ex._NODES)
+    e = _chain(10_000, leaf=7)
+    assert len(ex._NODES) > before + 10_000
+    del e
+    assert len(ex._NODES) == before
+
+
+def test_threads_building_one_structure_get_one_node():
+    """Four threads, switching every microsecond, build the same 3,000
+    fresh sums at once: each structure is one node in every thread."""
+    interval = sys.getswitchinterval()
+    start = threading.Barrier(4)
+    out = [None] * 4
+
+    def build(k):
+        start.wait(timeout=10)
+        out[k] = [ex.var(6) + float(i) + 0.125 for i in range(3000)]
+
+    threads = [threading.Thread(target=build, args=(k,)) for k in range(4)]
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(nodes) == 3000 for nodes in out)
+    assert all(a is b for nodes in out[1:] for a, b in zip(out[0], nodes))
 
 
 def test_to_dict_writes_one_dict_per_node():

@@ -44,6 +44,15 @@ def test_empty_box_rejected():
         GridSpec(box=((1, 1),))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", -1), ("resolution", 1), ("resolution", 0),
+    ("exclude_radius", -1.0), ("exclude_radius", float("nan")),
+    ("max_points", 0), ("pair_scales", 0), ("pairs_per_scale", 0)])
+def test_out_of_range_fields_are_named_at_construction(field, value):
+    with pytest.raises(MisconfiguredGridError, match=field):
+        GridSpec(box=((-1, 1), (-1, 1)), **{field: value})
+
+
 def test_explicit_points():
     g = GridSpec(box=((-1, 1),), points=((0.5,), (0.25,), (0.01,)),
                  exclude_radius=0.1)

@@ -771,9 +771,9 @@ def test_nodes_are_evaluated_in_the_space_of_their_variables():
     e = X * Y + ex.exp(ex.const(2.0))
     jb, = jets._evaluate([e], _hostile_points(), jets.space(3, 4), memo)
     assert jb.space is jets.space(3, 4)
-    assert memo[id(X)].space.multi == tuple((k, 0, 0) for k in range(5))
-    assert memo[id(e.children[1])].space.ncoef == 1
-    assert memo[id(e)].space.ncoef == 15
+    assert memo[X].space.multi == tuple((k, 0, 0) for k in range(5))
+    assert memo[e.children[1]].space.ncoef == 1
+    assert memo[e].space.ncoef == 15
     assert not jb.coef[[m[2] > 0 for m in jb.space.multi]].any()
 
 

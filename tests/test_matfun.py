@@ -289,8 +289,8 @@ def test_each_expression_is_evaluated_once_per_pair_ladder(name, pipeline,
         else:
             parts = [side] if side in ladders else []
         # an expression already in a shared memo is read, not evaluated
-        for expr in {id(e): e for e in exprs}.values():
-            if memo and id(expr) in memo:
+        for expr in dict.fromkeys(exprs):
+            if memo and expr in memo:
                 continue
             for part in parts:
                 key = (id(expr), part, sp.order, sp.multi)

@@ -48,7 +48,25 @@ def expr_trees(draw, depth=0):
 @given(expr_trees())
 @settings(max_examples=60, deadline=None)
 def test_serialization_round_trips_any_tree(tree):
-    assert ex.from_json(ex.to_json(tree)) == tree
+    assert ex.from_json(ex.to_json(tree)) is tree
+
+
+def _rebuilt(node):
+    """`node` built again through the builders from its kinds and
+    parameters alone."""
+    kids = [_rebuilt(c) for c in node.children]
+    if node.kind in ("var", "const"):
+        return getattr(ex, node.kind)(node.param)
+    if node.kind == "intpow":
+        return ex.intpow(kids[0], node.param)
+    builder = {"sum": ex.add, "product": ex.mul}.get(node.kind)
+    return builder(*kids) if builder else getattr(ex, node.kind)(kids[0])
+
+
+@given(expr_trees())
+@settings(max_examples=60, deadline=None)
+def test_independent_builds_of_any_tree_are_one_node(tree):
+    assert _rebuilt(tree) is tree
 
 
 @given(expr_trees(), expr_trees(),
