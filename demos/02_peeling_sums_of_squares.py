@@ -69,7 +69,7 @@ rng = np.random.default_rng(1)
 a = rng.normal(size=(4, 4))
 B = SymMatFun.constant(a @ a.T + 2 * np.eye(4), nvars=1)
 for perm in ([0, 1, 2, 3], [2, 0, 3, 1]):
-    d = iterated_sd(B.permuted(perm), 3, grid)
+    d = iterated_sd(B.submatrix(perm), 3, grid)
     z0 = jets.eval_values(d.peel_vectors[0][0], pt)[0][0]
     print(f"   order {perm}: first pivot sqrt {z0:.6g}, "
           f"reconstruction {d.certificates['reconstruction_residual']:.2e}")

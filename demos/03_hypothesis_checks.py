@@ -63,7 +63,8 @@ except HypothesisRefusal as refusal:
 
 print("== and certifies the rank-two example end to end")
 res = decomposition_pipeline(G, 2, 0.25, 0.1, 0.2, grid)
+reports = {r.condition: r for r in res.reports}
 for r in res.reports:
     print(f"   {r.condition}: {r.verdict}")
 print("   residual eigenvalue ratio K =",
-      res.report_map()["quasiconformal"].details["K"])
+      reports["quasiconformal"].details["K"])

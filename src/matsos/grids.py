@@ -9,6 +9,7 @@ seminorm estimators.  Identical specs always produce identical samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,6 +32,12 @@ class Exclusion:
     radius: float
     axes: tuple[int, ...] | None = None
 
+    def __post_init__(self):
+        if not (math.isfinite(self.radius) and self.radius >= 0):
+            raise MisconfiguredGridError(
+                "Exclusion.radius must be finite and >= 0, "
+                f"got {self.radius!r}")
+
     def keep(self, pts):
         if self.radius <= 0:
             return np.ones(len(pts), dtype=bool)
@@ -51,9 +58,8 @@ class GridSpec:
     exclusions : punctured regions; default is a ball of radius
         `exclude_radius` about the origin in all coordinates
     exclude_radius : shorthand for the default exclusion
-    pair_base : base separation for seminorm pair sampling (default: 1/8 of
-        the smallest box extent); pairs are drawn at separations
-        pair_base / 2**k for k = 0..pair_scales-1
+    pair_scales, pairs_per_scale : the seminorm pair ladder (see
+        `sample_pairs`)
     points : explicit sample points, bypassing lattice generation (still
         subject to exclusions)
     """
@@ -63,7 +69,6 @@ class GridSpec:
     exclude_radius: float = 0.0
     exclusions: tuple = ()
     max_points: int = 4096
-    pair_base: float | None = None
     pair_scales: int = 11
     pairs_per_scale: int = 8
     seed: int = 0
@@ -83,6 +88,13 @@ class GridSpec:
                     f"got {getattr(self, name)!r}")
         object.__setattr__(self, "box", box)
         excl = tuple(self.exclusions)
+        for i, e in enumerate(excl):
+            if not all(isinstance(a, (int, np.integer))
+                       and not isinstance(a, bool) and 0 <= a < len(box)
+                       for a in e.axes or ()):
+                raise MisconfiguredGridError(
+                    f"exclusions[{i}].axes must be ints in 0..{len(box) - 1}, "
+                    f"got {e.axes!r}")
         if self.exclude_radius > 0:
             excl = excl + (Exclusion(self.exclude_radius),)
         object.__setattr__(self, "exclusions", excl)
@@ -120,39 +132,42 @@ class GridSpec:
     # -- pair sampling for Holder seminorms ---------------------------------
 
     def default_pair_base(self):
-        if self.pair_base is not None:
-            return float(self.pair_base)
+        """The largest pair ladder radius: 1/8 of the smallest box extent."""
         return min(hi - lo for lo, hi in self.box) / 8.0
 
-    def sample_pairs(self, center):
-        """Pairs (y, z) concentrating at `center` on a dyadic scale ladder.
+    def sample_pairs(self, centers):
+        """Pairs (y, z) concentrating at each center on a dyadic scale ladder.
 
-        Returns arrays (Y, Z) of shape (npairs, dim).  Scales run through
-        pair_base / 2**k; each scale contributes `pairs_per_scale` random
-        pairs inside the ball of that radius around the center plus one
-        pair anchored at the center itself (so one-sided ratios like
-        |h(y) - h(center)| / |y - center|^d are always represented).
+        `centers` is one center of `dim` coordinates or a (C, dim) stack of
+        them; returns arrays (Y, Z) of shape (P, dim) or (C, P, dim), the
+        ladder of center c in row c.  Scales run through
+        default_pair_base() / 2**k for k < pair_scales; each scale
+        contributes `pairs_per_scale` random pairs inside the ball of that
+        radius around the center plus one pair anchored at the center
+        itself (so one-sided ratios like |h(y) - h(center)| / |y - center|^d
+        are always represented): P = pair_scales * (pairs_per_scale + 1).
 
         Pair i of scale k is a pure function of (seed, k, i), so the pair
         set for a smaller `pairs_per_scale` is a subset of the set for a
         larger one: seminorm estimates are monotone in the pair budget by
-        construction.  The offsets from the center do not depend on the
-        center, so they are drawn once per spec and shifted here; the
-        anchored z rows are copies of the center (signed zeros included).
-        Raises VariableCountError when `center` does not have `dim`
-        coordinates.
+        construction.  The offsets from a center do not depend on the
+        center, so they are drawn once per spec and added to every center
+        in one broadcast; the anchored z rows are copies of their center
+        (signed zeros included).  Raises VariableCountError when the last
+        axis of `centers` does not have `dim` coordinates.
         """
-        center = np.asarray(center, dtype=float)
-        if center.shape != (self.dim,):
+        centers = np.asarray(centers, dtype=float)
+        if centers.ndim not in (1, 2) or centers.shape[-1] != self.dim:
             raise VariableCountError(
-                f"pair center has shape {center.shape}, grid has {self.dim} coordinates"
-            )
+                f"pair centers have shape {centers.shape}, grid has "
+                f"{self.dim} coordinates")
         dY, dZ, anchor = _pair_offsets(self.seed, self.dim,
                                        self.default_pair_base(),
                                        self.pair_scales, self.pairs_per_scale)
-        Y = center + dY
-        Z = center + dZ
-        Z[anchor] = center
+        c = centers[..., None, :]
+        Y = c + dY
+        Z = c + dZ
+        Z[..., anchor, :] = c
         return Y, Z
 
     def ball_points(self, center, radius, count=64):

@@ -54,8 +54,10 @@ A column of a table depends on the other columns of its point stack only
 through that shortcut, which is decided over the whole stack; every other
 step works column by column.  So a stack of point blocks evaluates each
 block as if alone, up to the sign of a zero, and callers may stack the
-points of several evaluations (the Holder pair ladders of several centers)
-into one.
+points of several evaluations into one.  `eval_ladders` does so with the
+Holder pair ladders of all centers: each side is one (centers, pairs,
+dim) array, evaluated as one stack in row order, and its masks and D^mu
+rows come back in that shape, with no cut per center.
 
 Singularities are never silent.  Each point carries three flags:
 
@@ -103,8 +105,8 @@ empty when the call returns.  Keeping every table instead peaked at
 30.7 MB (tracemalloc) for the order-4 record of f-phi-psi on its
 2,052-point default grid, and at 14.1 MB with the frontier.  Of orders
 >= 1 the run table keeps only the small output of `eval_ladders`, the
-failure mask and D^mu rows of each expression per (side stack of the
-Holder pair ladders, space), for the two `verify.strong_check` calls of a
+failure mask and D^mu rows of each expression per (side of the Holder
+pair ladders, space), for the two `verify.strong_check` calls of a
 pipeline.
 """
 
@@ -931,47 +933,44 @@ def derivative_rows(jbs, mus):
     return out
 
 
-def eval_ladders(exprs, ladders, order, nvars, support):
+def eval_ladders(exprs, Y, Z, order, nvars, support):
     """The failure masks and D^mu rows of `exprs` on Holder pair ladders.
 
-    `ladders` is a list of (Y, Z) point stacks, one per center; the result
-    has one (inv_y, inv_z, dy, dz) per ladder: the (len(exprs), P) failure
-    masks of the two sides and, per expression, the (len(support), P)
-    `derivative_rows`, all read-only.  The Y rows of every ladder are one
-    point stack, evaluated by one `eval_entries` call at `order` in the
-    space of `support`, the Z rows another, and the results are sliced per
-    ladder: the rows of a ladder are those of its own evaluation up to the
-    sign of a zero (see the module docstring), which |dy - dz| erases.
+    `Y` and `Z` are the two sides of the ladders of C centers, each of
+    shape (C, P, dim) (see `GridSpec.sample_pairs`).  Returns
+    (inv_y, inv_z, dy, dz): the (len(exprs), C, P) failure masks of the
+    two sides and the (len(exprs), len(support), C, P) `derivative_rows`,
+    all read-only.  All the points of a side are one stack in row order,
+    evaluated by one `eval_entries` call at `order` in the space of
+    `support`: the rows of a ladder are those of its own evaluation up to
+    the sign of a zero (see the module docstring), which |dy - dz| erases.
 
     Within `run_table` a side stack's rows are kept per expression, and a
     later call evaluates only the expressions not kept yet; outside one,
     nothing outlives the call.  One side's jet tables are freed before the
     other's are built: one stack for both raised the peak RSS of the
     block-M7 benchmark job from about 61 to 78-81 MB in 3 of 3 runs."""
-    if not ladders:
-        return []
     table = _RUN_TABLE.get() or _RunTable()
+    m = len(exprs)
 
-    def side(k):
-        pts, sp = _points_and_space(nvars, np.concatenate(
-            [L[k] for L in ladders]), order, nvars, support)
+    def side(ladders):
+        pts, sp = _points_and_space(nvars, ladders.reshape(
+            -1, ladders.shape[-1]), order, nvars, support)
         kept = table.rows.setdefault((pts.shape, pts.tobytes(), sp), {})
         new = [e for e in dict.fromkeys(exprs) if e not in kept]
         jbs = eval_entries(new, pts, order, nvars=nvars, support=support)
         for e, jb, d in zip(new, jbs, derivative_rows(jbs, support)):
             d.flags.writeable = False
             kept[e] = jb.invalid, d
-        inv = np.array([kept[e][0] for e in exprs]).reshape(len(exprs),
-                                                            len(pts))
-        inv.flags.writeable = False
-        return inv, [kept[e][1] for e in exprs]
+        shape = ladders.shape[:-1]
+        inv = np.array([kept[e][0] for e in exprs]).reshape(m, *shape)
+        d = np.array([kept[e][1] for e in exprs]).reshape(m, len(support),
+                                                          *shape)
+        inv.flags.writeable = d.flags.writeable = False
+        return inv, d
 
-    (inv_y, dy), (inv_z, dz) = side(0), side(1)
-    # cut every array at the ladder boundaries, and regroup per ladder
-    cuts = np.cumsum([len(Y) for Y, _ in ladders])[:-1]
-    m = len(exprs)
-    return [(p[0], p[1], list(p[2:2 + m]), list(p[2 + m:])) for p in zip(
-        *(np.split(a, cuts, axis=1) for a in [inv_y, inv_z] + dy + dz))]
+    (inv_y, dy), (inv_z, dz) = side(Y), side(Z)
+    return inv_y, inv_z, dy, dz
 
 
 class Jet4:

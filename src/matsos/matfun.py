@@ -187,17 +187,6 @@ class SymMatFun:
                 entries[(a, b)] = self.entry(i, j)
         return SymMatFun(len(indices), self.nvars, entries, self.tags)
 
-    def permuted(self, perm):
-        perm = list(perm)
-        entries = {}
-        for a in range(self.n):
-            for b in range(a, self.n):
-                entries[(a, b)] = self.entry(perm[a], perm[b])
-        return SymMatFun(self.n, self.nvars, entries, self.tags)
-
-    def diagonal(self):
-        return [self.entry(i, i) for i in range(self.n)]
-
     def to_json_dict(self, memo=None):
         """JSON form; one `expr.to_dict` memo serves every entry (pass
         `memo` to share it with other expressions), so a node shared within

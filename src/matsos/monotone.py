@@ -76,14 +76,14 @@ def holder_seminorm(h, x, mu, delta, grid):
     sample of that expression failed.  For a single expression a failure
     raises SingularDomainError at the first failing point in (center,
     order, side, pair) order.  `x` is one center or a (C, nvars) stack of
-    them; a stack gives the list of the single-center results.  The
-    ladders of all centers are evaluated together by `jets.eval_ladders`,
-    shared with `verify.strong_check` (see there why the estimates are
-    those of single centers), and each ladder's ratios are reduced as one
-    array by `ladder_maxima`.  The rows are evaluated in a `jets.run_table`
-    of their own, and freed when the call returns: unlike those of
-    `strong_check`, which runs twice per pipeline, no later stage of a run
-    reads them.
+    them; a stack gives the list of the single-center results.  The pair
+    ladders of all centers are one (C, P, nvars) array per side
+    (`GridSpec.sample_pairs`), evaluated once per order by
+    `jets.eval_ladders` (see `matsos.jets` for why the estimates are those
+    of single centers), and reduced in one `ladder_maxima` call.  The rows
+    are evaluated in a `jets.run_table` of their own, and freed when the
+    call returns: unlike those of `strong_check`, which runs twice per
+    pipeline, no later stage of a run reads them.
     """
     single = isinstance(h, ex.ScalarExpr)
     hs = [h] if single else list(h)
@@ -95,65 +95,54 @@ def holder_seminorm(h, x, mu, delta, grid):
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
     x = np.asarray(x, dtype=float)
-    stacked = x.ndim == 2
-    centers = x if stacked else x[None]
     nv = x.shape[-1]
     # the jet space's rule: integer (not bool) components, |mu| <= MAX_ORDER
     mus = [jets.space(nv, jets.MAX_ORDER).checked(m) for m in mus]
-    ladders = [grid.sample_pairs(c) for c in centers]
-    if any(len(Y) == 0 for Y, _ in ladders):
-        raise ValueError("grid pair-sampling policy produced no pairs")
-    # per order, one (inv_y, inv_z, dy, dz) per center: the failure masks
-    # (len(hs), P) and, per expression, the D^mu rows (len(support), P);
-    # only the rows below that order's multiindices are computed
+    Y, Z = grid.sample_pairs(np.atleast_2d(x))
+    # per order, the failure masks (len(hs), C, P) and D^mu rows
+    # (len(hs), len(support), C, P) of both sides; only the rows below
+    # that order's multiindices are computed
     with jets.run_table():
-        tables = [jets.eval_ladders(hs, ladders, order, nv,
+        tables = [jets.eval_ladders(hs, Y, Z, order, nv,
                                     tuple(m for m in mus if sum(m) == order))
                   for order in sorted({sum(m) for m in mus})]
     if single:
-        for c, L in enumerate(ladders):
-            for t in tables:
-                for inv, pts in zip(t[c][:2], L):
-                    if inv[0].any():
-                        raise jets.SingularDomainError(
-                            "seminorm sample failed",
-                            point=pts[np.argmax(inv[0])])
-    out = _seminorms(ladders, tables, len(hs), delta)
+        # (order, side, center, pair) -> (center, order, side, pair)
+        failed = np.array([t[:2] for t in tables])[:, :, 0]
+        failed = failed.transpose(2, 0, 1, 3)
+        if failed.any():
+            c, _, s, p = np.unravel_index(np.argmax(failed), failed.shape)
+            raise jets.SingularDomainError("seminorm sample failed",
+                                           point=(Y, Z)[s][c, p])
+    out = _seminorms(Y, Z, tables, delta)
     if single:
         out = [worst[0] for worst in out]
-    return out if stacked else out[0]
+    return out if x.ndim == 2 else out[0]
 
 
-def ladder_maxima(ladder, inv, dy, dz, delta):
-    """Per (row, multiindex) of the (rows, multiindices, pairs) arrays dy
-    and dz, the max of |dy - dz| / |y - z|**delta over the pairs (y, z) of
-    `ladder` that are apart and not failed in `inv` (rows, pairs): 0 for
-    a row with no such pair, NaN where one of its ratios is NaN.  Also
-    returns the mask of the rows with such a pair."""
-    Y, Z = ladder
-    sep = np.linalg.norm(Y - Z, axis=1)
+def ladder_maxima(Y, Z, inv, dy, dz, delta):
+    """Per (row, multiindex, center) of the (rows, multiindices, C, P)
+    arrays dy and dz, the max of |dy - dz| / |y - z|**delta over the pairs
+    (y, z) of the (C, P, dim) ladders `Y`, `Z` that are apart and not
+    failed in `inv` (rows, C, P): 0 for a row with no such pair at a
+    center, NaN where one of its ratios is NaN.  Also returns the
+    (rows, C) mask of the rows with such a pair."""
+    sep = np.linalg.norm(Y - Z, axis=-1)
     ok = (sep > 1e-300) & ~inv
     with np.errstate(all="ignore"):
         ratio = np.abs(dy - dz) / sep**delta
-    return np.where(ok[:, None, :], ratio, 0.0).max(axis=2), ok.any(axis=1)
+    return np.where(ok[:, None], ratio, 0.0).max(axis=-1), ok.any(axis=-1)
 
 
-def _seminorms(ladders, tables, count, delta):
-    """Per ladder, the estimates of `count` expressions from the
-    `eval_ladders` tables of all orders, or None where a sample of one
-    failed; a NaN ratio never becomes an estimate."""
-    if not count:
-        return [[] for _ in ladders]
-    out = []
-    for c, L in enumerate(ladders):
-        parts = [t[c] for t in tables]
-        inv = np.any([p[0] | p[1] for p in parts], axis=0)
-        dy, dz = (np.concatenate([np.array(p[k]) for p in parts], axis=1)
-                  for k in (2, 3))
-        top = np.fmax.reduce(ladder_maxima(L, inv, dy, dz, delta)[0], axis=1)
-        out.append([None if f else max(0.0, float(t))
-                    for f, t in zip(inv.any(axis=1), top)])
-    return out
+def _seminorms(Y, Z, tables, delta):
+    """Per center, the estimates of the expressions of the `eval_ladders`
+    tables of all orders, or None where a sample of one failed; a NaN
+    ratio never becomes an estimate."""
+    inv = np.any([t[0] | t[1] for t in tables], axis=0)
+    dy, dz = (np.concatenate([t[k] for t in tables], axis=1) for k in (2, 3))
+    top = np.fmax.reduce(ladder_maxima(Y, Z, inv, dy, dz, delta)[0], axis=1)
+    return [[None if f else max(0.0, float(t)) for f, t in zip(fc, tc)]
+            for fc, tc in zip(inv.any(axis=-1).T, top.T)]
 
 
 def omega_monotone_check(f, spec, grid, ball_count=64):

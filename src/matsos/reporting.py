@@ -87,10 +87,6 @@ class CheckReport:
     counts: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
 
-    @property
-    def passed(self):
-        return self.verdict == PASS
-
     def to_json_dict(self):
         return {
             "condition": self.condition,

@@ -265,25 +265,22 @@ def _power_family(cond, pairs, base, rec, epsilon, delta_x, cmax):
     return rep
 
 
-def _seminorm_family(cond, entries, centers, ladders, rows, two_delta):
+def _seminorm_family(cond, entries, centers, est, live, two_delta):
     """The order-4 Holder seminorm bound of the `entries` of the
-    `eval_ladders` rows, one (entry, multiindex, pair) array per center.
-    The witness is the center of the first estimate that strictly beats
-    the worst so far, so a NaN one never does; a family with entries but
-    no estimate is inconclusive."""
+    `ladder_maxima` estimates `est` (entry, multiindex, center) and their
+    mask `live` (entry, center) of the entries with a usable pair.  The
+    witness is the first center of the largest estimate, and a NaN one is
+    never the largest; no witness when the worst is 0.  A family with
+    entries but no estimate is inconclusive."""
     if not entries:
         return _vacuous(cond)
-    worst, wit, count = 0.0, None, 0
-    for x, L, (inv_y, inv_z, dys, dzs) in zip(centers, ladders, rows):
-        est, live = ladder_maxima(L, inv_y[entries] | inv_z[entries],
-                                  np.array([dys[i] for i in entries]),
-                                  np.array([dzs[i] for i in entries]),
-                                  two_delta)
-        count += int(live.sum()) * est.shape[1]
-        top = np.fmax.reduce(est.ravel())
-        if top > worst:
-            worst, wit = float(top), x.tolist()
-    worst = worst if count else None
+    count = int(live[entries].sum()) * est.shape[1]
+    worst = wit = None
+    if count:
+        top = np.fmax.reduce(est[entries], axis=(0, 1), initial=0.0)
+        c = int(np.argmax(top))
+        worst = float(top[c])
+        wit = centers[c].tolist() if worst > 0 else None
     verdict = (INCONCLUSIVE if worst is None
                else PASS if worst <= SEMINORM_CAP else FAIL)
     return CheckReport(cond, verdict, worst_ratio=worst, constant=worst,
@@ -323,15 +320,16 @@ def strong_check(A, ell, epsilon, delta_p, delta_pp, grid, delta=None,
     d_sem = _delta_from_prime(delta_p) if delta is None else delta
     two_delta = min(2.0 * d_sem, 1.0)
 
-    # the pair ladders of every family, their entries' rows read once
+    # the pair ladders of every family, their entries' ratios reduced once
     centers = upts[:: max(1, len(upts) // SEMINORM_CENTERS)][:SEMINORM_CENTERS]
     nv = A.nvars
     mus = [tuple(4 * (a == b) for a in range(nv)) for b in range(nv)]
     mus += [(2, 2) + (0,) * (nv - 2)] if nv >= 2 else []
     keys = [(k, j) for k in range(ell) for j in range(k, n)]
-    ladders = [grid.sample_pairs(x) for x in centers]
-    rows = jets.eval_ladders([A.entry(*key) for key in keys], ladders, 4, nv,
-                             tuple(mus))
+    Y, Z = grid.sample_pairs(centers)
+    inv_y, inv_z, dy, dz = jets.eval_ladders([A.entry(*key) for key in keys],
+                                             Y, Z, 4, nv, tuple(mus))
+    est, live = ladder_maxima(Y, Z, inv_y | inv_z, dy, dz, two_delta)
 
     def power(cond, pairs, table, side, delta_x):
         base = table[:, [pair[side] for pair in pairs]]
@@ -339,7 +337,7 @@ def strong_check(A, ell, epsilon, delta_p, delta_pp, grid, delta=None,
 
     def seminorm(cond, pairs):
         return _seminorm_family(cond, [keys.index(p) for p in pairs], centers,
-                                ladders, rows, two_delta)
+                                est, live, two_delta)
 
     diag_pairs = [(k, k) for k in range(min(ell, n))]
     inner_pairs = [(k, j) for k in range(ell) for j in range(k + 1, ell)]
@@ -473,18 +471,6 @@ RESIDUAL_GATE = "residual-subordinaticity-gate"
 class PipelineResult:
     decomposition: SquareDecomposition | None
     reports: list = field(default_factory=list)
-
-    @property
-    def passed(self):
-        # The residual gate only decides whether subordinaticity of the
-        # residual is additionally claimed; its failure is not a failure
-        # of the decomposition.
-        return all(
-            r.verdict != FAIL for r in self.reports if r.condition != RESIDUAL_GATE
-        )
-
-    def report_map(self):
-        return {r.condition: r for r in self.reports}
 
 
 def decomposition_pipeline(A, p, epsilon, delta, delta_pp, grid, backend=None,

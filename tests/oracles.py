@@ -280,7 +280,27 @@ def power_family_loop(cond, pairs, base, rec, epsilon, delta_x, cmax):
     return rep
 
 
-def seminorm_family_loop(cond, entries, centers, ladders, rows, two_delta):
+def ladder_maxima_loop(Y, Z, inv, dy, dz, delta):
+    """`monotone.ladder_maxima` as the loop over rows, centers and
+    multiindices, one estimate at a time."""
+    rows, nmu, C = dy.shape[:3]
+    est = np.zeros((rows, nmu, C))
+    live = np.zeros((rows, C), bool)
+    for c in range(C):
+        sep = np.linalg.norm(Y[c] - Z[c], axis=1)
+        for r in range(rows):
+            ok = (sep > 1e-300) & ~inv[r, c]
+            live[r, c] = ok.any()
+            if not ok.any():
+                continue
+            for k in range(nmu):
+                with np.errstate(all="ignore"):
+                    est[r, k, c] = (np.abs(dy[r, k, c, ok] - dz[r, k, c, ok])
+                                    / sep[ok] ** delta).max()
+    return est, live
+
+
+def seminorm_family_loop(cond, entries, centers, est, live, two_delta):
     """`verify._seminorm_family` as the loop over centers, entries and
     multiindices, one estimate at a time (with its rule that a family
     with entries but no estimate is inconclusive)."""
@@ -289,20 +309,14 @@ def seminorm_family_loop(cond, entries, centers, ladders, rows, two_delta):
                            counts={"evaluated": 0, "excluded": 0})
     worst, wit = 0.0, None
     count = 0
-    for x, (Y, Z), (inv_y, inv_z, dys, dzs) in zip(centers, ladders, rows):
-        sep = np.linalg.norm(Y - Z, axis=1)
-        ok0 = sep > 1e-300
+    for c, x in enumerate(centers):
         for i in entries:
-            ok = ok0 & ~inv_y[i] & ~inv_z[i]
-            if not ok.any():
+            if not live[i, c]:
                 continue
-            for dy, dz in zip(dys[i], dzs[i]):
-                with np.errstate(all="ignore"):
-                    est = float((np.abs(dy[ok] - dz[ok])
-                                 / sep[ok] ** two_delta).max())
+            for e in est[i, :, c]:
                 count += 1
-                if est > worst:
-                    worst, wit = est, x.tolist()
+                if e > worst:
+                    worst, wit = float(e), x.tolist()
     params = {"holder_exponent": two_delta}
     if not count:
         return CheckReport(cond, INCONCLUSIVE, params=params,
@@ -312,25 +326,25 @@ def seminorm_family_loop(cond, entries, centers, ladders, rows, two_delta):
                        params=params, counts={"evaluated": count, "excluded": 0})
 
 
-def seminorms_loop(ladders, tables, count, delta):
-    """`monotone._seminorms` as the loop over ladders, orders, expressions
+def seminorms_loop(Y, Z, tables, delta):
+    """`monotone._seminorms` as the loop over centers, orders, expressions
     and multiindices, one estimate at a time."""
     out = []
-    for c, (Yc, Zc) in enumerate(ladders):
+    count = len(tables[0][0])
+    for c, (Yc, Zc) in enumerate(zip(Y, Z)):
         sep = np.linalg.norm(Yc - Zc, axis=1)
         ok = sep > 1e-300
         worst = [0.0] * count
-        for t in tables:
-            inv_y, inv_z, dys, dzs = t[c]
+        for inv_y, inv_z, dys, dzs in tables:
             for i in range(count):
                 if worst[i] is None:
                     continue
-                if inv_y[i].any() or inv_z[i].any():
+                if inv_y[i, c].any() or inv_z[i, c].any():
                     worst[i] = None
                     continue
                 if not ok.any():
                     continue
-                for dy, dz in zip(dys[i], dzs[i]):
+                for dy, dz in zip(dys[i, :, c], dzs[i, :, c]):
                     with np.errstate(all="ignore"):
                         ratios = np.abs(dy[ok] - dz[ok]) / sep[ok] ** delta
                     worst[i] = max(worst[i], float(ratios.max()))

@@ -155,7 +155,7 @@ class TestIteratedSd:
         a = rng.normal(size=(4, 4))
         A = SymMatFun.constant(a @ a.T + 2.0 * np.eye(4), nvars=1)
         perm = rng.permutation(4).tolist()
-        Ap = A.permuted(perm)
+        Ap = A.submatrix(perm)
         dec = iterated_sd(Ap, 3, grid1())
         assert dec.certificates["reconstruction_residual"] <= 1e-12
 
@@ -166,7 +166,7 @@ class TestIteratedSd:
         )
         pt = np.array([[0.0]])
         d1 = iterated_sd(A, 2, grid1())
-        d2 = iterated_sd(A.permuted([1, 0, 2]), 2, grid1())
+        d2 = iterated_sd(A.submatrix([1, 0, 2]), 2, grid1())
         z1 = [jets.eval_values(z, pt)[0][0] for z in d1.peel_vectors[0]]
         z2 = [jets.eval_values(z, pt)[0][0] for z in d2.peel_vectors[0]]
         assert not np.allclose(z1, z2)

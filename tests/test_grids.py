@@ -53,6 +53,20 @@ def test_out_of_range_fields_are_named_at_construction(field, value):
         GridSpec(box=((-1, 1), (-1, 1)), **{field: value})
 
 
+@pytest.mark.parametrize("radius, axes, field", [
+    (-1.0, None, "radius"), (float("nan"), None, "radius"),
+    (float("inf"), None, "radius"), (0.5, (5,), "axes"),
+    (0.5, (-1,), "axes"), (0.5, (True,), "axes"), (0.5, (0.5,), "axes"),
+    (0.5, (0, 2), "axes")])
+def test_exclusion_misuse_is_named_at_construction(radius, axes, field):
+    """A radius that is negative or not finite, and an axis that is not an
+    int of 0..dim-1, are named errors of the spec, not a silently kept,
+    emptied or mis-measured grid."""
+    with pytest.raises(MisconfiguredGridError, match=field):
+        GridSpec(box=((-1, 1), (-1, 1)), resolution=3,
+                 exclusions=(Exclusion(radius, axes),))
+
+
 def test_explicit_points():
     g = GridSpec(box=((-1, 1),), points=((0.5,), (0.25,), (0.01,)),
                  exclude_radius=0.1)
@@ -131,9 +145,9 @@ def test_pairs_returned_arrays_are_fresh():
 
 
 def test_pair_offsets_are_drawn_once_per_spec_fields(monkeypatch):
-    """Two specs with the same seed, dimension, pair base and pair counts
-    (each run builds its own) share one draw of the 99 pair generators; a
-    spec that differs in one of them draws its own."""
+    """Two specs with the same seed, dimension, pair base (from the box)
+    and pair counts (each run builds its own) share one draw of the 99
+    pair generators; a spec that differs in one of them draws its own."""
     import matsos.grids as grids
 
     calls = []
@@ -151,7 +165,7 @@ def test_pair_offsets_are_drawn_once_per_spec_fields(monkeypatch):
     again = GridSpec(box=box, seed=41, resolution=5).sample_pairs([0.1, 0.2])
     assert len(calls) == 99
     assert all(np.array_equal(a, b) for a, b in zip(first, again))
-    GridSpec(box=box, seed=41, pair_base=0.2).sample_pairs([0.1, 0.2])
+    GridSpec(box=((-1, 1), (-0.5, 0.5)), seed=41).sample_pairs([0.1, 0.2])
     assert len(calls) == 2 * 99
 
 
@@ -161,3 +175,22 @@ def test_pair_center_of_wrong_length_is_named_error():
         g.sample_pairs([0.3])
     with pytest.raises(VariableCountError):
         g.sample_pairs([0.1, 0.2, 0.3, 0.4])
+
+
+def test_pairs_of_a_center_stack_equal_single_center_calls():
+    """A (C, dim) stack of centers gives, bit for bit, the ladders of C
+    single-center calls in rows 0..C-1, signed zeros of the anchored rows
+    included; a stack whose last axis is not `dim` is a named error."""
+    g = GridSpec(box=((-1, 1), (-2, 2), (0, 1)), pair_scales=6,
+                 pairs_per_scale=3, seed=5)
+    centers = np.array([[0.2, -0.1, 0.7], [-0.0, 0.3, -0.0],
+                        [0.0, -0.0, 1e-300], [0.2, -0.1, 0.7]])
+    Y, Z = g.sample_pairs(centers)
+    assert Y.shape == Z.shape == (4, 6 * (3 + 1), 3)
+    for c, x in enumerate(centers):
+        for got, want in zip((Y[c], Z[c]), g.sample_pairs(x)):
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert g.sample_pairs(centers[:0])[0].shape == (0, 24, 3)
+    for bad in (centers[:, :2], centers[None], [[0.1, 0.2, 0.3, 0.4]]):
+        with pytest.raises(VariableCountError):
+            g.sample_pairs(bad)

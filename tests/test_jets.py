@@ -651,16 +651,14 @@ def test_pair_records_equal_full_space_evaluation(name, monkeypatch):
     def rows():
         A = item.build({})
         center = A.sampled(grid).pts[0]
-        [(inv_y, inv_z, dy, dz)] = jets.eval_ladders(
-            [e for _, e in A.upper_entries()], [grid.sample_pairs(center)], 4,
-            nv, mus)
-        return [inv_y, inv_z] + dy + dz
+        return jets.eval_ladders([e for _, e in A.upper_entries()],
+                                 *grid.sample_pairs([center]), 4, nv, mus)
 
     got = rows()
     _full_space(monkeypatch)
     want = rows()
-    assert len(got) == len(want) == 2 + 2 * len(list(
-        item.build({}).upper_entries()))
+    m = len(list(item.build({}).upper_entries()))
+    assert [g.shape[:2] for g in got] == [(m, 1)] * 2 + [(m, len(mus))] * 2
     for g, w in zip(got, want):
         _assert_same_up_to_zero_sign(g, w)
 
@@ -885,7 +883,7 @@ def test_run_table_keeps_pair_ladder_rows_within_a_block(monkeypatch):
     expressions not yet kept for its side stacks and space; outside a
     table every call evaluates all of them."""
     grid = GridSpec(box=((-1.0, 1.0),) * 2, resolution=5)
-    ladders = [grid.sample_pairs(c) for c in ([0.5, 0.25], [-0.5, 0.75])]
+    Ys, Zs = grid.sample_pairs([[0.5, 0.25], [-0.5, 0.75]])
     e1, e2 = ex.exp(X) * Y + X, X * X * Y
     eval_entries = jets.eval_entries
     calls = []
@@ -899,11 +897,10 @@ def test_run_table_keeps_pair_ladder_rows_within_a_block(monkeypatch):
     monkeypatch.setattr(jets, "eval_entries", counted)
 
     def both(order, support):
-        first = jets.eval_ladders([e1, e1], ladders, order, 2, support)
-        second = jets.eval_ladders([e2, e1], ladders, order, 2, support)
-        for a, b in zip(first, second):
-            assert np.array_equal(a[0][0], b[0][1])
-            assert np.array_equal(a[3][1], b[3][1], equal_nan=True)
+        first = jets.eval_ladders([e1, e1], Ys, Zs, order, 2, support)
+        second = jets.eval_ladders([e2, e1], Ys, Zs, order, 2, support)
+        assert np.array_equal(first[0][0], second[0][1])
+        assert np.array_equal(first[3][1], second[3][1], equal_nan=True)
         return first, second
 
     both(4, [(4, 0), (2, 2)])
@@ -914,10 +911,10 @@ def test_run_table_keeps_pair_ladder_rows_within_a_block(monkeypatch):
             both(order, support)
             assert calls == [[id(e1)]] * 2 + [[id(e2)]] * 2
             # another space: evaluated again
-            jets.eval_ladders([e1], ladders, order, 2, support + [(0, 0)])
+            jets.eval_ladders([e1], Ys, Zs, order, 2, support + [(0, 0)])
             assert calls[4:] == [[id(e1)]] * 2
             # the rows are kept apart from the order-0 jets of the stack
-            ys = np.concatenate([L[0] for L in ladders])
+            ys = Ys.reshape(-1, 2)
             assert isinstance(jets.eval_entries([e1], ys, order, nvars=2,
                                                 support=support)[0],
                               jets.JetBatch)

@@ -174,8 +174,8 @@ def test_reports_equal_rebuilding_on_every_call(name, pipeline, monkeypatch):
     assert _report(cfg) == want
 
 
-def _entry_ladders(A, ladders, mus, keys):
-    return jets.eval_ladders([A.entry(*key) for key in keys], ladders, 4,
+def _entry_ladders(A, Y, Z, mus, keys):
+    return jets.eval_ladders([A.entry(*key) for key in keys], Y, Z, 4,
                              A.nvars, mus)
 
 
@@ -190,30 +190,27 @@ def test_pair_record_equals_rows_of_entry_jets(name):
     nv = A.nvars
     mus = tuple(tuple(4 * (a == b) for a in range(nv)) for b in range(nv))
     keys = [key for key, _ in A.upper_entries()]
-    Y, Z = grid.sample_pairs(center)
+    Y, Z = grid.sample_pairs([center])
+    P = Y.shape[1]
     with jets.run_table():
-        _entry_ladders(A, [(Y, Z)], mus, keys[:1])
-        [(inv_y, inv_z, dys, dzs)] = _entry_ladders(A, [(Y, Z)], mus, keys)
-    assert inv_y.shape == inv_z.shape == (len(keys), len(Y))
-    assert len(dys) == len(dzs) == len(keys)
+        _entry_ladders(A, Y, Z, mus, keys[:1])
+        inv_y, inv_z, dy, dz = _entry_ladders(A, Y, Z, mus, keys)
+    assert inv_y.shape == inv_z.shape == (len(keys), 1, P)
+    assert dy.shape == dz.shape == (len(keys), len(mus), 1, P)
     for i, key in enumerate(keys):
-        for P, inv, ds in ((Y, inv_y[i], dys[i]), (Z, inv_z[i], dzs[i])):
-            jb = jets.eval_jet_batch(A.entry(*key), P, 4, nvars=nv)
+        for pts, inv, ds in ((Y[0], inv_y[i, 0], dy[i, :, 0]),
+                             (Z[0], inv_z[i, 0], dz[i, :, 0])):
+            jb = jets.eval_jet_batch(A.entry(*key), pts, 4, nvars=nv)
             assert np.array_equal(inv, jb.invalid)
             assert _same_bits(ds, np.array([jb.derivative(mu) for mu in mus]))
-        for a in (inv_y, inv_z, dys[i], dzs[i]):
-            assert not a.flags.writeable
+    for a in (inv_y, inv_z, dy, dz):
+        assert not a.flags.writeable
 
 
 def _same_up_to_zero_sign(a, b):
     nz = (b != 0) & ~np.isnan(b)
     return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
             and np.array_equal(np.signbit(a[nz]), np.signbit(b[nz])))
-
-
-def _parts(rows):
-    inv_y, inv_z, dys, dzs = rows
-    return [inv_y, inv_z] + dys + dzs
 
 
 @pytest.mark.parametrize("name", sorted(gallery.GALLERY))
@@ -228,23 +225,23 @@ def test_stacked_pair_records_equal_single_center_ones(name):
     pts = A.sampled(grid).pts
     centers = pts[:: max(1, len(pts) // 4)][:4]
     centers = np.concatenate([centers, centers[:1]])
-    ladders = [grid.sample_pairs(x) for x in centers]
+    Y, Z = grid.sample_pairs(centers)
     mus = [tuple(4 * (a == b) for a in range(nv)) for b in range(nv)]
     mus += [(2, 2) + (0,) * (nv - 2)] if nv > 1 else [(3,)]
     mus = tuple(mus)
     keys = [key for key, _ in A.upper_entries()]
     with jets.run_table():
-        _entry_ladders(A, ladders, mus, keys[:1])
-        got = _entry_ladders(A, ladders, mus, keys)
-        again = _entry_ladders(A, ladders, mus, keys)
+        _entry_ladders(A, Y, Z, mus, keys[:1])
+        got = _entry_ladders(A, Y, Z, mus, keys)
+        again = _entry_ladders(A, Y, Z, mus, keys)
     B = item.build({})
-    for L, rows, same in zip(ladders, got, again):
-        [want] = _entry_ladders(B, [L], mus, keys)
-        assert all(_same_bits(g, s) for g, s in zip(_parts(rows), _parts(same)))
-        assert len(_parts(rows)) == len(_parts(want)) == 2 + 2 * len(keys)
-        for g, w in zip(_parts(rows), _parts(want)):
-            assert _same_up_to_zero_sign(g, w)
-            assert not g.flags.writeable
+    assert all(_same_bits(g, s) for g, s in zip(got, again))
+    for c in range(len(centers)):
+        want = _entry_ladders(B, Y[c:c + 1], Z[c:c + 1], mus, keys)
+        for g, w in zip(got, want):
+            assert _same_up_to_zero_sign(g[..., c:c + 1, :], w)
+    for g in got:
+        assert not g.flags.writeable
 
 
 @pytest.mark.parametrize("name, pipeline",
@@ -259,20 +256,22 @@ def test_each_expression_is_evaluated_once_per_pair_ladder(name, pipeline,
     ladders = set()
     sample_pairs = GridSpec.sample_pairs
 
-    def recorded(grid, center):
-        Y, Z = sample_pairs(grid, center)
-        ladders.update((Y.tobytes(), Z.tobytes()))
+    def recorded(grid, centers):
+        Y, Z = sample_pairs(grid, centers)
+        for side in (Y, Z):
+            P, dim = side.shape[-2:]
+            ladders.update(L.tobytes() for L in side.reshape(-1, P, dim))
         return Y, Z
 
     calls = []
     eval_ladders = jets.eval_ladders
 
-    def ladder_call(exprs, pairs, order, nvars, support):
+    def ladder_call(exprs, Y, Z, order, nvars, support):
         # a side's stack, and the single ladders it is made of
-        calls.append({b"".join(L[s].tobytes() for L in pairs):
-                      [L[s].tobytes() for L in pairs] for s in (0, 1)})
+        calls.append({side.tobytes(): [L.tobytes() for L in side]
+                      for side in (Y, Z)})
         try:
-            return eval_ladders(exprs, pairs, order, nvars, support)
+            return eval_ladders(exprs, Y, Z, order, nvars, support)
         finally:
             calls.pop()
 
@@ -319,7 +318,7 @@ def test_pair_record_refuses_bad_multiindices(mus, error):
     A = SymMatFun.from_rows([[1 + X0 * X0, X0 * X1], [X0 * X1, 1 + X1 * X1]])
     grid = GridSpec(box=((-1.0, 1.0),) * 2, resolution=5)
     with jets.run_table(), pytest.raises(error):
-        _entry_ladders(A, [grid.sample_pairs([0.5, 0.5])], mus, [(0, 1)])
+        _entry_ladders(A, *grid.sample_pairs([[0.5, 0.5]]), mus, [(0, 1)])
 
 
 @pytest.mark.parametrize("name, pipeline, zero",

@@ -1,5 +1,6 @@
-"""Every public name of the package is reached by a run, or is allowlisted
-with a reason.
+"""Every public name of the package, and every function and property
+defined in the body of a public class, is reached by a run, or is
+allowlisted with a reason.
 
 The trace runs `run_config` on every gallery item under every pipeline,
 one inline `verify` configuration whose entries pass through
@@ -7,7 +8,9 @@ one inline `verify` configuration whose entries pass through
 CLI `list` and `schema` commands, all under `sys.setprofile`.  A function
 is reached when its code is called, a class when the code of any function
 in its body is.  Exceptions and data names (constants, tables) are not
-checked: a profile sees calls, not raises or reads.
+checked: a profile sees calls, not raises or reads.  Nor are the methods
+that `dataclass` and `namedtuple` generate, whose code is not in the
+module's file.
 """
 
 import contextlib
@@ -46,6 +49,20 @@ LIBRARY = {
         "to_dict", "from_dict", "to_json", "from_json")},
     "jets.eval_jet": "one jet at one point, library API",
     "jets.Jet4": "the single-point jet eval_jet returns, library API",
+    "matfun.SymMatFun.values": "matrix values at given points, library API",
+    "matfun.SymMatFun.value": "the matrix at one point, library API",
+    "jets.JetBatch.derivative": "one D^mu row at given points, library API",
+    "jets.JetBatch.limit": "the flag path of the flat primitives, which "
+                           "reads it only when a flat child is flagged",
+    "expr.ScalarExpr.__sub__": "operator sugar, library API",
+    "expr.ScalarExpr.__rsub__": "operator sugar, library API",
+    "expr.ScalarExpr.__truediv__": "operator sugar, library API",
+    "expr.ScalarExpr.__setattr__": "refuses to mutate a shared node; a run "
+                                   "never tries",
+    "expr.ScalarExpr.__repr__": "readable form for a library caller",
+    "jets.JetSpace.__init__": "built only through the cached `jets.space`: "
+                              "after earlier tests in one process, a run "
+                              "may build none",
 }
 
 
@@ -54,23 +71,28 @@ def _modules():
         yield importlib.import_module(f"matsos.{info.name}")
 
 
+def _function(v):
+    """The function of a class-body value (a property's getter, a static or
+    class method's function), or None."""
+    f = v.fget if isinstance(v, property) else getattr(v, "__func__", v)
+    return f if inspect.isfunction(f) else None
+
+
 def _codes(obj):
     """Code objects of a function, or of every function in a class body."""
-    if inspect.isfunction(obj):
-        return {obj.__code__}
-    out = set()
-    for v in vars(obj).values():
-        f = v.fget if isinstance(v, property) else getattr(v, "__func__", v)
-        if inspect.isfunction(f):
-            out.add(f.__code__)
-    return out
+    if isinstance(obj, type):
+        return {f.__code__ for f in map(_function, vars(obj).values()) if f}
+    return {_function(obj).__code__}
 
 
 def _resolve(dotted):
+    """The object a dotted name under `matsos` names; each name is read from
+    its owner's namespace, so that a property is the property and not its
+    value."""
     module, *path = dotted.split(".")
     obj = importlib.import_module(f"matsos.{module}")
     for name in path:
-        obj = getattr(obj, name)
+        obj = vars(obj)[name]
     return obj
 
 
@@ -124,6 +146,33 @@ def test_public_names_are_reached_or_allowlisted(called):
             if not _codes(obj) & called:
                 unreached.append(dotted)
     assert not unreached, f"public but reached by no run: {unreached}"
+
+
+def _public_classes():
+    for mod in _modules():
+        for name in getattr(mod, "__all__", ()):
+            obj = getattr(mod, name)
+            if inspect.isclass(obj) and not issubclass(obj, BaseException):
+                yield mod, f"{mod.__name__.split('.', 1)[1]}.{name}", obj
+
+
+def test_public_methods_are_reached_or_allowlisted(called):
+    """Method granularity: a public class reached through one method may
+    still carry methods that no run calls."""
+    unreached = []
+    for mod, owner, cls in _public_classes():
+        if owner in PLANNED or owner in LIBRARY:
+            continue
+        for name, v in vars(cls).items():
+            f = _function(v)
+            if f is None or f.__code__.co_filename != mod.__file__:
+                continue
+            dotted = f"{owner}.{name}"
+            if dotted in PLANNED or dotted in LIBRARY:
+                continue
+            if f.__code__ not in called:
+                unreached.append(dotted)
+    assert not unreached, f"public methods reached by no run: {unreached}"
 
 
 def test_planned_names_exist_and_are_not_reached(called):

@@ -329,10 +329,18 @@ class TestQuasiconformal:
         assert sub["details"]["beta"] == pytest.approx(0.75, rel=1e-9)
 
 
+def _passed(res):
+    """No hard failure in a pipeline result: a failed residual gate only
+    withholds the subordinaticity claim (the exit-code rule of
+    `report.run_config`)."""
+    return all(r.verdict != "fail" for r in res.reports
+               if r.condition != RESIDUAL_GATE)
+
+
 class TestPipeline:
     def test_grushin_end_to_end(self):
         res = decomposition_pipeline(grushin(0.5), 2, 0.25, 0.1, 0.2, grid1())
-        assert res.passed
+        assert _passed(res)
         names = [r.condition for r in res.reports]
         assert "diagonal-comparability" in names
         assert "quasiconformal" in names
@@ -359,7 +367,7 @@ class TestPipeline:
         )
         res = decomposition_pipeline(A, 2, 0.25, 0.1, 0.2, grid1(), force=True)
         assert res.decomposition is not None
-        assert not res.passed
+        assert not _passed(res)
 
     def test_no_peel_runs_quasiconformal_only(self):
         A = SymMatFun.constant(np.array([[2.0, 0.2], [0.2, 1.0]]), nvars=1)
@@ -389,11 +397,11 @@ class TestPipeline:
         res = decomposition_pipeline(A, 2, 0.25, 0.1, 0.2, grid1())
         names = [r.condition for r in res.reports]
         assert RESIDUAL_GATE in names
-        gate = res.report_map()[RESIDUAL_GATE]
-        assert gate.verdict == "pass"
+        reports = {r.condition: r for r in res.reports}
+        assert reports[RESIDUAL_GATE].verdict == "pass"
         assert "subordinate" in names
-        assert res.report_map()["subordinate"].verdict == "pass"
-        assert res.passed
+        assert reports["subordinate"].verdict == "pass"
+        assert _passed(res)
 
     def test_epsilon_range_enforced(self):
         with pytest.raises(ValueError):
@@ -475,6 +483,8 @@ def _loop_reductions(monkeypatch):
 
     monkeypatch.setattr(verify, "_power_family",
                         spy("power", oracles.power_family_loop))
+    monkeypatch.setattr(verify, "ladder_maxima",
+                        spy("maxima", oracles.ladder_maxima_loop))
     monkeypatch.setattr(verify, "_seminorm_family",
                         spy("seminorm", oracles.seminorm_family_loop))
     monkeypatch.setattr(monotone, "_seminorms",
@@ -486,8 +496,8 @@ def _loop_reductions(monkeypatch):
 @pytest.mark.parametrize("name", sorted(gallery.GALLERY))
 def test_stacked_reductions_equal_their_loops(name, pipeline, monkeypatch):
     """The reports of every gallery item, on its default grid, equal bit
-    for bit those of the loop forms of the power, seminorm and Holder
-    reductions (tests/oracles.py).  block-M7 peels at p = 5, as in the
+    for bit those of the loop forms of the power, ladder, seminorm and
+    Holder reductions (tests/oracles.py).  block-M7 peels at p = 5, as in the
     benchmark, so that its run reaches all three."""
     cfg = {"version": 1, "matrix": {"gallery": name}, "pipeline": pipeline}
     if name == "block-M7":
@@ -500,26 +510,22 @@ def test_stacked_reductions_equal_their_loops(name, pipeline, monkeypatch):
     del report["timing"]
     assert (dump_report(report), loop_code) == (want, code)
     if (name, pipeline) in (("block-M7", "all"), ("grushin-2x2", "gallery")):
-        assert set(calls) == {"power", "seminorm", "holder"}
+        assert set(calls) == {"power", "maxima", "seminorm", "holder"}
 
 
 def _ladder_rows(rng, centers, pairs, nexpr, nmu, scales):
-    """Hand-made ladders around `centers` and `jets.eval_ladders` rows on
-    them, (inv_y, inv_z, dys, dzs) per center, the rows of center c
-    scaled by scales[c]."""
-    ladders, rows = [], []
-    for x, scale in zip(centers, scales):
-        Y = x + rng.uniform(-0.1, 0.1, (pairs, len(x)))
-        Z = x + rng.uniform(-0.1, 0.1, (pairs, len(x)))
-        Z[0] = Y[0]  # a zero separation, never used
-        ladders.append((Y, Z))
-        rows.append((np.zeros((nexpr, pairs), bool),
-                     np.zeros((nexpr, pairs), bool),
-                     [scale * rng.normal(size=(nmu, pairs))
-                      for _ in range(nexpr)],
-                     [scale * rng.normal(size=(nmu, pairs))
-                      for _ in range(nexpr)]))
-    return ladders, rows
+    """Hand-made ladders (Y, Z) around `centers` and `jets.eval_ladders`
+    rows (inv_y, inv_z, dy, dz) on them, the rows of center c scaled by
+    scales[c]."""
+    C, dim = centers.shape
+    Y = centers[:, None] + rng.uniform(-0.1, 0.1, (C, pairs, dim))
+    Z = centers[:, None] + rng.uniform(-0.1, 0.1, (C, pairs, dim))
+    Z[:, 0] = Y[:, 0]  # a zero separation, never used
+    scale = np.asarray(scales)[:, None]
+    return Y, Z, (np.zeros((nexpr, C, pairs), bool),
+                  np.zeros((nexpr, C, pairs), bool),
+                  scale * rng.normal(size=(nexpr, nmu, C, pairs)),
+                  scale * rng.normal(size=(nexpr, nmu, C, pairs)))
 
 
 def _same_report(a, b):
@@ -533,17 +539,25 @@ def test_stacked_seminorms_keep_the_loop_witness_on_ties_and_inf():
     never becomes the worst."""
     rng = np.random.default_rng(7)
     centers = rng.uniform(-0.5, 0.5, (3, 2))
-    ladders, rows = _ladder_rows(rng, centers, 9, 4, 3, (1.0, 1.0, 1e-3))
-    dy, dz = rows[0][2], rows[0][3]
-    dy[2][1, 4] = dz[2][1, 4] = np.inf     # inf - inf: a NaN estimate
+    Y, Z, rows = _ladder_rows(rng, centers, 9, 4, 3, (1.0, 1.0, 1e-3))
+    inv_y, inv_z, dy, dz = rows
+    dy[2, 1, 0, 4] = dz[2, 1, 0, 4] = np.inf   # inf - inf: a NaN estimate
     # center 1 has center 0's ladder and rows: a tie
-    ladders[1] = ladders[0]
-    rows[1] = rows[0]
-    rows[2][0][1, 3] = True                # one failed sample of entry 1
-    rows[2][1][3, :] = True                # entry 3 fails everywhere
+    for a in (Y, Z):
+        a[1] = a[0]
+    for a in (dy, dz):
+        a[:, :, 1] = a[:, :, 0]
+    inv_y[1, 2, 3] = True                      # one failed sample of entry 1
+    inv_z[3, 2, :] = True                      # entry 3 fails everywhere
 
     def both(entries, two_delta):
-        args = ("diagonal-seminorm-bound", entries, centers, ladders, rows,
+        est, live = monotone.ladder_maxima(Y, Z, inv_y | inv_z, dy, dz,
+                                           two_delta)
+        want = oracles.ladder_maxima_loop(Y, Z, inv_y | inv_z, dy, dz,
+                                          two_delta)
+        assert all(np.array_equal(g, w, equal_nan=True)
+                   for g, w in zip((est, live), want))
+        args = ("diagonal-seminorm-bound", entries, centers, est, live,
                 two_delta)
         got = verify._seminorm_family(*args)
         assert _same_report(got, oracles.seminorm_family_loop(*args))
@@ -555,14 +569,14 @@ def test_stacked_seminorms_keep_the_loop_witness_on_ties_and_inf():
         assert np.isfinite(got.worst_ratio)
         assert got.counts["evaluated"] == 3 * 4 * 3 - 3
     # an inf estimate at the last center is the worst
-    rows[2][2][2][0, 5] = np.inf
+    dy[2, 0, 2, 5] = np.inf
     got = both([1, 2], 0.5)
     assert (got.verdict, got.worst_ratio) == ("fail", np.inf)
     assert got.witness == centers[2].tolist()
     # the Holder reduction over two orders, with failed expressions
-    tables = [rows, _ladder_rows(rng, centers, 9, 4, 2, (1.0,) * 3)[1]]
-    got = monotone._seminorms(ladders, tables, 4, 0.5)
-    assert got == oracles.seminorms_loop(ladders, tables, 4, 0.5)
+    tables = [rows, _ladder_rows(rng, centers, 9, 4, 2, (1.0,) * 3)[2]]
+    got = monotone._seminorms(Y, Z, tables, 0.5)
+    assert got == oracles.seminorms_loop(Y, Z, tables, 0.5)
     assert all(e is not None and np.isfinite(e) for e in got[0])
     assert (got[2][1], got[2][2], got[2][3]) == (None, np.inf, None)
 
@@ -606,10 +620,9 @@ def test_library_pipeline_evaluates_each_pair_ladder_row_once(monkeypatch):
     stacks = set()
     eval_ladders = jets.eval_ladders
 
-    def ladder_call(exprs, ladders, order, nvars, support):
-        stacks.update(b"".join(L[s].tobytes() for L in ladders)
-                      for s in (0, 1))
-        return eval_ladders(exprs, ladders, order, nvars, support)
+    def ladder_call(exprs, Y, Z, order, nvars, support):
+        stacks.update((Y.tobytes(), Z.tobytes()))
+        return eval_ladders(exprs, Y, Z, order, nvars, support)
 
     evaluate = jets._evaluate
     seen = {}
@@ -625,7 +638,8 @@ def test_library_pipeline_evaluates_each_pair_ladder_row_once(monkeypatch):
     monkeypatch.setattr(jets, "eval_ladders", ladder_call)
     monkeypatch.setattr(jets, "_evaluate", counted)
     res = decomposition_pipeline(A, 5, 0.3, 0.1, 0.2, grid)
-    assert RESIDUAL_GATE in res.report_map()  # both strong checks ran
+    # both strong checks ran
+    assert RESIDUAL_GATE in [r.condition for r in res.reports]
     orders = {sp.order for _, _, sp in seen}
     assert orders == {2, 4}
     assert seen and max(n for _, n in seen.values()) == 1
