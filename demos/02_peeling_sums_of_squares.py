@@ -59,7 +59,7 @@ print(f"   residual dyad({t}) = {dv}  "
 print("== the split backend keeps the sum of squares exact with two factors")
 dec2 = iterated_sd(G, 2, grid)
 dec2 = assemble_vector_fields(
-    dec2, ScalarSosBackend(name="split-by-sign-cell", split_softness=0.4), grid
+    dec2, ScalarSosBackend(name="split-by-sign-cell"), grid
 )
 print("   factors per peel:", len(dec2.fields[0]),
       "  gram residual:", dec2.certificates["gram_residual"])

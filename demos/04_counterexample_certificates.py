@@ -25,7 +25,7 @@ for lam in (0.02, 2.0 / 81.0, 0.5):
           f"-> {cert.verdict}")
 
 print("== positivity at ten thousand sphere samples")
-rep = q_lambda_positivity_certificate(0.02, sphere_count=10_000)
+rep = q_lambda_positivity_certificate(0.02)
 print("   verdict:", rep.verdict)
 for name, slack in rep.details["min_slacks"].items():
     print(f"   min slack, {name}: {slack:.3e}")

@@ -45,6 +45,9 @@ __all__ = [
 
 FLAT_PIVOT = 1e-300
 
+# The softness a of the split-by-sign-cell partition of unity.
+SPLIT_SOFTNESS = 0.5
+
 
 class PivotError(ValueError):
     def __init__(self, message, point=None):
@@ -68,14 +71,17 @@ class ScalarSosBackend:
         sqrt node whose smoothness is verified numerically and reported.
     split-by-sign-cell: two factors weighted by a smooth two-cell partition
         of unity w = (1 +- u / sqrt(u^2 + a^2)) / 2 in u = x0 (softness
-        a); exercises multi-factor assembly while keeping
+        a = `SPLIT_SOFTNESS`); exercises multi-factor assembly while keeping
         sum-of-squares exact.
+
+    Construction is the one range check of epsilon and delta that a
+    decomposition reads: the pipeline, the field certificates and the
+    factor bounds all take them, and delta' = `dprime`, from here.
     """
 
     name: str = "principal-sqrt"
     delta: float = 0.1
     epsilon: float = 0.25
-    split_softness: float = 0.5
 
     def __post_init__(self):
         if self.name not in ("principal-sqrt", "split-by-sign-cell"):
@@ -166,7 +172,7 @@ def _dyad_sum(dyads):
 # one-step and iterated decomposition
 
 
-def _check_pivot(a11, nvars, grid):
+def _check_pivot(a11, grid):
     """Positivity of the pivot on the sampled punctured domain.
 
     Samples where the pivot and its whole order-4 jet are numerically zero
@@ -176,7 +182,7 @@ def _check_pivot(a11, nvars, grid):
     Returns (evaluated, excluded) counts.
     """
     pts = grid.sample_points()
-    jb = jets.eval_jet_batch(a11, pts, order=4, nvars=nvars)
+    jb = jets.eval_jet_batch(a11, pts, order=4, nvars=grid.dim)
     valid = ~jb.invalid
     vals = jb.values
     jet_mag = np.abs(jb.derivatives()).max(axis=0)
@@ -206,7 +212,7 @@ def one_sd(A, grid=None):
         raise ValueError("matrix must have dimension >= 1")
     a11 = A.entry(0, 0)
     if grid is not None:
-        _check_pivot(a11, A.nvars, grid)
+        _check_pivot(a11, grid)
     s1 = ex.sqrt(a11)
     inv_s1 = ex.recip(s1)
     inv_a11 = ex.recip(a11)
@@ -285,7 +291,7 @@ def iterated_sd(A, p, grid):
     excluded_total = 0
     dyad_constants = []
     for k in range(p - 1):
-        evaluated, excluded = _check_pivot(Q.entry(0, 0), A.nvars, grid)
+        evaluated, excluded = _check_pivot(Q.entry(0, 0), grid)
         excluded_total += excluded
         pivots.append(Q.entry(0, 0))
         pivot_rows.append([Q.entry(0, j) for j in range(Q.n)])
@@ -368,9 +374,9 @@ def _symbolic_sqrt(e):
     return None
 
 
-def _sign_cell_weights(backend):
+def _sign_cell_weights():
     u = ex.var(0)
-    a2 = ex.const(backend.split_softness**2)
+    a2 = ex.const(SPLIT_SOFTNESS**2)
     s = ex.mul(u, ex.recip(ex.sqrt(ex.add(ex.intpow(u, 2), a2))))
     half = ex.const(0.5)
     w_plus = ex.mul(half, ex.add(ex.ONE, s))
@@ -378,16 +384,17 @@ def _sign_cell_weights(backend):
     return [ex.sqrt(w_plus), ex.sqrt(w_minus)]
 
 
-def scalar_sos(f, backend, grid, nvars=None):
+def scalar_sos(f, backend, grid):
     """Split a nonnegative scalar into factors g with sum g^2 = f.
 
-    The report carries the factor-bound families evaluated on the grid:
+    The report carries the factor-bound families evaluated on the grid,
+    with the backend's epsilon, delta and delta':
     |t| against E^{1/2}, |grad t| against E^{([1-2 eps]_+ + delta')/2} and
     |Hess t| against E^{delta^2/(2+delta)}, together with the sampled
     sum-of-squares identity residual.  A smoothness (bound) failure is
     reported, not raised; negativity of f at a sample is an error.
     """
-    nv = nvars or max(1, f.nvars)
+    nv = grid.dim
     pts = grid.sample_points()
     fvals, fvalid = jets.eval_values(f, pts, nvars=nv)
     scale = float(np.abs(fvals[fvalid]).max()) if fvalid.any() else 0.0
@@ -401,7 +408,7 @@ def scalar_sos(f, backend, grid, nvars=None):
     if g is None:
         g = ex.sqrt(f)
     if backend.name == "split-by-sign-cell":
-        factors = [ex.mul(w, g) for w in _sign_cell_weights(backend)]
+        factors = [ex.mul(w, g) for w in _sign_cell_weights()]
     else:
         factors = [g]
 
@@ -481,7 +488,7 @@ def scalar_sos(f, backend, grid, nvars=None):
 # vector field assembly
 
 
-def assemble_vector_fields(dec, backend, grid, epsilon=None, delta=None, delta2=None):
+def assemble_vector_fields(dec, backend, grid):
     """Split every peeled dyad into squares of vector fields.
 
     For peel k with pivot E_k and first row (q_kk, q_k,k+1, ...), each
@@ -489,14 +496,9 @@ def assemble_vector_fields(dec, backend, grid, epsilon=None, delta=None, delta2=
     t, t q_k,k+1 / E_k, ..., t q_kn / E_k on coordinates k..n-1.  The Gram
     identity sum_i X_{k,i} X_{k,i}^T = Z_k Z_k^T is exact; its sampled
     residual, factor bounds, and derivative/seminorm magnitudes of the
-    components go into the certificates.
+    components go into the certificates, with the backend's epsilon, delta
+    and delta' (the ones its factor bounds used).
     """
-    epsilon = backend.epsilon if epsilon is None else epsilon
-    delta = backend.delta if delta is None else delta
-    if not 0.25 <= epsilon < 1:
-        raise ValueError("epsilon must lie in [1/4, 1)")
-    dprime = backend.dprime if delta2 is None else delta2
-    n = dec.n
     nv = dec.matrix.nvars
     fields = []
     sos_factors = []
@@ -507,7 +509,7 @@ def assemble_vector_fields(dec, backend, grid, epsilon=None, delta=None, delta2=
     for k in range(dec.depth - 1):
         E = dec.pivots[k]
         row = dec.pivot_rows[k]
-        res = scalar_sos(E, backend, grid, nvars=nv)
+        res = scalar_sos(E, backend, grid)
         reports.append(res.report)
         sos_factors.append(res.factors)
         invE = ex.recip(E)
@@ -526,8 +528,8 @@ def assemble_vector_fields(dec, backend, grid, epsilon=None, delta=None, delta2=
     centers = pts[:: max(1, len(pts) // 4)][:4]
     mus = [tuple(2 if i == a else 0 for i in range(nv)) for a in range(nv)]
     batch = [c for ck in comps for c in ck]
-    estimates = (holder_seminorm(batch, centers, mus, delta, grid) if batch
-                 else [[] for _ in centers])
+    estimates = (holder_seminorm(batch, centers, mus, backend.delta, grid)
+                 if batch else [[] for _ in centers])
     lo = 0
     # Gram identity against the peeled dyads
     for k, (zz, zok) in enumerate(_dyads(dec.peel_vectors, pts, nv)):
@@ -562,9 +564,9 @@ def assemble_vector_fields(dec, backend, grid, epsilon=None, delta=None, delta2=
     dec.certificates["sos_reports"] = [r.to_json_dict() for r in reports]
     dec.certificates["backend"] = {
         "name": backend.name,
-        "delta": delta,
-        "delta_prime": dprime,
-        "epsilon": epsilon,
+        "delta": backend.delta,
+        "delta_prime": backend.dprime,
+        "epsilon": backend.epsilon,
     }
     return dec
 
@@ -578,7 +580,7 @@ def residual_dyads(dec, backend, grid):
     if dec.residual is None or dec.residual.n != 1:
         raise ValueError("residual dyads need a 1 x 1 residual block")
     q = dec.residual.entry(0, 0)
-    res = scalar_sos(q, backend, grid, nvars=dec.matrix.nvars)
+    res = scalar_sos(q, backend, grid)
     out = []
     for t in res.factors:
         out.append([ex.ZERO] * (dec.n - 1) + [t])

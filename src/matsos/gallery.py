@@ -17,7 +17,7 @@ from . import expr as ex
 from . import jets
 from .grids import GridSpec
 from .matfun import StructureTags, SymMatFun, blockdiag
-from .reporting import CheckReport, FAIL, PASS, sampled_bound
+from .reporting import CheckReport, DEFAULT_CMAX, FAIL, PASS, sampled_bound
 from .symmat import _jacobi
 
 __all__ = [
@@ -38,6 +38,9 @@ __all__ = [
 
 LAMBDA_THRESHOLD = 2.0 / 81.0
 DEFAULT_LAMBDA = 0.02  # comfortably inside the certificate region
+# The sphere samples of the positivity certificate and their slack tolerance.
+SPHERE_COUNT = 10_000
+SLACK_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -110,20 +113,19 @@ def _det_expansion(lam, W):
     )
 
 
-def q_lambda_positivity_certificate(lam=DEFAULT_LAMBDA, sphere_count=10_000,
-                                    slack_tol=1e-9):
+def q_lambda_positivity_certificate(lam=DEFAULT_LAMBDA):
     """Leading-minor lower bounds and the determinant expansion identity.
 
-    On sphere samples, checks
+    On `SPHERE_COUNT` sphere samples, checks
         a11 >= min(lam, 1) |W|^2,
         2x2 leading minor >= min(lam, 2) (x^4 + y^4 + z^4),
         det >= 2 lam (x^6 + y^6 + z^6),
-    each with slack >= -slack_tol, and the closed-form determinant
+    each with slack >= -`SLACK_TOL`, and the closed-form determinant
     expansion against the direct determinant to 1e-9 relative.
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
-    W = _fibonacci_sphere(sphere_count)
+    W = _fibonacci_sphere(SPHERE_COUNT)
     Q = _q_lambda_values(lam, W)
     x2, y2, z2 = W[:, 0] ** 2, W[:, 1] ** 2, W[:, 2] ** 2
     det3 = np.linalg.det(Q)
@@ -137,14 +139,15 @@ def q_lambda_positivity_certificate(lam=DEFAULT_LAMBDA, sphere_count=10_000,
     rel = np.abs(expansion - det3) / np.maximum(1.0, np.abs(det3))
     worst_rel = float(rel.max())
     min_slacks = {k: float(v.min()) for k, v in slacks.items()}
-    ok = all(v >= -slack_tol for v in min_slacks.values()) and worst_rel <= 1e-9
+    ok = (all(v >= -SLACK_TOL for v in min_slacks.values())
+          and worst_rel <= 1e-9)
     rep = CheckReport(
         "quadratic-form-positivity",
         PASS if ok else FAIL,
         worst_ratio=worst_rel,
         constant=worst_rel,
-        params={"lam": lam, "sphere_count": sphere_count},
-        counts={"evaluated": sphere_count, "excluded": 0},
+        params={"lam": lam, "sphere_count": SPHERE_COUNT},
+        counts={"evaluated": SPHERE_COUNT, "excluded": 0},
         details={"min_slacks": min_slacks, "det_expansion_rel_error": worst_rel},
     )
     if not ok:
@@ -239,7 +242,7 @@ def build_f_phi_psi(params=None):
     return SymMatFun(3, 4, entries, StructureTags(degenerate_axes=(0, 1, 2, 3)))
 
 
-def failure_condition_check(params, beta, grid, cmax=1e6):
+def failure_condition_check(params, beta, grid):
     """Obstruction to squares of C^(1,beta) fields: psi <= C phi^(2/beta) t^(4/beta).
 
     Evaluated in log space on the 1-D grid over t (flat profiles underflow
@@ -270,7 +273,6 @@ def failure_condition_check(params, beta, grid, cmax=1e6):
         np.ones_like(ratio),
         pts,
         params={"beta": beta},
-        cmax=cmax,
         radii=ts,
     )
     t_hi = max(abs(grid.box[0][0]), abs(grid.box[0][1]))
@@ -289,7 +291,8 @@ def failure_condition_check(params, beta, grid, cmax=1e6):
                 f"t={m[0]:g}": float(v) for m, v in zip(marks, tau_marks)
             },
             "tau_to_zero": decreasing and tau_marks[-1] < -6.0,
-            "divergence_condition_fails": bool(tau_sup_log < math.log(cmax)),
+            "divergence_condition_fails": bool(
+                tau_sup_log < math.log(DEFAULT_CMAX)),
             "log10_worst_ratio": float(log_ratio.max() / math.log(10.0)),
         }
     )
@@ -367,7 +370,7 @@ def build_blocks(kind, params=None):
     raise ValueError(f"unknown block kind {kind!r}; use M7, N8 or P7")
 
 
-def block_trace_comparability(M, grid, cmax=1e6):
+def block_trace_comparability(M, grid):
     """M7 against blockdiag(I4, trace(F) I3): sampled bracket constants."""
     F = M.submatrix(range(4, 7))
     tr = ex.add(*[F.entry(i, i) for i in range(3)])
@@ -385,7 +388,6 @@ def block_trace_comparability(M, grid, cmax=1e6):
         lhs,
         rhs,
         pts[use],
-        cmax=cmax,
         excluded=int((~use).sum()),
     )
 
@@ -403,7 +405,6 @@ def incomparable_profiles_check(grid):
         ratio,
         np.ones_like(ratio),
         pts,
-        cmax=1e6,
     )
 
 

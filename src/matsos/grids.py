@@ -86,6 +86,9 @@ class GridSpec:
                 raise MisconfiguredGridError(
                     f"{name} must be at least {least}, "
                     f"got {getattr(self, name)!r}")
+        if not math.isfinite(self.exclude_radius):
+            raise MisconfiguredGridError(
+                f"exclude_radius must be finite, got {self.exclude_radius!r}")
         object.__setattr__(self, "box", box)
         excl = tuple(self.exclusions)
         for i, e in enumerate(excl):

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr as ex
 from . import jets
 from .reporting import FAIL, INCONCLUSIVE, PASS, CheckReport, FLAT_FLOOR
 
@@ -62,21 +61,16 @@ def omega_value(spec, t):
     return w, clamped
 
 
-def holder_seminorm(h, x, mu, delta, grid):
-    """Sampled lower bound for the seminorm of D^mu h at x.
+def holder_seminorm(hs, centers, mus, delta, grid):
+    """Sampled lower bounds for the seminorms of D^mu h at centers x.
 
     Takes the max over sampled pairs (y, z) near x of
-    |D^mu h(y) - D^mu h(z)| / |y - z|**delta.  `mu` is one multiindex or a
-    sequence of them; for a sequence the result is the largest estimate,
-    equal to the max of the single-multiindex calls, with h evaluated once
-    per distinct order |mu|, in the jet space of that order's multiindices.
-
-    `h` is one expression or a sequence of them; a sequence gives one
-    estimate per expression, equal to the single calls, or None where a
-    sample of that expression failed.  For a single expression a failure
-    raises SingularDomainError at the first failing point in (center,
-    order, side, pair) order.  `x` is one center or a (C, nvars) stack of
-    them; a stack gives the list of the single-center results.  The pair
+    |D^mu h(y) - D^mu h(z)| / |y - z|**delta.  `hs` is a list of
+    expressions, `centers` a (C, nvars) stack and `mus` a list of
+    multiindices; the result holds, per center, one estimate per
+    expression: the largest over `mus`, or None where a sample of that
+    expression failed.  Each expression is evaluated once per distinct
+    order |mu|, in the jet space of that order's multiindices.  The pair
     ladders of all centers are one (C, P, nvars) array per side
     (`GridSpec.sample_pairs`), evaluated once per order by
     `jets.eval_ladders` (see `matsos.jets` for why the estimates are those
@@ -85,20 +79,18 @@ def holder_seminorm(h, x, mu, delta, grid):
     call returns: unlike those of `strong_check`, which runs twice per
     pipeline, no later stage of a run reads them.
     """
-    single = isinstance(h, ex.ScalarExpr)
-    hs = [h] if single else list(h)
-    mus = list(mu)
+    mus = list(mus)
     if not mus:
         raise ValueError("need at least one multiindex")
-    if all(np.ndim(k) == 0 for k in mus):
-        mus = [mus]
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
-    x = np.asarray(x, dtype=float)
-    nv = x.shape[-1]
+    centers = np.asarray(centers, dtype=float)
+    if centers.ndim != 2:
+        raise ValueError("centers must be a (C, nvars) stack")
+    nv = centers.shape[1]
     # the jet space's rule: integer (not bool) components, |mu| <= MAX_ORDER
     mus = [jets.space(nv, jets.MAX_ORDER).checked(m) for m in mus]
-    Y, Z = grid.sample_pairs(np.atleast_2d(x))
+    Y, Z = grid.sample_pairs(centers)
     # per order, the failure masks (len(hs), C, P) and D^mu rows
     # (len(hs), len(support), C, P) of both sides; only the rows below
     # that order's multiindices are computed
@@ -106,18 +98,7 @@ def holder_seminorm(h, x, mu, delta, grid):
         tables = [jets.eval_ladders(hs, Y, Z, order, nv,
                                     tuple(m for m in mus if sum(m) == order))
                   for order in sorted({sum(m) for m in mus})]
-    if single:
-        # (order, side, center, pair) -> (center, order, side, pair)
-        failed = np.array([t[:2] for t in tables])[:, :, 0]
-        failed = failed.transpose(2, 0, 1, 3)
-        if failed.any():
-            c, _, s, p = np.unravel_index(np.argmax(failed), failed.shape)
-            raise jets.SingularDomainError("seminorm sample failed",
-                                           point=(Y, Z)[s][c, p])
-    out = _seminorms(Y, Z, tables, delta)
-    if single:
-        out = [worst[0] for worst in out]
-    return out if x.ndim == 2 else out[0]
+    return _seminorms(Y, Z, tables, delta)
 
 
 def ladder_maxima(Y, Z, inv, dy, dz, delta):

@@ -304,6 +304,8 @@ def run_config(cfg, threads=1, grid_scale=1.0):
 
     Exit code 0 when every check passed, 2 on a hypothesis refusal or a
     failed certificate, 1 on execution errors (raised by the caller).
+    `grid_scale` multiplies the grid resolutions; one that is not a finite
+    number > 0 is a ConfigError.
     `threads` is accepted and ignored: the checkers run in sequence, since
     a thread pool measured no gain for this pure-Python, GIL-bound work.
     The run evaluates under one `jets.run_table`, closed when it returns
@@ -315,6 +317,8 @@ def run_config(cfg, threads=1, grid_scale=1.0):
 
 def _run(cfg, grid_scale):
     cfg = validate_config(cfg)
+    _require(_number(grid_scale, "grid_scale") > 0, "grid_scale",
+             f"must be > 0, got {grid_scale!r}")
     t0 = time.monotonic()
     seed = _integer(cfg.get("seed", 0), "seed")
     A, item, entries = build_matrix(cfg)
@@ -324,9 +328,6 @@ def _run(cfg, grid_scale):
     else:
         grid = parse_grid(grid_cfg, A.nvars, grid_scale, seed)
     params = _params(cfg)
-    params["backend"] = ScalarSosBackend(
-        name=params["backend"], delta=params["delta"],
-        epsilon=params["epsilon"])
     pipeline = cfg.get("pipeline", "all")
     checks, extras = [], []
     decomposition = None
@@ -343,12 +344,10 @@ def _run(cfg, grid_scale):
         ]
     elif pipeline == "decompose":
         pp = _check_p(params["p"], A.n)
-        dec = iterated_sd(A, pp, grid)
-        decomposition = assemble_vector_fields(
-            dec, params["backend"], grid,
-            epsilon=params["epsilon"], delta=params["delta"],
-            delta2=params["delta2"],
-        )
+        backend = ScalarSosBackend(params["backend"], params["delta"],
+                                   params["epsilon"])
+        decomposition = assemble_vector_fields(iterated_sd(A, pp, grid),
+                                               backend, grid)
     else:  # all
         pp = _check_p(params["p"], A.n)
         try:

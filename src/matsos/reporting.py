@@ -8,10 +8,14 @@ into a verdict with the shared conventions:
 * samples where both sides are below the flat floor (1e-300) are excluded
   and counted, never failed: the inequalities are trivially true where both
   sides vanish;
-* a pass requires the sup of LHS/RHS to stay below a cap (default 1e6) and
-  the per-shell maxima over the three finest dyadic shells toward the
-  origin to show no growth trend (log-log slope test) --- a sup test alone
-  cannot distinguish a large constant from divergence on a finite grid.
+* a pass requires the sup of LHS/RHS to stay below a cap and the per-shell
+  maxima over the three finest dyadic shells toward the origin to show no
+  growth trend (log-log slope test) --- a sup test alone cannot
+  distinguish a large constant from divergence on a finite grid.
+
+The cap is `DEFAULT_CMAX` = 1e6 for every checker; the pivot-tail
+comparability of the pipeline alone passes its own, 100, as `cmax=`.
+Reports write Python and numpy booleans as JSON booleans.
 """
 
 from __future__ import annotations
@@ -101,6 +105,9 @@ class CheckReport:
 
 
 def _jsonable(v):
+    # before the int branch, which a Python bool would also take
+    if isinstance(v, (bool, np.bool_)):
+        return bool(v)
     if isinstance(v, (np.floating, float)):
         v = float(v)
         if v != v:
@@ -112,8 +119,6 @@ def _jsonable(v):
         return v
     if isinstance(v, (np.integer, int)):
         return int(v)
-    if isinstance(v, np.bool_):
-        return bool(v)
     if isinstance(v, np.ndarray):
         return [_jsonable(x) for x in v.tolist()]
     if isinstance(v, dict):

@@ -22,7 +22,6 @@ from .decompose import (
     ScalarSosBackend,
     SquareDecomposition,
     assemble_vector_fields,
-    default_delta_prime,
     iterated_sd,
 )
 from .monotone import ladder_maxima
@@ -59,6 +58,9 @@ ROW_FLAT_FLOOR = 1e-150
 SEMINORM_CENTERS = 4
 SEMINORM_CAP = 1e3
 
+# The ratio cap of the pivot-tail comparability a_pp ~ ... ~ a_nn.
+TAIL_RATIO_CAP = 100.0
+
 
 class HypothesisRefusal(RuntimeError):
     """A hypothesis check failed hard; the pipeline refuses to decompose."""
@@ -83,7 +85,7 @@ def _active_masks(vals):
     return keep, ok
 
 
-def diag_elliptic_check(A, grid, cmax=DEFAULT_CMAX):
+def diag_elliptic_check(A, grid):
     """Positivity off the origin plus comparability to the own diagonal.
 
     Passes when the minimum eigenvalue is positive at every usable sample
@@ -129,13 +131,12 @@ def diag_elliptic_check(A, grid, cmax=DEFAULT_CMAX):
         alphas,
         np.maximum(betas, 0.0),
         used_pts,
-        cmax=cmax,
         excluded=excluded,
     )
     beta, alpha = float(betas.min()), float(alphas.max())
     rep.details["beta"] = beta
     rep.details["alpha"] = alpha
-    if rep.verdict == PASS and (beta <= 0 or alpha / beta > cmax):
+    if rep.verdict == PASS and (beta <= 0 or alpha / beta > DEFAULT_CMAX):
         rep.verdict = FAIL
         rep.details["reason"] = "global-bracket-cap"
     not_pd = np.flatnonzero(lmin <= 0)
@@ -153,7 +154,7 @@ def diag_elliptic_check(A, grid, cmax=DEFAULT_CMAX):
     return rep
 
 
-def subordinate_check(A, grid, cmax=DEFAULT_CMAX):
+def subordinate_check(A, grid):
     """First derivatives of the matrix controlled by its quadratic form.
 
     Two independent routes are evaluated: the quadratic-form ratio
@@ -195,7 +196,6 @@ def subordinate_check(A, grid, cmax=DEFAULT_CMAX):
         qf_ratios[~flat],
         np.ones((~flat).sum()),
         qf_pts,
-        cmax=cmax,
         excluded=excluded + int(flat.sum()),
     )
     if rep_qf.worst_ratio is not None:
@@ -214,7 +214,6 @@ def subordinate_check(A, grid, cmax=DEFAULT_CMAX):
         np.concatenate(lhs),
         np.concatenate(rhs),
         np.concatenate(where),
-        cmax=cmax,
     )
     merged = merge_reports("subordinate", [rep_qf, rep_ew])
     merged.details["verdict_agreement"] = rep_qf.verdict == rep_ew.verdict
@@ -232,7 +231,7 @@ def _vacuous(cond):
                        counts={"evaluated": 0, "excluded": 0})
 
 
-def _power_family(cond, pairs, base, rec, epsilon, delta_x, cmax):
+def _power_family(cond, pairs, base, rec, epsilon, delta_x):
     """The bound |D^mu a_kj| <= C base^e(|mu|) of one family of all
     diagonal or all off-diagonal pairs, as one (pair, order, sample) array.
     `base` (U, P) holds each pair's base at the valid samples of the
@@ -258,7 +257,7 @@ def _power_family(cond, pairs, base, rec, epsilon, delta_x, cmax):
     sample = np.broadcast_to(np.arange(use.size), keep.shape)[keep]
     upts = rec.pts[use]
     rep = sampled_bound(
-        cond, dmax[keep], rhs[keep], upts[sample], cmax=cmax,
+        cond, dmax[keep], rhs[keep], upts[sample],
         radii=np.linalg.norm(upts, axis=1)[sample],
         excluded=int((~rec.valid).sum()) + int((~keep).sum()))
     rep.details["pinned_base_gt1"] = int((base > 1.0).sum()) * len(orders)
@@ -288,8 +287,7 @@ def _seminorm_family(cond, entries, centers, est, live, two_delta):
                        counts={"evaluated": count, "excluded": 0})
 
 
-def strong_check(A, ell, epsilon, delta_p, delta_pp, grid, delta=None,
-                 cmax=DEFAULT_CMAX):
+def strong_check(A, ell, epsilon, delta_p, delta_pp, grid, delta=None):
     """The six differential-inequality families on entries up to order 4.
 
     For diagonal entries a_kk (k <= ell):
@@ -333,7 +331,7 @@ def strong_check(A, ell, epsilon, delta_p, delta_pp, grid, delta=None,
 
     def power(cond, pairs, table, side, delta_x):
         base = table[:, [pair[side] for pair in pairs]]
-        return _power_family(cond, pairs, base, rec, epsilon, delta_x, cmax)
+        return _power_family(cond, pairs, base, rec, epsilon, delta_x)
 
     def seminorm(cond, pairs):
         return _seminorm_family(cond, [keys.index(p) for p in pairs], centers,
@@ -357,7 +355,7 @@ def strong_check(A, ell, epsilon, delta_p, delta_pp, grid, delta=None,
     return merged
 
 
-def scalar_sos_hypothesis_check(f, delta, grid, nvars=None, cmax=DEFAULT_CMAX):
+def scalar_sos_hypothesis_check(f, delta, grid):
     """Second/fourth derivative power bounds admitting a scalar SOS.
 
     Reports sup |grad^2 f| / f^(2 delta (1+delta) / (2+delta)) and
@@ -366,9 +364,8 @@ def scalar_sos_hypothesis_check(f, delta, grid, nvars=None, cmax=DEFAULT_CMAX):
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    nv = nvars or max(1, f.nvars)
     pts = grid.sample_points()
-    jb = jets.eval_jet_batch(f, pts, order=4, nvars=nv)
+    jb = jets.eval_jet_batch(f, pts, order=4, nvars=grid.dim)
     ok = ~jb.invalid
     excluded = int((~ok).sum())
     fv = np.maximum(jb.values[ok], 0.0)
@@ -381,7 +378,6 @@ def scalar_sos_hypothesis_check(f, delta, grid, nvars=None, cmax=DEFAULT_CMAX):
             fv**e2,
             pts[ok],
             params={"exponent": e2},
-            cmax=cmax,
             excluded=excluded,
         ),
         sampled_bound(
@@ -390,7 +386,6 @@ def scalar_sos_hypothesis_check(f, delta, grid, nvars=None, cmax=DEFAULT_CMAX):
             fv**e4,
             pts[ok],
             params={"exponent": e4},
-            cmax=cmax,
         ),
     ]
     return merge_reports(
@@ -398,7 +393,7 @@ def scalar_sos_hypothesis_check(f, delta, grid, nvars=None, cmax=DEFAULT_CMAX):
     )
 
 
-def quasiconformal_check(Q, grid, reference=None, cmax=DEFAULT_CMAX):
+def quasiconformal_check(Q, grid, reference=None):
     """Eigenvalues nonnegative and mutually comparable with one ratio K.
 
     With a reference diagonal entry supplied, also checks the stronger
@@ -437,7 +432,7 @@ def quasiconformal_check(Q, grid, reference=None, cmax=DEFAULT_CMAX):
     lmins = np.where(lmins < 0.0, 0.0, lmins)
     lmaxs = w[~flat, -1]
     spts = pts[upts]
-    rep = sampled_bound("quasiconformal", lmaxs, lmins, spts, cmax=cmax,
+    rep = sampled_bound("quasiconformal", lmaxs, lmins, spts,
                         excluded=excluded)
     rep.details["K"] = rep.worst_ratio
     reps = [rep]
@@ -447,11 +442,11 @@ def quasiconformal_check(Q, grid, reference=None, cmax=DEFAULT_CMAX):
         if okref.any():
             lo = sampled_bound(
                 "residual-pivot-comparability-upper",
-                lmaxs[okref], ref[okref], spts[okref], cmax=cmax,
+                lmaxs[okref], ref[okref], spts[okref],
             )
             hi = sampled_bound(
                 "residual-pivot-comparability-lower",
-                ref[okref], lmins[okref], spts[okref], cmax=cmax,
+                ref[okref], lmins[okref], spts[okref],
             )
             with np.errstate(divide="ignore"):
                 lo.details["alpha"] = float((lmaxs[okref] / ref[okref]).max())
@@ -473,51 +468,48 @@ class PipelineResult:
     reports: list = field(default_factory=list)
 
 
-def decomposition_pipeline(A, p, epsilon, delta, delta_pp, grid, backend=None,
-                           force=False, cmax=DEFAULT_CMAX, tail_ratio_cap=100.0):
+def decomposition_pipeline(A, p, epsilon, delta, delta_pp, grid,
+                           backend="principal-sqrt"):
     """Hypothesis checks, then peeling and vector-field assembly.
 
     Runs the diagonal-comparability check, the strong differential families
     at ell = p-1, and the pivot-tail comparability a_pp ~ ... ~ a_nn; any
-    hard failure raises HypothesisRefusal naming the failed family (unless
-    `force`).  On success returns the decomposition with certificates plus
-    the residual quasiconformality report and, when the strong families
-    also hold at ell = p, the subordinaticity report of the residual.
+    hard failure raises HypothesisRefusal naming the failed family.  On
+    success returns the decomposition with certificates plus the residual
+    quasiconformality report and, when the strong families also hold at
+    ell = p, the subordinaticity report of the residual.
 
-    p = 1 peels nothing: the matrix itself is the residual block and only
-    the comparability and quasiconformal checks run.  Everything runs in
-    the open `jets.run_table`, or in one of its own.
+    `backend` names the scalar SOS backend; the one
+    `ScalarSosBackend(backend, delta, epsilon)` built from it checks the
+    ranges of epsilon and delta, and gives the delta' of the strong checks
+    and of the field certificates.  p = 1 peels nothing: the matrix itself
+    is the residual block and only the comparability and quasiconformal
+    checks run.  Everything runs in the open `jets.run_table`, or in one of
+    its own.
     """
     n = A.n
     if not 1 <= p <= n + 1:
         raise ValueError(f"p must lie in 1..{n + 1}")
-    if not 0.25 <= epsilon < 1.0:
-        raise ValueError("epsilon must lie in [1/4, 1)")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    delta_p = default_delta_prime(delta)
-    backend = backend or ScalarSosBackend(delta=delta, epsilon=epsilon)
+    backend = ScalarSosBackend(backend, delta, epsilon)
+    delta_p = backend.dprime
     reports = []
-
-    def refuse(name):
-        if not force:
-            raise HypothesisRefusal(name, reports)
 
     # one run table for both strong checks, unless the caller has one
     with jets.within_run_table():
-        rep = diag_elliptic_check(A, grid, cmax=cmax)
+        rep = diag_elliptic_check(A, grid)
         reports.append(rep)
         if rep.verdict == FAIL:
-            refuse("diagonal-comparability")
+            raise HypothesisRefusal("diagonal-comparability", reports)
 
         if p >= 2:
             rep = strong_check(A, p - 1, epsilon, delta_p, delta_pp, grid,
-                               delta=delta, cmax=cmax)
+                               delta=delta)
             reports.append(rep)
             if rep.verdict == FAIL:
                 fams = rep.details.get("family_verdicts", {})
                 bad = [k for k, v in fams.items() if v == FAIL]
-                refuse(bad[0] if bad else "strongly-c4")
+                raise HypothesisRefusal(bad[0] if bad else "strongly-c4",
+                                        reports)
 
         if 2 <= p <= n:
             rec = A.sampled(grid)
@@ -530,31 +522,28 @@ def decomposition_pipeline(A, p, epsilon, delta, delta_pp, grid, backend=None,
                 np.concatenate([c for s in sides for c in s]),
                 np.concatenate([c for s in sides for c in s[::-1]]),
                 np.concatenate([pts] * 2 * len(sides)),
-                cmax=tail_ratio_cap,
-                params={"ratio_cap": tail_ratio_cap},
+                cmax=TAIL_RATIO_CAP,
+                params={"ratio_cap": TAIL_RATIO_CAP},
             ) if sides else _vacuous("pivot-tail-comparability")
             reports.append(rep)
             if rep.verdict == FAIL:
-                refuse("pivot-tail-comparability")
+                raise HypothesisRefusal("pivot-tail-comparability", reports)
 
         if p == 1:
             dec = SquareDecomposition(matrix=A, depth=1, residual=A)
-            rep = quasiconformal_check(A, grid, cmax=cmax)
-            reports.append(rep)
+            reports.append(quasiconformal_check(A, grid))
             return PipelineResult(dec, reports)
 
-        dec = iterated_sd(A, p, grid)
-        dec = assemble_vector_fields(dec, backend, grid, epsilon=epsilon,
-                                     delta=delta, delta2=delta_pp)
+        dec = assemble_vector_fields(iterated_sd(A, p, grid), backend, grid)
         ref_entry = A.entry(p - 1, p - 1) if p <= n else None
-        rep = quasiconformal_check(dec.residual, grid, reference=ref_entry, cmax=cmax)
-        reports.append(rep)
+        reports.append(quasiconformal_check(dec.residual, grid,
+                                            reference=ref_entry))
         if p <= n:
             rep_p = strong_check(A, p, epsilon, delta_p, delta_pp, grid,
-                                 delta=delta, cmax=cmax)
+                                 delta=delta)
             rep_p.condition = RESIDUAL_GATE
             rep_p.params["gates"] = "residual subordinaticity claim"
             reports.append(rep_p)
             if rep_p.verdict == PASS:
-                reports.append(subordinate_check(dec.residual, grid, cmax=cmax))
+                reports.append(subordinate_check(dec.residual, grid))
         return PipelineResult(dec, reports)

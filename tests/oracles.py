@@ -241,7 +241,7 @@ def dump_json(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def power_family_loop(cond, pairs, base, rec, epsilon, delta_x, cmax):
+def power_family_loop(cond, pairs, base, rec, epsilon, delta_x):
     """`verify._power_family` as the loop over pairs, then orders, that
     its (pair, order, sample) array replaced."""
     use = np.where(rec.valid)[0]
@@ -275,7 +275,7 @@ def power_family_loop(cond, pairs, base, rec, epsilon, delta_x, cmax):
                            counts={"evaluated": 0, "excluded": 0})
     rep = sampled_bound(cond, np.concatenate(lhs_all),
                         np.concatenate(rhs_all), np.concatenate(pt_all),
-                        cmax=cmax, excluded=excluded + flat_pairs)
+                        excluded=excluded + flat_pairs)
     rep.details["pinned_base_gt1"] = pinned
     return rep
 

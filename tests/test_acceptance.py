@@ -126,8 +126,7 @@ def test_criterion_3_quadratic_family_certificates():
     t0 = time.perf_counter()
     c_in = q_lambda_non_sos_certificate(0.02)
     c_bd = q_lambda_non_sos_certificate(2.0 / 81.0)
-    pos = q_lambda_positivity_certificate(0.02, sphere_count=10_000,
-                                          slack_tol=1e-9)
+    pos = q_lambda_positivity_certificate(0.02)
     elapsed = time.perf_counter() - t0
     ok = (
         c_in.bound == pytest.approx(3.6)
@@ -135,6 +134,7 @@ def test_criterion_3_quadratic_family_certificates():
         and c_bd.bound == pytest.approx(4.0)
         and c_bd.verdict == "inconclusive"
         and pos.verdict == "pass"
+        and pos.counts["evaluated"] == 10_000
         and pos.details["det_expansion_rel_error"] <= 1e-9
         and all(v >= -1e-9 for v in pos.details["min_slacks"].values())
         and elapsed < 5.0

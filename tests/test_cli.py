@@ -350,6 +350,15 @@ def test_negative_cli_seed_is_a_configuration_error(capsys):
     assert err.startswith("configuration error") and "'seed'" in err
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+def test_bad_grid_scale_is_a_configuration_error(scale, capsys):
+    """A `--grid-scale` that is not a finite number > 0 is named, not a
+    numpy error of the scaled resolution."""
+    assert main(["gallery", "grushin-2x2", "--grid-scale", scale]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "'grid_scale'" in err
+
+
 def test_grid_scale_clamps_a_scaled_resolution_to_two():
     """A given resolution must be >= 2, but `--grid-scale` may shrink it
     below 2: the scaled lattice of grushin-2x2 (one variable) keeps 2

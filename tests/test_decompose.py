@@ -248,10 +248,8 @@ class TestScalarSos:
 
     def test_split_backend_exact_identity(self):
         f = ex.intpow(ex.flat(X), 2)
-        res = scalar_sos(
-            f, ScalarSosBackend(name="split-by-sign-cell", split_softness=0.3),
-            grid1(),
-        )
+        res = scalar_sos(f, ScalarSosBackend(name="split-by-sign-cell"),
+                         grid1())
         assert len(res.factors) == 2
         assert res.report.details["sos_identity_residual"] <= 1e-12
         pts = grid1().sample_points()
@@ -330,7 +328,7 @@ class TestAssembleFields:
         A = grushin(0.5)
         dec = iterated_sd(A, 2, grid1())
         with pytest.raises(ValueError):
-            assemble_vector_fields(dec, ScalarSosBackend(), grid1(), epsilon=0.1)
+            assemble_vector_fields(dec, ScalarSosBackend(epsilon=0.1), grid1())
 
     def test_derivative_stats_attached(self):
         A = grushin(0.5)

@@ -70,8 +70,9 @@ class TestQuadraticFamily:
         assert rel.max() <= 1e-9
 
     def test_positivity_certificate(self):
-        rep = q_lambda_positivity_certificate(0.02, sphere_count=10_000)
+        rep = q_lambda_positivity_certificate(0.02)
         assert rep.verdict == "pass"
+        assert rep.params["sphere_count"] == 10_000
         assert all(v >= -1e-9 for v in rep.details["min_slacks"].values())
         assert rep.details["det_expansion_rel_error"] <= 1e-9
 

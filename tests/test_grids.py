@@ -47,6 +47,7 @@ def test_empty_box_rejected():
 @pytest.mark.parametrize("field, value", [
     ("seed", -1), ("resolution", 1), ("resolution", 0),
     ("exclude_radius", -1.0), ("exclude_radius", float("nan")),
+    ("exclude_radius", float("inf")),
     ("max_points", 0), ("pair_scales", 0), ("pairs_per_scale", 0)])
 def test_out_of_range_fields_are_named_at_construction(field, value):
     with pytest.raises(MisconfiguredGridError, match=field):

@@ -347,8 +347,7 @@ def test_peel_seminorms_equal_full_space_ones(name, pipeline, zero,
     def estimates():
         # one list of per-expression estimates per call, order and center
         return [est for h, x, delta, grid in calls for mus in (order2, order4)
-                for est in holder_seminorm(h, np.atleast_2d(x), mus, delta,
-                                           grid)]
+                for est in holder_seminorm(h, x, mus, delta, grid)]
 
     got = estimates()
     eval_entries = jets.eval_entries

@@ -249,3 +249,52 @@ def test_decomposition_json_has_one_dict_per_node():
     assert sum(size[id(c)] for c in dicts) > 3 * len(distinct)
     report = {"decomposition": d}
     assert dump_report(report) == dump_json(report)
+
+
+def _dumped(name, pipeline):
+    report, _ = run_config(
+        {"version": 1, "matrix": {"gallery": name}, "pipeline": pipeline})
+    return json.loads(dump_report(report))
+
+
+def _values_of(obj, keys):
+    """(key, value) of every field of `obj` named in `keys`, at any depth."""
+    out, stack = [], [obj]
+    while stack:
+        o = stack.pop()
+        items = o.items() if isinstance(o, dict) else enumerate(o) \
+            if isinstance(o, list) else ()
+        for k, v in items:
+            if k in keys:
+                out.append((k, v))
+            stack.append(v)
+    return out
+
+
+def test_report_flags_are_json_booleans():
+    """Flags that checkers set as Python or numpy booleans are written as
+    JSON `true`/`false`, not as 1/0."""
+    keys = {"symbolic", "vacuous", "verdict_agreement",
+            "divergence_condition_fails", "tau_to_zero"}
+    found = [kv for name, pipeline in (("f-phi-psi", "gallery"),
+                                       ("grushin-2x2", "all"),
+                                       ("grushin-2x2", "verify"))
+             for kv in _values_of(_dumped(name, pipeline), keys)]
+    assert {k for k, _ in found} == keys
+    assert all(type(v) is bool for _, v in found), found
+
+
+@pytest.mark.parametrize("pipeline", ["all", "decompose"])
+def test_decomposition_backend_certificate_is_the_one_its_factors_used(
+        pipeline):
+    """Every decomposition records in `certificates.backend` the epsilon,
+    delta and delta' = 2 delta (1 + delta) / (2 + delta) with which each of
+    its scalar SOS factor bounds was checked."""
+    decs = [r["decomposition"] for name in sorted(GALLERY)
+            for r in [_dumped(name, pipeline)] if r["decomposition"]]
+    sos = [(d["certificates"]["backend"], rep["params"]) for d in decs
+           for rep in d["certificates"]["sos_reports"]]
+    assert sos
+    for backend, params in sos:
+        for key in ("delta", "delta_prime", "epsilon"):
+            assert backend[key] == params[key], (key, backend, params)
