@@ -528,8 +528,7 @@ def assemble_vector_fields(dec, backend, grid):
     centers = pts[:: max(1, len(pts) // 4)][:4]
     mus = [tuple(2 if i == a else 0 for i in range(nv)) for a in range(nv)]
     batch = [c for ck in comps for c in ck]
-    estimates = (holder_seminorm(batch, centers, mus, backend.delta, grid)
-                 if batch else [[] for _ in centers])
+    estimates = holder_seminorm(batch, centers, mus, backend.delta, grid)
     lo = 0
     # Gram identity against the peeled dyads
     for k, (zz, zok) in enumerate(_dyads(dec.peel_vectors, pts, nv)):

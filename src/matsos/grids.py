@@ -19,6 +19,11 @@ from .expr import VariableCountError
 
 __all__ = ["Exclusion", "GridSpec", "MisconfiguredGridError"]
 
+# The seminorm pair ladder (see `GridSpec.sample_pairs`): scales, and
+# random pairs per scale besides the one anchored at the center.
+PAIR_SCALES = 11
+PAIRS_PER_SCALE = 8
+
 
 class MisconfiguredGridError(ValueError):
     """The sampling plan has a field out of range, or excludes everything it
@@ -58,8 +63,6 @@ class GridSpec:
     exclusions : punctured regions; default is a ball of radius
         `exclude_radius` about the origin in all coordinates
     exclude_radius : shorthand for the default exclusion
-    pair_scales, pairs_per_scale : the seminorm pair ladder (see
-        `sample_pairs`)
     points : explicit sample points, bypassing lattice generation (still
         subject to exclusions)
     """
@@ -69,8 +72,6 @@ class GridSpec:
     exclude_radius: float = 0.0
     exclusions: tuple = ()
     max_points: int = 4096
-    pair_scales: int = 11
-    pairs_per_scale: int = 8
     seed: int = 0
     points: tuple | None = None
 
@@ -80,8 +81,7 @@ class GridSpec:
             if not lo < hi:
                 raise MisconfiguredGridError(f"empty box side ({lo}, {hi})")
         for name, least in (("seed", 0), ("resolution", 2),
-                            ("exclude_radius", 0), ("max_points", 1),
-                            ("pair_scales", 1), ("pairs_per_scale", 1)):
+                            ("exclude_radius", 0), ("max_points", 1)):
             if not getattr(self, name) >= least:
                 raise MisconfiguredGridError(
                     f"{name} must be at least {least}, "
@@ -144,20 +144,18 @@ class GridSpec:
         `centers` is one center of `dim` coordinates or a (C, dim) stack of
         them; returns arrays (Y, Z) of shape (P, dim) or (C, P, dim), the
         ladder of center c in row c.  Scales run through
-        default_pair_base() / 2**k for k < pair_scales; each scale
-        contributes `pairs_per_scale` random pairs inside the ball of that
+        default_pair_base() / 2**k for k < PAIR_SCALES; each scale
+        contributes PAIRS_PER_SCALE random pairs inside the ball of that
         radius around the center plus one pair anchored at the center
         itself (so one-sided ratios like |h(y) - h(center)| / |y - center|^d
-        are always represented): P = pair_scales * (pairs_per_scale + 1).
+        are always represented): P = PAIR_SCALES * (PAIRS_PER_SCALE + 1).
 
-        Pair i of scale k is a pure function of (seed, k, i), so the pair
-        set for a smaller `pairs_per_scale` is a subset of the set for a
-        larger one: seminorm estimates are monotone in the pair budget by
-        construction.  The offsets from a center do not depend on the
-        center, so they are drawn once per spec and added to every center
-        in one broadcast; the anchored z rows are copies of their center
-        (signed zeros included).  Raises VariableCountError when the last
-        axis of `centers` does not have `dim` coordinates.
+        Pair i of scale k is a pure function of (seed, k, i).  The offsets
+        from a center do not depend on the center, so they are drawn once
+        per spec and added to every center in one broadcast; the anchored
+        z rows are copies of their center (signed zeros included).  Raises
+        VariableCountError when the last axis of `centers` does not have
+        `dim` coordinates.
         """
         centers = np.asarray(centers, dtype=float)
         if centers.ndim not in (1, 2) or centers.shape[-1] != self.dim:
@@ -165,8 +163,7 @@ class GridSpec:
                 f"pair centers have shape {centers.shape}, grid has "
                 f"{self.dim} coordinates")
         dY, dZ, anchor = _pair_offsets(self.seed, self.dim,
-                                       self.default_pair_base(),
-                                       self.pair_scales, self.pairs_per_scale)
+                                       self.default_pair_base())
         c = centers[..., None, :]
         Y = c + dY
         Z = c + dZ
@@ -198,7 +195,7 @@ class GridSpec:
 
 
 @lru_cache(maxsize=64, typed=True)
-def _pair_offsets(seed, dim, base, scales, per_scale):
+def _pair_offsets(seed, dim, base):
     """(dY, dZ, anchor): the read-only pair offsets from a center of every
     `GridSpec` with these fields, drawn once per process however many
     specs share them (each run builds its own spec).
@@ -207,9 +204,9 @@ def _pair_offsets(seed, dim, base, scales, per_scale):
     unused.
     """
     dys, dzs, anchor = [], [], []
-    for k in range(scales):
+    for k in range(PAIR_SCALES):
         r = base / 2.0**k
-        for i in range(per_scale):
+        for i in range(PAIRS_PER_SCALE):
             rng = np.random.default_rng((seed, 2, k, i))
             u = rng.normal(size=dim)
             u /= max(np.linalg.norm(u), 1e-300)

@@ -103,11 +103,10 @@ edges that will read each node, plus one per requested root, and drops a
 table at its last read, so it holds the live frontier of the walk and is
 empty when the call returns.  Keeping every table instead peaked at
 30.7 MB (tracemalloc) for the order-4 record of f-phi-psi on its
-2,052-point default grid, and at 14.1 MB with the frontier.  Of orders
->= 1 the run table keeps only the small output of `eval_ladders`, the
-failure mask and D^mu rows of each expression per (side of the Holder
-pair ladders, space), for the two `verify.strong_check` calls of a
-pipeline.
+2,052-point default grid, and at 14.1 MB with the frontier.  The run table
+holds nothing else: `eval_ladders` keeps no state, and the rows that two
+stages read on one set of pair ladders are kept by the matrix whose
+entries they are (`SymMatFun.ladder_rows`).
 """
 
 from __future__ import annotations
@@ -115,7 +114,7 @@ from __future__ import annotations
 import contextvars
 import math
 from collections import Counter
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from itertools import product as _iproduct
@@ -136,7 +135,6 @@ __all__ = [
     "eval_values",
     "eval_log_values",
     "run_table",
-    "within_run_table",
     "SingularDomainError",
     "LogEvalError",
     "MAX_ORDER",
@@ -772,47 +770,25 @@ def _as_points(points, nvars):
     return pts
 
 
-class _RunTable:
-    """The order-0 jets and the pair-ladder rows of one run.
-
-    `memos` holds a memo of jets, `rows` the `eval_ladders` rows, both
-    keyed by node per (points shape and bytes, `JetSpace`); the space
-    carries nvars, order and support, so no support is served from
-    another's table.  They stay apart because an order-0 ladder side has
-    both under one key.  Unlike the memo of a single call, nothing is
-    freed before the table is dropped: several stages read the same order-0
-    jets and rows."""
-
-    def __init__(self):
-        self.memos = {}
-        self.rows = {}
-
-
 _RUN_TABLE = contextvars.ContextVar("matsos_run_table", default=None)
 
 
 @contextmanager
 def run_table():
-    """Keep the order-0 jets of every evaluation in the block, and the rows
-    of every `eval_ladders` call, so each (node, points, space) is evaluated
-    once however many stages read it, and a node is a structure: the equal
-    subexpressions of different stages are one node (see `matsos.expr`)
-    and share one entry.  Every other evaluation frees each
+    """Keep the order-0 jets of every evaluation in the block, one memo per
+    (points shape and bytes, `JetSpace`), so each (node, points, space) is
+    evaluated once however many stages read it, and a node is a structure:
+    the equal subexpressions of different stages are one node (see
+    `matsos.expr`) and share one entry.  Every other evaluation frees each
     table after its last reader within its own call (see `_evaluate`).
     `report.run_config` opens one per run; library callers may open their
     own.  The table is dropped when the block exits, normally or not; a
-    block inside another has its own table while it runs, which
-    `monotone.holder_seminorm` uses for rows that no later stage reads."""
-    token = _RUN_TABLE.set(_RunTable())
+    block inside another has its own table while it runs."""
+    token = _RUN_TABLE.set({})
     try:
         yield
     finally:
         _RUN_TABLE.reset(token)
-
-
-def within_run_table():
-    """`run_table()`, unless one is open: then a block that keeps it."""
-    return run_table() if _RUN_TABLE.get() is None else nullcontext()
 
 
 def _memo(pts, sp):
@@ -822,7 +798,7 @@ def _memo(pts, sp):
     table = _RUN_TABLE.get()
     if table is None or sp.order:
         return None
-    return table.memos.setdefault((pts.shape, pts.tobytes(), sp), {})
+    return table.setdefault((pts.shape, pts.tobytes(), sp), {})
 
 
 def _points_and_space(expr_nvars, points, order, nvars, support):
@@ -855,8 +831,7 @@ def eval_jet_batch(expr, points, order=MAX_ORDER, nvars=None, support=None):
     """
     if not isinstance(expr, ScalarExpr):
         raise TypeError("expr must be a ScalarExpr")
-    pts, sp = _points_and_space(expr.nvars, points, order, nvars, support)
-    return _evaluate([expr], pts, sp, _memo(pts, sp))[0]
+    return eval_entries([expr], points, order, nvars, support)[0]
 
 
 def eval_entries(exprs, points, order=MAX_ORDER, nvars=None, support=None):
@@ -945,27 +920,18 @@ def eval_ladders(exprs, Y, Z, order, nvars, support):
     `support`: the rows of a ladder are those of its own evaluation up to
     the sign of a zero (see the module docstring), which |dy - dz| erases.
 
-    Within `run_table` a side stack's rows are kept per expression, and a
-    later call evaluates only the expressions not kept yet; outside one,
-    nothing outlives the call.  One side's jet tables are freed before the
+    Nothing outlives the call.  One side's jet tables are freed before the
     other's are built: one stack for both raised the peak RSS of the
     block-M7 benchmark job from about 61 to 78-81 MB in 3 of 3 runs."""
-    table = _RUN_TABLE.get() or _RunTable()
-    m = len(exprs)
 
     def side(ladders):
-        pts, sp = _points_and_space(nvars, ladders.reshape(
-            -1, ladders.shape[-1]), order, nvars, support)
-        kept = table.rows.setdefault((pts.shape, pts.tobytes(), sp), {})
-        new = [e for e in dict.fromkeys(exprs) if e not in kept]
-        jbs = eval_entries(new, pts, order, nvars=nvars, support=support)
-        for e, jb, d in zip(new, jbs, derivative_rows(jbs, support)):
-            d.flags.writeable = False
-            kept[e] = jb.invalid, d
+        jbs = eval_entries(exprs, ladders.reshape(-1, ladders.shape[-1]),
+                           order, nvars=nvars, support=support)
         shape = ladders.shape[:-1]
-        inv = np.array([kept[e][0] for e in exprs]).reshape(m, *shape)
-        d = np.array([kept[e][1] for e in exprs]).reshape(m, len(support),
-                                                          *shape)
+        inv = np.array([jb.invalid for jb in jbs], dtype=bool)
+        d = np.array(derivative_rows(jbs, support))
+        inv = inv.reshape(len(exprs), *shape)
+        d = d.reshape(len(exprs), len(support), *shape)
         inv.flags.writeable = d.flags.writeable = False
         return inv, d
 
@@ -1042,17 +1008,27 @@ def eval_log_values(expr, points, nvars=None):
     node whose log fails holds its LogEvalError, a parent takes that of its
     first failing child, and only the root's is raised.  So an even power
     falls back to log |values| of its child, and exp, flat, flatabs and
-    bump, which read plain values (under one run table), raise no log error
-    from below.
+    bump, which read plain values, raise no log error from below.  Plain
+    values share one order-0 memo: the open run table's, else one of the
+    call, so they too are linear in distinct nodes.
     """
     nv = max(expr.nvars, 1) if nvars is None else nvars
     pts = _as_points(points, nv)
+    own = {}
+
+    def plain(node):
+        sp = space(pts.shape[1], 0)
+        memo = _memo(pts, sp)
+        jb = _evaluate([node], pts, sp, own if memo is None else memo)[0]
+        if jb.invalid.any():
+            raise LogEvalError("inner value undefined at some points")
+        return jb.values
+
     logs = {}
-    with within_run_table(), np.errstate(divide="ignore", invalid="ignore",
-                                         over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for node in post_order([expr]):
             try:
-                logs[node] = _log_one(node, pts, logs)
+                logs[node] = _log_one(node, pts, logs, plain)
             except LogEvalError as err:
                 logs[node] = err
     out = logs[expr]
@@ -1061,19 +1037,13 @@ def eval_log_values(expr, points, nvars=None):
     return out
 
 
-def _plain_values(expr, pts):
-    jb = eval_jet_batch(expr, pts, order=0, nvars=pts.shape[1])
-    if jb.invalid.any():
-        raise LogEvalError("inner value undefined at some points")
-    return jb.values
-
-
-def _log_one(node, pts, logs):
+def _log_one(node, pts, logs, plain):
     """log of `node` at `pts` from the logs of its children in `logs`, or
-    the LogEvalError of its first failing child."""
+    the LogEvalError of its first failing child; `plain(child)` gives the
+    plain values of a child."""
     kind = node.kind
     if kind in ("exp", "flat", "flatabs", "bump"):
-        v = _plain_values(node.children[0], pts)
+        v = plain(node.children[0])
         if kind == "exp":
             return v
         if kind != "bump":  # flat, flatabs
@@ -1087,7 +1057,7 @@ def _log_one(node, pts, logs):
     for k in kids:
         if isinstance(k, LogEvalError):
             if kind == "intpow" and node.param % 2 == 0:
-                v = _plain_values(node.children[0], pts)
+                v = plain(node.children[0])
                 return node.param * np.log(np.abs(v))
             return k
     if kind == "const":

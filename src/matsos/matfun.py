@@ -7,8 +7,8 @@ batch of sample points.
 `SymMatFun.sampled(grid, order)` evaluates a matrix once per grid and
 order into a read-only `Sampled` record of stacks, which every checker of
 a run reads; evaluation at other points stays `values(points)`.  Entries
-on Holder pair ladders are read through `jets.eval_ladders`, which keeps
-their rows once per run (see `jets.run_table`).
+on Holder pair ladders are read through `ladder_rows`, which keeps the
+`jets.eval_ladders` rows of each entry on the matrix as well.
 """
 
 from __future__ import annotations
@@ -83,6 +83,7 @@ class SymMatFun:
         self._tri = tri
         self.tags = tags or StructureTags()
         self._sampled = {}
+        self._ladders = {}
 
     @classmethod
     def from_rows(cls, rows, nvars=None, tags=None):
@@ -164,6 +165,29 @@ class SymMatFun:
                     a.flags.writeable = False
             self._sampled[key] = rec
         return self._sampled[key]
+
+    def ladder_rows(self, keys, Y, Z, order, support):
+        """`jets.eval_ladders` of the entries at `keys` on the pair ladders
+        (Y, Z): the (len(keys), C, P) failure masks of both sides and their
+        (len(keys), len(support), C, P) D^mu rows, all read-only.  The rows
+        of each distinct entry node are kept on this instance per (Y, Z,
+        order, support), and a call evaluates only the entries not held
+        yet: both `verify.strong_check` calls of a pipeline read one set of
+        ladders."""
+        # checked first: a kept (2, 0) would serve (2.0, 0)
+        support = tuple(jets.space(self.nvars, jets.MAX_ORDER).checked(mu)
+                        for mu in support)
+        key = (Y.shape, Y.tobytes(), Z.tobytes(), order, support)
+        held = self._ladders.setdefault(key, {})
+        exprs = [self.entry(*k) for k in keys]
+        new = [e for e in dict.fromkeys(exprs) if e not in held]
+        if new:
+            rows = jets.eval_ladders(new, Y, Z, order, self.nvars, support)
+            held.update(zip(new, zip(*rows)))
+        out = tuple(np.array([held[e][k] for e in exprs]) for k in range(4))
+        for a in out:
+            a.flags.writeable = False
+        return out
 
     def values(self, points):
         """Stack of matrices, shape (npts, n, n), with validity mask."""

@@ -3,8 +3,7 @@
 The seminorm of a derivative D^mu h at a point x is the limsup over pairs
 y, z -> x of |D^mu h(y) - D^mu h(z)| / |y - z|^delta.  The limsup is scale
 local, so pairs are drawn on a geometric ladder of separations around each
-center; the sampled maximum is a certified lower bound of the true value
-and is monotone in the number of sampled pairs.
+center; the sampled maximum is a certified lower bound of the true value.
 
 A function f is omega-monotone when f(y) <= C * omega(f(x)) for every y in
 the ball B(x/2, |x|/2), i.e. controlled by a modulus of its own value one
@@ -74,10 +73,8 @@ def holder_seminorm(hs, centers, mus, delta, grid):
     ladders of all centers are one (C, P, nvars) array per side
     (`GridSpec.sample_pairs`), evaluated once per order by
     `jets.eval_ladders` (see `matsos.jets` for why the estimates are those
-    of single centers), and reduced in one `ladder_maxima` call.  The rows
-    are evaluated in a `jets.run_table` of their own, and freed when the
-    call returns: unlike those of `strong_check`, which runs twice per
-    pipeline, no later stage of a run reads them.
+    of single centers), and reduced in one `ladder_maxima` call.  No later
+    stage reads the rows, so nothing keeps them past the call.
     """
     mus = list(mus)
     if not mus:
@@ -94,10 +91,9 @@ def holder_seminorm(hs, centers, mus, delta, grid):
     # per order, the failure masks (len(hs), C, P) and D^mu rows
     # (len(hs), len(support), C, P) of both sides; only the rows below
     # that order's multiindices are computed
-    with jets.run_table():
-        tables = [jets.eval_ladders(hs, Y, Z, order, nv,
-                                    tuple(m for m in mus if sum(m) == order))
-                  for order in sorted({sum(m) for m in mus})]
+    tables = [jets.eval_ladders(hs, Y, Z, order, nv,
+                                tuple(m for m in mus if sum(m) == order))
+              for order in sorted({sum(m) for m in mus})]
     return _seminorms(Y, Z, tables, delta)
 
 

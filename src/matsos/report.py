@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 from json.encoder import encode_basestring_ascii as _encode_str
 
-from . import __version__, jets
+from . import __version__, gallery, jets
 from .decompose import ScalarSosBackend, assemble_vector_fields, iterated_sd
 from .expr import ExprError, as_finite_number, as_integer
 from .gallery import (
@@ -261,7 +261,7 @@ def _gallery_checks(name, A, cfg, grid, params):
     gparams = cfg["matrix"].get("params", {})
     checks, extras = [], []
     if name in ("q-lambda", "q-lambda-dehomogenized"):
-        lam = float(gparams.get("lam", 0.02))
+        lam = float(gparams.get("lam", gallery.DEFAULT_LAMBDA))
         checks.append(q_lambda_positivity_certificate(lam))
         extras.append(q_lambda_non_sos_certificate(lam).to_json_dict())
         checks.append(diag_elliptic_check(A, grid))

@@ -325,8 +325,7 @@ def strong_check(A, ell, epsilon, delta_p, delta_pp, grid, delta=None):
     mus += [(2, 2) + (0,) * (nv - 2)] if nv >= 2 else []
     keys = [(k, j) for k in range(ell) for j in range(k, n)]
     Y, Z = grid.sample_pairs(centers)
-    inv_y, inv_z, dy, dz = jets.eval_ladders([A.entry(*key) for key in keys],
-                                             Y, Z, 4, nv, tuple(mus))
+    inv_y, inv_z, dy, dz = A.ladder_rows(keys, Y, Z, 4, tuple(mus))
     est, live = ladder_maxima(Y, Z, inv_y | inv_z, dy, dz, two_delta)
 
     def power(cond, pairs, table, side, delta_x):
@@ -484,8 +483,8 @@ def decomposition_pipeline(A, p, epsilon, delta, delta_pp, grid,
     ranges of epsilon and delta, and gives the delta' of the strong checks
     and of the field certificates.  p = 1 peels nothing: the matrix itself
     is the residual block and only the comparability and quasiconformal
-    checks run.  Everything runs in the open `jets.run_table`, or in one of
-    its own.
+    checks run.  Both strong checks read one set of pair-ladder rows, kept
+    on `A` (see `SymMatFun.ladder_rows`).
     """
     n = A.n
     if not 1 <= p <= n + 1:
@@ -494,56 +493,53 @@ def decomposition_pipeline(A, p, epsilon, delta, delta_pp, grid,
     delta_p = backend.dprime
     reports = []
 
-    # one run table for both strong checks, unless the caller has one
-    with jets.within_run_table():
-        rep = diag_elliptic_check(A, grid)
+    rep = diag_elliptic_check(A, grid)
+    reports.append(rep)
+    if rep.verdict == FAIL:
+        raise HypothesisRefusal("diagonal-comparability", reports)
+
+    if p >= 2:
+        rep = strong_check(A, p - 1, epsilon, delta_p, delta_pp, grid,
+                           delta=delta)
         reports.append(rep)
         if rep.verdict == FAIL:
-            raise HypothesisRefusal("diagonal-comparability", reports)
+            fams = rep.details.get("family_verdicts", {})
+            bad = [k for k, v in fams.items() if v == FAIL]
+            raise HypothesisRefusal(bad[0] if bad else "strongly-c4", reports)
 
-        if p >= 2:
-            rep = strong_check(A, p - 1, epsilon, delta_p, delta_pp, grid,
-                               delta=delta)
-            reports.append(rep)
-            if rep.verdict == FAIL:
-                fams = rep.details.get("family_verdicts", {})
-                bad = [k for k, v in fams.items() if v == FAIL]
-                raise HypothesisRefusal(bad[0] if bad else "strongly-c4",
-                                        reports)
+    if 2 <= p <= n:
+        rec = A.sampled(grid)
+        d = rec.values[rec.valid].diagonal(axis1=1, axis2=2)
+        pts = rec.pts[rec.valid]
+        # each tail entry against the pivot, both ways
+        sides = [(d[:, j], d[:, p - 1]) for j in range(p, n)]
+        rep = sampled_bound(
+            "pivot-tail-comparability",
+            np.concatenate([c for s in sides for c in s]),
+            np.concatenate([c for s in sides for c in s[::-1]]),
+            np.concatenate([pts] * 2 * len(sides)),
+            cmax=TAIL_RATIO_CAP,
+            params={"ratio_cap": TAIL_RATIO_CAP},
+        ) if sides else _vacuous("pivot-tail-comparability")
+        reports.append(rep)
+        if rep.verdict == FAIL:
+            raise HypothesisRefusal("pivot-tail-comparability", reports)
 
-        if 2 <= p <= n:
-            rec = A.sampled(grid)
-            d = rec.values[rec.valid].diagonal(axis1=1, axis2=2)
-            pts = rec.pts[rec.valid]
-            # each tail entry against the pivot, both ways
-            sides = [(d[:, j], d[:, p - 1]) for j in range(p, n)]
-            rep = sampled_bound(
-                "pivot-tail-comparability",
-                np.concatenate([c for s in sides for c in s]),
-                np.concatenate([c for s in sides for c in s[::-1]]),
-                np.concatenate([pts] * 2 * len(sides)),
-                cmax=TAIL_RATIO_CAP,
-                params={"ratio_cap": TAIL_RATIO_CAP},
-            ) if sides else _vacuous("pivot-tail-comparability")
-            reports.append(rep)
-            if rep.verdict == FAIL:
-                raise HypothesisRefusal("pivot-tail-comparability", reports)
-
-        if p == 1:
-            dec = SquareDecomposition(matrix=A, depth=1, residual=A)
-            reports.append(quasiconformal_check(A, grid))
-            return PipelineResult(dec, reports)
-
-        dec = assemble_vector_fields(iterated_sd(A, p, grid), backend, grid)
-        ref_entry = A.entry(p - 1, p - 1) if p <= n else None
-        reports.append(quasiconformal_check(dec.residual, grid,
-                                            reference=ref_entry))
-        if p <= n:
-            rep_p = strong_check(A, p, epsilon, delta_p, delta_pp, grid,
-                                 delta=delta)
-            rep_p.condition = RESIDUAL_GATE
-            rep_p.params["gates"] = "residual subordinaticity claim"
-            reports.append(rep_p)
-            if rep_p.verdict == PASS:
-                reports.append(subordinate_check(dec.residual, grid))
+    if p == 1:
+        dec = SquareDecomposition(matrix=A, depth=1, residual=A)
+        reports.append(quasiconformal_check(A, grid))
         return PipelineResult(dec, reports)
+
+    dec = assemble_vector_fields(iterated_sd(A, p, grid), backend, grid)
+    ref_entry = A.entry(p - 1, p - 1) if p <= n else None
+    reports.append(quasiconformal_check(dec.residual, grid,
+                                        reference=ref_entry))
+    if p <= n:
+        rep_p = strong_check(A, p, epsilon, delta_p, delta_pp, grid,
+                             delta=delta)
+        rep_p.condition = RESIDUAL_GATE
+        rep_p.params["gates"] = "residual subordinaticity claim"
+        reports.append(rep_p)
+        if rep_p.verdict == PASS:
+            reports.append(subordinate_check(dec.residual, grid))
+    return PipelineResult(dec, reports)

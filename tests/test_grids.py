@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from matsos.expr import VariableCountError
-from matsos.grids import Exclusion, GridSpec, MisconfiguredGridError
+from matsos.grids import (PAIR_SCALES, PAIRS_PER_SCALE, Exclusion, GridSpec,
+                          MisconfiguredGridError)
 
 
 def test_lattice_points_and_exclusion():
@@ -48,7 +49,7 @@ def test_empty_box_rejected():
     ("seed", -1), ("resolution", 1), ("resolution", 0),
     ("exclude_radius", -1.0), ("exclude_radius", float("nan")),
     ("exclude_radius", float("inf")),
-    ("max_points", 0), ("pair_scales", 0), ("pairs_per_scale", 0)])
+    ("max_points", 0)])
 def test_out_of_range_fields_are_named_at_construction(field, value):
     with pytest.raises(MisconfiguredGridError, match=field):
         GridSpec(box=((-1, 1), (-1, 1)), **{field: value})
@@ -76,9 +77,9 @@ def test_explicit_points():
 
 
 def test_pair_ladder_scales():
-    g = GridSpec(box=((-1, 1), (-1, 1)), pair_scales=5, pairs_per_scale=3)
+    g = GridSpec(box=((-1, 1), (-1, 1)))
     Y, Z = g.sample_pairs([0.2, -0.1])
-    assert len(Y) == len(Z) == 5 * (3 + 1)
+    assert len(Y) == len(Z) == PAIR_SCALES * (PAIRS_PER_SCALE + 1) == 99
     sep = np.linalg.norm(Y - Z, axis=1)
     base = g.default_pair_base()
     assert sep.max() <= 2 * base + 1e-12
@@ -101,9 +102,9 @@ def _pairs_loop(g, center):
     center = np.asarray(center, dtype=float)
     base = g.default_pair_base()
     ys, zs = [], []
-    for k in range(g.pair_scales):
+    for k in range(PAIR_SCALES):
         r = base / 2.0**k
-        for i in range(g.pairs_per_scale):
+        for i in range(PAIRS_PER_SCALE):
             rng = np.random.default_rng((g.seed, 2, k, i))
             u = rng.normal(size=g.dim)
             u /= max(np.linalg.norm(u), 1e-300)
@@ -125,18 +126,17 @@ def _pairs_loop(g, center):
     [0.0, -0.0, 1e-300],
 ])
 def test_pairs_bit_identical_to_per_pair_generators(center):
-    g = GridSpec(box=((-1, 1), (-2, 2), (0, 1)), pair_scales=6, pairs_per_scale=3,
-                 seed=5)
+    g = GridSpec(box=((-1, 1), (-2, 2), (0, 1)), seed=5)
     Y, Z = g.sample_pairs(center)
     Yr, Zr = _pairs_loop(g, center)
     assert Y.view(np.uint64).tolist() == Yr.view(np.uint64).tolist()
     assert Z.view(np.uint64).tolist() == Zr.view(np.uint64).tolist()
-    anchored = Z[g.pairs_per_scale :: g.pairs_per_scale + 1]
+    anchored = Z[PAIRS_PER_SCALE :: PAIRS_PER_SCALE + 1]
     assert (np.signbit(anchored) == np.signbit(center)).all()
 
 
 def test_pairs_returned_arrays_are_fresh():
-    g = GridSpec(box=((-1, 1), (-1, 1)), pair_scales=4, pairs_per_scale=2)
+    g = GridSpec(box=((-1, 1), (-1, 1)))
     Y, Z = g.sample_pairs([0.1, 0.2])
     Y[:] = 7.0
     Z[:] = 7.0
@@ -146,9 +146,9 @@ def test_pairs_returned_arrays_are_fresh():
 
 
 def test_pair_offsets_are_drawn_once_per_spec_fields(monkeypatch):
-    """Two specs with the same seed, dimension, pair base (from the box)
-    and pair counts (each run builds its own) share one draw of the 99
-    pair generators; a spec that differs in one of them draws its own."""
+    """Two specs with the same seed, dimension and pair base (from the
+    box) share one draw of the 99 pair generators, although each run builds
+    its own spec; a spec that differs in one of them draws its own."""
     import matsos.grids as grids
 
     calls = []
@@ -182,16 +182,15 @@ def test_pairs_of_a_center_stack_equal_single_center_calls():
     """A (C, dim) stack of centers gives, bit for bit, the ladders of C
     single-center calls in rows 0..C-1, signed zeros of the anchored rows
     included; a stack whose last axis is not `dim` is a named error."""
-    g = GridSpec(box=((-1, 1), (-2, 2), (0, 1)), pair_scales=6,
-                 pairs_per_scale=3, seed=5)
+    g = GridSpec(box=((-1, 1), (-2, 2), (0, 1)), seed=5)
     centers = np.array([[0.2, -0.1, 0.7], [-0.0, 0.3, -0.0],
                         [0.0, -0.0, 1e-300], [0.2, -0.1, 0.7]])
     Y, Z = g.sample_pairs(centers)
-    assert Y.shape == Z.shape == (4, 6 * (3 + 1), 3)
+    assert Y.shape == Z.shape == (4, 99, 3)
     for c, x in enumerate(centers):
         for got, want in zip((Y[c], Z[c]), g.sample_pairs(x)):
             assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
-    assert g.sample_pairs(centers[:0])[0].shape == (0, 24, 3)
+    assert g.sample_pairs(centers[:0])[0].shape == (0, 99, 3)
     for bad in (centers[:, :2], centers[None], [[0.1, 0.2, 0.3, 0.4]]):
         with pytest.raises(VariableCountError):
             g.sample_pairs(bad)

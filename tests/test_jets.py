@@ -287,14 +287,34 @@ def test_log_values_compute_each_distinct_node_once(monkeypatch):
     calls = {}
     log_one = jets._log_one
 
-    def counted(node, pts, logs):
+    def counted(node, *args):
         calls[id(node)] = calls.get(id(node), 0) + 1
-        return log_one(node, pts, logs)
+        return log_one(node, *args)
 
     monkeypatch.setattr(jets, "_log_one", counted)
     lv = jets.eval_log_values(e, np.array([[0.5]]))
     assert len(calls) == 43 and set(calls.values()) == {1}
     assert lv[0] == 2.0**40 * math.log(1.5)
+
+
+def test_log_values_evaluate_each_plain_node_once(monkeypatch):
+    """Outside a run table, the plain values that 60 nested exp nodes read
+    share one order-0 memo of the call: each node below them is evaluated
+    once, not once per exp above it."""
+    e = X
+    for _ in range(60):
+        e = ex.exp(e * ex.const(0.001))
+    seen = {}
+    eval_one = jets._eval_one
+
+    def counted(node, pts, sp, memo):
+        seen[node] = seen.get(node, 0) + 1
+        return eval_one(node, pts, sp, memo)
+
+    monkeypatch.setattr(jets, "_eval_one", counted)
+    jets.eval_log_values(e, np.array([[0.5], [1.0]]))
+    # x0, the constant, 60 products and the 59 inner exps
+    assert len(seen) == 121 and set(seen.values()) == {1}
 
 
 def test_log_values_of_a_deep_chain():
@@ -876,48 +896,6 @@ def test_run_table_serves_order_0_jets_within_a_block():
         assert (jets.eval_jet_batch(e, pts, 1) is not
                 jets.eval_jet_batch(e, pts, 1))
     assert jets.eval_jet_batch(e, pts, 0) is not first
-
-
-def test_run_table_keeps_pair_ladder_rows_within_a_block(monkeypatch):
-    """In one table a later `eval_ladders` call evaluates only the
-    expressions not yet kept for its side stacks and space; outside a
-    table every call evaluates all of them."""
-    grid = GridSpec(box=((-1.0, 1.0),) * 2, resolution=5)
-    Ys, Zs = grid.sample_pairs([[0.5, 0.25], [-0.5, 0.75]])
-    e1, e2 = ex.exp(X) * Y + X, X * X * Y
-    eval_entries = jets.eval_entries
-    calls = []
-
-    def counted(exprs, points, order=jets.MAX_ORDER, nvars=None,
-                support=None):
-        calls.append([id(e) for e in exprs])
-        return eval_entries(exprs, points, order, nvars=nvars,
-                            support=support)
-
-    monkeypatch.setattr(jets, "eval_entries", counted)
-
-    def both(order, support):
-        first = jets.eval_ladders([e1, e1], Ys, Zs, order, 2, support)
-        second = jets.eval_ladders([e2, e1], Ys, Zs, order, 2, support)
-        assert np.array_equal(first[0][0], second[0][1])
-        assert np.array_equal(first[3][1], second[3][1], equal_nan=True)
-        return first, second
-
-    both(4, [(4, 0), (2, 2)])
-    assert calls == [[id(e1)]] * 2 + [[id(e2), id(e1)]] * 2
-    for order, support in ((4, [(4, 0), (2, 2)]), (0, [(0, 0)])):
-        calls.clear()
-        with jets.run_table():
-            both(order, support)
-            assert calls == [[id(e1)]] * 2 + [[id(e2)]] * 2
-            # another space: evaluated again
-            jets.eval_ladders([e1], Ys, Zs, order, 2, support + [(0, 0)])
-            assert calls[4:] == [[id(e1)]] * 2
-            # the rows are kept apart from the order-0 jets of the stack
-            ys = Ys.reshape(-1, 2)
-            assert isinstance(jets.eval_entries([e1], ys, order, nvars=2,
-                                                support=support)[0],
-                              jets.JetBatch)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """The sampled records and the pair-ladder rows: one evaluation of a matrix
-per grid and order, and of each entry per run, side stack and space."""
+per grid and order, and of each entry per set of ladders and support."""
 
 import contextlib
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
-from matsos import decompose, gallery, jets
+from matsos import decompose, gallery, jets, report
 from matsos import expr as ex
 from matsos.grids import GridSpec
 from matsos.matfun import SymMatFun
@@ -121,23 +123,105 @@ def test_each_order_0_jet_is_evaluated_once_per_run(monkeypatch):
             assert not a.flags.writeable
 
 
+def test_matrix_keeps_pair_ladder_rows_per_ladders_and_support(monkeypatch):
+    """A later `ladder_rows` call of one matrix evaluates only the entry
+    nodes it does not hold yet for its ladders, order and support; another
+    matrix, and `jets.eval_ladders` itself, evaluate all of them."""
+    grid = GridSpec(box=((-1.0, 1.0),) * 2, resolution=5)
+    Ys, Zs = grid.sample_pairs([[0.5, 0.25], [-0.5, 0.75]])
+    e1, e2 = ex.exp(X0) * X1 + X0, X0 * X0 * X1
+    eval_entries = jets.eval_entries
+    calls = []
+
+    def counted(exprs, points, order=jets.MAX_ORDER, nvars=None,
+                support=None):
+        calls.append([id(e) for e in exprs])
+        return eval_entries(exprs, points, order, nvars=nvars,
+                            support=support)
+
+    monkeypatch.setattr(jets, "eval_entries", counted)
+    jets.eval_ladders([e1, e1], Ys, Zs, 4, 2, [(4, 0)])
+    jets.eval_ladders([e1, e1], Ys, Zs, 4, 2, [(4, 0)])
+    assert calls == [[id(e1)] * 2] * 4
+    for order, support in ((4, ((4, 0), (2, 2))), (0, ((0, 0),))):
+        A = SymMatFun.from_rows([[e1, e1], [e1, e2]])
+        calls.clear()
+        with jets.run_table():
+            first = A.ladder_rows([(0, 0), (0, 1)], Ys, Zs, order, support)
+            second = A.ladder_rows([(1, 1), (0, 0)], Ys, Zs, order, support)
+            assert calls == [[id(e1)]] * 2 + [[id(e2)]] * 2
+            assert np.array_equal(first[0][0], second[0][1])
+            assert np.array_equal(first[3][1], second[3][1], equal_nan=True)
+            assert first[2].shape == (2, len(support), 2, Ys.shape[1])
+            # held: no evaluation
+            A.ladder_rows([(0, 1), (1, 1)], Ys, Zs, order, list(support))
+            assert len(calls) == 4
+            # another support, or another matrix: evaluated again
+            A.ladder_rows([(0, 0)], Ys, Zs, order, support + ((0, 0),))
+            SymMatFun.from_rows([[e1]]).ladder_rows([(0, 0)], Ys, Zs, order,
+                                                    support)
+            assert calls[4:] == [[id(e1)]] * 4
+
+
+def test_second_battery_strong_check_evaluates_no_ladder_row(monkeypatch):
+    """The f-phi-psi battery checks the strong families at two epsilons on
+    one matrix: the second `strong_check` reads every ladder row the
+    first evaluated, kept on the matrix."""
+    strong_check = report.strong_check
+    eval_ladders = jets.eval_ladders
+    calls = []
+
+    def check(*args, **kw):
+        calls.append(0)
+        return strong_check(*args, **kw)
+
+    def ladder_call(*args):
+        calls[-1] += 1
+        return eval_ladders(*args)
+
+    monkeypatch.setattr(report, "strong_check", check)
+    monkeypatch.setattr(jets, "eval_ladders", ladder_call)
+    run_config(_config("f-phi-psi", "gallery"))
+    assert calls == [1, 0]
+
+
 def test_run_table_keeps_no_row_that_no_later_stage_reads(monkeypatch):
-    """After a block-M7 `all` run, its run table holds the order-4 ladder
-    rows that both `strong_check` calls read, and none of the order-2 rows
-    of `holder_seminorm`, which no later stage reads: those live in a table
-    of the call only."""
-    tables = []
+    """In a block-M7 `all` run, the run table holds order-0 jets only; the
+    matrix holds the order-4 ladder rows that both `strong_check` calls
+    read, and nothing holds the order-2 rows of `holder_seminorm` once it
+    returns: no later stage reads them."""
+    eval_ladders = jets.eval_ladders
+    made, matrices, tables = [], [], []
 
-    class Recorded(jets._RunTable):
-        def __init__(self):
-            super().__init__()
-            tables.append(self)
+    def ladder_call(exprs, Y, Z, order, nvars, support):
+        rows = eval_ladders(exprs, Y, Z, order, nvars, support)
+        made.append([weakref.ref(a) for a in rows])
+        return rows
 
-    monkeypatch.setattr(jets, "_RunTable", Recorded)
+    def seminorms(hs, centers, mus, delta, grid):
+        made.clear()
+        out = holder_seminorm(hs, centers, mus, delta, grid)
+        gc.collect()
+        assert made and all(r() is None for refs in made for r in refs)
+        tables.append(jets._RUN_TABLE.get())
+        return out
+
+    ladder_rows = SymMatFun.ladder_rows
+
+    def kept_rows(A, *args):
+        matrices.append(A)
+        return ladder_rows(A, *args)
+
+    monkeypatch.setattr(jets, "eval_ladders", ladder_call)
+    monkeypatch.setattr(decompose, "holder_seminorm", seminorms)
+    monkeypatch.setattr(SymMatFun, "ladder_rows", kept_rows)
     run_config(_config("block-M7", "all"))
-    run, *inner = tables
-    assert {sp.order for _, _, sp in run.rows} == {4}
-    assert {sp.order for t in inner for _, _, sp in t.rows} == {2}
+    assert len(matrices) == 2 and matrices[0] is matrices[1]
+    assert {key[3] for key in matrices[0]._ladders} == {4}
+    (table,) = {id(t): t for t in tables}.values()
+    assert table and {sp.order for _, _, sp in table} == {0}
+    assert all(isinstance(jet, jets.JetBatch)
+               for memo in table.values() for jet in memo.values())
 
 
 def test_run_table_is_dropped_when_a_run_raises(monkeypatch):
@@ -153,7 +237,7 @@ def test_run_table_is_dropped_when_a_run_raises(monkeypatch):
     monkeypatch.setattr(jets, "_eval_one", failing)
     with pytest.raises(RuntimeError, match="evaluation failed"):
         run_config(_config("block-M7", "all"))
-    assert open_tables[-1] is open_tables[0] and open_tables[0].memos
+    assert open_tables[-1] is open_tables[0] and open_tables[0]
     assert jets._RUN_TABLE.get() is None
 
 
@@ -175,14 +259,13 @@ def test_reports_equal_rebuilding_on_every_call(name, pipeline, monkeypatch):
 
 
 def _entry_ladders(A, Y, Z, mus, keys):
-    return jets.eval_ladders([A.entry(*key) for key in keys], Y, Z, 4,
-                             A.nvars, mus)
+    return A.ladder_rows(keys, Y, Z, 4, mus)
 
 
 @pytest.mark.parametrize("name", sorted(gallery.GALLERY))
 def test_pair_record_equals_rows_of_entry_jets(name):
-    """The ladder rows of every entry, some kept from an earlier call of
-    the run, are the rows of its jets on each side."""
+    """The ladder rows of every entry, some kept by the matrix from an
+    earlier call, are the rows of its jets on each side."""
     item = gallery.GALLERY[name]
     A = item.build({})
     grid = item.default_grid()
@@ -192,9 +275,8 @@ def test_pair_record_equals_rows_of_entry_jets(name):
     keys = [key for key, _ in A.upper_entries()]
     Y, Z = grid.sample_pairs([center])
     P = Y.shape[1]
-    with jets.run_table():
-        _entry_ladders(A, Y, Z, mus, keys[:1])
-        inv_y, inv_z, dy, dz = _entry_ladders(A, Y, Z, mus, keys)
+    _entry_ladders(A, Y, Z, mus, keys[:1])
+    inv_y, inv_z, dy, dz = _entry_ladders(A, Y, Z, mus, keys)
     assert inv_y.shape == inv_z.shape == (len(keys), 1, P)
     assert dy.shape == dz.shape == (len(keys), len(mus), 1, P)
     for i, key in enumerate(keys):
@@ -216,7 +298,7 @@ def _same_up_to_zero_sign(a, b):
 @pytest.mark.parametrize("name", sorted(gallery.GALLERY))
 def test_stacked_pair_records_equal_single_center_ones(name):
     """The rows of a stack of centers are those of the single centers, up
-    to the sign of a zero, also when the run already keeps some of them
+    to the sign of a zero, also when the matrix already keeps some of them
     or a center repeats."""
     item = gallery.GALLERY[name]
     grid = item.default_grid()
@@ -230,10 +312,9 @@ def test_stacked_pair_records_equal_single_center_ones(name):
     mus += [(2, 2) + (0,) * (nv - 2)] if nv > 1 else [(3,)]
     mus = tuple(mus)
     keys = [key for key, _ in A.upper_entries()]
-    with jets.run_table():
-        _entry_ladders(A, Y, Z, mus, keys[:1])
-        got = _entry_ladders(A, Y, Z, mus, keys)
-        again = _entry_ladders(A, Y, Z, mus, keys)
+    _entry_ladders(A, Y, Z, mus, keys[:1])
+    got = _entry_ladders(A, Y, Z, mus, keys)
+    again = _entry_ladders(A, Y, Z, mus, keys)
     B = item.build({})
     assert all(_same_bits(g, s) for g, s in zip(got, again))
     for c in range(len(centers)):
@@ -317,8 +398,9 @@ def test_each_expression_is_evaluated_once_per_pair_ladder(name, pipeline,
 def test_pair_record_refuses_bad_multiindices(mus, error):
     A = SymMatFun.from_rows([[1 + X0 * X0, X0 * X1], [X0 * X1, 1 + X1 * X1]])
     grid = GridSpec(box=((-1.0, 1.0),) * 2, resolution=5)
-    with jets.run_table(), pytest.raises(error):
+    with pytest.raises(error):
         _entry_ladders(A, *grid.sample_pairs([[0.5, 0.5]]), mus, [(0, 1)])
+    assert not A._ladders
 
 
 @pytest.mark.parametrize("name, pipeline, zero",
@@ -366,10 +448,16 @@ def test_peel_seminorms_equal_full_space_ones(name, pipeline, zero,
 @pytest.mark.parametrize("name", sorted(gallery.GALLERY))
 def test_reports_equal_rebuilding_pair_record_on_every_call(name, pipeline,
                                                           monkeypatch):
-    """With no run table, every order-0 jet and every pair-ladder row is
-    evaluated again by each stage that reads it; the reports are those of
-    the run that keeps them."""
+    """With no run table and no ladder rows kept on the matrix, every
+    order-0 jet and every pair-ladder row is evaluated again by each stage
+    that reads it; the reports are those of the run that keeps them."""
     cfg = _config(name, pipeline)
     want = _report(cfg)
+
+    def rebuilt(A, keys, Y, Z, order, support):
+        return jets.eval_ladders([A.entry(*key) for key in keys], Y, Z,
+                                 order, A.nvars, support)
+
     monkeypatch.setattr(jets, "run_table", contextlib.nullcontext)
+    monkeypatch.setattr(SymMatFun, "ladder_rows", rebuilt)
     assert _report(cfg) == want

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from matsos import expr as ex
+from matsos import jets
 from matsos.grids import GridSpec
 from matsos.monotone import (
     MonotoneSpec,
@@ -66,12 +67,6 @@ class TestHolderSeminorm:
         est = seminorm(h, [0.0], [(0,)], 0.5, grid1())
         assert est == pytest.approx(1.0, abs=0.05)
 
-    def test_monotone_in_pair_count(self):
-        h = ex.exp(X)
-        grids = [grid1(pairs_per_scale=k) for k in (2, 4, 8)]
-        vals = [seminorm(h, [0.3], [(1,)], 0.5, g) for g in grids]
-        assert vals[0] <= vals[1] <= vals[2]
-
     @pytest.mark.parametrize("mus", [
         [(2, 0), (0, 2)],
         [(2, 0), (1, 1), (0, 2), (1, 0), (0, 3), (4, 0)],
@@ -79,7 +74,7 @@ class TestHolderSeminorm:
     def test_several_multiindices_equal_max_of_single_calls(self, mus):
         Y = ex.var(1)
         h = ex.exp(X * Y) * ex.recip(ex.const(2.0) + X**2) + ex.sqrt(ex.const(1.5) + Y)
-        grid = GridSpec(box=((-1.0, 1.0), (-1.0, 1.0)), pair_scales=6)
+        grid = GridSpec(box=((-1.0, 1.0), (-1.0, 1.0)))
         x = [0.3, -0.2]
         single = [seminorm(h, x, [mu], 0.4, grid) for mu in mus]
         assert seminorm(h, x, mus, 0.4, grid) == max(single)
@@ -93,7 +88,7 @@ class TestHolderSeminorm:
             ex.const(-2.0),
             X**3 * Y - Y**2,
         ]
-        grid = GridSpec(box=((-1.0, 1.0), (-1.0, 1.0)), pair_scales=6)
+        grid = GridSpec(box=((-1.0, 1.0), (-1.0, 1.0)))
         x = [[0.3, -0.2]]
         mus = [(2, 0), (1, 1), (0, 2), (1, 0), (0, 3), (4, 0)]
         batch = holder_seminorm(hs, x, mus, 0.4, grid)[0]
@@ -116,7 +111,7 @@ class TestHolderSeminorm:
         bad = ex.sqrt(X)  # fails left of 0, and at 0 from order 1 up
         hs = [ex.exp(X) * X**3, bad, ex.const(2.0)]
         centers = np.array([[0.6], [0.0], [-0.5], [0.6], [0.3]])
-        grid = grid1(pair_scales=5)
+        grid = grid1()
         for mus in [[(1,)], [(2,), (0,), (1,)]]:
             want = [holder_seminorm(hs, [x], mus, 0.5, grid)[0]
                     for x in centers]
@@ -127,6 +122,19 @@ class TestHolderSeminorm:
                     for x in centers]
             assert holder_seminorm(hs[:1], centers, mus, 0.5, grid) == good
         assert holder_seminorm(hs, centers[:0], [(1,)], 0.5, grid) == []
+
+    def test_empty_expression_list_gives_empty_estimates(self):
+        """No expressions: one empty list per center, and masks that are
+        bool arrays with no rows."""
+        grid = GridSpec(box=((-1.0, 1.0),) * 2, resolution=5)
+        centers = [[0.5, 0.25], [-0.5, 0.75], [0.1, 0.1]]
+        for mus in ([(1, 0)], [(2, 0), (0, 1)]):
+            assert holder_seminorm([], centers, mus, 0.5, grid) == [[]] * 3
+        Y, Z = grid.sample_pairs(centers)
+        inv_y, inv_z, dy, dz = jets.eval_ladders([], Y, Z, 2, 2, [(2, 0)])
+        assert inv_y.dtype == inv_z.dtype == bool
+        assert inv_y.shape == (0, 3, Y.shape[1])
+        assert dy.shape == dz.shape == (0, 1, 3, Y.shape[1])
 
     def test_empty_multiindex_list_rejected(self):
         # once a VariableCountError about a multiindex of length 0

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import dump_json
 
+from matsos import gallery
 from matsos import report as report_mod
 from matsos.gallery import GALLERY, list_gallery
 from matsos.grids import GridSpec
@@ -298,3 +299,18 @@ def test_decomposition_backend_certificate_is_the_one_its_factors_used(
     for backend, params in sos:
         for key in ("delta", "delta_prime", "epsilon"):
             assert backend[key] == params[key], (key, backend, params)
+
+
+@pytest.mark.parametrize("name", ["q-lambda", "q-lambda-dehomogenized"])
+def test_lambda_certificates_certify_the_built_lambda(name, monkeypatch):
+    """With no `lam` given, the certificates of a run take the lambda its
+    matrix was built with: both read `gallery.DEFAULT_LAMBDA`."""
+    build = {"q-lambda": gallery.build_q_lambda,
+             "q-lambda-dehomogenized": gallery.build_q_lambda_dehomogenized}
+    monkeypatch.setattr(gallery, "DEFAULT_LAMBDA", 0.05)
+    A = GALLERY[name].build({})
+    assert A.entry(0, 0) is build[name](0.05).entry(0, 0)
+    report, _ = run_config({"version": 1, "matrix": {"gallery": name},
+                            "pipeline": "gallery"}, grid_scale=0.5)
+    assert report["checks"][0]["params"]["lam"] == 0.05
+    assert report["gallery_certificates"][0]["lam"] == 0.05

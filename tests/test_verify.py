@@ -600,9 +600,9 @@ def test_stacked_power_family_equals_its_loop():
 
 def test_library_pipeline_evaluates_each_pair_ladder_row_once(monkeypatch):
     """`decomposition_pipeline` called by a library, outside `run_config`,
-    opens its own `jets.run_table`: its second `strong_check` reads the
-    pair-ladder rows of the first instead of evaluating them again, and
-    the table is closed when it returns."""
+    opens no run table: its second `strong_check` reads the pair-ladder
+    rows that the matrix keeps from the first instead of evaluating them
+    again."""
     A = gallery.GALLERY["block-M7"].build({})
     grid = GridSpec(box=((-0.9, 0.9),) * 7, resolution=9, max_points=40,
                     exclude_radius=0.25)
@@ -617,6 +617,7 @@ def test_library_pipeline_evaluates_each_pair_ladder_row_once(monkeypatch):
     seen = {}
 
     def counted(exprs, points, sp, memo):
+        assert jets._RUN_TABLE.get() is None
         side = points.tobytes()
         for expr in {id(e): e for e in exprs}.values():
             if side in stacks and not (memo and id(expr) in memo):
