@@ -52,7 +52,8 @@ point 1, in the sign of a zero.
 
 A column of a table depends on the other columns of its point stack only
 through that shortcut, which is decided over the whole stack; every other
-step works column by column.  So a stack of point blocks evaluates each
+step works column by column (which is also why `JetSpace.mul` may run its
+dense kernel on column blocks).  So a stack of point blocks evaluates each
 block as if alone, up to the sign of a zero, and callers may stack the
 points of several evaluations into one.  `eval_ladders` does so with the
 Holder pair ladders of all centers: each side is one (centers, pairs,
@@ -101,9 +102,12 @@ the run ends.  Every other evaluation (orders >= 1, and order 0 outside a
 run table) has a memo of its own call: from the walk it counts the parent
 edges that will read each node, plus one per requested root, and drops a
 table at its last read, so it holds the live frontier of the walk and is
-empty when the call returns.  Keeping every table instead peaked at
-30.7 MB (tracemalloc) for the order-4 record of f-phi-psi on its
-2,052-point default grid, and at 14.1 MB with the frontier.  The run table
+empty when the call returns.  A root is handed to the caller's consumer
+as soon as it is complete (see `eval_entries`), so a caller that reduces
+each root to a few rows holds one root's table at a time.  Keeping every
+table instead peaked at 30.7 MB (tracemalloc) for the order-4 record of
+f-phi-psi on its 2,052-point default grid, 14.1 MB with the frontier, and
+10.0 MB with the roots read as they complete.  The run table
 holds nothing else: `eval_ladders` keeps no state, and the rows that two
 stages read on one set of pair ladders are kept by the matrix whose
 entries they are (`SymMatFun.ladder_rows`).
@@ -141,6 +145,9 @@ __all__ = [
 ]
 
 MAX_ORDER = 4
+
+# Doubles per column block of a dense product (`JetSpace.mul`): 256 KB.
+_BLOCK = 1 << 15
 
 _TINY_LOG = -710.0  # exp() underflows to exactly 0.0 below this
 
@@ -290,12 +297,34 @@ class JetSpace:
         column are non-finite (such columns are scrubbed as invalid either
         way).  Most products start from such an operand: the seed 1 of
         products and powers, Horner's constant start, constant factors,
-        and every order-0 table.
+        and every order-0 table.  The test reads the whole table, so one
+        product takes the shortcut in all its columns or in none.
+
+        Column blocks: the general product runs on equal blocks of at most
+        ``max(1, _BLOCK // ncoef)`` columns, written into one output
+        table, so its temporaries stay within a few blocks however many
+        points the table has.  Every step of it works column by column,
+        so the blocks give the bits of one whole-table pass.
         """
         if not a[1:].any():
             return a[0] * b
         if not b[1:].any():
             return a * b[0]
+        npts = a.shape[1]
+        blocks = -(-npts // max(1, _BLOCK // self.ncoef))
+        if blocks <= 1:
+            return self._dense(a, b)
+        out = np.empty((self.ncoef, npts))
+        width = -(-npts // blocks)  # equal blocks, no sliver at the end
+        for lo in range(0, npts, width):
+            cols = slice(lo, lo + width)
+            self._dense(a[:, cols], b[:, cols], out[:, cols])
+        return out
+
+    def _dense(self, a, b, out=None):
+        """The general product of `mul` (no shortcut), written into `out`
+        when given (a column block of the whole product); else into a table
+        allocated last, where the freed temporaries were."""
         # Term t >= 1 of the ranked rows that have it, one slab at a time, so
         # no temporary is larger than the output.  The sum S accumulates in
         # place in s, whose rows are in ranked order.
@@ -319,7 +348,10 @@ class JetSpace:
             add(s[:big], x5, out=s[:big])
             for i, j in slabs[8:]:
                 add(s[:len(i)], a[i] * b[j], out=s[:len(i)])
-        out = a[0] * b
+        if out is None:
+            out = a[0] * b
+        else:
+            np.multiply(a[0], b, out=out)
         add(out[1:], s[self._unrank], out=out[1:])
         return out
 
@@ -449,11 +481,11 @@ class JetBatch:
         the space."""
         _check_order(m, self.space)
         sub, coef = self.kept()
-        rows = sub.total == m
-        if not rows.any():
+        lo, hi = np.searchsorted(sub.total, (m, m + 1))  # rows sorted by |mu|
+        if lo == hi:
             return np.zeros(self.npts)
-        d = np.abs(coef[rows] * sub.fact[rows, None])
-        return d.max(axis=0)
+        d = coef[lo:hi] * sub.fact[lo:hi, None]
+        return np.abs(d, out=d).max(axis=0)
 
     def gradient(self):
         _check_gradient(self.space)
@@ -834,53 +866,81 @@ def eval_jet_batch(expr, points, order=MAX_ORDER, nvars=None, support=None):
     return eval_entries([expr], points, order, nvars, support)[0]
 
 
-def eval_entries(exprs, points, order=MAX_ORDER, nvars=None, support=None):
+def eval_entries(exprs, points, order=MAX_ORDER, nvars=None, support=None,
+                 consume=None):
     """Evaluate several expressions at shared points with a shared memo (the
     open run table's at order 0); the points, order and support are
-    checked once for all of them, and their DAG is walked once."""
+    checked once for all of them, and their DAG is walked once.
+
+    Returns the jets of `exprs`, in order.  With `consume`, the call
+    returns None instead, and `consume(expr, jet)` reads each distinct
+    expression's jet as soon as the walk completes it; the jet is then
+    dropped, unless a later node still reads it or the open run table
+    keeps it (order 0; see `_evaluate`).  A caller that reduces each jet
+    to a few rows holds one root's table at a time, where a list holds all
+    of them."""
     if not all(isinstance(e, ScalarExpr) for e in exprs):
         raise TypeError("expr must be a ScalarExpr")
     nv = nvars if nvars is not None else max([1] + [e.nvars for e in exprs])
     pts, sp = _points_and_space(nv, points, order, nv, support)
-    return _evaluate(exprs, pts, sp, _memo(pts, sp))
+    return _evaluate(exprs, pts, sp, _memo(pts, sp), consume)
 
 
-def _evaluate(exprs, pts, sp, memo):
+def _evaluate(exprs, pts, sp, memo, consume=None):
     """The jets of `exprs` at checked points in the space `sp`: the one path
     of every public evaluation.  One `expr.post_order` walk lists the nodes
     not in `memo`, children first, and one loop evaluates each in the
     restriction of `sp` to the variables it reads.  The arrays of every jet
     put in a memo are made read-only: a memo (a run table's above all)
-    hands one jet to many readers.  `memo` keeps every table; None stands
-    for a memo of this call that counts, from the walk, the parent edges
-    and roots that will read each node, and drops a table at its last
-    read, so it holds the live frontier of the walk and is empty when the
-    call returns.  The caller holds the returned jets."""
+    hands one jet to many readers.
+
+    Each distinct root's jet, read in `sp`, goes to `consume(root, jet)`
+    as soon as it is complete (a root already in `memo` first of all).
+    `memo` keeps every table; None stands for a memo of this call that
+    counts, from the walk, the parent edges and roots that will read each
+    node, and drops a table at its last read: a root once consumed, unless
+    a later node reads it too.  That memo holds the live frontier of the
+    walk and is empty when the call returns.  Without `consume` the jets
+    are collected and returned in the order of `exprs`."""
+    got = None
+    if consume is None:
+        got = {}
+        consume = got.__setitem__
+    roots = dict.fromkeys(exprs)
+
+    def hand(node, jet):
+        rows = None if jet.space is sp else _restrict(sp, node.vmask)[1]
+        consume(node, jet if rows is None else _LiftedBatch(sp, jet, rows))
+
     nodes = post_order(exprs, memo or ())
     readers = None
     if memo is None:
-        edges = list(exprs)
+        edges = list(roots)
         for node in nodes:
             edges += node.children
         memo, readers = {}, Counter(edges)
+    else:
+        for e in roots:
+            if e in memo:
+                hand(e, memo[e])
     with np.errstate(all="ignore"):
         for node in nodes:
             jet = _eval_one(node, pts, _restrict(sp, node.vmask)[0], memo)
             for a in (jet.coef, jet.invalid, jet.poly_singular, jet.flat_zero):
                 a.flags.writeable = False
             memo[node] = jet
+            if node in roots:
+                hand(node, jet)
             if readers is None:
                 continue
-            for c in node.children:
+            # a consumed root is read: it drops its own count too
+            done = node.children + (node,) if node in roots else node.children
+            for c in done:
                 readers[c] -= 1
                 if not readers[c]:
                     del memo[c]
-    out = [memo[e] for e in exprs]
-    if readers is not None:
-        memo.clear()  # the roots, the only tables left
-    return [jet if jet.space is sp else
-            _LiftedBatch(sp, jet, _restrict(sp, e.vmask)[1])
-            for e, jet in zip(exprs, out)]
+    if got is not None:
+        return [got[e] for e in exprs]
 
 
 def derivative_rows(jbs, mus):
@@ -920,16 +980,27 @@ def eval_ladders(exprs, Y, Z, order, nvars, support):
     `support`: the rows of a ladder are those of its own evaluation up to
     the sign of a zero (see the module docstring), which |dy - dz| erases.
 
-    Nothing outlives the call.  One side's jet tables are freed before the
-    other's are built: one stack for both raised the peak RSS of the
-    block-M7 benchmark job from about 61 to 78-81 MB in 3 of 3 runs."""
+    Nothing outlives the call.  Each expression's mask and rows are read
+    from its jet as the walk completes it, and the jet is then dropped;
+    one side's tables are freed before the other's are built: one stack
+    for both raised the peak RSS of the block-M7 benchmark job from about
+    61 to 78-81 MB in 3 of 3 runs."""
+    slots = {}
+    for k, e in enumerate(exprs):
+        slots.setdefault(e, []).append(k)
 
     def side(ladders):
-        jbs = eval_entries(exprs, ladders.reshape(-1, ladders.shape[-1]),
-                           order, nvars=nvars, support=support)
+        pts = ladders.reshape(-1, ladders.shape[-1])
+        inv = np.empty((len(exprs), len(pts)), dtype=bool)
+        d = np.empty((len(exprs), len(support), len(pts)))
+
+        def take(e, jb):
+            inv[slots[e]] = jb.invalid
+            d[slots[e]] = derivative_rows([jb], support)[0]
+
+        eval_entries(exprs, pts, order, nvars=nvars, support=support,
+                     consume=take)
         shape = ladders.shape[:-1]
-        inv = np.array([jb.invalid for jb in jbs], dtype=bool)
-        d = np.array(derivative_rows(jbs, support))
         inv = inv.reshape(len(exprs), *shape)
         d = d.reshape(len(exprs), len(support), *shape)
         inv.flags.writeable = d.flags.writeable = False

@@ -21,7 +21,7 @@ import numpy as np
 from . import expr as ex
 from . import jets
 
-__all__ = ["EntryError", "Sampled", "StructureTags", "SymMatFun",
+__all__ = ["EntryError", "FieldError", "Sampled", "StructureTags", "SymMatFun",
            "blockdiag", "MAX_DIM"]
 
 # The declared limit on matrix dimension, enforced here and by config
@@ -121,34 +121,40 @@ class SymMatFun:
     # -- evaluation ----------------------------------------------------------
 
     def entry_jets(self, points, order=0):
-        """Jets of every stored entry at the given points, shared memo.
+        """A `Sampled` record of the matrix at `points` (writable arrays).
 
-        Returns (dict (i,j) -> JetBatch, valid mask): a point is valid when
-        every entry evaluated there.
+        One `jets.eval_entries` walk evaluates every stored entry; the
+        values, gradient rows and per-order maxima of each distinct entry
+        node are read into the stacks as soon as its jet is complete, and
+        the jet is then dropped.  So the build holds the record, the live
+        frontier of the walk and one entry's table, not a table per entry.
+        A point is valid when every entry evaluated there.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        keys = [key for key, _ in self.upper_entries()]
-        jbs = jets.eval_entries([self._tri[key] for key in keys], pts, order,
-                                nvars=self.nvars)
-        valid = np.ones(pts.shape[0], dtype=bool)
-        for jb in jbs:
-            valid &= ~jb.invalid
-        return dict(zip(keys, jbs)), valid
-
-    def _stacks(self, points, order):
-        """A `Sampled` record of the matrix at `points` (writable arrays)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        ejets, valid = self.entry_jets(pts, order=order)
         S, n = pts.shape[0], self.n
+        valid = np.ones(S, dtype=bool)
         values = np.zeros((S, n, n))
         grad = np.zeros((S, self.nvars, n, n)) if order else None
         dmax = np.zeros((order + 1, S, n, n)) if order else None
-        for (i, j), jb in ejets.items():
-            values[:, i, j] = values[:, j, i] = jb.values
+        at = {}
+        for key, e in self.upper_entries():
+            at.setdefault(e, []).append(key)
+
+        def take(e, jb):
+            valid[jb.invalid] = False
+            v = jb.values
             if order:
-                grad[:, :, i, j] = grad[:, :, j, i] = jb.gradient().T
-                for m in range(order + 1):
-                    dmax[m, :, i, j] = dmax[m, :, j, i] = jb.max_abs_of_order(m)
+                g = jb.gradient().T
+                d = np.array([jb.max_abs_of_order(m)
+                              for m in range(order + 1)])
+            for i, j in at[e]:
+                values[:, i, j] = values[:, j, i] = v
+                if order:
+                    grad[:, :, i, j] = grad[:, :, j, i] = g
+                    dmax[:, :, i, j] = dmax[:, :, j, i] = d
+
+        jets.eval_entries(list(at), pts, order, nvars=self.nvars,
+                          consume=take)
         return Sampled(pts, valid, values, grad, dmax)
 
     def sampled(self, grid, order=0):
@@ -159,7 +165,7 @@ class SymMatFun:
         1 up), and value rows can differ in the sign of zero."""
         key = (grid, order)
         if key not in self._sampled:
-            rec = self._stacks(grid.sample_points(), order)
+            rec = self.entry_jets(grid.sample_points(), order)
             for a in rec:
                 if a is not None:
                     a.flags.writeable = False
@@ -191,7 +197,7 @@ class SymMatFun:
 
     def values(self, points):
         """Stack of matrices, shape (npts, n, n), with validity mask."""
-        rec = self._stacks(points, 0)
+        rec = self.entry_jets(points, 0)
         return rec.values, rec.valid
 
     def value(self, point):
@@ -234,11 +240,17 @@ class SymMatFun:
         entries come back as one shared node; all n x n entries are loaded
         through one echo table, so byte-equal JSON subtrees share one echo
         (see `expr.from_dict`).  An entry below the diagonal must be the
-        same node as its mirror above it.  A bad entry raises EntryError
-        naming it.
+        same node as its mirror above it.  A bad field raises FieldError
+        naming it: `dimension` and `nvars` must be integers in range, and
+        `entries` an n x n array; a bad entry raises EntryError naming its
+        position.
         """
-        n = int(d["dimension"])
-        rows = d["entries"]
+        n = _int_field(d, "dimension", 0, MAX_DIM)
+        nvars = _int_field(d, "nvars", 1, ex.MAX_VARS)
+        rows = d.get("entries")
+        if not (isinstance(rows, list) and len(rows) == n
+                and all(isinstance(r, list) and len(r) == n for r in rows)):
+            raise FieldError("entries", f"must be a {n} x {n} array")
         table = {}
         entries = {}
         echo = [[None] * n for _ in range(n)]
@@ -254,16 +266,31 @@ class SymMatFun:
                 elif node is not entries[(j, i)]:
                     raise EntryError(i, j, f"differs from entries[{j}][{i}]; "
                                      "the matrix must be symmetric")
-        return cls(n, int(d["nvars"]), entries), echo
+        return cls(n, nvars, entries), echo
 
 
-class EntryError(ex.ExprError):
+def _int_field(d, name, lo, hi):
+    v = ex.as_integer(d.get(name))
+    if v is None or not lo <= v <= hi:
+        raise FieldError(name, f"must be an integer in {lo}..{hi}, "
+                               f"got {d.get(name)!r}")
+    return v
+
+
+class FieldError(ex.ExprError):
+    """A bad field of a matrix in JSON form; `field` names it."""
+
+    def __init__(self, field, reason):
+        self.field = field
+        self.reason = reason
+        super().__init__(f"{field}: {reason}")
+
+
+class EntryError(FieldError):
     """A bad entry of a matrix in JSON form; `field` names its position."""
 
     def __init__(self, i, j, reason):
-        self.field = f"entries[{i}][{j}]"
-        self.reason = reason
-        super().__init__(f"{self.field}: {reason}")
+        super().__init__(f"entries[{i}][{j}]", reason)
 
 
 def blockdiag(blocks, nvars=None, tags=None):

@@ -32,7 +32,7 @@ from .gallery import (
     q_lambda_positivity_certificate,
 )
 from .grids import Exclusion, GridSpec
-from .matfun import MAX_DIM, EntryError, SymMatFun
+from .matfun import MAX_DIM, FieldError, SymMatFun
 from .reporting import FAIL
 from .verify import (
     HypothesisRefusal,
@@ -244,7 +244,7 @@ def build_matrix(cfg):
             raise ConfigError("matrix.params." + ",".join(params), str(e)) from e
     try:
         A, echo = SymMatFun.load_json(matrix)
-    except EntryError as e:
+    except FieldError as e:
         raise ConfigError("matrix." + e.field, e.reason) from e
     except ExprError as e:
         raise ConfigError("matrix.entries", str(e)) from e

@@ -5,7 +5,10 @@ with Richardson extrapolation for derivatives, a naive dictionary
 convolution for truncated products, the gather/``reduceat`` form of the
 dense jet product, and hand-expanded chain rules for reciprocals.  The
 walk that keeps every node's jet until the evaluation returns is kept as
-the reference for the walk that frees each one after its last reader.  The
+the reference for the walk that frees each one after its last reader, the
+whole-table product for the product run in column blocks, and the record
+read from a list of every entry's jet for the record read from each jet
+as it completes.  The
 tree-building expression loader and json's report text are kept here as
 references for the interning loader and the report writer, and the loop
 forms of the strongly-C^4 and Holder seminorm reductions as references
@@ -22,7 +25,7 @@ import pytest
 
 from matsos import jets
 from matsos.gallery import _fibonacci_sphere
-from matsos.matfun import SymMatFun
+from matsos.matfun import Sampled, SymMatFun
 from matsos.reporting import (FAIL, FLAT_FLOOR, INCONCLUSIVE, PASS,
                               CheckReport, sampled_bound)
 from matsos.verify import ROW_FLAT_FLOOR, SEMINORM_CAP
@@ -138,6 +141,50 @@ def keep_everything_entries(exprs, points, order, nvars):
             jet, rows = memo[root], jets._restrict(sp, root.vmask)[1]
             out.append(jet if rows is None else jets._LiftedBatch(sp, jet, rows))
     return out
+
+
+def mul_unblocked(sp, a, b):
+    """`JetSpace.mul` in one pass over the whole table: its constant-operand
+    shortcut, then its dense kernel on every column at once."""
+    if not a[1:].any():
+        return a[0] * b
+    if not b[1:].any():
+        return a * b[0]
+    out = np.empty((sp.ncoef, a.shape[1]))
+    sp._dense(a, b, out)
+    return out
+
+
+def entry_tables(A, points, order):
+    """(dict (i, j) -> jet, valid mask) of every stored entry of `A`, from
+    one `jets.eval_entries` list of all their jets at once; a point is valid
+    when every entry evaluated there."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    keys = [key for key, _ in A.upper_entries()]
+    jbs = jets.eval_entries([A.entry(*key) for key in keys], pts, order,
+                            nvars=A.nvars)
+    valid = np.ones(len(pts), dtype=bool)
+    for jb in jbs:
+        valid &= ~jb.invalid
+    return dict(zip(keys, jbs)), valid
+
+
+def sampled_from_entries(A, points, order):
+    """The `Sampled` record of `A` at `points`, read entry by entry from the
+    jets of `entry_tables`, all held at once."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    ejets, valid = entry_tables(A, pts, order)
+    S, n = len(pts), A.n
+    values = np.zeros((S, n, n))
+    grad = np.zeros((S, A.nvars, n, n)) if order else None
+    dmax = np.zeros((order + 1, S, n, n)) if order else None
+    for (i, j), jb in ejets.items():
+        values[:, i, j] = values[:, j, i] = jb.values
+        if order:
+            grad[:, :, i, j] = grad[:, :, j, i] = jb.gradient().T
+            for m in range(order + 1):
+                dmax[m, :, i, j] = dmax[m, :, j, i] = jb.max_abs_of_order(m)
+    return Sampled(pts, valid, values, grad, dmax)
 
 
 def recip_chain_table(h0, h1, h2, h3):

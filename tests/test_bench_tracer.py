@@ -8,6 +8,7 @@ import inspect
 from pathlib import Path
 
 from matsos import expr as ex
+from matsos import jets
 from matsos import report as report_mod
 from matsos.matfun import SymMatFun
 from matsos.report import run_config
@@ -51,6 +52,39 @@ def test_traced_run_probes_arguments_and_results():
     # the pair work goes through the traced seminorm entry point
     assert t.counts["monotone.holder_seminorm.calls"] > 0
     assert t.counts["monotone.holder_seminorm.repeat"] == 0
+
+
+def test_traced_grushin_run_counts_one_mul_call_per_product(monkeypatch):
+    """A product run in column blocks is one `jets.mul` call: the tracer
+    counts every product once, however many blocks its dense kernel
+    runs on."""
+    counts = {"products": 0, "dense": 0, "blocks": 0}
+    mul, dense = jets.JetSpace.mul, jets.JetSpace._dense
+
+    def counted_mul(sp, a, b):
+        counts["products"] += 1
+        counts["dense"] += bool(a[1:].any() and b[1:].any())
+        return mul(sp, a, b)
+
+    def counted_dense(sp, a, b, out):
+        counts["blocks"] += 1
+        return dense(sp, a, b, out)
+
+    monkeypatch.setattr(jets.JetSpace, "mul", counted_mul)
+    monkeypatch.setattr(jets.JetSpace, "_dense", counted_dense)
+    monkeypatch.setattr(jets, "_BLOCK", 64)  # blocks of 4 columns at order 4
+    tracer = _tracer()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        report, code = run_config({"version": 1,
+                                   "matrix": {"gallery": "grushin-2x2"},
+                                   "pipeline": "all"})
+    finally:
+        t.uninstall()
+    assert code == 0
+    assert t.counts["jets.mul.calls"] == counts["products"] > 0
+    assert counts["blocks"] > counts["dense"] > 0
 
 
 def test_traced_block_m7_run_makes_one_seminorm_call_per_assembly():

@@ -6,7 +6,7 @@ import threading
 
 import numpy as np
 import pytest
-from oracles import tree_entries
+from oracles import entry_tables, tree_entries
 
 from matsos import expr as ex
 from matsos import jets
@@ -172,7 +172,7 @@ def test_interned_load_matches_tree_load(seed, n, peels):
     pts = np.vstack([rng.uniform(-1.0, 1.0, size=(40, 2)),
                      [[0.0, 0.0], [-0.0, 0.5], [1.0, -0.0]]])
     for order in (0, 4):
-        got, got_ok = A.entry_jets(pts, order=order)
+        got, got_ok = entry_tables(A, pts, order)
         want, occurrences = tree_entries(exprs, pts, order, A.nvars)
         # far fewer distinct nodes than occurrences in the trees
         assert len(_reachable(exprs)) < occurrences

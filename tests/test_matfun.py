@@ -3,6 +3,7 @@ per grid and order, and of each entry per set of ladders and support."""
 
 import contextlib
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -15,6 +16,8 @@ from matsos.matfun import SymMatFun
 from matsos.monotone import holder_seminorm
 from matsos.report import run_config
 
+from oracles import entry_tables, sampled_from_entries
+
 X0, X1 = ex.var(0), ex.var(1)
 
 
@@ -25,7 +28,7 @@ def _same_bits(a, b):
 
 def _stacks_from_tables(A, pts, order):
     """values, grad and dmax written out entry by entry from the jet tables."""
-    ejets, valid = A.entry_jets(pts, order=order)
+    ejets, valid = entry_tables(A, pts, order)
     S, n, nv = len(pts), A.n, A.nvars
     values = np.zeros((S, n, n))
     grad = np.zeros((S, nv, n, n))
@@ -66,6 +69,62 @@ def test_record_equals_stacks_of_entry_jets(name, order):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a.reshape(-1)[:1] = 0
+
+
+def dense_limit_matrix():
+    """The declared limits as a test fixture: a dense MAX_DIM x MAX_DIM
+    matrix in 8 variables.  The diagonal is 2 + |x|^2, and entry (i, j)
+    off it is c_ij exp(-|x|^2 / 2) with every c_ij distinct, so that no two
+    entries hash-cons into one node: 121 distinct roots, each reading all
+    8 variables."""
+    r2 = ex.add(*[ex.var(a) ** 2 for a in range(8)])
+    g = ex.exp(-0.5 * r2)
+    n = 16
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = (2.0 + r2 if i == j else
+                                       ex.const(0.1 / (1 + n * i + j)) * g)
+    return SymMatFun.from_rows(rows, nvars=8)
+
+
+DENSE_LIMIT_GRID = GridSpec(box=((-1.0, 1.0),) * 8, resolution=9,
+                            max_points=256)
+
+
+def test_dense_limit_record_peaks_below_2_5_times_its_bytes():
+    """The order-4 record of the 16 x 16 fixture at 256 points peaks
+    (tracemalloc) below 2.5 times its own bytes: each entry's jet is read
+    into the stacks as it completes and then dropped.  Holding every
+    entry's table at once peaked at about 18 times."""
+    A = dense_limit_matrix()
+    pts = DENSE_LIMIT_GRID.sample_points()
+    A.entry_jets(pts[:2], 4)  # the jet spaces of the entries, built once
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        rec = A.sampled(DENSE_LIMIT_GRID, 4)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    nbytes = sum(a.nbytes for a in rec if a is not None)
+    assert A.n == 16 and A.nvars == 8 and len(rec.pts) == len(pts) == 256
+    assert len({e for _, e in A.upper_entries()}) == 121
+    assert peak < 2.5 * nbytes, f"peak {peak / 1e6:.1f} MB, " \
+        f"record {nbytes / 1e6:.1f} MB"
+
+
+def test_dense_limit_record_equals_one_list_of_all_entry_jets():
+    A = dense_limit_matrix()
+    rec = A.sampled(DENSE_LIMIT_GRID, 4)
+    want = sampled_from_entries(A, rec.pts, 4)
+    assert rec.valid.all()
+    for got, w in zip(rec, want):
+        assert _same_bits(got, w)
 
 
 def _config(name, pipeline):
@@ -134,10 +193,10 @@ def test_matrix_keeps_pair_ladder_rows_per_ladders_and_support(monkeypatch):
     calls = []
 
     def counted(exprs, points, order=jets.MAX_ORDER, nvars=None,
-                support=None):
+                support=None, consume=None):
         calls.append([id(e) for e in exprs])
         return eval_entries(exprs, points, order, nvars=nvars,
-                            support=support)
+                            support=support, consume=consume)
 
     monkeypatch.setattr(jets, "eval_entries", counted)
     jets.eval_ladders([e1, e1], Ys, Zs, 4, 2, [(4, 0)])
@@ -254,7 +313,7 @@ def test_reports_equal_rebuilding_on_every_call(name, pipeline, monkeypatch):
     want = _report(cfg)
     monkeypatch.setattr(SymMatFun, "sampled",
                         lambda A, grid, order=0:
-                        A._stacks(grid.sample_points(), order))
+                        A.entry_jets(grid.sample_points(), order))
     assert _report(cfg) == want
 
 
@@ -359,7 +418,7 @@ def test_each_expression_is_evaluated_once_per_pair_ladder(name, pipeline,
     evaluate = jets._evaluate
     seen = {}
 
-    def counted(exprs, points, sp, memo):
+    def counted(exprs, points, sp, memo, consume=None):
         # every public evaluation reaches the jets through `_evaluate`, at
         # checked points in a space that carries the order and support
         side = points.tobytes()
@@ -377,7 +436,7 @@ def test_each_expression_is_evaluated_once_per_pair_ladder(name, pipeline,
                 assert key not in seen, \
                     "expression evaluated again on a pair ladder"
                 seen[key] = expr  # keeps the id from being reused
-        return evaluate(exprs, points, sp, memo)
+        return evaluate(exprs, points, sp, memo, consume)
 
     monkeypatch.setattr(GridSpec, "sample_pairs", recorded)
     monkeypatch.setattr(jets, "eval_ladders", ladder_call)
@@ -435,8 +494,9 @@ def test_peel_seminorms_equal_full_space_ones(name, pipeline, zero,
     eval_entries = jets.eval_entries
 
     def full_space(exprs, points, order=jets.MAX_ORDER, nvars=None,
-                   support=None):
-        return eval_entries(exprs, points, order, nvars=nvars)
+                   support=None, consume=None):
+        return eval_entries(exprs, points, order, nvars=nvars,
+                            consume=consume)
 
     monkeypatch.setattr(jets, "eval_entries", full_space)
     assert estimates() == got

@@ -5,8 +5,8 @@ import pytest
 
 from matsos import expr as ex
 from matsos import symmat as sm
-from matsos.matfun import MAX_DIM, EntryError, SymMatFun
-from matsos.report import ConfigError, validate_config
+from matsos.matfun import MAX_DIM, EntryError, FieldError, SymMatFun
+from matsos.report import ConfigError, build_matrix, validate_config
 from oracles import jacobi_scalar, schur_gamma
 
 rng = np.random.default_rng(20240811)
@@ -86,6 +86,40 @@ class TestStorage:
             SymMatFun.load_json(inline_matrix([[c(1.0), c(2.0)],
                                                [c(0.0), c(1.0)]]))
         assert info.value.field == "entries[1][0]"
+
+    @pytest.mark.parametrize("field, patch", [
+        ("dimension", {"dimension": 2.5}),
+        ("dimension", {"dimension": True}),
+        ("dimension", {"dimension": "2"}),
+        ("dimension", {"dimension": MAX_DIM + 1}),
+        ("dimension", {"dimension": None}),
+        ("nvars", {"nvars": 1.7}),
+        ("nvars", {"nvars": 0}),
+        ("nvars", {"nvars": 9}),
+        ("entries", {"dimension": 1}),
+        ("entries", {"dimension": 3}),
+        ("entries", {"entries": [[c(1.0), c(0.0)]]}),
+        ("entries", {"entries": [[c(1.0), c(0.0)], [c(0.0)]]}),
+        ("entries", {"entries": [[c(1.0), c(0.0)], "row"]}),
+        ("entries", {"entries": None}),
+    ])
+    def test_bad_fields_are_named_errors(self, field, patch):
+        """A dimension or variable count that is not an integer in range,
+        or entries that are not dimension x dimension, is an error naming
+        the field, and a config error naming it under `matrix`."""
+        d = {**inline_matrix([[c(1.0), c(0.0)], [c(0.0), c(1.0)]]), **patch}
+        with pytest.raises(FieldError) as info:
+            SymMatFun.load_json(d)
+        assert info.value.field == field
+        with pytest.raises(ConfigError) as info:
+            build_matrix({"matrix": d})
+        assert info.value.field == "matrix." + field
+
+    def test_integral_float_fields_load(self):
+        d = {**inline_matrix([[c(1.0), c(0.0)], [c(0.0), c(1.0)]]),
+             "dimension": 2.0, "nvars": 1.0}
+        A = SymMatFun.load_json(d)[0]
+        assert (A.n, A.nvars) == (2, 1)
 
     def test_tiny_asymmetry_rejected(self):
         # the mirror must be the same expression, however small the entries

@@ -616,14 +616,14 @@ def test_library_pipeline_evaluates_each_pair_ladder_row_once(monkeypatch):
     evaluate = jets._evaluate
     seen = {}
 
-    def counted(exprs, points, sp, memo):
+    def counted(exprs, points, sp, memo, consume=None):
         assert jets._RUN_TABLE.get() is None
         side = points.tobytes()
         for expr in {id(e): e for e in exprs}.values():
             if side in stacks and not (memo and id(expr) in memo):
                 key = (id(expr), side, sp)
                 seen[key] = expr, seen.get(key, (expr, 0))[1] + 1
-        return evaluate(exprs, points, sp, memo)
+        return evaluate(exprs, points, sp, memo, consume)
 
     monkeypatch.setattr(jets, "eval_ladders", ladder_call)
     monkeypatch.setattr(jets, "_evaluate", counted)
