@@ -30,12 +30,18 @@ from the full space in two places only:
 Each node is evaluated in a smaller space still: the rows of the caller's
 space (full, or a support) whose multiindices involve only the variables
 the node reads (`ScalarExpr.vmask`), a restriction kept per (space, mask).
-A child's table is lifted into its parent's space by scattering its rows
-into zeros.  `eval_jet_batch` returns the root as a jet of the requested
-space, so no caller sees a different shape, but scatters its table only
-when `coef` is read: values, gradients, per-order maxima and
-`derivative_rows` read the kept rows (a block-M7 entry keeps at most 70
-of 330 rows).  This is the full-space evaluation up to the sign of a zero:
+A term of a sum is lifted into its parent's space by scattering its rows
+into zeros.  A product takes its factors in order and decides each from
+the variables it reads (`_product`): a factor of one row scales the
+product so far, a factor in variables disjoint from it multiplies as an
+outer product (each row of their union has one term), and only a factor
+that shares a variable is lifted, with the product so far, into the rows
+of their union for `JetSpace.mul`.  `eval_jet_batch` returns the root as a
+jet of the requested space, so no caller sees a different shape, but
+scatters its table only when `coef` is read: values, gradients, per-order
+maxima and `derivative_rows` read the kept rows (a block-M7 entry keeps at
+most 70 of 330 rows).  This is the full-space evaluation up to the sign of
+a zero:
 
 - Every kept row sums the same terms in the same order as in the full
   space: the terms of row mk pair multiindices below mk, and those involve
@@ -48,7 +54,14 @@ of 330 rows).  This is the full-space evaluation up to the sign of a zero:
 
 So values, NaN positions, the three flags below and `limit` are those of
 the full space; the constant-operand shortcut can then differ only as in
-point 1, in the sign of a zero.
+point 1, in the sign of a zero.  A product can differ in one more place:
+
+3. A product taken factor by factor leaves out the terms that multiply an
+   exact zero of a lifted table: a scaled row is ``a[i] * c`` where the
+   dense product adds zeros to it, and so is the one term of a row of an
+   outer product.  Adding an exact zero can change only the sign of a
+   zero, and a term left out is non-finite only in a column that a kept
+   term ``a[i] * b[0]`` (or ``a[0] * b[j]``) makes non-finite already.
 
 A column of a table depends on the other columns of its point stack only
 through that shortcut, which is decided over the whole stack; every other
@@ -295,29 +308,29 @@ class JetSpace:
         zeros, so the result can differ from the general product only in
         the sign of a zero, or in which rows of an already non-finite
         column are non-finite (such columns are scrubbed as invalid either
-        way).  Most products start from such an operand: the seed 1 of
-        products and powers, Horner's constant start, constant factors,
-        and every order-0 table.  The test reads the whole table, so one
-        product takes the shortcut in all its columns or in none.
+        way).  Operands known to be constant from their structure do not
+        reach it: a product scales by a factor that reads no variable, and
+        Horner's first step is a scaling (see `_product` and `_compose`).
+        What takes the shortcut here is a table that is constant only in
+        value, such as every operand of an order-0 power.  The test reads
+        the whole table, so one product takes the shortcut in all its
+        columns or in none.
 
         Column blocks: the general product runs on equal blocks of at most
-        ``max(1, _BLOCK // ncoef)`` columns, written into one output
-        table, so its temporaries stay within a few blocks however many
-        points the table has.  Every step of it works column by column,
-        so the blocks give the bits of one whole-table pass.
+        ``max(1, _BLOCK // ncoef)`` columns (`_column_blocks`), written
+        into one output table, so its temporaries stay within a few blocks
+        however many points the table has.  Every step of it works column
+        by column, so the blocks give the bits of one whole-table pass.
         """
         if not a[1:].any():
             return a[0] * b
         if not b[1:].any():
             return a * b[0]
-        npts = a.shape[1]
-        blocks = -(-npts // max(1, _BLOCK // self.ncoef))
-        if blocks <= 1:
+        blocks = _column_blocks(self.ncoef, a.shape[1])
+        if len(blocks) <= 1:
             return self._dense(a, b)
-        out = np.empty((self.ncoef, npts))
-        width = -(-npts // blocks)  # equal blocks, no sliver at the end
-        for lo in range(0, npts, width):
-            cols = slice(lo, lo + width)
+        out = np.empty((self.ncoef, a.shape[1]))
+        for cols in blocks:
             self._dense(a[:, cols], b[:, cols], out[:, cols])
         return out
 
@@ -359,6 +372,14 @@ class JetSpace:
         out = np.zeros((self.ncoef, len(values)))
         out[0] = values
         return out
+
+
+def _column_blocks(ncoef, npts):
+    """Equal column slices of at most ``max(1, _BLOCK // ncoef)`` of `npts`
+    columns, with no sliver at the end (none when `npts` is 0)."""
+    blocks = max(1, -(-npts // max(1, _BLOCK // ncoef)))
+    width = max(1, -(-npts // blocks))
+    return [slice(lo, lo + width) for lo in range(0, npts, width)]
 
 
 # ---------------------------------------------------------------------------
@@ -587,16 +608,78 @@ def _restrict(sp, vmask):
     return sub, np.array(keep, dtype=np.intp)
 
 
-def _lifted(node, jet, sp):
-    """The table of `node`'s jet in `sp`, a space at least as large as the
-    one it was evaluated in: its rows, and exact zeros in the rows of the
-    variables it does not read."""
-    rows = _restrict(sp, node.vmask)[1]
+def _lifted(coef, vmask, sp):
+    """A table evaluated in the restriction of `sp` to the variables in
+    `vmask`, as a table of `sp`: its rows, and exact zeros in the rows of
+    the other variables."""
+    rows = _restrict(sp, vmask)[1]
     if rows is None:
-        return jet.coef
-    out = np.zeros((sp.ncoef, jet.npts))
-    out[rows] = jet.coef
+        return coef
+    out = np.zeros((sp.ncoef, coef.shape[1]))
+    out[rows] = coef
     return out
+
+
+@lru_cache(maxsize=None)
+def _outer_maps(sw, su, sv, u, v):
+    """For a product of a table of `su` (variables `u`) and one of `sv`
+    (variables `v`, disjoint from `u`) in `sw`: per row of `sw`, the rows of
+    its `u` part in `su` and of its `v` part in `sv`, and the rows of `sw`
+    that read a variable outside both (none unless `sw` keeps rows of
+    variables neither factor reads)."""
+    iu, iv, outside = [], [], []
+    for k, m in enumerate(sw.multi):
+        iu.append(su.pos[tuple(e * (u >> a & 1) for a, e in enumerate(m))])
+        iv.append(sv.pos[tuple(e * (v >> a & 1) for a, e in enumerate(m))])
+        if any(e and not (u | v) >> a & 1 for a, e in enumerate(m)):
+            outside.append(k)
+    return (np.array(iu, dtype=np.intp), np.array(iv, dtype=np.intp),
+            np.array(outside, dtype=np.intp))
+
+
+def _product(children, kids, sp):
+    """The table in `sp` of the product of the jets `kids` of `children`.
+
+    The factors are taken in child order, and the product so far is kept
+    in the restriction of `sp` to the variables of the factors taken.  Each
+    factor is decided from the variables it reads, never from its values:
+
+    - A table of one row (a factor that reads no variable, or none that
+      `sp` keeps a row of) scales the other: the constant-operand shortcut
+      of `JetSpace.mul`, without lifting or scanning either table.
+    - A factor in variables disjoint from the product's: every row of their
+      union has exactly one term, the product of the rows of its two parts
+      (`_outer_maps`), formed in column blocks so that no gather is larger
+      than a block.
+    - A factor that shares a variable: both tables are lifted into the
+      restriction to the union, and `JetSpace.mul` runs there.
+
+    Every term these leave out is a product with an exact zero of a lifted
+    table, so the result is the full-space product up to the sign of a zero,
+    and a column is non-finite in one exactly when in the other (see the
+    module docstring).  Multiplying by the seed 1 is exact, so the product
+    starts from its first factor."""
+    acc, u = kids[0].coef, children[0].vmask
+    for c, jet in zip(children[1:], kids[1:]):
+        b, v = jet.coef, c.vmask
+        if len(b) == 1:
+            acc = acc * b[0]
+        elif len(acc) == 1:
+            acc = acc[0] * b
+        elif not u & v:
+            sw = _restrict(sp, u | v)[0]
+            iu, iv, outside = _outer_maps(sw, _restrict(sp, u)[0],
+                                          _restrict(sp, v)[0], u, v)
+            out = np.empty((sw.ncoef, b.shape[1]))
+            for cols in _column_blocks(sw.ncoef, b.shape[1]):
+                np.multiply(acc[iu, cols], b[iv, cols], out=out[:, cols])
+            out[outside] = 0.0
+            acc = out
+        else:
+            sw = _restrict(sp, u | v)[0]
+            acc = sw.mul(_lifted(acc, u, sw), _lifted(b, v, sw))
+        u |= v
+    return _lifted(acc, u, sp)
 
 
 def _eval_one(node, pts, sp, memo):
@@ -621,21 +704,22 @@ def _eval_one(node, pts, sp, memo):
     if kind == "sum":
         coef = np.zeros((sp.ncoef, npts))
         for c, k in zip(node.children, kids):
-            coef += _lifted(c, k, sp)
+            coef += _lifted(k.coef, c.vmask, sp)
+    elif kind == "product":
+        coef = _product(node.children, kids, sp)
     else:
-        coef = np.zeros((sp.ncoef, npts))
-        coef[0] = 1.0
-        if kind == "product":
-            for c, k in zip(node.children, kids):
-                coef = sp.mul(coef, _lifted(c, k, sp))
-        else:
-            base, k = kids[0].coef, node.param
-            while k:
-                if k & 1:
-                    coef = sp.mul(coef, base)
-                k >>= 1
-                if k:
-                    base = sp.mul(base, base)
+        # from the base, not from the seed 1: multiplying by 1 is exact
+        coef, base, k = None, kids[0].coef, node.param
+        while k:
+            if k & 1:
+                coef = base if coef is None else sp.mul(coef, base)
+            k >>= 1
+            if k:
+                base = sp.mul(base, base)
+        if coef is None:  # the power 0
+            coef = sp.const_table(np.ones(npts))
+    if coef is kids[0].coef:  # one factor, or the power 1
+        coef = coef.copy()
     if all(k.clean for k in kids):
         return _scrub(JetBatch(sp, coef))
     if kind == "sum":
@@ -765,13 +849,14 @@ def _compose(node, child, sp):
     else:  # pragma: no cover
         raise AssertionError(kind)
 
-    # Horner composition in (u - u0)
+    # Horner composition in (u - u0); its first step scales w by a constant
     w = child.coef.copy()
     w[0] = 0.0
-    coef = sp.const_table(series[L - 1])
+    coef = series[L - 1] * w if L > 1 else sp.const_table(series[0])
     for m in range(L - 2, -1, -1):
-        coef = sp.mul(coef, w)
         coef[0] += series[m]
+        if m:
+            coef = sp.mul(coef, w)
     if child.clean and not any(f is not None and f.any()
                                for f in (bad, flatz)):
         return _scrub(JetBatch(sp, coef))
@@ -795,6 +880,9 @@ def _compose(node, child, sp):
 
 def _as_points(points, nvars):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2:
+        raise ValueError(f"points must have shape (npts, nvars), got shape "
+                         f"{np.shape(points)}")
     if pts.shape[1] < nvars:
         raise VariableCountError(
             f"points have {pts.shape[1]} coordinates, expression uses {nvars}"
