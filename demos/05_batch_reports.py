@@ -4,6 +4,9 @@ The same entry point that backs the command line: a JSON-serializable
 configuration selects a matrix (by gallery name or inline expression
 trees), a pipeline, parameters and a grid; the report echoes the
 configuration and is byte-identical across reruns apart from timing.
+Reports write expressions as row indices into a node table, `nodes`,
+one per decomposition and one per echoed inline matrix, so each distinct
+subexpression is written once.
 
 Equivalent CLI invocations:
     matsos gallery q-lambda --out report.json
@@ -43,8 +46,14 @@ cfg = {
 report, code = run_config(cfg)
 print("   exit code:", code, " refusal:", report["refusal"])
 print("   checks:", [c["condition"] for c in report["checks"]])
+dec = report["decomposition"]
 print("   peel vector entry kinds:",
-      [node["kind"] for node in report["decomposition"]["peel_vectors"][0]])
+      [dec["nodes"][k]["kind"] for k in dec["peel_vectors"][0]])
+print("   node table rows:", len(dec["nodes"]))
+
+print("== the echoed config runs again as it is")
+again, _ = run_config(report["config"])
+print("   same checks:", again["checks"] == report["checks"])
 
 print("== reports are deterministic modulo timing")
 a, _ = run_config(cfg)

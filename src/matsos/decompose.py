@@ -16,6 +16,11 @@ factors t_{k,i}, which assemble into the vector fields
     X_{k,i} = t_{k,i} e_k + sum_{j>k} t_{k,i} (q_kj / E_k) e_j,
 
 with sum_i X_{k,i} (x) X_{k,i}^T = Z_k Z_k^T exactly.
+
+The JSON form of a decomposition (`SquareDecomposition.to_json_dict`)
+writes the expressions of Z_k, Q_p and X_{k,i} as row indices into one
+node table (`expr.NodeTable`), so the subexpressions they share with each
+other and with A are written once.
 """
 
 from __future__ import annotations
@@ -127,24 +132,23 @@ class SquareDecomposition:
         return _dyad_sum(_dyads(self.fields[k], points, self.matrix.nvars))
 
     def to_json_dict(self):
-        """JSON form; one `expr.to_dict` memo serves every expression, so a
-        node shared by peel vectors, residual and fields is one dict."""
-        memo = {}
+        """JSON form (schema v2): every expression of the peel vectors,
+        residual and fields is the index of its row in one node table,
+        `nodes`, so a node they share is written once."""
+        table = ex.NodeTable()
+        ref = table.ref
         d = {
             "dimension": self.n,
             "depth": self.depth,
-            "peel_vectors": [
-                [ex.to_dict(c, memo) for c in Z] for Z in self.peel_vectors
-            ],
-            "residual": (self.residual.to_json_dict(memo)
+            "nodes": table.rows,
+            "peel_vectors": [[ref(c) for c in Z] for Z in self.peel_vectors],
+            "residual": (self.residual.to_json_dict(ref)
                          if self.residual else None),
             "certificates": self.certificates,
         }
         if self.fields is not None:
-            d["fields"] = [
-                [[ex.to_dict(c, memo) for c in X] for X in Xk]
-                for Xk in self.fields
-            ]
+            d["fields"] = [[[ref(c) for c in X] for X in Xk]
+                           for Xk in self.fields]
         return d
 
 

@@ -24,11 +24,15 @@ keeps no node alive, and a lock makes its lookup and insert one step, so
 threads get one node per structure too.  Every walk and memo keys nodes by
 the node itself.
 
-Loading (`from_dict`) returns, on request, an echo of its input that shares
-one dict per byte-equal JSON subtree, and `to_dict` writes one dict per
-distinct node from `post_order`, the walk that every evaluator in
-`matsos.jets` shares too; both walks keep their own stack, so depth is not
-limited by recursion.
+Two JSON forms are read and written.  Schema v1 spells an expression as
+nested objects: `to_dict` writes one dict per distinct node from
+`post_order`, the walk that every evaluator in `matsos.jets` shares too,
+and loading (`from_dict`) returns, on request, an echo of its input that
+shares one dict per byte-equal JSON subtree.  Schema v2 writes the nodes of
+many expressions once, as the rows of a node table (`NodeTable`,
+`echo_table`), and names an expression by the index of its row, so its
+text is linear in distinct nodes; `from_table` reads one.  Every walk keeps
+its own stack, so depth is not limited by recursion.
 """
 
 from __future__ import annotations
@@ -56,6 +60,9 @@ __all__ = [
     "post_order",
     "to_dict",
     "from_dict",
+    "NodeTable",
+    "echo_table",
+    "from_table",
     "to_json",
     "from_json",
     "ExprError",
@@ -257,11 +264,15 @@ ONE = const(1.0)
 
 # -- serialization -----------------------------------------------------------
 #
-# JSON schema, one object per node:
+# JSON schema v1, one object per node:
 #   {"kind": "var", "index": int}
 #   {"kind": "const", "value": float}
 #   {"kind": "intpow", "exponent": int, "children": [node]}
 #   {"kind": <other>, "children": [node, ...]}
+#
+# Schema v2 is a node table: a list of rows, each the v1 object of one node
+# whose "children" are the indices of earlier rows; an expression is the
+# index of its row.
 #
 # Floats rely on repr round-tripping, so parameters survive bit-exactly.
 
@@ -298,18 +309,105 @@ def to_dict(expr, memo=None):
     if memo is None:
         memo = {}
     for node in post_order([expr], memo):
-        kind = node.kind
-        if kind == "var":
-            d = {"kind": "var", "index": node.param}
-        elif kind == "const":
-            d = {"kind": "const", "value": node.param}
-        else:
-            d = {"kind": kind,
-                 "children": [memo[c] for c in node.children]}
-            if kind == "intpow":
-                d["exponent"] = node.param
-        memo[node] = d
+        memo[node] = _node_json(node, memo)
     return memo[expr]
+
+
+def _node_json(node, written):
+    """The JSON object of `node`, its children read from `written`: their
+    dicts (v1) or row indices (v2)."""
+    kind = node.kind
+    if kind == "var":
+        return {"kind": "var", "index": node.param}
+    if kind == "const":
+        return {"kind": "const", "value": node.param}
+    d = {"kind": kind, "children": [written[c] for c in node.children]}
+    if kind == "intpow":
+        d["exponent"] = node.param
+    return d
+
+
+class NodeTable:
+    """A schema v2 node table being written.  `ref(expr)` appends a row for
+    each node of `expr` not in the table yet, children first in
+    `post_order`, and returns the index of the row of `expr`; `rows` is the
+    table, one row per distinct node of every expression referenced."""
+
+    __slots__ = ("rows", "_index")
+
+    def __init__(self):
+        self.rows = []
+        self._index = {}
+
+    def ref(self, expr):
+        rows, index = self.rows, self._index
+        for node in post_order([expr], index):
+            index[node] = len(rows)
+            rows.append(_node_json(node, index))
+        return index[expr]
+
+
+def echo_table(roots):
+    """(rows, index of each root's row): the node table of a DAG of valid
+    JSON expression objects, such as the echoes `from_dict` returns.
+
+    There is one row per distinct object, by identity, each after the rows
+    of its children: a copy of the object whose "children" are their row
+    indices.  A leaf's fields are copied as they are, so inlining every
+    row's children gives back the objects byte for byte."""
+    index, rows = {}, []
+    for root in roots:
+        stack = [root]
+        while stack:
+            d = stack[-1]
+            if id(d) in index:
+                stack.pop()
+                continue
+            kids = None if d["kind"] in _LEAF_KINDS else d.get("children")
+            pending = [c for c in kids or () if id(c) not in index]
+            if pending:
+                stack += reversed(pending)
+                continue
+            stack.pop()
+            row = dict(d)
+            if kids is not None:
+                row["children"] = [index[id(c)] for c in kids]
+            index[id(d)] = len(rows)
+            rows.append(row)
+    return rows, [index[id(d)] for d in roots]
+
+
+def from_table(rows):
+    """The node of each row of a schema v2 node table, in order.
+
+    Rows are read in order, each with the validation of `from_dict`; a
+    row's children must be integer indices of earlier rows, so reading
+    needs no recursion and meets no cycle.  A leaf's "children", like
+    any field beyond its kind's, are ignored.  Malformed input raises
+    ExprError naming the row."""
+    if not isinstance(rows, list):
+        raise ExprError("must be a list of node rows")
+    loaded = []  # (node, row) per row, as `_intern` returns them
+    for k, row in enumerate(rows):
+        try:
+            kind = _kind(row)
+            kids = ()
+            if kind not in _LEAF_KINDS:
+                children = row.get("children", [])
+                if not isinstance(children, list):
+                    raise ExprError(f"{kind} node: 'children' must be a list")
+                kids = [loaded[_earlier(c, k)] for c in children]
+            loaded.append(_intern(row, kind, kids, None, None))
+        except ExprError as e:
+            raise ExprError(f"row {k}: {e}") from e
+    return [node for node, _ in loaded]
+
+
+def _earlier(c, k):
+    i = as_integer(c)
+    if i is None or not 0 <= i < k:
+        raise ExprError(f"child {c!r} is not the index of an earlier row")
+    return i
 
 
 def from_dict(d, table=None, *, echo=False):

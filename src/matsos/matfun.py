@@ -217,32 +217,42 @@ class SymMatFun:
                 entries[(a, b)] = self.entry(i, j)
         return SymMatFun(len(indices), self.nvars, entries, self.tags)
 
-    def to_json_dict(self, memo=None):
-        """JSON form; one `expr.to_dict` memo serves every entry (pass
-        `memo` to share it with other expressions), so a node shared within
-        or across entries is written as one shared dict."""
-        if memo is None:
+    def to_json_dict(self, write=None):
+        """JSON form, each entry written by `write(expr)`: by default
+        `expr.to_dict` under one memo, so a node shared within or across
+        entries is one shared dict (schema v1); a decomposition passes the
+        `ref` of its node table (schema v2)."""
+        if write is None:
             memo = {}
+
+            def write(e):
+                return ex.to_dict(e, memo)
+
         return {
             "dimension": self.n,
             "nvars": self.nvars,
-            "entries": [
-                [ex.to_dict(self.entry(i, j), memo) for j in range(self.n)]
-                for i in range(self.n)
-            ],
+            "entries": [[write(self.entry(i, j)) for j in range(self.n)]
+                        for i in range(self.n)],
         }
 
     @classmethod
     def load_json(cls, d):
-        """(matrix, echo of `d["entries"]`) from the JSON form.
+        """(matrix, echo of `d`) from either JSON form.
 
-        Nodes are hash-consed, so subexpressions repeated within or across
-        entries come back as one shared node; all n x n entries are loaded
-        through one echo table, so byte-equal JSON subtrees share one echo
-        (see `expr.from_dict`).  An entry below the diagonal must be the
-        same node as its mirror above it.  A bad field raises FieldError
-        naming it: `dimension` and `nvars` must be integers in range, and
-        `entries` an n x n array; a bad entry raises EntryError naming its
+        Schema v1 entries are expression objects, loaded through one echo
+        table of `expr.from_dict`, so byte-equal JSON subtrees within or
+        across entries share one echo; the echo is `d` with its entries
+        written as the node table of those echoes (`expr.echo_table`), so
+        every spelling is kept and each distinct one written once.  Schema
+        v2 matrices (a `nodes` field) give each entry as the index of its
+        row in the node table `nodes` (`expr.from_table`); their echo is
+        `d`.  Nodes are hash-consed either way, so subexpressions repeated
+        within or across entries come back as one shared node.  An entry
+        below the diagonal must be the same node as its mirror above it.
+
+        A bad field raises FieldError naming it: `dimension` and `nvars`
+        must be integers in range, `entries` an n x n array, and `nodes` a
+        valid node table; a bad entry raises EntryError naming its
         position.
         """
         n = _int_field(d, "dimension", 0, MAX_DIM)
@@ -251,14 +261,31 @@ class SymMatFun:
         if not (isinstance(rows, list) and len(rows) == n
                 and all(isinstance(r, list) and len(r) == n for r in rows)):
             raise FieldError("entries", f"must be a {n} x {n} array")
-        table = {}
+        if "nodes" in d:
+            try:
+                nodes = ex.from_table(d["nodes"])
+            except ex.ExprError as e:
+                raise FieldError("nodes", str(e)) from e
+
+            def load(raw):
+                k = ex.as_integer(raw)
+                if k is None or not 0 <= k < len(nodes):
+                    raise ex.ExprError(f"must be the index of a row of "
+                                       f"'nodes', got {raw!r}")
+                return nodes[k]
+        else:
+            table, echoes = {}, []
+
+            def load(raw):
+                node, echo = ex.from_dict(raw, table, echo=True)
+                echoes.append(echo)
+                return node
+
         entries = {}
-        echo = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
                 try:
-                    node, echo[i][j] = ex.from_dict(rows[i][j], table,
-                                                    echo=True)
+                    node = load(rows[i][j])
                 except ex.ExprError as e:
                     raise EntryError(i, j, str(e)) from e
                 if i <= j:
@@ -266,7 +293,12 @@ class SymMatFun:
                 elif node is not entries[(j, i)]:
                     raise EntryError(i, j, f"differs from entries[{j}][{i}]; "
                                      "the matrix must be symmetric")
-        return cls(n, nvars, entries), echo
+        if "nodes" in d:
+            return cls(n, nvars, entries), d
+        nodes, index = ex.echo_table(echoes)
+        return cls(n, nvars, entries), {
+            **d, "nodes": nodes,
+            "entries": [index[i * n:(i + 1) * n] for i in range(n)]}
 
 
 def _int_field(d, name, lo, hi):

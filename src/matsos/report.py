@@ -1,17 +1,22 @@
 """Declarative run configuration and machine-readable reports.
 
 A run configuration is a JSON object with a versioned schema: a matrix
-function (a gallery reference with parameters, or inline expression
-trees), a pipeline selection, decomposition parameters, a sampling grid
-and a seed.  Reports echo the configuration and are byte-identical across
-reruns of the same (config, seed) apart from the timing field.
+function (a gallery reference with parameters, or inline expressions), a
+pipeline selection, decomposition parameters, a sampling grid and a seed.
+Reports echo the configuration and are byte-identical across reruns of the
+same (config, seed) apart from the timing field.
+
+Reports are schema v2: every JSON object that holds expressions (the echo
+of an inline matrix, each decomposition) carries one node table, `nodes`,
+and names each expression by the index of its row (see `expr.NodeTable`),
+so a report's text is linear in its distinct nodes.  The echo of an inline
+matrix given as nested expression objects (schema v1) is the table of its
+distinct spellings (`expr.echo_table`): inlining the rows gives back the
+input byte for byte.  Configs of either version load either matrix form.
 
 Reports, the catalog and the schema are written by `dump_report`, byte-equal
 to `json.dumps(obj, sort_keys=True, indent=2) + "\n"`; an object that
-occurs several times is written once per depth it occurs at.  The echo of
-an inline matrix shares one dict per distinct JSON subtree (see
-`expr.from_dict`), and decompositions share one dict per distinct node, so
-both are written in time linear in their distinct nodes.
+occurs several times is written once per depth it occurs at.
 """
 
 from __future__ import annotations
@@ -44,7 +49,9 @@ from .verify import (
     subordinate_check,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+# config versions read: both accept either matrix form
+VERSIONS = (1, 2)
 
 PIPELINES = ("decompose", "verify", "gallery", "all")
 
@@ -52,7 +59,8 @@ CONFIG_SCHEMA = {
     "schema_version": SCHEMA_VERSION,
     "type": "object",
     "fields": {
-        "version": {"type": "integer", "const": SCHEMA_VERSION},
+        "version": {"type": "integer", "enum": list(VERSIONS),
+                    "optional": True},
         "matrix": {
             "type": "object",
             "oneOf": [
@@ -64,7 +72,11 @@ CONFIG_SCHEMA = {
                     "dimension": f"integer in 1..{MAX_DIM}",
                     "nvars": "integer in 1..8",
                     "entries": "symmetric dimension x dimension array of "
-                               "expression trees",
+                               "expression objects (v1), or of row indices "
+                               "into nodes",
+                    "nodes": "optional node table: a list of expression "
+                             "objects whose children are indices of "
+                             "earlier rows",
                 },
             ],
         },
@@ -92,6 +104,12 @@ CONFIG_SCHEMA = {
         },
         "seed": {"type": "integer", "minimum": 0},
         "out": {"type": "string", "optional": True},
+    },
+    "report": {
+        "schema_version": SCHEMA_VERSION,
+        "expressions": "row indices into the node table 'nodes' of the "
+                       "object that holds them: config.matrix of an inline "
+                       "run, and each decomposition",
     },
 }
 
@@ -197,8 +215,9 @@ def validate_config(cfg):
     """Normalize and range-check a configuration dict."""
     _require(isinstance(cfg, dict), "<root>", "configuration must be an object")
     version = cfg.get("version", SCHEMA_VERSION)
-    _require(version == SCHEMA_VERSION, "version",
-             f"unsupported schema version {version!r}")
+    _require(as_integer(version) in VERSIONS, "version",
+             f"unsupported schema version {version!r}; "
+             f"must be one of {VERSIONS}")
     matrix = cfg.get("matrix")
     _require(isinstance(matrix, dict), "matrix", "required object")
     if "gallery" in matrix:
@@ -231,8 +250,9 @@ def validate_config(cfg):
 
 
 def build_matrix(cfg):
-    """(matrix, gallery item or None, echo of an inline matrix's entries or
-    None); the echo is the entries' JSON with byte-equal subtrees shared."""
+    """(matrix, gallery item or None, echo of an inline matrix or None);
+    the echo is the matrix's JSON with its entries in a node table (see
+    `SymMatFun.load_json`)."""
     matrix = cfg["matrix"]
     if "gallery" in matrix:
         item = GALLERY[matrix["gallery"]]
@@ -321,7 +341,7 @@ def _run(cfg, grid_scale):
              f"must be > 0, got {grid_scale!r}")
     t0 = time.monotonic()
     seed = _integer(cfg.get("seed", 0), "seed")
-    A, item, entries = build_matrix(cfg)
+    A, item, echo = build_matrix(cfg)
     grid_cfg = cfg.get("grid")
     if grid_cfg is None and item is not None:
         grid = item.default_grid(grid_scale, seed)
@@ -363,8 +383,7 @@ def _run(cfg, grid_scale):
         "tool": "matsos",
         "tool_version": __version__,
         "schema_version": SCHEMA_VERSION,
-        "config": cfg if entries is None else {
-            **cfg, "matrix": {**cfg["matrix"], "entries": entries}},
+        "config": cfg if echo is None else {**cfg, "matrix": echo},
         "seed": seed,
         "checks": [c.to_json_dict() for c in checks],
         "gallery_certificates": extras,

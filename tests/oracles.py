@@ -10,7 +10,9 @@ whole-table product for the product run in column blocks, and the record
 read from a list of every entry's jet for the record read from each jet
 as it completes.  The
 tree-building expression loader and json's report text are kept here as
-references for the interning loader and the report writer, and the loop
+references for the interning loader and the report writer, the nested
+(schema v1) rendering of reports as the reference for their node tables,
+and the loop
 forms of the strongly-C^4 and Holder seminorm reductions as references
 for their stacked forms.  The helpers that pin paper claims without a
 pipeline behind them (the coupling constant gamma, the tail embedding,
@@ -23,6 +25,7 @@ import json
 import numpy as np
 import pytest
 
+from matsos import expr as ex
 from matsos import jets
 from matsos.gallery import _fibonacci_sphere
 from matsos.matfun import Sampled, SymMatFun
@@ -286,6 +289,67 @@ def tree_entries(exprs, points, order, nvars):
 def dump_json(obj):
     """The text `report.dump_report` must produce, written by json."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+# fields of an object with a node table that hold row indices, in lists
+# nested to any depth
+_INDEX_FIELDS = ("entries", "peel_vectors", "fields")
+
+
+def expand_tables(value):
+    """A copy of the JSON value `value` with every node table inlined: an
+    object with a `nodes` field loses it, and each row index in its
+    `entries`, `peel_vectors` and `fields` (and its residual's `entries`)
+    becomes the nested expression object of that row, one shared dict per
+    row.  A leaf row is inlined as it is."""
+    if isinstance(value, list):
+        return [expand_tables(v) for v in value]
+    if not isinstance(value, dict):
+        return value
+    if "nodes" not in value:
+        return {k: expand_tables(v) for k, v in value.items()}
+    nested = []
+    for row in value["nodes"]:
+        d = dict(row)
+        if row["kind"] not in ("var", "const") and "children" in row:
+            d["children"] = [nested[i] for i in row["children"]]
+        nested.append(d)
+
+    def inline(v):
+        return [inline(x) for x in v] if isinstance(v, list) else nested[v]
+
+    out = {}
+    for k, v in value.items():
+        if k in _INDEX_FIELDS:
+            out[k] = inline(v)
+        elif k == "residual" and v is not None:
+            out[k] = {**v, "entries": inline(v["entries"])}
+        elif k != "nodes":
+            out[k] = expand_tables(v)
+    return out
+
+
+def nested_decomposition(dec):
+    """The JSON form of a `SquareDecomposition` with every expression
+    written as nested objects (schema v1), one `expr.to_dict` memo for all
+    of them."""
+    memo = {}
+
+    def write(e):
+        return ex.to_dict(e, memo)
+
+    d = {
+        "dimension": dec.n,
+        "depth": dec.depth,
+        "peel_vectors": [[write(c) for c in Z] for Z in dec.peel_vectors],
+        "residual": (dec.residual.to_json_dict(write)
+                     if dec.residual else None),
+        "certificates": dec.certificates,
+    }
+    if dec.fields is not None:
+        d["fields"] = [[[write(c) for c in X] for X in Xk]
+                       for Xk in dec.fields]
+    return d
 
 
 def power_family_loop(cond, pairs, base, rec, epsilon, delta_x):

@@ -6,6 +6,7 @@ from matsos.cli import main
 from matsos.report import ConfigError, run_config, validate_config
 
 from fresh import run_python
+from oracles import expand_tables
 
 
 def run_cli(args, stdin=None):
@@ -26,7 +27,8 @@ class TestCatalogAndSchema:
         out = run_cli(["schema"])
         assert out.returncode == 0
         schema = json.loads(out.stdout)
-        assert schema["schema_version"] == 1
+        assert schema["schema_version"] == 2
+        assert schema["fields"]["version"]["enum"] == [1, 2]
         assert "matrix" in schema["fields"]
 
 
@@ -180,9 +182,9 @@ class TestRun:
         }
         proc = run_cli(["run", "--config", "-"], stdin=json.dumps(cfg))
         assert proc.returncode == 0
-        report = json.loads(proc.stdout)
-        z = report["decomposition"]["peel_vectors"][0]
-        assert z[0]["kind"] == "sqrt"
+        dec = json.loads(proc.stdout)["decomposition"]
+        z = dec["peel_vectors"][0]
+        assert dec["nodes"][z[0]]["kind"] == "sqrt"
 
     def test_threads_flag_accepted(self):
         cfg = {
@@ -262,10 +264,11 @@ def test_equal_entries_spelled_differently_are_symmetric():
                          {"kind": "const", "value": 5.0})
     report, code = run_config(cfg)
     assert code in (0, 2)
-    entries = report["config"]["matrix"]["entries"]
-    assert type(entries[0][1]["value"]) is int
-    assert type(entries[1][0]["value"]) is float
-    assert json.dumps(report["config"]) == json.dumps(cfg)
+    matrix = report["config"]["matrix"]
+    rows, entries = matrix["nodes"], matrix["entries"]
+    assert type(rows[entries[0][1]]["value"]) is int
+    assert type(rows[entries[1][0]]["value"]) is float
+    assert json.dumps(expand_tables(report["config"])) == json.dumps(cfg)
 
 
 def test_malformed_inline_expression_is_a_configuration_error(tmp_path,
@@ -277,6 +280,98 @@ def test_malformed_inline_expression_is_a_configuration_error(tmp_path,
     assert main(["run", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and "'exponent'" in err
+
+
+ROWS = [{"kind": "const", "value": 2.0}, {"kind": "var", "index": 0},
+        {"kind": "exp", "children": [1]}]
+
+
+def _table_config(nodes, entries=((0, 2), (2, 0))):
+    cfg = _inline_config([list(row) for row in entries])
+    cfg["matrix"]["nodes"] = nodes
+    return cfg
+
+
+def _child_row(*children):
+    return ROWS + [{"kind": "sum", "children": list(children)}]
+
+
+@pytest.mark.parametrize("cfg, field, reason", [
+    (_table_config(_child_row(0, 7)), "matrix.nodes", "earlier row"),
+    (_table_config(_child_row(0, -1)), "matrix.nodes", "earlier row"),
+    (_table_config(_child_row(3)), "matrix.nodes", "earlier row"),  # itself
+    (_table_config(ROWS[:2] + [{"kind": "exp", "children": [3]},
+                               {"kind": "const", "value": 1.0}]),
+     "matrix.nodes", "earlier row"),  # a later row
+    (_table_config(_child_row(0, 1.5)), "matrix.nodes", "earlier row"),
+    (_table_config(_child_row(0, True)), "matrix.nodes", "earlier row"),
+    (_table_config(_child_row(0, "1")), "matrix.nodes", "earlier row"),
+    (_table_config(_child_row(0, ROWS[0])), "matrix.nodes", "earlier row"),
+    (_table_config(ROWS + [{"kind": "exp", "children": 1}]), "matrix.nodes",
+     "must be a list"),
+    (_table_config(ROWS + [{"kind": "exp", "children": [0, 1]}]),
+     "matrix.nodes", "one child"),
+    (_table_config(ROWS + [{"kind": "const", "value": "x"}]),
+     "matrix.nodes", "finite number"),
+    (_table_config(ROWS + [3]), "matrix.nodes", "'kind'"),
+    (_table_config({"0": ROWS[0]}), "matrix.nodes", "list"),
+    (_table_config(None), "matrix.nodes", "list"),
+    (_table_config(ROWS, ((0, 3), (3, 0))), "matrix.entries[0][1]",
+     "index of a row"),
+    (_table_config(ROWS, ((0, -1), (-1, 0))), "matrix.entries[0][1]",
+     "index of a row"),
+    (_table_config(ROWS, ((True, 2), (2, 0))), "matrix.entries[0][0]",
+     "index of a row"),
+    (_table_config(ROWS, ((0, ROWS[0]), (ROWS[0], 0))),
+     "matrix.entries[0][1]", "index of a row"),
+    (_inline_config([[0, 2], [2, 0]]), "matrix.entries[0][0]", "'kind'"),
+    (_table_config(ROWS, ((0, 2), (1, 0))), "matrix.entries[1][0]",
+     "symmetric"),
+])
+def test_malformed_node_table_is_a_configuration_error(cfg, field, reason,
+                                                       tmp_path, capsys):
+    """A bad node table or row index is named, never a crash or a NaN: a
+    child that is not the index of an earlier row (out of range, the row
+    itself, a later row, a non-integer or a bool), a bad row, a missing or
+    mistyped `nodes`, and a mirror entry that names another node."""
+    with pytest.raises(ConfigError, match=reason) as info:
+        run_config(cfg)
+    assert info.value.field == field
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and repr(field) in err
+
+
+def test_node_table_matrix_runs_like_nested_entries():
+    """Row indices may be integral floats, and a mirror entry may name
+    another row that holds the same node; the run equals the one of the
+    nested spelling, and the table is echoed as given."""
+    nodes = ROWS + [{"kind": "exp", "children": [1.0], "note": "x"}]
+    cfg = _table_config(nodes, ((0, 2), (3.0, 0)))
+    exp_x = {"kind": "exp", "children": [ROWS[1]]}
+    nested = _inline_config([[ROWS[0], exp_x], [exp_x, ROWS[0]]])
+    (report, code), (want, want_code) = run_config(cfg), run_config(nested)
+    assert report["config"]["matrix"] is cfg["matrix"]
+    assert code == want_code
+    for r in (report, want):
+        del r["timing"], r["config"]
+    assert report == want
+
+
+@pytest.mark.parametrize("version", [True, False, 0, 3, 1.5, "1", None, [1]])
+def test_version_must_be_one_or_two(version):
+    """A version is 1 or 2 by the integer rule of the other fields: a bool
+    is no version (True == 1 in Python)."""
+    with pytest.raises(ConfigError, match="schema version") as info:
+        validate_config({"version": version, "matrix": GRUSHIN})
+    assert info.value.field == "version"
+
+
+@pytest.mark.parametrize("version", [1, 2, 2.0])
+def test_versions_one_and_two_are_accepted(version):
+    validate_config({"version": version, "matrix": GRUSHIN})
 
 
 def test_delta2_default_is_the_one_runs_use():

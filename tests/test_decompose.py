@@ -350,8 +350,8 @@ def test_serialization_of_decomposition():
     back = json.loads(s)
     assert back["dimension"] == 2
     assert back["residual"]["dimension"] == 1
-    # Z entries round-trip as expression trees
-    z = ex.from_dict(back["peel_vectors"][0][1])
+    # Z entries round-trip as rows of the node table
+    z = ex.from_table(back["nodes"])[back["peel_vectors"][0][1]]
     t = 0.3
     assert jets.eval_jet(z, [t], 0).value == pytest.approx(
         0.5 * math.exp(-1 / t**2), rel=1e-14

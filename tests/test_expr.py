@@ -225,6 +225,70 @@ def test_deep_chain_round_trips_without_recursion():
         assert np.array_equal(got.invalid, want.invalid)
 
 
+def test_deep_chain_node_table_is_text():
+    """A 10,000-level chain written as a node table is flat JSON text:
+    json writes and reads it, and the table reads back to the chain."""
+    e = _chain(10_000)
+    table = ex.NodeTable()
+    k = table.ref(e)
+    assert len(table.rows) == 3 * 10_000 + 3 and k == len(table.rows) - 1
+    text = json.dumps(table.rows)
+    assert ex.from_table(json.loads(text))[k] is e
+
+
+def test_node_table_writes_each_node_once_in_post_order():
+    x = ex.var(0)
+    s = ex.sqrt(x * x + 1.0)
+    e = ex.add(s * s, ex.exp(s))
+    table = ex.NodeTable()
+    k = table.ref(e)
+    order = ex.post_order([e])
+    assert len(table.rows) == len(order) and k == len(order) - 1
+    assert [r["kind"] for r in table.rows] == [n.kind for n in order]
+    assert table.ref(s) == order.index(s) and len(table.rows) == len(order)
+    assert table.ref(ex.exp(x)) == len(order)  # new rows go to the end
+    back = ex.from_table(table.rows)
+    assert back[:len(order)] == order and back[-1] is ex.exp(x)
+    # inlining the rows gives the nested form
+    nested = []
+    for row in table.rows:
+        nested.append({**row, **({"children": [nested[c] for c in
+                                               row["children"]]}
+                                 if "children" in row else {})})
+    assert json.dumps(nested[k]) == ex.to_json(e)
+
+
+def test_echo_table_has_one_row_per_distinct_echo():
+    x = {"kind": "var", "index": 0}
+    raw = [{"kind": "sum", "children": [dict(x), {"kind": "const",
+                                                   "value": 1}]},
+           {"kind": "exp", "children": [{"kind": "sum", "children": [
+               dict(x), {"kind": "const", "value": 1}]}], "note": "n"},
+           {"kind": "var", "index": 0, "children": ["kept as given"]}]
+    table = {}
+    echoes = [ex.from_dict(d, table, echo=True)[1] for d in raw]
+    rows, index = ex.echo_table(echoes)
+    # x, 1, the sum; the noted exp is echoed as given, with its own children
+    assert [r["kind"] for r in rows] == ["var", "const", "sum", "var",
+                                         "const", "sum", "exp", "var"]
+    assert index == [2, 6, 7]
+    assert rows[6] == {"kind": "exp", "children": [5], "note": "n"}
+    assert rows[7] == raw[2]  # a leaf's children are not indices
+    assert ex.from_table(rows)[index[1]] is ex.exp(ex.var(0) + 1.0)
+
+
+@pytest.mark.parametrize("rows", [
+    {"kind": "var", "index": 0},
+    [{"kind": "var", "index": 0}, {"kind": "exp", "children": [1]}],
+    [{"kind": "var", "index": 0}, {"kind": "exp", "children": [True]}],
+    [{"kind": "var", "index": 0}, {"kind": "exp", "children": 0}],
+    [{"kind": "bogus"}],
+])
+def test_from_table_rejects_malformed_tables(rows):
+    with pytest.raises(ex.ExprError):
+        ex.from_table(rows)
+
+
 def test_deep_chain_hashes_and_compares_without_recursion():
     """Building, hashing and comparing a 10,000-level chain do not recurse:
     a chain built separately is the original node, and one that differs

@@ -4,7 +4,8 @@ allowlisted with a reason.
 
 The trace runs `run_config` on every gallery item under every pipeline,
 one inline `verify` configuration whose entries pass through
-`expr.from_json` and whose report is written by `dump_report`, and the
+`expr.from_json` and whose report is written by `dump_report`, that
+report's config echo (a node table) run again, and the
 CLI `list` and `schema` commands, all under `sys.setprofile`.  A function
 is reached when its code is called, a class when the code of any function
 in its body is.  Exceptions and data names (constants, tables) are not
@@ -109,7 +110,10 @@ def _traced_runs():
             cfg = {"version": 1, "matrix": {"gallery": name},
                    "pipeline": pipeline, "seed": 0}
             report.dump_report(report.run_config(cfg, grid_scale=0.6)[0])
-    report.dump_report(report.run_config(inline, grid_scale=0.6)[0])
+    echoed = report.run_config(inline, grid_scale=0.6)[0]
+    report.dump_report(echoed)
+    # the echo holds the matrix as a node table: a run reads it back
+    report.run_config(echoed["config"], grid_scale=0.6)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["list"]) == 0
         assert cli.main(["schema"]) == 0

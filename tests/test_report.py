@@ -1,6 +1,7 @@
 """The report writer against json: byte for byte, on real reports and on
-generated JSON values with shared sub-values; the config echo and the
-decomposition dicts that make reports share them."""
+generated JSON values with shared sub-values; the node tables of the
+config echo and of decompositions, against the nested rendering of the
+same objects."""
 
 import json
 import math
@@ -9,12 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import dump_json
+from oracles import dump_json, expand_tables, nested_decomposition
 
+from matsos import expr as ex
 from matsos import gallery
 from matsos import report as report_mod
+from matsos.decompose import SquareDecomposition
 from matsos.gallery import GALLERY, list_gallery
 from matsos.grids import GridSpec
+from matsos.matfun import SymMatFun
 from matsos.report import (
     CONFIG_SCHEMA,
     catalog_json,
@@ -177,19 +181,29 @@ def test_config_echo_keeps_every_spelling():
     report, _ = run_config(cfg)
     assert json.dumps(cfg) == text  # the input is not mutated
     echo = report["config"]
-    assert echo == cfg and echo is not cfg
-    assert json.dumps(echo) == text  # byte for byte, -0.0 and ints included
+    # the echo inlines to the input byte for byte, -0.0 and ints included
+    assert json.dumps(expand_tables(echo)) == text
     assert dump_report(report) == dump_json(report)
-    entries = echo["matrix"]["entries"]
-    # byte-equal JSON subtrees share one echo, across entries too
-    assert entries[1][1]["children"][3] is entries[0][1]
-    assert entries[0][1]["children"][0]["children"][1] is entries[1][0][
-        "children"][0]["children"][1]
+    rows, entries = echo["matrix"]["nodes"], echo["matrix"]["entries"]
+
+    def kids(k):
+        return rows[k]["children"]
+
+    # byte-equal JSON subtrees share one row, across entries too
+    assert kids(entries[1][1])[3] == entries[0][1]
+    assert kids(kids(entries[0][1])[0])[1] == kids(kids(entries[1][0])[0])[1]
+    assert all(k < i for i, row in enumerate(rows)
+               if row["kind"] not in ("var", "const")
+               for k in row.get("children", ()))
     # a subtree under a node with extra fields is shared with nothing
-    assert entries[1][1]["children"][4] == entries[1][0]
-    assert entries[1][1]["children"][4] is not entries[1][0]
-    assert entries[1][1]["children"][0] is cfg["matrix"]["entries"][1][1][
-        "children"][0]  # extra fields: echoed as given
+    assert kids(entries[1][1])[4] != entries[1][0]
+    assert expand_tables({"nodes": rows, "entries": [kids(entries[1][1])[4],
+                                                     entries[1][0]]}) == {
+        "entries": [cfg["matrix"]["entries"][1][0]] * 2}
+    # extra fields, and a leaf's children, are echoed as given
+    noted = rows[kids(entries[1][1])[0]]
+    assert noted["note"] == "kept"
+    assert {"kind": "var", "index": 0, "children": []} in rows
 
 
 def test_config_echo_of_gallery_matrix_is_the_config():
@@ -197,17 +211,6 @@ def test_config_echo_of_gallery_matrix_is_the_config():
            "pipeline": "verify"}
     report, _ = run_config(cfg)
     assert report["config"] is cfg
-
-
-def _expression_dicts(roots):
-    """Distinct expression dicts reachable from the roots, by identity."""
-    seen, stack = {}, list(roots)
-    while stack:
-        d = stack.pop()
-        if id(d) not in seen:
-            seen[id(d)] = d
-            stack.extend(d.get("children", ()))
-    return seen
 
 
 def _expression_nodes(roots):
@@ -222,7 +225,8 @@ def _expression_nodes(roots):
 
 def test_decomposition_json_has_one_dict_per_node():
     """block-M7 under the full pipeline: peel vectors, residual and fields
-    share nodes, and the JSON form holds one dict per distinct node."""
+    share nodes, and the JSON form holds one node table row per distinct
+    node, which reads back to the same nodes."""
     A = GALLERY["block-M7"].build({})
     grid = GridSpec(box=((-0.9, 0.9),) * 7, resolution=3, max_points=40,
                     exclude_radius=0.25, seed=3)
@@ -232,24 +236,94 @@ def test_decomposition_json_has_one_dict_per_node():
     nodes = [c for Z in dec.peel_vectors for c in Z]
     nodes += [R.entry(i, j) for i in range(R.n) for j in range(R.n)]
     nodes += [c for Xk in dec.fields for X in Xk for c in X]
-    dicts = [c for Z in d["peel_vectors"] for c in Z]
-    dicts += [c for row in d["residual"]["entries"] for c in row]
-    dicts += [c for Xk in d["fields"] for X in Xk for c in X]
-    distinct = _expression_dicts(dicts)
-    assert len(distinct) == len(_expression_nodes(nodes))
+    refs = [c for Z in d["peel_vectors"] for c in Z]
+    refs += [c for row in d["residual"]["entries"] for c in row]
+    refs += [c for Xk in d["fields"] for X in Xk for c in X]
+    rows = d["nodes"]
+    assert len(rows) == len(_expression_nodes(nodes))
+    back = ex.from_table(json.loads(json.dumps(rows)))
+    assert all(back[k] is e for k, e in zip(refs, nodes))
     # the same JSON written as a tree would be several times larger
-    size, stack = {}, list(dicts)
-    while stack:
-        node = stack[-1]
-        pending = [c for c in node.get("children", ()) if id(c) not in size]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        size[id(node)] = 1 + sum(size[id(c)] for c in node.get("children", ()))
-    assert sum(size[id(c)] for c in dicts) > 3 * len(distinct)
+    size = []
+    for row in rows:
+        size.append(1 + sum(size[k] for k in row.get("children", ())))
+    assert sum(size[k] for k in refs) > 3 * len(rows)
     report = {"decomposition": d}
     assert dump_report(report) == dump_json(report)
+
+
+@pytest.mark.parametrize("pipeline", ["gallery", "all"])
+@pytest.mark.parametrize("name", sorted(GALLERY))
+def test_expanded_report_equals_the_nested_rendering(name, pipeline,
+                                                     monkeypatch):
+    """Inlining the node tables of a report gives the report that writes
+    each of its decompositions (pipeline or gallery certificate) as nested
+    expression objects, one `expr.to_dict` memo per decomposition."""
+    nested = {}
+    write = SquareDecomposition.to_json_dict
+
+    def spy(dec):
+        d = write(dec)
+        nested[id(d)] = nested_decomposition(dec), d  # d kept: ids stay
+        return d
+
+    monkeypatch.setattr(SquareDecomposition, "to_json_dict", spy)
+    report, _ = run_config({"version": 1, "matrix": {"gallery": name},
+                            "pipeline": pipeline})
+
+    def renested(v):
+        if isinstance(v, list):
+            return [renested(x) for x in v]
+        if not isinstance(v, dict):
+            return v
+        if id(v) in nested:
+            return nested[id(v)][0]
+        return {k: renested(x) for k, x in v.items()}
+
+    want = renested(report)
+    assert len(_values_of(report, {"nodes"})) == len(nested)
+    assert dump_json(expand_tables(report)) == dump_json(want)
+
+
+def _chain_config(levels):
+    e = ex.var(0)
+    for _ in range(levels):
+        e = ex.recip(1.0 + 0.5 * e)
+    return {"version": 1, "pipeline": "verify",
+            "matrix": SymMatFun.from_rows([[e]], nvars=1).to_json_dict(),
+            "grid": {"box": [[0, 1]], "resolution": 9}}
+
+
+def test_deep_chain_config_round_trips_through_its_report():
+    """A 2,000-level chain is written as a flat node table: the report's
+    text loads with json, and its config runs again to the same report."""
+    report, code = run_config(_chain_config(2000))
+    text = dump_report(report)
+    back = json.loads(text)
+    # three nodes a level, then x0 and the constants 0.5 and 1.0
+    assert len(back["config"]["matrix"]["nodes"]) == 3 * 2000 + 3
+    again, code2 = run_config(back["config"])
+    assert code2 == code
+    assert again["config"]["matrix"] is back["config"]["matrix"]  # as given
+    for r in (report, again):
+        del r["timing"]
+    assert dump_report(again) == dump_report(report)
+
+
+@pytest.mark.parametrize("name, pipeline", [("grushin-2x2", "all"),
+                                            ("q-lambda", "verify")])
+def test_inline_config_echo_reruns_to_the_same_report(name, pipeline):
+    """An inline config, and then its echo (a node table), run to the same
+    report apart from timing."""
+    A = GALLERY[name].build({})
+    cfg = {"version": 1, "matrix": A.to_json_dict(), "pipeline": pipeline,
+           "grid": {"box": [[-1, 1]] * A.nvars, "resolution": 7}}
+    report, code = run_config(json.loads(json.dumps(cfg)))
+    again, code2 = run_config(json.loads(dump_report(report))["config"])
+    assert code2 == code
+    for r in (report, again):
+        del r["timing"]
+    assert dump_report(again) == dump_report(report)
 
 
 def _dumped(name, pipeline):
