@@ -7,6 +7,8 @@ obstructs squares of C^(1,beta) fields whenever the isotropic part decays
 fast enough, checked in log space where doubles underflow.
 """
 
+import math
+
 from matsos import expr as ex
 from matsos.gallery import (
     FPhiPsiParams,
@@ -18,10 +20,10 @@ from matsos.gallery import (
 )
 from matsos.grids import GridSpec
 
-print("== the coupling threshold 2/81")
-for lam in (0.02, 2.0 / 81.0, 0.5):
+print("== the coupling threshold 2/81, decided on the exact value of lam")
+for lam in (0.02, 2.0 / 81.0, math.nextafter(2.0 / 81.0, 1.0), 0.5):
     cert = q_lambda_non_sos_certificate(lam)
-    print(f"   lam = {lam:.6g}: bound 18 sqrt(2 lam) = {cert.bound:.6g} "
+    print(f"   lam = {lam!r}: bound 18 sqrt(2 lam) = {cert.bound:.6g} "
           f"-> {cert.verdict}")
 
 print("== positivity at ten thousand sphere samples")

@@ -26,13 +26,14 @@ the node itself.
 
 Two JSON forms are read and written.  Schema v1 spells an expression as
 nested objects: `to_dict` writes one dict per distinct node from
-`post_order`, the walk that every evaluator in `matsos.jets` shares too,
-and loading (`from_dict`) returns, on request, an echo of its input that
-shares one dict per byte-equal JSON subtree.  Schema v2 writes the nodes of
-many expressions once, as the rows of a node table (`NodeTable`,
-`echo_table`), and names an expression by the index of its row, so its
-text is linear in distinct nodes; `from_table` reads one.  Every walk keeps
-its own stack, so depth is not limited by recursion.
+`post_order`, the walk that every evaluator in `matsos.jets` shares too.
+Schema v2 writes the nodes of many expressions once, as the rows of a node
+table, and names an expression by the index of its row, so its text is
+linear in distinct nodes.  `NodeTable` is a table being written; a
+`ReadTable` is one being read, by `from_table` from its rows, or by
+`from_dict` from nested objects, one row per distinct spelling, so that
+both forms are read by one validator.  Every walk keeps its own stack, so
+depth is not limited by recursion.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ __all__ = [
     "to_dict",
     "from_dict",
     "NodeTable",
-    "echo_table",
+    "ReadTable",
     "from_table",
     "to_json",
     "from_json",
@@ -347,60 +348,100 @@ class NodeTable:
         return index[expr]
 
 
-def echo_table(roots):
-    """(rows, index of each root's row): the node table of a DAG of valid
-    JSON expression objects, such as the echoes `from_dict` returns.
+class ReadTable:
+    """A schema v2 node table being read: `rows` are its JSON rows, whose
+    children are indices of earlier rows, `nodes` the node of each row, and
+    `roots` the row of each expression `from_dict` read into it.  `append`
+    validates and builds one row, for both readers (`from_table` and
+    `from_dict`)."""
 
-    There is one row per distinct object, by identity, each after the rows
-    of its children: a copy of the object whose "children" are their row
-    indices.  A leaf's fields are copied as they are, so inlining every
-    row's children gives back the objects byte for byte."""
-    index, rows = {}, []
-    for root in roots:
-        stack = [root]
-        while stack:
-            d = stack[-1]
-            if id(d) in index:
-                stack.pop()
-                continue
-            kids = None if d["kind"] in _LEAF_KINDS else d.get("children")
-            pending = [c for c in kids or () if id(c) not in index]
-            if pending:
-                stack += reversed(pending)
-                continue
-            stack.pop()
+    __slots__ = ("rows", "nodes", "roots", "_keys", "_given")
+
+    def __init__(self):
+        self.rows, self.nodes, self.roots = [], [], []
+        # exact-JSON key -> row, and id of an input object with fields
+        # beyond its kind's -> (the object, its row)
+        self._keys, self._given = {}, {}
+
+    def append(self, row):
+        """Add `row` and its node, built from the nodes of its children;
+        returns its index.  A leaf's "children", like any field beyond its
+        kind's, are ignored.  Malformed input raises ExprError naming the
+        offending field."""
+        kind = _kind(row)
+        k = len(self.rows)
+        if kind == "var":
+            node = var(_integer_field(row, "index"))
+        elif kind == "const":
+            node = const(_number_field(row, "value"))
+        else:
+            children = row.get("children", [])
+            if not isinstance(children, list):
+                raise ExprError(f"{kind} node: 'children' must be a list")
+            kids = [self.nodes[_earlier(c, k)] for c in children]
+            if kind == "intpow":
+                exponent = _integer_field(row, "exponent")
+            if kind in _NARY_KINDS:
+                node = add(*kids) if kind == "sum" else mul(*kids)
+            elif len(kids) != 1:
+                raise ExprError(f"{kind} takes exactly one child")
+            elif kind == "intpow":
+                node = intpow(kids[0], exponent)
+            else:
+                node = ScalarExpr(kind, kids)
+        self.nodes.append(node)
+        self.rows.append(row)
+        return k
+
+    def _leaf(self, d):
+        """The row of a `var` or `const` input object."""
+        v = d.get("index" if d["kind"] == "var" else "value")
+        if len(d) == 2 and type(v) in (int, float):
+            key = (d["kind"], type(v), _bits(v), ())
+            k = self._keys.get(key)
+            if k is None:
+                k = self._keys[key] = self.append(dict(d))
+            return k
+        hit = self._given.get(id(d))
+        if hit is None:
+            hit = self._given[id(d)] = (d, self.append(dict(d)))
+        return hit[1]
+
+    def _inner(self, d, kids):
+        """The row of an input object with children, given their rows."""
+        kind, p = d["kind"], d.get("exponent")
+        power = kind == "intpow"
+        if ("children" in d and len(d) == 2 + power
+                and (not power or type(p) in (int, float))):
+            key = (kind, type(p), _bits(p), tuple(kids))
+            k = self._keys.get(key)
+            if k is None:
+                k = self._keys[key] = self.append({**d, "children": kids})
+            return k
+        hit = self._given.get(id(d))
+        if hit is None:
             row = dict(d)
-            if kids is not None:
-                row["children"] = [index[id(c)] for c in kids]
-            index[id(d)] = len(rows)
-            rows.append(row)
-    return rows, [index[id(d)] for d in roots]
+            if "children" in d:
+                row["children"] = kids
+            hit = self._given[id(d)] = (d, self.append(row))
+        return hit[1]
 
 
 def from_table(rows):
     """The node of each row of a schema v2 node table, in order.
 
-    Rows are read in order, each with the validation of `from_dict`; a
-    row's children must be integer indices of earlier rows, so reading
-    needs no recursion and meets no cycle.  A leaf's "children", like
-    any field beyond its kind's, are ignored.  Malformed input raises
-    ExprError naming the row."""
+    Rows are read in order by `ReadTable.append`; a row's children must be
+    integer indices of earlier rows, so reading needs no recursion and
+    meets no cycle.  Malformed input raises ExprError naming the row."""
     if not isinstance(rows, list):
         raise ExprError("must be a list of node rows")
-    loaded = []  # (node, row) per row, as `_intern` returns them
+    table = ReadTable()
     for k, row in enumerate(rows):
         try:
-            kind = _kind(row)
-            kids = ()
-            if kind not in _LEAF_KINDS:
-                children = row.get("children", [])
-                if not isinstance(children, list):
-                    raise ExprError(f"{kind} node: 'children' must be a list")
-                kids = [loaded[_earlier(c, k)] for c in children]
-            loaded.append(_intern(row, kind, kids, None, None))
+            table.append(row)
         except ExprError as e:
             raise ExprError(f"row {k}: {e}") from e
-    return [node for node, _ in loaded]
+    return table.nodes
 
 
 def _earlier(c, k):
@@ -410,82 +451,60 @@ def _earlier(c, k):
     return i
 
 
-def from_dict(d, table=None, *, echo=False):
-    """Load an expression from its JSON form.
+def from_dict(d, table=None):
+    """Load an expression from its nested JSON form (schema v1).
 
     The walk keeps its own stack, so depth is not limited by recursion, and
-    loads each input dict with children once, however often it is shared
-    (a leaf costs one lookup per occurrence).  Nodes are built through the
-    builders, which hash-cons them, so structurally equal subtrees come
+    reads each input object with children once, however often it is shared
+    (a leaf costs one key lookup per occurrence).  Nodes are built through
+    the builders, which hash-cons them, so structurally equal subtrees come
     back as one shared node (`1` and `1.0` give one constant).
 
-    `table` (a dict, kept by the caller) is the exact-JSON layer; pass the
-    same one to several calls to share echoes across expressions.  A node
-    that has its kind's fields and no others is keyed there on (kind,
-    parameter type and bits, ids of its children's echoes).  Equal keys
-    mean byte-equal JSON, so a hit returns the node and its echo without
-    validating again.
-
-    The echo of a node is a copy of its dict whose children are the
-    children's echoes, so byte-equal subtrees share one echo; a node with
-    fields beyond its kind's is echoed as given and shared with nothing.
-    Returns the node, or (node, echo) with `echo=True`.  Malformed input
-    raises ExprError naming the offending field.
+    The input is read into `table` (a `ReadTable`, kept by the caller; pass
+    the same one to several calls to read them into one table), one row per
+    distinct spelling, in post-order with children in order, and the row of
+    `d` is appended to `table.roots`.  A row is a copy of its object with
+    the rows of its children as its children, so inlining the rows gives
+    back the input byte for byte.  An object that has its kind's fields and
+    no others is keyed on (kind, parameter type and bits, rows of its
+    children): equal keys mean byte-equal JSON, so a hit reuses the row
+    without validating again.  An object with fields beyond its kind's gets
+    a row of its own.  Returns the node; malformed input raises ExprError
+    naming the offending field.
     """
     if table is None:
-        table = {}
-    # id of an input node with children -> (node, echo), None while its
-    # children load; leaves are loaded where their parent is
+        table = ReadTable()
+    # id of an input object with children -> its row, None while its
+    # children are read; leaves are read where their parent is
     done = {}
-    stack = [d]
-    while stack:
-        raw = stack[-1]
-        rid = id(raw)
-        state = done.get(rid, _UNSEEN)
-        if state is _UNSEEN:
-            kind = _kind(raw)
-            if kind in _LEAF_KINDS:  # the root
-                stack.pop()
-                done[rid] = _leaf(raw, table)
+    stack = [(None, iter((d,)), [])]  # (object, its children, their rows)
+    while True:
+        raw, kids, got = stack[-1]
+        for c in kids:
+            if isinstance(c, dict) and c.get("kind") in _LEAF_KINDS:
+                got.append(table._leaf(c))
                 continue
-            children = raw.get("children", [])
+            k = done.get(id(c), -1)
+            if k is None:
+                raise ExprError(f"{raw['kind']} node: cyclic children")
+            if k >= 0:  # read through another parent
+                got.append(k)
+                continue
+            kind = _kind(c)
+            children = c.get("children", [])
             if not isinstance(children, list):
                 raise ExprError(f"{kind} node: 'children' must be a list")
-            done[rid] = None
-            for c in children:
-                if type(c) is dict and c.get("kind") in _LEAF_KINDS:
-                    continue
-                if id(c) not in done:
-                    stack.append(c)
-                elif done[id(c)] is None:
-                    raise ExprError(f"{kind} node: cyclic children")
-            if stack[-1] is not raw:
-                continue
-        elif state is not None:  # loaded through another parent
-            stack.pop()
-            continue
-        stack.pop()
-        kind = raw["kind"]
-        loaded = [done.get(id(c)) or _leaf(c, table)
-                  for c in raw.get("children", ())]
-        exact = None
-        if kind == "intpow":
-            p = raw.get("exponent")
-            shaped = len(raw) == 3 and type(p) in (int, float)
+            done[id(c)] = None
+            stack.append((c, iter(children), []))
+            break
         else:
-            p = None
-            shaped = len(raw) == 2
-        if shaped and "children" in raw:
-            exact = (kind, type(p), _bits(p), tuple([id(e) for _, e in loaded]))
-            hit = table.get(exact)
-            if hit is not None:
-                done[rid] = hit
-                continue
-        done[rid] = _intern(raw, kind, loaded, exact, table)
-    return done[id(d)] if echo else done[id(d)][0]
-
-
-_UNSEEN = object()
+            stack.pop()
+            if raw is None:
+                break
+            k = done[id(raw)] = table._inner(raw, got)
+            stack[-1][2].append(k)
+    table.roots.append(got[0])
+    return table.nodes[got[0]]
 
 
 def _kind(d):
@@ -501,40 +520,6 @@ def _bits(v):
     """A JSON parameter as the exact-JSON key sees it, next to its type:
     zeros by their sign bit (no two other floats compare equal)."""
     return v.hex() if type(v) is float and not v else v
-
-
-def _leaf(d, table):
-    """(node, echo) of a `var` or `const` input node."""
-    kind = d["kind"]
-    v = d.get("index" if kind == "var" else "value")
-    exact = None
-    if len(d) == 2 and type(v) in (int, float):
-        exact = (kind, type(v), _bits(v), ())
-        hit = table.get(exact)
-        if hit is not None:
-            return hit
-    return _intern(d, kind, (), exact, table)
-
-
-def _intern(d, kind, loaded, exact, table):
-    """(node, echo) of an input node not yet in the exact-JSON layer, given
-    the (node, echo) of each child: validated, built, and entered under
-    `exact` unless that is None."""
-    param = None
-    if kind == "var":
-        param = _integer_field(d, "index")
-    elif kind == "const":
-        param = _number_field(d, "value")
-    elif kind == "intpow":
-        param = _integer_field(d, "exponent")
-    node = _build(kind, [node for node, _ in loaded], param)
-    if exact is None:
-        return node, d
-    echo = dict(d)
-    if "children" in d:
-        echo["children"] = [e for _, e in loaded]
-    table[exact] = (node, echo)
-    return node, echo
 
 
 def as_integer(v):
@@ -568,22 +553,6 @@ def _number_field(d, name):
         raise ExprError(f"{d['kind']} node: {name!r} must be a finite number, "
                         f"got {d.get(name)!r}")
     return value
-
-
-def _build(kind, children, param):
-    if kind == "var":
-        return var(param)
-    if kind == "const":
-        return const(param)
-    if kind == "sum":
-        return add(*children)
-    if kind == "product":
-        return mul(*children)
-    if len(children) != 1:
-        raise ExprError(f"{kind} takes exactly one child")
-    if kind == "intpow":
-        return intpow(children[0], param)
-    return ScalarExpr(kind, children)
 
 
 def to_json(expr, **kwargs):

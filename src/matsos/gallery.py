@@ -183,8 +183,11 @@ class NonSosCertificate:
 
 
 def q_lambda_non_sos_certificate(lam=DEFAULT_LAMBDA):
+    """The obstruction at `lam`, decided on its exact binary value:
+    4 > 18 sqrt(2 lam) exactly when lam < 2/81.  `bound` is that float."""
     bound = 18.0 * math.sqrt(2.0 * lam)
-    verdict = "not-SOS-of-linear-forms" if bound < 4.0 else "inconclusive"
+    p, q = lam.as_integer_ratio()  # lam = p/q exactly, q > 0
+    verdict = "not-SOS-of-linear-forms" if 81 * p < 2 * q else "inconclusive"
     pinned = {
         "diag_norms_sq": 1.0,
         "corner_norms_sq": 2.0,

@@ -22,10 +22,10 @@ from . import expr as ex
 from . import jets
 
 __all__ = ["EntryError", "FieldError", "Sampled", "StructureTags", "SymMatFun",
-           "blockdiag", "MAX_DIM"]
+           "blockdiag", "check_shape", "MAX_DIM"]
 
-# The declared limit on matrix dimension, enforced here and by config
-# parsing.
+# The declared limit on matrix dimension, enforced here and, for matrices
+# in JSON form, by `check_shape`.
 MAX_DIM = 16
 
 
@@ -239,28 +239,22 @@ class SymMatFun:
     def load_json(cls, d):
         """(matrix, echo of `d`) from either JSON form.
 
-        Schema v1 entries are expression objects, loaded through one echo
-        table of `expr.from_dict`, so byte-equal JSON subtrees within or
-        across entries share one echo; the echo is `d` with its entries
-        written as the node table of those echoes (`expr.echo_table`), so
-        every spelling is kept and each distinct one written once.  Schema
-        v2 matrices (a `nodes` field) give each entry as the index of its
-        row in the node table `nodes` (`expr.from_table`); their echo is
-        `d`.  Nodes are hash-consed either way, so subexpressions repeated
-        within or across entries come back as one shared node.  An entry
-        below the diagonal must be the same node as its mirror above it.
+        Schema v1 entries are nested expression objects, each read by
+        `expr.from_dict` into one `expr.ReadTable`, one row per distinct
+        spelling within or across entries; the echo is `d` with that table
+        as `nodes` and each entry as the index of its row, so every
+        spelling is kept and each distinct one written once.  Schema v2
+        matrices (a `nodes` field) give each entry as the index of its row
+        in the node table `nodes` (`expr.from_table`); their echo is `d`.
+        Nodes are hash-consed either way, so subexpressions repeated within
+        or across entries come back as one shared node.  An entry below the
+        diagonal must be the same node as its mirror above it.
 
-        A bad field raises FieldError naming it: `dimension` and `nvars`
-        must be integers in range, `entries` an n x n array, and `nodes` a
-        valid node table; a bad entry raises EntryError naming its
-        position.
+        A bad field raises FieldError naming it (see `check_shape`; `nodes`
+        must be a valid node table); a bad entry raises EntryError naming
+        its position.
         """
-        n = _int_field(d, "dimension", 0, MAX_DIM)
-        nvars = _int_field(d, "nvars", 1, ex.MAX_VARS)
-        rows = d.get("entries")
-        if not (isinstance(rows, list) and len(rows) == n
-                and all(isinstance(r, list) and len(r) == n for r in rows)):
-            raise FieldError("entries", f"must be a {n} x {n} array")
+        n, nvars, rows = check_shape(d)
         if "nodes" in d:
             try:
                 nodes = ex.from_table(d["nodes"])
@@ -274,12 +268,10 @@ class SymMatFun:
                                        f"'nodes', got {raw!r}")
                 return nodes[k]
         else:
-            table, echoes = {}, []
+            table = ex.ReadTable()
 
             def load(raw):
-                node, echo = ex.from_dict(raw, table, echo=True)
-                echoes.append(echo)
-                return node
+                return ex.from_dict(raw, table)
 
         entries = {}
         for i in range(n):
@@ -295,10 +287,22 @@ class SymMatFun:
                                      "the matrix must be symmetric")
         if "nodes" in d:
             return cls(n, nvars, entries), d
-        nodes, index = ex.echo_table(echoes)
         return cls(n, nvars, entries), {
-            **d, "nodes": nodes,
-            "entries": [index[i * n:(i + 1) * n] for i in range(n)]}
+            **d, "nodes": table.rows,
+            "entries": [table.roots[i * n:(i + 1) * n] for i in range(n)]}
+
+
+def check_shape(d):
+    """(dimension, nvars, entries) of a matrix in JSON form: `dimension` an
+    integer in 1..MAX_DIM, `nvars` one in 1..8 and `entries` a dimension x
+    dimension array, else FieldError naming the field."""
+    n = _int_field(d, "dimension", 1, MAX_DIM)
+    nvars = _int_field(d, "nvars", 1, ex.MAX_VARS)
+    rows = d.get("entries")
+    if not (isinstance(rows, list) and len(rows) == n
+            and all(isinstance(r, list) and len(r) == n for r in rows)):
+        raise FieldError("entries", f"must be a {n} x {n} array")
+    return n, nvars, rows
 
 
 def _int_field(d, name, lo, hi):

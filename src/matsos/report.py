@@ -9,14 +9,15 @@ same (config, seed) apart from the timing field.
 Reports are schema v2: every JSON object that holds expressions (the echo
 of an inline matrix, each decomposition) carries one node table, `nodes`,
 and names each expression by the index of its row (see `expr.NodeTable`),
-so a report's text is linear in its distinct nodes.  The echo of an inline
-matrix given as nested expression objects (schema v1) is the table of its
-distinct spellings (`expr.echo_table`): inlining the rows gives back the
-input byte for byte.  Configs of either version load either matrix form.
+so a report's text is linear in its distinct nodes and no container
+occurs in it twice.  The echo of an inline matrix given as nested
+expression objects (schema v1) is the node table the loader read them into,
+one row per distinct spelling (`expr.from_dict`): inlining the rows gives
+back the input byte for byte.  Configs of either version load either matrix
+form.
 
 Reports, the catalog and the schema are written by `dump_report`, byte-equal
-to `json.dumps(obj, sort_keys=True, indent=2) + "\n"`; an object that
-occurs several times is written once per depth it occurs at.
+to `json.dumps(obj, sort_keys=True, indent=2) + "\n"`.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .gallery import (
     q_lambda_positivity_certificate,
 )
 from .grids import Exclusion, GridSpec
-from .matfun import MAX_DIM, FieldError, SymMatFun
+from .matfun import MAX_DIM, FieldError, SymMatFun, check_shape
 from .reporting import FAIL
 from .verify import (
     HypothesisRefusal,
@@ -127,7 +128,7 @@ def _require(cond, field, reason):
 
 
 def _integer(v, field, least=None):
-    """An integer config value (by the rule of `expr.from_dict`) >= least."""
+    """An integer config value (by the rule of `expr.as_integer`) >= least."""
     n = as_integer(v)
     _require(n is not None, field, f"must be an integer, got {v!r}")
     _require(least is None or n >= least, field,
@@ -231,17 +232,10 @@ def validate_config(cfg):
                      f"not a parameter of {name!r}")
             _number(value, f"matrix.params.{key}")
     else:
-        for key in ("dimension", "nvars", "entries"):
-            _require(key in matrix, f"matrix.{key}", "required for inline matrices")
-        nvars = _integer(matrix["nvars"], "matrix.nvars")
-        _require(1 <= nvars <= 8, "matrix.nvars", "must lie in 1..8")
-        n = _integer(matrix["dimension"], "matrix.dimension")
-        _require(1 <= n <= MAX_DIM, "matrix.dimension",
-                 f"must lie in 1..{MAX_DIM}")
-        rows = matrix["entries"]
-        _require(isinstance(rows, list) and len(rows) == n
-                 and all(isinstance(r, list) and len(r) == n for r in rows),
-                 "matrix.entries", f"must be a {n} x {n} array of expressions")
+        try:
+            check_shape(matrix)
+        except FieldError as e:
+            raise ConfigError("matrix." + e.field, e.reason) from e
     pipeline = cfg.get("pipeline", "all")
     _require(pipeline in PIPELINES, "pipeline", f"must be one of {PIPELINES}")
     _params(cfg)
@@ -423,29 +417,21 @@ def dump_report(report):
     With `indent`, json runs its pure-Python encoder, which nests one
     generator per level, so every token pays for the depth of the
     expression tree around it; one recursive function appending chunks to
-    a list does not.  A container met again at the same depth (a shared
-    subexpression, say) is written once: the repeat copies the chunks of
-    its first writing, so the work grows with the distinct (container,
-    depth) pairs, not with the size of the tree the text spells out.
+    a list does not.
     """
     out = []
-    _emit(report, "", 0, out, [("\n", ",\n")], {})
+    _emit(report, "", 0, out, [("\n", ",\n")])
     out.append("\n")
     return "".join(out)
 
 
-def _emit(o, head, depth, out, levels, spans):
+def _emit(o, head, depth, out, levels):
     """Append `head` and the JSON text of `o`, nested `depth` deep, to `out`.
 
     `levels[d]` holds the newline and the item separator at indent `d`; it
     grows as deeper containers are met, so each is built once per depth.
     Every chunk starts with the separator before it, so that a scalar item
     costs one string.  The type tests follow json's encoder in order.
-
-    `spans[(id(c), d)]` is (start, end, len(head)) of the chunks
-    `out[start:end]` written for the container `c` at depth `d`; its text
-    there does not depend on where it sits, except for the head that its
-    first chunk starts with.
     """
     if isinstance(o, str):
         out.append(head + _encode_str(o))
@@ -472,14 +458,6 @@ def _emit(o, head, depth, out, levels, spans):
         if not o:
             out.append(head + ("{}" if is_dict else "[]"))
             return
-        ident = (id(o), depth)
-        span = spans.get(ident)
-        if span is not None:
-            start, end, hl = span
-            out.append(head + out[start][hl:])
-            out += out[start + 1:end]
-            return
-        start = len(out)
         if len(levels) == depth + 1:
             newline = levels[depth][0] + "  "
             levels.append((newline, "," + newline))
@@ -488,16 +466,15 @@ def _emit(o, head, depth, out, levels, spans):
             item_head = head + "{" + newline
             for key in sorted(o):  # _encode_str raises TypeError on a non-str
                 _emit(o[key], item_head + _encode_str(key) + ": ", depth + 1,
-                      out, levels, spans)
+                      out, levels)
                 item_head = sep
             out.append(levels[depth][0] + "}")
         else:
             item_head = head + "[" + newline
             for item in o:
-                _emit(item, item_head, depth + 1, out, levels, spans)
+                _emit(item, item_head, depth + 1, out, levels)
                 item_head = sep
             out.append(levels[depth][0] + "]")
-        spans[ident] = (start, len(out), len(head))
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON "
                         f"serializable")

@@ -463,6 +463,46 @@ def seminorms_loop(Y, Z, tables, delta):
     return out
 
 
+def _mp_bump(mp, u):
+    return mp.exp(1 - 1 / (1 - u * u)) if abs(u) < 1 else mp.mpf(0)
+
+
+# node kind -> its value in mpmath from (mpmath, node, child values, point);
+# None where the node is undefined, as the jet engine flags it invalid
+_MP_RULES = {
+    "var": lambda mp, n, k, x: mp.mpf(x[n.param]),
+    "const": lambda mp, n, k, x: mp.mpf(n.param),
+    "sum": lambda mp, n, k, x: mp.fsum(k),
+    "product": lambda mp, n, k, x: mp.fprod(k),
+    "intpow": lambda mp, n, k, x: (None if n.param < 0 and k[0] == 0
+                                   else k[0] ** n.param),
+    "recip": lambda mp, n, k, x: 1 / k[0] if k[0] > 0 else None,
+    "sqrt": lambda mp, n, k, x: mp.sqrt(k[0]) if k[0] >= 0 else None,
+    "exp": lambda mp, n, k, x: mp.exp(k[0]),
+    "flat": lambda mp, n, k, x: (mp.exp(-1 / k[0] ** 2) if k[0]
+                                 else mp.mpf(0)),
+    "flatabs": lambda mp, n, k, x: (mp.exp(-1 / abs(k[0])) if k[0]
+                                    else mp.mpf(0)),
+    "bump": lambda mp, n, k, x: _mp_bump(mp, k[0]),
+}
+
+
+def mp_values(roots, x, dps):
+    """The value of each expression of `roots` at the point `x`, whose
+    floats are read exactly, in mpmath at `dps` digits, or None where it is
+    undefined: one rule per node kind, over `expr.post_order`.  No double
+    is rounded on the way, and the exponent range of mpmath is unbounded,
+    so flat profiles do not underflow."""
+    mp = pytest.importorskip("mpmath")
+    val = {}
+    with mp.workdps(dps):
+        for node in ex.post_order(roots):
+            kids = [val[c] for c in node.children]
+            val[node] = (None if None in kids
+                         else _MP_RULES[node.kind](mp, node, kids, x))
+    return [val[r] for r in roots]
+
+
 def schur_gamma(a):
     """gamma = sqrt(b^T D^{-1} b / a11) of the partition [[a11, b^T], [b, D]]:
     the coupling of the first row to the trailing block."""

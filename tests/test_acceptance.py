@@ -121,18 +121,21 @@ def test_criterion_2_schur_inheritance():
 
 def test_criterion_3_quadratic_family_certificates():
     """Closed-form certificates of the quadratic family: obstruction bound
-    18 sqrt(2 lam), minor bounds at 1e4 sphere samples with slack >= -1e-9,
-    determinant expansion to 1e-9 relative, under 5 s."""
+    18 sqrt(2 lam), decided on the exact lam (fl(2/81) lies below 2/81, the
+    next float up above it), minor bounds at 1e4 sphere samples with slack
+    >= -1e-9, determinant expansion to 1e-9 relative, under 5 s."""
     t0 = time.perf_counter()
     c_in = q_lambda_non_sos_certificate(0.02)
     c_bd = q_lambda_non_sos_certificate(2.0 / 81.0)
+    c_out = q_lambda_non_sos_certificate(math.nextafter(2.0 / 81.0, 1.0))
     pos = q_lambda_positivity_certificate(0.02)
     elapsed = time.perf_counter() - t0
     ok = (
         c_in.bound == pytest.approx(3.6)
         and c_in.verdict == "not-SOS-of-linear-forms"
         and c_bd.bound == pytest.approx(4.0)
-        and c_bd.verdict == "inconclusive"
+        and c_bd.verdict == "not-SOS-of-linear-forms"
+        and c_out.verdict == "inconclusive"
         and pos.verdict == "pass"
         and pos.counts["evaluated"] == 10_000
         and pos.details["det_expansion_rel_error"] <= 1e-9

@@ -258,23 +258,39 @@ def test_node_table_writes_each_node_once_in_post_order():
     assert json.dumps(nested[k]) == ex.to_json(e)
 
 
-def test_echo_table_has_one_row_per_distinct_echo():
+def test_read_table_has_one_row_per_distinct_spelling():
     x = {"kind": "var", "index": 0}
     raw = [{"kind": "sum", "children": [dict(x), {"kind": "const",
                                                    "value": 1}]},
            {"kind": "exp", "children": [{"kind": "sum", "children": [
                dict(x), {"kind": "const", "value": 1}]}], "note": "n"},
            {"kind": "var", "index": 0, "children": ["kept as given"]}]
-    table = {}
-    echoes = [ex.from_dict(d, table, echo=True)[1] for d in raw]
-    rows, index = ex.echo_table(echoes)
-    # x, 1, the sum; the noted exp is echoed as given, with its own children
-    assert [r["kind"] for r in rows] == ["var", "const", "sum", "var",
-                                         "const", "sum", "exp", "var"]
-    assert index == [2, 6, 7]
-    assert rows[6] == {"kind": "exp", "children": [5], "note": "n"}
-    assert rows[7] == raw[2]  # a leaf's children are not indices
-    assert ex.from_table(rows)[index[1]] is ex.exp(ex.var(0) + 1.0)
+    table = ex.ReadTable()
+    for d in raw:
+        ex.from_dict(d, table)
+    # x, 1, the sum; the noted exp has a row of its own over the same sum
+    assert [r["kind"] for r in table.rows] == ["var", "const", "sum", "exp",
+                                               "var"]
+    assert table.roots == [2, 3, 4]
+    assert table.rows[3] == {"kind": "exp", "children": [2], "note": "n"}
+    assert table.rows[4] == raw[2]  # a leaf's children are not indices
+    assert ex.from_table(table.rows)[3] is ex.exp(ex.var(0) + 1.0)
+    assert table.nodes == ex.from_table(table.rows)
+
+
+def test_from_dict_reads_canonical_json_into_the_written_table():
+    """The nested form `to_dict` writes, one shared dict per node, reads
+    into the rows `NodeTable` writes for the same expression, in the same
+    order: post-order, children in order, first occurrence first."""
+    x, y = ex.var(0), ex.var(1)
+    s = ex.sqrt(x * x + 1.0)
+    e = ex.add(ex.intpow(s, 3) * y, ex.exp(s), 2.0 * x, ex.flat(y))
+    written = ex.NodeTable()
+    k = written.ref(e)
+    table = ex.ReadTable()
+    assert ex.from_dict(ex.to_dict(e), table) is e
+    assert table.roots == [k] and table.rows == written.rows
+    assert json.dumps(table.rows) == json.dumps(written.rows)
 
 
 @pytest.mark.parametrize("rows", [
@@ -363,47 +379,55 @@ def test_to_dict_writes_one_dict_per_node():
 
 
 def test_from_dict_echo_keeps_the_spelling_and_shares_equal_json():
+    """The rows `from_dict` reads its input into spell it as given, one
+    row per distinct spelling, shared across calls into one table."""
     one_int = {"kind": "const", "value": 1}
     one_float = {"kind": "const", "value": 1.0}
     x = {"kind": "var", "index": 0}
-    table = {}
-    a, ea = ex.from_dict({"kind": "sum", "children": [dict(x), one_int]},
-                         table, echo=True)
-    b, eb = ex.from_dict({"kind": "sum", "children": [dict(x), one_float]},
-                         table, echo=True)
-    c, ec = ex.from_dict({"kind": "sum", "children": [dict(x), one_int]},
-                         table, echo=True)
-    # one node for 1 and 1.0, one echo per spelling
+    table = ex.ReadTable()
+    a = ex.from_dict({"kind": "sum", "children": [dict(x), one_int]}, table)
+    b = ex.from_dict({"kind": "sum", "children": [dict(x), one_float]}, table)
+    c = ex.from_dict({"kind": "sum", "children": [dict(x), one_int]}, table)
+    # one node for 1 and 1.0, one row per spelling
     assert a is b is c
-    assert ec is ea and eb is not ea
-    assert json.dumps(ea) == '{"kind": "sum", "children": [{"kind": "var", ' \
-        '"index": 0}, {"kind": "const", "value": 1}]}'
-    assert ea["children"][0] is eb["children"][0]
-    # signed zeros and an exponent of 2 against 2.0 stay apart in the echo
-    zeros = [ex.from_dict({"kind": "const", "value": v}, table, echo=True)
-             for v in (0.0, -0.0, 0.0)]
-    assert zeros[0][1] is zeros[2][1] is not zeros[1][1]
-    assert json.dumps(zeros[1][1]) == '{"kind": "const", "value": -0.0}'
-    p2, e2 = ex.from_dict({"kind": "intpow", "exponent": 2,
-                           "children": [dict(x)]}, table, echo=True)
-    p2f, e2f = ex.from_dict({"kind": "intpow", "exponent": 2.0,
-                             "children": [dict(x)]}, table, echo=True)
-    assert p2 is p2f and e2["exponent"] == 2 and e2f["exponent"] == 2.0
-    assert type(e2f["exponent"]) is float
+    ra, rb, rc = table.roots
+    assert rc == ra and rb != ra
+    rows = table.rows
+    assert rows[ra] == {"kind": "sum", "children": [0, 1]}
+    assert json.dumps(rows[1]) == '{"kind": "const", "value": 1}'
+    assert rows[ra]["children"][0] == rows[rb]["children"][0]
+    # signed zeros and an exponent of 2 against 2.0 stay apart in the rows
+    for v in (0.0, -0.0, 0.0):
+        ex.from_dict({"kind": "const", "value": v}, table)
+    z0, zm, z1 = table.roots[3:]
+    assert z0 == z1 != zm
+    assert json.dumps(rows[zm]) == '{"kind": "const", "value": -0.0}'
+    p2 = ex.from_dict({"kind": "intpow", "exponent": 2,
+                       "children": [dict(x)]}, table)
+    p2f = ex.from_dict({"kind": "intpow", "exponent": 2.0,
+                        "children": [dict(x)]}, table)
+    r2, r2f = table.roots[-2:]
+    assert p2 is p2f and r2 != r2f
+    assert rows[r2]["exponent"] == 2 and type(rows[r2f]["exponent"]) is float
 
 
 def test_from_dict_echoes_extra_fields_as_given():
     x = {"kind": "var", "index": 0}
     noted = {"kind": "exp", "children": [x], "note": "kept"}
-    node, echo = ex.from_dict(noted, {}, echo=True)
-    assert echo is noted and node == ex.exp(ex.var(0))
+    table = ex.ReadTable()
+    assert ex.from_dict(noted, table) is ex.exp(ex.var(0))
+    assert table.rows == [x, {"kind": "exp", "children": [0], "note": "kept"}]
+    assert table.rows[0] is not x and noted["children"] == [x]  # copies
     # a field beyond the kind's is never shared with the canonical spelling
-    table = {}
-    plain = ex.from_dict({"kind": "var", "index": 0}, table, echo=True)[1]
-    extra = ex.from_dict({"kind": "var", "index": 0, "children": []}, table,
-                         echo=True)[1]
-    assert extra is not plain and extra == {"kind": "var", "index": 0,
-                                            "children": []}
+    ex.from_dict({"kind": "var", "index": 0}, table)
+    ex.from_dict({"kind": "var", "index": 0, "children": []}, table)
+    assert table.roots[1:] == [0, 2]
+    assert table.rows[2] == {"kind": "var", "index": 0, "children": []}
+    # but the same input object is one row, within a call and across calls
+    ex.from_dict({"kind": "sum", "children": [noted, noted]}, table)
+    ex.from_dict(noted, table)
+    assert table.rows[3] == {"kind": "sum", "children": [1, 1]}
+    assert table.roots[3:] == [3, 1] and len(table.rows) == 4
 
 
 def test_from_dict_visits_a_shared_input_dict_once():

@@ -1,4 +1,7 @@
 import math
+import random
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ from matsos.gallery import (
 )
 from matsos.grids import Exclusion, GridSpec
 from matsos.verify import diag_elliptic_check, quasiconformal_check
-from oracles import delta_nu_estimate
+from oracles import delta_nu_estimate, mp_values
 
 rng = np.random.default_rng(5)
 
@@ -85,10 +88,13 @@ class TestNonSosCertificate:
         assert cert.pinned["coupling_norms_sq"] == 0.02
         assert cert.pinned["mixed_dot_sums"] == -1.0
 
-    def test_boundary_is_inconclusive(self):
+    def test_float_nearest_the_threshold_lies_below_it(self):
+        # fl(2/81) < 2/81 exactly, so the obstruction holds there, although
+        # 18 sqrt(2 lam) rounds to 4.0
+        assert Fraction(LAMBDA_THRESHOLD) < Fraction(2, 81)
         cert = q_lambda_non_sos_certificate(2.0 / 81.0)
-        assert cert.bound == pytest.approx(4.0)
-        assert cert.verdict == "inconclusive"
+        assert cert.bound == 4.0
+        assert cert.verdict == "not-SOS-of-linear-forms"
 
     def test_above_threshold(self):
         cert = q_lambda_non_sos_certificate(0.5)
@@ -96,17 +102,19 @@ class TestNonSosCertificate:
         assert cert.verdict == "inconclusive"
 
     def test_verdict_flips_at_threshold_up_to_floating_point(self):
-        # 18 sqrt(2 lam) - 4 changes sign at 2/81; the flip lands within a
-        # relative 1e-12 neighborhood of the threshold
-        assert q_lambda_non_sos_certificate(
-            LAMBDA_THRESHOLD * (1.0 - 1e-12)
-        ).verdict == "not-SOS-of-linear-forms"
-        assert q_lambda_non_sos_certificate(LAMBDA_THRESHOLD).verdict == (
-            "inconclusive"
-        )
-        assert q_lambda_non_sos_certificate(
-            LAMBDA_THRESHOLD * (1.0 + 1e-12)
-        ).verdict == "inconclusive"
+        # decided on the exact value of lam: the flip lies between fl(2/81)
+        # and the next float up
+        below = math.nextafter(LAMBDA_THRESHOLD, 0.0)
+        above = math.nextafter(LAMBDA_THRESHOLD, 1.0)
+        for lam in (LAMBDA_THRESHOLD * (1.0 - 1e-12), below, LAMBDA_THRESHOLD):
+            cert = q_lambda_non_sos_certificate(lam)
+            assert cert.verdict == "not-SOS-of-linear-forms", lam
+        for lam in (above, LAMBDA_THRESHOLD * (1.0 + 1e-12)):
+            cert = q_lambda_non_sos_certificate(lam)
+            assert cert.verdict == "inconclusive", lam
+        assert Fraction(above) > Fraction(2, 81)
+        # the float test of the bound read 4.0 on both sides of 2/81
+        assert q_lambda_non_sos_certificate(below).bound == 4.0
 
 
 class TestFlatCylinder:
@@ -373,3 +381,56 @@ def test_positivity_determinant_bound_is_sharp_on_the_axis():
     lam = 0.02
     v = build_q_lambda(lam).value(np.array([0.0, 0.0, 1.0]))
     assert np.linalg.det(v) == pytest.approx(2.0 * lam, rel=1e-12)
+
+
+# Exact nonzero entry values that the doubles flush to 0, per item, at the
+# points of the test below: the flat profiles underflow near the degenerate
+# set.  Exact arithmetic through the flat regime would drive these to 0.
+FLUSHED_TO_ZERO = {
+    "block-M7": 213,
+    "block-N8": 213,
+    "block-P7": 25,
+    "f-phi-psi": 180,
+    "grushin-2x2": 48,
+    "nondiag-noncomparable-2x2": 0,
+    "q-lambda": 0,
+    "q-lambda-dehomogenized": 0,
+}
+
+
+def _shell_points(name, nvars, per_shell=8):
+    """`per_shell` seeded directions on each shell |x| = 2^-1 .. 2^-7."""
+    rnd = random.Random(name)
+    pts = []
+    for k in range(1, 8):
+        for _ in range(per_shell):
+            d = np.array([rnd.gauss(0.0, 1.0) for _ in range(nvars)])
+            pts.append(d * (2.0 ** -k / np.linalg.norm(d)))
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY))
+def test_entry_values_match_mpmath_on_dyadic_shells(name):
+    """Every distinct entry of a gallery item, evaluated by
+    `jets.eval_values` on dyadic shells around the origin, is valid exactly
+    where mpmath at 60 digits defines it, and agrees with it to 1e-12
+    relative wherever the double is normal; the exact nonzeros it flushes
+    to 0 are counted in FLUSHED_TO_ZERO."""
+    A = GALLERY[name].build({})
+    roots = list(dict.fromkeys(e for _, e in A.upper_entries()))
+    pts = _shell_points(name, A.nvars)
+    got = [jets.eval_values(e, pts, nvars=A.nvars) for e in roots]
+    flushed = compared = 0
+    for p, x in enumerate(pts):
+        exact = mp_values(roots, x.tolist(), 60)
+        for e, (values, valid), want in zip(roots, got, exact):
+            assert valid[p] == (want is not None), (e, x)
+            v = values[p]
+            if want is None:
+                continue
+            flushed += v == 0 and want != 0
+            if abs(v) >= sys.float_info.min:
+                compared += 1
+                assert abs(v - float(want)) <= 1e-12 * abs(v), (e, x)
+    assert compared >= len(pts)
+    assert flushed == FLUSHED_TO_ZERO[name]

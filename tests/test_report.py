@@ -29,12 +29,32 @@ from matsos.report import (
 from matsos.verify import decomposition_pipeline
 
 
-@pytest.mark.parametrize("pipeline", ["gallery", "verify", "all"])
+def _containers_met_twice(value):
+    """The containers (lists, tuples, dicts) of the JSON value `value` that
+    a walk from its root meets at more than one place."""
+    seen, twice, stack = set(), [], [value]
+    while stack:
+        o = stack.pop()
+        if not isinstance(o, (list, tuple, dict)):
+            continue
+        if id(o) in seen:
+            twice.append(o)
+            continue
+        seen.add(id(o))
+        stack.extend(o.values() if isinstance(o, dict) else o)
+    return twice
+
+
+@pytest.mark.parametrize("pipeline", report_mod.PIPELINES)
 @pytest.mark.parametrize("name", sorted(GALLERY))
 def test_gallery_reports_match_json(name, pipeline):
+    """Reports hold expressions as row indices into node tables, so no list
+    or dict of a report sits at two places: `dump_report` writes each
+    container once without keeping what it wrote."""
     report, _ = run_config(
         {"version": 1, "matrix": {"gallery": name}, "pipeline": pipeline})
     assert dump_report(report) == dump_json(report)
+    assert _containers_met_twice(report) == []
 
 
 def test_catalog_and_schema_match_json():
@@ -63,7 +83,8 @@ def _nest(inner):
 
 
 # One sub-value is drawn once per example and placed, as the same object, at
-# several positions and depths, the way reports share expression dicts.
+# several positions and depths, as v1 expression dicts share children; the
+# writer spells it out at each.
 json_values = st.recursive(
     scalars | st.shared(st.recursive(scalars, _nest, max_leaves=20),
                         key="repeated"),
@@ -105,48 +126,18 @@ def test_unwritable_values_raise_type_error(value):
         dump_report(value)
 
 
-def _distinct_container_items(value):
-    """Sum of len(c) over the distinct non-empty (container, depth) pairs."""
-    seen, stack, total = set(), [(value, 0)], 0
-    while stack:
-        o, depth = stack.pop()
-        if not isinstance(o, (list, tuple, dict)) or not o:
-            continue
-        if (id(o), depth) in seen:
-            continue
-        seen.add((id(o), depth))
-        total += len(o)
-        stack.extend((v, depth + 1) for v in (o.values() if isinstance(o, dict)
-                                              else o))
-    return total
-
-
-def _doubling_report(levels):
-    """A report holding, at two depths, a DAG of dicts in which each level
-    holds the one below twice: 2^levels leaves spelled out."""
-    node = {"leaf": [1.5, "x"], "n": None}
-    for level in range(levels):
-        node = {"left": node, "right": node, "level": level}
-    return {"dag": node, "again": [node], "tail": [1, 2]}
-
-
-def test_writer_work_follows_distinct_containers(monkeypatch):
-    """On a 16-level doubling DAG the writer makes one call per item of
-    each distinct (container, depth) pair, not one per node of the tree."""
-    report = _doubling_report(16)
-    calls = []
-    emit = report_mod._emit
-
-    def counted(*args):
-        calls.append(1)
-        return emit(*args)
-
-    monkeypatch.setattr(report_mod, "_emit", counted)
-    text = dump_report(report)
-    assert len(calls) <= 1 + _distinct_container_items(report) < 300
-    assert len(text) > 2**16 * 2 * len('"leaf"')
-    small = _doubling_report(8)  # json writes the 16-level one in seconds
-    assert dump_report(small) == dump_json(small)
+def test_no_container_occurs_twice_in_an_inline_report():
+    """No container sits at two places in the report of an inline matrix
+    whose v1 entries share their dicts (`to_json_dict` writes each distinct
+    node once): its echo is the node table it was read into."""
+    A = GALLERY["grushin-2x2"].build({})
+    cfg = {"version": 1, "matrix": A.to_json_dict(), "pipeline": "all",
+           "grid": {"box": [[-1, 1] for _ in range(A.nvars)],
+                    "resolution": 7}}
+    assert _containers_met_twice(cfg)  # the input shares dicts
+    report, _ = run_config(cfg)
+    assert report["decomposition"] is not None
+    assert _containers_met_twice(report) == []
 
 
 def _inline_echo_config():
