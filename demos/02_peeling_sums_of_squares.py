@@ -2,8 +2,8 @@
 
 The one-step decomposition splits off the dyad of the normalized first
 column and leaves the Schur complement; iterating peels depth p-1 and the
-scalar backend turns each pivot into factors, assembling vector fields
-whose squares reproduce the peeled dyads exactly.  Everything is built as
+scalar backend writes each pivot as the square of its principal root,
+assembling vector fields whose squares reproduce the peeled dyads exactly.  Everything is built as
 expression algebra, so the only residual is floating point.
 """
 
@@ -55,14 +55,6 @@ dyads, _ = residual_dyads(dec, ScalarSosBackend(), grid)
 dv = [float(jets.eval_values(c, np.array([[t]]))[0][0]) for c in dyads[0]]
 print(f"   residual dyad({t}) = {dv}  "
       f"(expected (0, {math.sqrt(1 - gamma**2) * fv:.6g}))")
-
-print("== the split backend keeps the sum of squares exact with two factors")
-dec2 = iterated_sd(G, 2, grid)
-dec2 = assemble_vector_fields(
-    dec2, ScalarSosBackend(name="split-by-sign-cell"), grid
-)
-print("   factors per peel:", len(dec2.fields[0]),
-      "  gram residual:", dec2.certificates["gram_residual"])
 
 print("== peeling order matters, the reconstruction identity never does")
 rng = np.random.default_rng(1)

@@ -9,13 +9,15 @@ dyad of its normalized first column plus the Schur complement:
 Z and Q are built as expression trees sharing the input's nodes, so the
 reconstruction identity is algebraically exact and any numerical residual
 measures floating-point evaluation error, not method error.  Iterating to
-depth p-1 peels dyads Z_1..Z_{p-1} and leaves a residual block Q_p; a
-scalar sum-of-squares backend then splits each pivot E_k = q_kk into
-factors t_{k,i}, which assemble into the vector fields
+depth p-1 peels dyads Z_1..Z_{p-1} and leaves a residual block Q_p; the
+scalar sum-of-squares backend then writes each pivot E_k = q_kk as the
+square of its principal root t_k, and the fields
 
-    X_{k,i} = t_{k,i} e_k + sum_{j>k} t_{k,i} (q_kj / E_k) e_j,
+    X_k = t_k e_k + sum_{j>k} t_k (q_kj / E_k) e_j
 
-with sum_i X_{k,i} (x) X_{k,i}^T = Z_k Z_k^T exactly.
+have X_k (x) X_k^T = Z_k Z_k^T exactly.  Fields are kept as one list per
+peel, the finite-sum form sum_i X_{k,i} (x) X_{k,i}^T, which assembly
+accepts from any list of factors t_{k,i} with sum_i t_{k,i}^2 = E_k.
 
 The JSON form of a decomposition (`SquareDecomposition.to_json_dict`)
 writes the expressions of Z_k, Q_p and X_{k,i} as row indices into one
@@ -50,9 +52,6 @@ __all__ = [
 
 FLAT_PIVOT = 1e-300
 
-# The softness a of the split-by-sign-cell partition of unity.
-SPLIT_SOFTNESS = 0.5
-
 
 class PivotError(ValueError):
     def __init__(self, message, point=None):
@@ -69,28 +68,21 @@ def default_delta_prime(delta):
 
 @dataclass(frozen=True)
 class ScalarSosBackend:
-    """Backend splitting a nonnegative scalar into a sum of squares.
+    """The principal-sqrt backend writing a nonnegative scalar as a square.
 
-    principal-sqrt: one factor, realized on the expression tree when the
-        input is a perfect square / exponential / flat form, else as a
-        sqrt node whose smoothness is verified numerically and reported.
-    split-by-sign-cell: two factors weighted by a smooth two-cell partition
-        of unity w = (1 +- u / sqrt(u^2 + a^2)) / 2 in u = x0 (softness
-        a = `SPLIT_SOFTNESS`); exercises multi-factor assembly while keeping
-        sum-of-squares exact.
+    Its one factor is realized on the expression tree when the input is a
+    perfect square / exponential / flat form, else as a sqrt node whose
+    smoothness is verified numerically and reported.
 
     Construction is the one range check of epsilon and delta that a
     decomposition reads: the pipeline, the field certificates and the
     factor bounds all take them, and delta' = `dprime`, from here.
     """
 
-    name: str = "principal-sqrt"
     delta: float = 0.1
     epsilon: float = 0.25
 
     def __post_init__(self):
-        if self.name not in ("principal-sqrt", "split-by-sign-cell"):
-            raise ValueError(f"unknown backend {self.name!r}")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
         if not 0.25 <= self.epsilon < 1:
@@ -117,7 +109,6 @@ class SquareDecomposition:
     pivot_rows: list = field(default_factory=list)
     peel_vectors: list = field(default_factory=list)
     residual: SymMatFun | None = None
-    sos_factors: list | None = None
     fields: list | None = None
     certificates: dict = field(default_factory=dict)
 
@@ -351,7 +342,7 @@ def iterated_sd(A, p, grid):
 
 
 # ---------------------------------------------------------------------------
-# scalar sum-of-squares backends
+# the scalar sum-of-squares backend
 
 
 def _symbolic_sqrt(e):
@@ -378,25 +369,16 @@ def _symbolic_sqrt(e):
     return None
 
 
-def _sign_cell_weights():
-    u = ex.var(0)
-    a2 = ex.const(SPLIT_SOFTNESS**2)
-    s = ex.mul(u, ex.recip(ex.sqrt(ex.add(ex.intpow(u, 2), a2))))
-    half = ex.const(0.5)
-    w_plus = ex.mul(half, ex.add(ex.ONE, s))
-    w_minus = ex.mul(half, ex.add(ex.ONE, ex.mul(ex.const(-1.0), s)))
-    return [ex.sqrt(w_plus), ex.sqrt(w_minus)]
-
-
 def scalar_sos(f, backend, grid):
-    """Split a nonnegative scalar into factors g with sum g^2 = f.
+    """Write a nonnegative scalar as the square of its principal root g.
 
-    The report carries the factor-bound families evaluated on the grid,
-    with the backend's epsilon, delta and delta':
-    |t| against E^{1/2}, |grad t| against E^{([1-2 eps]_+ + delta')/2} and
-    |Hess t| against E^{delta^2/(2+delta)}, together with the sampled
-    sum-of-squares identity residual.  A smoothness (bound) failure is
-    reported, not raised; negativity of f at a sample is an error.
+    Returns the one factor [g].  The report carries the factor-bound
+    families evaluated on the grid, with the backend's epsilon, delta and
+    delta': |g| against E^{1/2}, |grad g| against
+    E^{([1-2 eps]_+ + delta')/2} and |Hess g| against E^{delta^2/(2+delta)},
+    together with the sampled sum-of-squares identity residual.  A
+    smoothness (bound) failure is reported, not raised; negativity of f at
+    a sample is an error.
     """
     nv = grid.dim
     pts = grid.sample_points()
@@ -411,23 +393,16 @@ def scalar_sos(f, backend, grid):
     symbolic = g is not None
     if g is None:
         g = ex.sqrt(f)
-    if backend.name == "split-by-sign-cell":
-        factors = [ex.mul(w, g) for w in _sign_cell_weights()]
-    else:
-        factors = [g]
 
     delta = backend.delta
     dprime = backend.dprime
     epsilon = backend.epsilon
-    order2 = 2
-    jfs = [jets.eval_jet_batch(t, pts, order=order2, nvars=nv) for t in factors]
-    valid = fvalid.copy()
-    for jb in jfs:
-        valid &= ~jb.invalid
+    jb = jets.eval_jet_batch(g, pts, order=2, nvars=nv)
+    valid = fvalid & ~jb.invalid
     E = np.maximum(fvals, 0.0)
-    t_abs = np.max([np.abs(jb.values) for jb in jfs], axis=0)
-    t_grad = np.max([np.abs(jb.gradient()).max(axis=0) for jb in jfs], axis=0)
-    t_hess = np.max([jb.max_abs_of_order(2) for jb in jfs], axis=0)
+    t_abs = np.abs(jb.values)
+    t_grad = np.abs(jb.gradient()).max(axis=0)
+    t_hess = jb.max_abs_of_order(2)
     # where f underflows, so does every side mathematically; a factor value
     # like sqrt(f) may still be representable, which would compare a number
     # against an unrepresentable bound -- exclude such flat pairs
@@ -467,25 +442,22 @@ def scalar_sos(f, backend, grid):
         "scalar-sos-factor-bounds",
         reps,
         params={
-            "backend": backend.name,
+            "backend": "principal-sqrt",
             "delta": delta,
             "delta_prime": dprime,
             "epsilon": epsilon,
-            "factors": len(factors),
+            "factors": 1,
             "symbolic": symbolic,
         },
     )
-    sq = np.zeros(int(valid.sum()))
-    for jb in jfs:
-        sq += jb.values[valid] ** 2
-    resid = np.abs(sq - E) / (1.0 + E)
+    resid = np.abs(jb.values[valid] ** 2 - E) / (1.0 + E)
     report.details["sos_identity_residual"] = float(resid.max()) if len(resid) else 0.0
     if not symbolic and report.verdict == FAIL:
         report.details["note"] = (
-            "numeric square root failed a smoothness bound; consider the"
-            " split-by-sign-cell backend or a different exponent choice"
+            "numeric square root failed a smoothness bound; consider a"
+            " different exponent choice"
         )
-    return SosResult(factors, report)
+    return SosResult([g], report)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +477,6 @@ def assemble_vector_fields(dec, backend, grid):
     """
     nv = dec.matrix.nvars
     fields = []
-    sos_factors = []
     reports = []
     pts = grid.sample_points()
     gram_resid = 0.0
@@ -515,7 +486,6 @@ def assemble_vector_fields(dec, backend, grid):
         row = dec.pivot_rows[k]
         res = scalar_sos(E, backend, grid)
         reports.append(res.report)
-        sos_factors.append(res.factors)
         invE = ex.recip(E)
         Xk = []
         for t in res.factors:
@@ -525,7 +495,6 @@ def assemble_vector_fields(dec, backend, grid):
             Xk.append(comps)
         fields.append(Xk)
     dec.fields = fields
-    dec.sos_factors = sos_factors
     # order-2 seminorms of the components of every peel at every center,
     # one batched evaluation per side
     comps = [[c for X in Xk for c in X if c is not ex.ZERO] for Xk in fields]
@@ -566,7 +535,7 @@ def assemble_vector_fields(dec, backend, grid):
     dec.certificates["field_derivative_stats"] = deriv_stats
     dec.certificates["sos_reports"] = [r.to_json_dict() for r in reports]
     dec.certificates["backend"] = {
-        "name": backend.name,
+        "name": "principal-sqrt",
         "delta": backend.delta,
         "delta_prime": backend.dprime,
         "epsilon": backend.epsilon,

@@ -341,9 +341,9 @@ def build_blocks(kind, params=None):
         profile exp(-1/|t|) incomparable with exp(-1/t^2); no admissible
         final block survives any permutation.
     P7: blockdiag(I5, diag(f, g)) with declared diagonal comparability
-        pattern (1, 1, 1, 1, 1, f, g); defaults take radially flat f, g
-        (any pair of elliptical flat smooth non-decomposable functions
-        serves).
+        pattern (1, 1, 1, 1, 1, f, g), for the radially flat
+        f = flat(|x'|) and g = flatabs(|x'|) in x' = (x0, ..., x4) (any
+        pair of elliptical flat smooth non-decomposable functions serves).
     """
     p = params or FPhiPsiParams()
     if kind == "M7":
@@ -359,10 +359,9 @@ def build_blocks(kind, params=None):
         return blockdiag([M, G], nvars=8,
                          tags=StructureTags(degenerate_axes=(0, 1, 2, 3)))
     if kind == "P7":
-        prm = params if isinstance(params, dict) else {}
-        r5sq = ex.add(*[ex.intpow(ex.var(i), 2) for i in range(5)])
-        f = prm.get("f", ex.flat(ex.sqrt(r5sq)))
-        g = prm.get("g", ex.flatabs(ex.sqrt(r5sq)))
+        r5 = ex.sqrt(ex.add(*[ex.intpow(ex.var(i), 2) for i in range(5)]))
+        f = ex.flat(r5)
+        g = ex.flatabs(r5)
         eye5 = SymMatFun.constant(np.eye(5), nvars=7)
         tail = SymMatFun.from_rows([[f, ex.ZERO], [ex.ZERO, g]], nvars=7)
         return blockdiag(
@@ -493,7 +492,7 @@ GALLERY = {
             " diagonal",
             7, 7,
             {},
-            lambda prm: build_blocks("P7", prm),
+            lambda prm: build_blocks("P7"),
             _grid7,
         ),
         GalleryItem(

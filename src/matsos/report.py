@@ -89,7 +89,7 @@ CONFIG_SCHEMA = {
                 "epsilon": "number in [0.25, 1)",
                 "delta": "number in (0, 1)",
                 "delta2": "number in (0, 1)",
-                "backend": "principal-sqrt | split-by-sign-cell",
+                "backend": "principal-sqrt",
             },
         },
         "grid": {
@@ -162,9 +162,8 @@ def _params(cfg):
              "must lie in [0.25, 1)")
     for key in ("delta", "delta2"):
         _require(0.0 < params[key] < 1.0, f"params.{key}", "must lie in (0, 1)")
-    _require(p["backend"] in ("principal-sqrt", "split-by-sign-cell"),
-             "params.backend", "unknown backend")
-    params["backend"] = p["backend"]
+    _require(p["backend"] == "principal-sqrt", "params.backend",
+             "unknown backend; the one backend is 'principal-sqrt'")
     return params
 
 
@@ -283,8 +282,7 @@ def _gallery_checks(name, A, cfg, grid, params):
             checks.append(subordinate_check(A, grid))
     elif name == "grushin-2x2":
         res = decomposition_pipeline(A, 2, params["epsilon"], params["delta"],
-                                     params["delta2"], grid,
-                                     backend=params["backend"])
+                                     params["delta2"], grid)
         checks += res.reports
         extras.append({"decomposition": res.decomposition.to_json_dict()})
     elif name == "nondiag-noncomparable-2x2":
@@ -358,8 +356,7 @@ def _run(cfg, grid_scale):
         ]
     elif pipeline == "decompose":
         pp = _check_p(params["p"], A.n)
-        backend = ScalarSosBackend(params["backend"], params["delta"],
-                                   params["epsilon"])
+        backend = ScalarSosBackend(params["delta"], params["epsilon"])
         decomposition = assemble_vector_fields(iterated_sd(A, pp, grid),
                                                backend, grid)
     else:  # all
@@ -367,7 +364,7 @@ def _run(cfg, grid_scale):
         try:
             res = decomposition_pipeline(
                 A, pp, params["epsilon"], params["delta"], params["delta2"],
-                grid, backend=params["backend"])
+                grid)
             checks = res.reports
             decomposition = res.decomposition
         except HypothesisRefusal as r:

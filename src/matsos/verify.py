@@ -467,8 +467,7 @@ class PipelineResult:
     reports: list = field(default_factory=list)
 
 
-def decomposition_pipeline(A, p, epsilon, delta, delta_pp, grid,
-                           backend="principal-sqrt"):
+def decomposition_pipeline(A, p, epsilon, delta, delta_pp, grid):
     """Hypothesis checks, then peeling and vector-field assembly.
 
     Runs the diagonal-comparability check, the strong differential families
@@ -478,10 +477,9 @@ def decomposition_pipeline(A, p, epsilon, delta, delta_pp, grid,
     quasiconformality report and, when the strong families also hold at
     ell = p, the subordinaticity report of the residual.
 
-    `backend` names the scalar SOS backend; the one
-    `ScalarSosBackend(backend, delta, epsilon)` built from it checks the
-    ranges of epsilon and delta, and gives the delta' of the strong checks
-    and of the field certificates.  p = 1 peels nothing: the matrix itself
+    The one `ScalarSosBackend(delta, epsilon)` it builds checks the ranges
+    of epsilon and delta, and gives the delta' of the strong checks and of
+    the field certificates.  p = 1 peels nothing: the matrix itself
     is the residual block and only the comparability and quasiconformal
     checks run.  Both strong checks read one set of pair-ladder rows, kept
     on `A` (see `SymMatFun.ladder_rows`).
@@ -489,7 +487,7 @@ def decomposition_pipeline(A, p, epsilon, delta, delta_pp, grid,
     n = A.n
     if not 1 <= p <= n + 1:
         raise ValueError(f"p must lie in 1..{n + 1}")
-    backend = ScalarSosBackend(backend, delta, epsilon)
+    backend = ScalarSosBackend(delta, epsilon)
     delta_p = backend.dprime
     reports = []
 

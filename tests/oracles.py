@@ -16,7 +16,9 @@ and the loop
 forms of the strongly-C^4 and Holder seminorm reductions as references
 for their stacked forms.  The helpers that pin paper claims without a
 pipeline behind them (the coupling constant gamma, the tail embedding,
-the bounded-coefficient approximation gap) live here too.
+the bounded-coefficient approximation gap) live here too, and so does a
+two-factor split of the scalar sum of squares, the one source of fields
+with more than one factor per peel.
 """
 
 import functools
@@ -27,6 +29,7 @@ import pytest
 
 from matsos import expr as ex
 from matsos import jets
+from matsos.decompose import SosResult, scalar_sos
 from matsos.gallery import _fibonacci_sphere
 from matsos.matfun import Sampled, SymMatFun
 from matsos.reporting import (FAIL, FLAT_FLOOR, INCONCLUSIVE, PASS,
@@ -516,6 +519,25 @@ def embed_tail(Q, n):
     off = n - Q.n
     entries = {(i + off, j + off): e for (i, j), e in Q.upper_entries()}
     return SymMatFun(n, Q.nvars, entries, Q.tags)
+
+
+def sign_cell_sos(f, backend, grid):
+    """Two factors (w+ g, w- g) of f, g its principal root from `scalar_sos`.
+
+    w+-^2 = (1 +- u / sqrt(u^2 + a^2)) / 2 in u = x0, with softness a = 1/2,
+    is a smooth two-cell partition of unity, so the squares of the factors
+    sum to f exactly.  Patched in for `decompose.scalar_sos`, it exercises
+    the list-of-factors path of field assembly and residual dyads; the
+    report is the principal root's.
+    """
+    res = scalar_sos(f, backend, grid)
+    (g,) = res.factors
+    u = ex.var(0)
+    s = ex.mul(u, ex.recip(ex.sqrt(ex.add(ex.intpow(u, 2), ex.const(0.25)))))
+    half = ex.const(0.5)
+    w_plus = ex.sqrt(ex.mul(half, ex.add(ex.ONE, s)))
+    w_minus = ex.sqrt(ex.mul(half, ex.add(ex.ONE, ex.mul(ex.const(-1.0), s))))
+    return SosResult([ex.mul(w_plus, g), ex.mul(w_minus, g)], res.report)
 
 
 def delta_nu_estimate(L, nu, c0=4.0, sphere_count=400, multistarts=8, seed=0):

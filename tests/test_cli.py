@@ -3,7 +3,7 @@ import json
 import pytest
 
 from matsos.cli import main
-from matsos.report import ConfigError, run_config, validate_config
+from matsos.report import ConfigError, dump_report, run_config, validate_config
 
 from fresh import run_python
 from oracles import expand_tables
@@ -425,6 +425,7 @@ INLINE_2X2 = {"nvars": 1, "entries": [[ONE, ONE], [ONE, ONE]]}
     (GRUSHIN, {"grid": {"exclusions": [{"radius": -0.1}]}},
      "grid.exclusions[0].radius"),
     (GRUSHIN, {"grid": {"resolution": 1}}, "grid.resolution"),
+    (GRUSHIN, {"params": {"backend": "split-by-sign-cell"}}, "params.backend"),
 ])
 def test_mistyped_config_field_is_a_configuration_error(matrix, extra, field,
                                                         tmp_path, capsys):
@@ -437,6 +438,21 @@ def test_mistyped_config_field_is_a_configuration_error(matrix, extra, field,
     assert main(["run", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and repr(field) in err
+
+
+@pytest.mark.parametrize("pipeline", ["decompose", "all"])
+def test_explicit_principal_sqrt_backend_is_the_default(pipeline):
+    """`principal-sqrt` is the one scalar SOS backend: naming it runs to
+    the report of leaving it out, apart from the config echo and timing."""
+    texts, codes = [], []
+    for params in ({}, {"backend": "principal-sqrt"}):
+        report, code = run_config({"version": 1, "matrix": GRUSHIN,
+                                   "pipeline": pipeline, "params": params})
+        del report["config"], report["timing"]
+        texts.append(dump_report(report))
+        codes.append(code)
+    assert texts[0] == texts[1]
+    assert codes[0] == codes[1]
 
 
 def test_negative_cli_seed_is_a_configuration_error(capsys):

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from matsos import decompose
 from matsos import expr as ex
 from matsos import jets
 from matsos.decompose import (
@@ -18,7 +20,7 @@ from matsos.decompose import (
 from matsos.grids import GridSpec
 from matsos.matfun import SymMatFun
 from matsos.verify import diag_elliptic_check
-from oracles import embed_tail, schur_gamma
+from oracles import embed_tail, schur_gamma, sign_cell_sos
 
 X = ex.var(0)
 rng = np.random.default_rng(11)
@@ -246,20 +248,23 @@ class TestScalarSos:
                          grid1())
         assert res.report.details["sos_identity_residual"] <= 1e-12
 
-    def test_split_backend_exact_identity(self):
-        f = ex.intpow(ex.flat(X), 2)
-        res = scalar_sos(f, ScalarSosBackend(name="split-by-sign-cell"),
-                         grid1())
-        assert len(res.factors) == 2
-        assert res.report.details["sos_identity_residual"] <= 1e-12
-        pts = grid1().sample_points()
+    def test_split_backend_exact_identity(self, monkeypatch):
+        # a two-factor split of the residual of grushin-2x2: its two
+        # residual dyads (0, t_i) square-sum to the residual
+        monkeypatch.setattr(decompose, "scalar_sos", sign_cell_sos)
+        g = grid1()
+        dec = iterated_sd(grushin(0.6), 2, g)
+        dyads, _ = residual_dyads(dec, ScalarSosBackend(), g)
+        assert len(dyads) == 2
+        pts = g.sample_points()
         total = np.zeros(len(pts))
-        for g in res.factors:
-            v, ok = jets.eval_values(g, pts)
+        for zero, t in dyads:
+            assert zero is ex.ZERO
+            v, ok = jets.eval_values(t, pts)
             assert ok.all()
             total += v**2
-        fv, _ = jets.eval_values(f, pts)
-        assert np.abs(total - fv).max() <= 1e-12 * (1 + np.abs(fv).max())
+        qv, _ = jets.eval_values(dec.residual.entry(0, 0), pts)
+        assert np.abs(total - qv).max() <= 1e-12 * (1 + np.abs(qv).max())
 
     def test_default_delta_prime_formula(self):
         d = 0.1
@@ -269,10 +274,12 @@ class TestScalarSos:
         assert default_delta_prime(d) == pytest.approx(0.1047619047619048)
 
     def test_backend_validation(self):
-        with pytest.raises(ValueError):
-            ScalarSosBackend(name="cholesky")
-        with pytest.raises(ValueError):
-            ScalarSosBackend(epsilon=0.1)
+        assert [f.name for f in dataclasses.fields(ScalarSosBackend)] == [
+            "delta", "epsilon"]
+        for kw in ({"epsilon": 0.1}, {"epsilon": 1.0}, {"delta": 0.0},
+                   {"delta": 1.0}):
+            with pytest.raises(ValueError):
+                ScalarSosBackend(**kw)
 
 
 class TestAssembleFields:
@@ -314,13 +321,12 @@ class TestAssembleFields:
         assert dec.certificates["reconstruction_residual"] <= 1e-10
         assert dec.certificates["gram_residual"] <= 1e-10
 
-    def test_multi_factor_gram_identity(self):
+    def test_multi_factor_gram_identity(self, monkeypatch):
+        monkeypatch.setattr(decompose, "scalar_sos", sign_cell_sos)
         A = grushin(0.6)
         g = grid1()
         dec = iterated_sd(A, 2, g)
-        dec = assemble_vector_fields(
-            dec, ScalarSosBackend(name="split-by-sign-cell"), g
-        )
+        dec = assemble_vector_fields(dec, ScalarSosBackend(), g)
         assert len(dec.fields[0]) == 2
         assert dec.certificates["gram_residual"] <= 1e-10
 
