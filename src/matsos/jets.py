@@ -117,10 +117,13 @@ edges that will read each node, plus one per requested root, and drops a
 table at its last read, so it holds the live frontier of the walk and is
 empty when the call returns.  A root is handed to the caller's consumer
 as soon as it is complete (see `eval_entries`), so a caller that reduces
-each root to a few rows holds one root's table at a time.  Keeping every
-table instead peaked at 30.7 MB (tracemalloc) for the order-4 record of
-f-phi-psi on its 2,052-point default grid, 14.1 MB with the frontier, and
-10.0 MB with the roots read as they complete.  The run table
+each root to a few rows holds one root's table at a time, and a record of
+order >= 1 is built in blocks of at most `_POINTS` points
+(`SymMatFun.entry_jets`), so the frontier is that of one block.  Keeping
+every table instead peaked at 30.7 MB (tracemalloc) for the order-4
+record of f-phi-psi on its 2,052-point default grid, 14.1 MB with the
+frontier, 10.0 MB with the roots read as they complete, and 4.8 MB in
+blocks.  The run table
 holds nothing else: `eval_ladders` keeps no state, and the rows that two
 stages read on one set of pair ladders are kept by the matrix whose
 entries they are (`SymMatFun.ladder_rows`).
@@ -161,6 +164,9 @@ MAX_ORDER = 4
 
 # Doubles per column block of a dense product (`JetSpace.mul`): 256 KB.
 _BLOCK = 1 << 15
+
+# Points per block of a record of order >= 1 (`SymMatFun.entry_jets`).
+_POINTS = 1 << 10
 
 _TINY_LOG = -710.0  # exp() underflows to exactly 0.0 below this
 
@@ -326,7 +332,7 @@ class JetSpace:
             return a[0] * b
         if not b[1:].any():
             return a * b[0]
-        blocks = _column_blocks(self.ncoef, a.shape[1])
+        blocks = _column_blocks(a.shape[1], _BLOCK // self.ncoef)
         if len(blocks) <= 1:
             return self._dense(a, b)
         out = np.empty((self.ncoef, a.shape[1]))
@@ -374,10 +380,10 @@ class JetSpace:
         return out
 
 
-def _column_blocks(ncoef, npts):
-    """Equal column slices of at most ``max(1, _BLOCK // ncoef)`` of `npts`
-    columns, with no sliver at the end (none when `npts` is 0)."""
-    blocks = max(1, -(-npts // max(1, _BLOCK // ncoef)))
+def _column_blocks(npts, most):
+    """Equal column slices of at most ``max(1, most)`` of `npts` columns,
+    with no sliver at the end (none when `npts` is 0)."""
+    blocks = max(1, -(-npts // max(1, most)))
     width = max(1, -(-npts // blocks))
     return [slice(lo, lo + width) for lo in range(0, npts, width)]
 
@@ -671,7 +677,7 @@ def _product(children, kids, sp):
             iu, iv, outside = _outer_maps(sw, _restrict(sp, u)[0],
                                           _restrict(sp, v)[0], u, v)
             out = np.empty((sw.ncoef, b.shape[1]))
-            for cols in _column_blocks(sw.ncoef, b.shape[1]):
+            for cols in _column_blocks(b.shape[1], _BLOCK // sw.ncoef):
                 np.multiply(acc[iu, cols], b[iv, cols], out=out[:, cols])
             out[outside] = 0.0
             acc = out

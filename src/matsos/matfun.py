@@ -126,9 +126,16 @@ class SymMatFun:
         One `jets.eval_entries` walk evaluates every stored entry; the
         values, gradient rows and per-order maxima of each distinct entry
         node are read into the stacks as soon as its jet is complete, and
-        the jet is then dropped.  So the build holds the record, the live
-        frontier of the walk and one entry's table, not a table per entry.
-        A point is valid when every entry evaluated there.
+        the jet is then dropped.  From order 1 up the walk runs once per
+        block of at most `jets._POINTS` points (equal blocks), each read
+        into its slice of the stacks.  So the build holds the record, the
+        live frontier of one block's walk and one entry's table of that
+        block, however many points there are.  The blocks give the bits of
+        one whole-stack walk on every gallery item (the constant-operand
+        shortcut of `jets.JetSpace.mul` could differ in the sign of a
+        zero).  Order 0 is one stack: the run table keeps its jets under
+        the whole point stack (see `jets.run_table`).  A point is valid
+        when every entry evaluated there.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         S, n = pts.shape[0], self.n
@@ -139,22 +146,25 @@ class SymMatFun:
         at = {}
         for key, e in self.upper_entries():
             at.setdefault(e, []).append(key)
+        exprs = list(at)
+        blocks = jets._column_blocks(S, jets._POINTS) if order else []
+        for cols in blocks or [slice(None)]:
 
-        def take(e, jb):
-            valid[jb.invalid] = False
-            v = jb.values
-            if order:
-                g = jb.gradient().T
-                d = np.array([jb.max_abs_of_order(m)
-                              for m in range(order + 1)])
-            for i, j in at[e]:
-                values[:, i, j] = values[:, j, i] = v
+            def take(e, jb):
+                valid[cols] &= ~jb.invalid
+                v = jb.values
                 if order:
-                    grad[:, :, i, j] = grad[:, :, j, i] = g
-                    dmax[:, :, i, j] = dmax[:, :, j, i] = d
+                    g = jb.gradient().T
+                    d = np.array([jb.max_abs_of_order(m)
+                                  for m in range(order + 1)])
+                for i, j in at[e]:
+                    values[cols, i, j] = values[cols, j, i] = v
+                    if order:
+                        grad[cols, :, i, j] = grad[cols, :, j, i] = g
+                        dmax[:, cols, i, j] = dmax[:, cols, j, i] = d
 
-        jets.eval_entries(list(at), pts, order, nvars=self.nvars,
-                          consume=take)
+            jets.eval_entries(exprs, pts[cols], order, nvars=self.nvars,
+                              consume=take)
         return Sampled(pts, valid, values, grad, dmax)
 
     def sampled(self, grid, order=0):

@@ -17,7 +17,9 @@ back the input byte for byte.  Configs of either version load either matrix
 form.
 
 Reports, the catalog and the schema are written by `dump_report`, byte-equal
-to `json.dumps(obj, sort_keys=True, indent=2) + "\n"`.
+to `json.dumps(obj, sort_keys=True, indent=2) + "\n"`; it walks with a
+stack of its own, so a value nested past the recursion limit is written
+too.
 """
 
 from __future__ import annotations
@@ -413,68 +415,87 @@ def dump_report(report):
 
     With `indent`, json runs its pure-Python encoder, which nests one
     generator per level, so every token pays for the depth of the
-    expression tree around it; one recursive function appending chunks to
-    a list does not.
+    expression tree around it, and a value nested deeper than the
+    recursion limit raises RecursionError.  `_emit` walks with a stack of
+    its own and appends chunks to one list, so neither holds.
     """
     out = []
-    _emit(report, "", 0, out, [("\n", ",\n")])
+    _emit(report, out)
     out.append("\n")
     return "".join(out)
 
 
-def _emit(o, head, depth, out, levels):
-    """Append `head` and the JSON text of `o`, nested `depth` deep, to `out`.
+def _emit(o, out):
+    """Append the JSON text of `o` to `out`, in chunks.
 
-    `levels[d]` holds the newline and the item separator at indent `d`; it
-    grows as deeper containers are met, so each is built once per depth.
-    Every chunk starts with the separator before it, so that a scalar item
-    costs one string.  The type tests follow json's encoder in order.
+    Each open container is a frame on a stack: its dict (None for a list),
+    an iterator over its keys or items, the head of its next item and its
+    closing text; `o` itself is the one item of a root frame.  The top
+    frame writes its scalar items in one loop and stops at a nonempty
+    container, which it opens as a new frame.  `levels[d]` holds the
+    newline and the item separator at indent `d`; it grows as deeper
+    containers are met, so each is built once per depth.  Every chunk
+    starts with the separator before it, so that a scalar item costs one
+    string.  The type tests follow json's encoder in order.
     """
-    if isinstance(o, str):
-        out.append(head + _encode_str(o))
-    elif o is None:
-        out.append(head + "null")
-    elif o is True:
-        out.append(head + "true")
-    elif o is False:
-        out.append(head + "false")
-    elif isinstance(o, int):
-        out.append(head + int.__repr__(o))
-    elif isinstance(o, float):
-        if o != o:
-            text = "NaN"
-        elif o == _INF:
-            text = "Infinity"
-        elif o == -_INF:
-            text = "-Infinity"
+    append, encode = out.append, _encode_str  # locals: the loop runs per item
+    levels = [("\n", ",\n")]
+    stack = [[None, iter((o,)), "", ""]]
+    while stack:
+        frame = stack[-1]
+        d, items, head = frame[0], frame[1], frame[2]
+        sep = levels[len(stack) - 1][1]
+        for item in items:
+            if d is None:
+                o, h = item, head
+            else:
+                o, h = d[item], head + encode(item) + ": "
+            head = sep
+            if isinstance(o, str):
+                append(h + encode(o))
+            elif o is None:
+                append(h + "null")
+            elif o is True:
+                append(h + "true")
+            elif o is False:
+                append(h + "false")
+            elif isinstance(o, int):
+                append(h + int.__repr__(o))
+            elif isinstance(o, float):
+                if o != o:
+                    text = "NaN"
+                elif o == _INF:
+                    text = "Infinity"
+                elif o == -_INF:
+                    text = "-Infinity"
+                else:
+                    text = float.__repr__(o)
+                append(h + text)
+            elif isinstance(o, (list, tuple, dict)):
+                is_dict = isinstance(o, dict)
+                if not o:
+                    append(h + ("{}" if is_dict else "[]"))
+                    continue
+                depth = len(stack)
+                if len(levels) == depth:
+                    newline = levels[depth - 1][0] + "  "
+                    levels.append((newline, "," + newline))
+                frame[2] = head
+                close = levels[depth - 1][0] + ("}" if is_dict else "]")
+                if is_dict:
+                    # _encode_str raises TypeError on a key that is not a str
+                    stack.append([o, iter(sorted(o)),
+                                  h + "{" + levels[depth][0], close])
+                else:
+                    stack.append([None, iter(o), h + "[" + levels[depth][0],
+                                  close])
+                break
+            else:
+                raise TypeError(f"Object of type {type(o).__name__} is not "
+                                f"JSON serializable")
         else:
-            text = float.__repr__(o)
-        out.append(head + text)
-    elif isinstance(o, (list, tuple, dict)):
-        is_dict = isinstance(o, dict)
-        if not o:
-            out.append(head + ("{}" if is_dict else "[]"))
-            return
-        if len(levels) == depth + 1:
-            newline = levels[depth][0] + "  "
-            levels.append((newline, "," + newline))
-        newline, sep = levels[depth + 1]
-        if is_dict:
-            item_head = head + "{" + newline
-            for key in sorted(o):  # _encode_str raises TypeError on a non-str
-                _emit(o[key], item_head + _encode_str(key) + ": ", depth + 1,
-                      out, levels)
-                item_head = sep
-            out.append(levels[depth][0] + "}")
-        else:
-            item_head = head + "[" + newline
-            for item in o:
-                _emit(item, item_head, depth + 1, out, levels)
-                item_head = sep
-            out.append(levels[depth][0] + "]")
-    else:
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON "
-                        f"serializable")
+            append(frame[3])
+            stack.pop()
 
 
 def catalog_json():

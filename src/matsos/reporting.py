@@ -3,7 +3,10 @@
 Every checker in this package reduces to statements of the form
 "LHS(x) <= C * RHS(x) over the sampled domain, for a finite C that does not
 blow up toward the origin".  `sampled_bound` turns arrays of sampled sides
-into a verdict with the shared conventions:
+into a verdict with the shared conventions.  A family of several such
+statements on one set of samples (the pairs and orders of a power bound,
+the entries of a matrix) is one (K, U) stack over the U samples, so no
+sample point or radius is copied per statement:
 
 * samples where both sides are below the flat floor (1e-300) are excluded
   and counted, never failed: the inequalities are trivially true where both
@@ -173,35 +176,49 @@ def sampled_bound(
 ):
     """Verdict for sup |lhs| / rhs <= C over sampled points.
 
-    `excluded` counts samples dropped before this call (evaluation masked
-    out, flat pivots, ...); they are added to the report's counts.
+    `lhs` and `rhs` are (U,) arrays over the samples `pts` (U, d), or
+    (K, U) stacks of K statements on those samples: entry (k, u) is
+    checked at `pts[u]`, at radius `radii[u]` (default the norm of
+    `pts[u]`); other shapes raise ValueError.  The report is that of the
+    K * U entries flattened, each with its own copy of its point and
+    radius: each entry counts as evaluated, or as excluded when flat; the
+    witness is the first worst entry in (k, u) order; and the trend reads
+    each sample's largest finite positive ratio, which gives the per-shell
+    maxima of the entries.  `excluded` counts samples dropped before this
+    call (evaluation masked out, flat pivots, ...); they are added to the
+    report's counts.
     """
-    lhs = np.abs(np.asarray(lhs, dtype=float))
-    rhs = np.asarray(rhs, dtype=float)
+    lhs = np.abs(np.atleast_2d(np.asarray(lhs, dtype=float)))
+    rhs = np.atleast_2d(np.asarray(rhs, dtype=float))
     pts = np.asarray(pts, dtype=float)
+    U = lhs.shape[1]
+    if rhs.shape != lhs.shape or len(pts) != U or (
+            radii is not None and np.shape(radii) != (U,)):
+        raise ValueError(f"sides {lhs.shape} and {rhs.shape} do not stack "
+                         f"over {len(pts)} points")
     flat = (lhs < FLAT_FLOOR) & (rhs < FLAT_FLOOR)
     n_flat = int(flat.sum())
-    use = ~flat
     report = CheckReport(
         condition,
         INCONCLUSIVE,
         params=dict(params or {}),
-        counts={"evaluated": int(use.sum()), "excluded": int(excluded) + n_flat},
+        counts={"evaluated": flat.size - n_flat,
+                "excluded": int(excluded) + n_flat},
     )
-    if not use.any():
+    if n_flat == flat.size:
         return report
-    lhs, rhs, kept = lhs[use], rhs[use], np.flatnonzero(use)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = np.where(rhs > 0, lhs / np.where(rhs > 0, rhs, 1.0), np.inf)
-        ratio = np.where(lhs == 0.0, 0.0, ratio)
-    iworst = int(np.argmax(ratio))
-    worst = float(ratio[iworst])
+    ratio[lhs == 0.0] = 0.0
+    ratio[flat] = -np.inf
+    k, u = np.unravel_index(np.argmax(ratio), ratio.shape)
+    worst = float(ratio[k, u])
     report.worst_ratio = worst
     report.constant = worst
-    report.witness = pts[kept[iworst]].tolist()
-    r = (np.linalg.norm(pts[kept], axis=1) if radii is None
-         else np.asarray(radii)[kept])
-    slope = shell_trend_slope(r, ratio)
+    report.witness = pts[u].tolist()
+    r = np.linalg.norm(pts, axis=1) if radii is None else np.asarray(radii)
+    ratio[~np.isfinite(ratio)] = 0.0
+    slope = shell_trend_slope(r, ratio.max(axis=0))
     report.details["trend_slope"] = slope
     if not np.isfinite(worst) or worst > cmax:
         report.verdict = FAIL

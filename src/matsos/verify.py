@@ -201,19 +201,18 @@ def subordinate_check(A, grid):
     if rep_qf.worst_ratio is not None:
         rep_qf.constant = float(np.sqrt(max(rep_qf.worst_ratio, 0.0)))
         rep_qf.params["constant_is"] = "Gamma = sqrt(worst_ratio)"
-    lhs, rhs, where = [], [], []
-    for i in range(n):
-        for j in range(i, n):
-            g2 = (grads[:, :, i, j] ** 2).sum(axis=1)
-            m = np.minimum(avals[:, i, i], avals[:, j, j])
-            lhs.append(g2)
-            rhs.append(m)
-            where.append(pts[use])
+    iu, ju = np.triu_indices(n)
+    lhs = np.empty((iu.size, use.size))
+    for k, (i, j) in enumerate(zip(iu, ju)):
+        # summed on the (sample, variable) layout of the record: an axis-1
+        # sum over every pair at once adds 8 variables in another order
+        lhs[k] = (grads[:, :, i, j] ** 2).sum(axis=1)
+    d = avals.diagonal(axis1=1, axis2=2)
     rep_ew = sampled_bound(
         "subordinate-entrywise",
-        np.concatenate(lhs),
-        np.concatenate(rhs),
-        np.concatenate(where),
+        lhs,
+        np.minimum(d[:, iu], d[:, ju]).T,
+        pts[use],
     )
     merged = merge_reports("subordinate", [rep_qf, rep_ew])
     merged.details["verdict_agreement"] = rep_qf.verdict == rep_ew.verdict
@@ -233,9 +232,10 @@ def _vacuous(cond):
 
 def _power_family(cond, pairs, base, rec, epsilon, delta_x):
     """The bound |D^mu a_kj| <= C base^e(|mu|) of one family of all
-    diagonal or all off-diagonal pairs, as one (pair, order, sample) array.
-    `base` (U, P) holds each pair's base at the valid samples of the
-    order-4 record `rec`; `delta_x` is the family's delta' or delta''."""
+    diagonal or all off-diagonal pairs, as one (pair and order, sample)
+    stack of `sampled_bound`.  `base` (U, P) holds each pair's base at the
+    valid samples of the order-4 record `rec`; `delta_x` is the family's
+    delta' or delta''."""
     if not pairs:
         return _vacuous(cond)
     ks, js = np.array(pairs).T
@@ -252,14 +252,15 @@ def _power_family(cond, pairs, base, rec, epsilon, delta_x):
     with np.errstate(invalid="ignore"):
         rhs = base ** np.where(base <= 1.0, e_free, e_pin)
     # an underflowed base against a representable-but-flat derivative is a
-    # 0/0 sample in disguise
-    keep = ~((base < FLAT_FLOOR) & (dmax < ROW_FLAT_FLOOR))
-    sample = np.broadcast_to(np.arange(use.size), keep.shape)[keep]
+    # 0/0 sample in disguise: zeroed, it is excluded as flat
+    drop = (base < FLAT_FLOOR) & (dmax < ROW_FLAT_FLOOR)
+    dmax[drop] = rhs[drop] = 0.0
     upts = rec.pts[use]
+    shape = (len(pairs) * len(orders), use.size)
     rep = sampled_bound(
-        cond, dmax[keep], rhs[keep], upts[sample],
-        radii=np.linalg.norm(upts, axis=1)[sample],
-        excluded=int((~rec.valid).sum()) + int((~keep).sum()))
+        cond, dmax.reshape(shape), rhs.reshape(shape), upts,
+        radii=np.linalg.norm(upts, axis=1),
+        excluded=int((~rec.valid).sum()))
     rep.details["pinned_base_gt1"] = int((base > 1.0).sum()) * len(orders)
     return rep
 
@@ -510,15 +511,16 @@ def decomposition_pipeline(A, p, epsilon, delta, delta_pp, grid):
         d = rec.values[rec.valid].diagonal(axis1=1, axis2=2)
         pts = rec.pts[rec.valid]
         # each tail entry against the pivot, both ways
-        sides = [(d[:, j], d[:, p - 1]) for j in range(p, n)]
+        tail = d[:, p:].T
+        pivot = np.broadcast_to(d[:, p - 1], tail.shape)
         rep = sampled_bound(
             "pivot-tail-comparability",
-            np.concatenate([c for s in sides for c in s]),
-            np.concatenate([c for s in sides for c in s[::-1]]),
-            np.concatenate([pts] * 2 * len(sides)),
+            np.stack([tail, pivot], axis=1).reshape(-1, len(pts)),
+            np.stack([pivot, tail], axis=1).reshape(-1, len(pts)),
+            pts,
             cmax=TAIL_RATIO_CAP,
             params={"ratio_cap": TAIL_RATIO_CAP},
-        ) if sides else _vacuous("pivot-tail-comparability")
+        ) if p < n else _vacuous("pivot-tail-comparability")
         reports.append(rep)
         if rep.verdict == FAIL:
             raise HypothesisRefusal("pivot-tail-comparability", reports)

@@ -32,8 +32,9 @@ from matsos import jets
 from matsos.decompose import SosResult, scalar_sos
 from matsos.gallery import _fibonacci_sphere
 from matsos.matfun import Sampled, SymMatFun
-from matsos.reporting import (FAIL, FLAT_FLOOR, INCONCLUSIVE, PASS,
-                              CheckReport, sampled_bound)
+from matsos.reporting import (DEFAULT_CMAX, FAIL, FLAT_FLOOR, INCONCLUSIVE,
+                              PASS, TREND_SLOPE, CheckReport,
+                              shell_trend_slope)
 from matsos.verify import ROW_FLAT_FLOOR, SEMINORM_CAP
 
 
@@ -355,9 +356,54 @@ def nested_decomposition(dec):
     return d
 
 
+def flat_sampled_bound(condition, lhs, rhs, pts, *, params=None,
+                       cmax=DEFAULT_CMAX, radii=None, excluded=0):
+    """`reporting.sampled_bound` over one flat array of entries, each with
+    its own point and radius, as it was before it took (family, sample)
+    stacks."""
+    lhs = np.abs(np.asarray(lhs, dtype=float))
+    rhs = np.asarray(rhs, dtype=float)
+    pts = np.asarray(pts, dtype=float)
+    flat = (lhs < FLAT_FLOOR) & (rhs < FLAT_FLOOR)
+    n_flat = int(flat.sum())
+    use = ~flat
+    report = CheckReport(
+        condition,
+        INCONCLUSIVE,
+        params=dict(params or {}),
+        counts={"evaluated": int(use.sum()),
+                "excluded": int(excluded) + n_flat},
+    )
+    if not use.any():
+        return report
+    lhs, rhs, kept = lhs[use], rhs[use], np.flatnonzero(use)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = np.where(rhs > 0, lhs / np.where(rhs > 0, rhs, 1.0), np.inf)
+        ratio = np.where(lhs == 0.0, 0.0, ratio)
+    iworst = int(np.argmax(ratio))
+    worst = float(ratio[iworst])
+    report.worst_ratio = worst
+    report.constant = worst
+    report.witness = pts[kept[iworst]].tolist()
+    r = (np.linalg.norm(pts[kept], axis=1) if radii is None
+         else np.asarray(radii)[kept])
+    slope = shell_trend_slope(r, ratio)
+    report.details["trend_slope"] = slope
+    if not np.isfinite(worst) or worst > cmax:
+        report.verdict = FAIL
+        report.details["reason"] = "ratio-cap"
+    elif slope is not None and slope < -TREND_SLOPE:
+        report.verdict = FAIL
+        report.details["reason"] = "divergence-trend"
+    else:
+        report.verdict = PASS
+    return report
+
+
 def power_family_loop(cond, pairs, base, rec, epsilon, delta_x):
     """`verify._power_family` as the loop over pairs, then orders, that
-    its (pair, order, sample) array replaced."""
+    its (pair and order, sample) stack replaced, checked by the flat form
+    of `sampled_bound`."""
     use = np.where(rec.valid)[0]
     excluded = int((~rec.valid).sum())
     upts = rec.pts[use]
@@ -387,9 +433,9 @@ def power_family_loop(cond, pairs, base, rec, epsilon, delta_x):
     if not lhs_all:
         return CheckReport(cond, PASS, params={"vacuous": True},
                            counts={"evaluated": 0, "excluded": 0})
-    rep = sampled_bound(cond, np.concatenate(lhs_all),
-                        np.concatenate(rhs_all), np.concatenate(pt_all),
-                        excluded=excluded + flat_pairs)
+    rep = flat_sampled_bound(cond, np.concatenate(lhs_all),
+                             np.concatenate(rhs_all), np.concatenate(pt_all),
+                             excluded=excluded + flat_pairs)
     rep.details["pinned_base_gt1"] = pinned
     return rep
 

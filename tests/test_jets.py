@@ -1171,29 +1171,34 @@ def test_eval_entries_holds_only_its_live_frontier(monkeypatch):
 
 
 def test_order_4_matrix_build_peak_memory():
-    """The tracemalloc peak of building f-phi-psi's order-4 record on its
-    default grid (2,052 points) stays at 12 MB: the memo holds the live
-    frontier of the walk, each entry's jet is read into the record as it
-    completes and then dropped, and a dense product runs in column blocks
-    (keeping every table peaked at 30.7 MB, the frontier alone at 13.8
-    MB)."""
-    item = gallery.GALLERY["f-phi-psi"]
-    A, grid = item.build({}), item.default_grid()
-    pts = grid.sample_points()
-    A.entry_jets(pts[:2], 4)  # the jet spaces of the entries, built once
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        rec = A.sampled(grid, 4)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
+    """The tracemalloc peaks of building order-4 records on default grids.
+
+    f-phi-psi (2,052 points) stays under 6.5 MB: it is built in blocks of
+    at most `jets._POINTS` points, so the memo holds the live frontier of
+    one block's walk (4.8 MB; one stack of all points peaked at 9.8 MB,
+    keeping every table at 30.7 MB).  q-lambda (728 points, one block)
+    stays under 1.45 MB: each entry's jet is read into the record as it
+    completes and then dropped (1.2 MB; collecting every root before
+    reading any peaked at 1.7 MB)."""
+    for name, npts, bound in (("f-phi-psi", 2052, 6.5e6),
+                              ("q-lambda", 728, 1.45e6)):
+        item = gallery.GALLERY[name]
+        A, grid = item.build({}), item.default_grid()
+        pts = grid.sample_points()
+        A.entry_jets(pts[:2], 4)  # the jet spaces of the entries, built once
+        tracing = tracemalloc.is_tracing()
         if not tracing:
-            tracemalloc.stop()
-    assert len(rec.pts) == len(pts) == 2052
-    assert peak <= 12e6, f"peak {peak / 1e6:.1f} MB"
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            rec = A.sampled(grid, 4)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(rec.pts) == len(pts) == npts
+        assert peak <= bound, f"{name}: peak {peak / 1e6:.2f} MB"
 
 
 _UNARY = {

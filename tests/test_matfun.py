@@ -2,6 +2,7 @@
 per grid and order, and of each entry per set of ladders and support."""
 
 import contextlib
+import dataclasses
 import gc
 import tracemalloc
 import weakref
@@ -92,6 +93,21 @@ DENSE_LIMIT_GRID = GridSpec(box=((-1.0, 1.0),) * 8, resolution=9,
                             max_points=256)
 
 
+def _traced(build):
+    """(result, tracemalloc peak above the start) of `build()`."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 def test_dense_limit_record_peaks_below_2_5_times_its_bytes():
     """The order-4 record of the 16 x 16 fixture at 256 points peaks
     (tracemalloc) below 2.5 times its own bytes: each entry's jet is read
@@ -100,22 +116,64 @@ def test_dense_limit_record_peaks_below_2_5_times_its_bytes():
     A = dense_limit_matrix()
     pts = DENSE_LIMIT_GRID.sample_points()
     A.entry_jets(pts[:2], 4)  # the jet spaces of the entries, built once
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        rec = A.sampled(DENSE_LIMIT_GRID, 4)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    rec, peak = _traced(lambda: A.sampled(DENSE_LIMIT_GRID, 4))
     nbytes = sum(a.nbytes for a in rec if a is not None)
     assert A.n == 16 and A.nvars == 8 and len(rec.pts) == len(pts) == 256
     assert len({e for _, e in A.upper_entries()}) == 121
     assert peak < 2.5 * nbytes, f"peak {peak / 1e6:.1f} MB, " \
         f"record {nbytes / 1e6:.1f} MB"
+
+
+def test_dense_limit_record_in_two_blocks_peaks_below_one_stack(monkeypatch):
+    """At 1,025 points the order-4 record of the 16 x 16 fixture is built
+    in two blocks of at most `jets._POINTS` points.  It equals the build of
+    one stack bit for bit, and peaks below 1.45 times its own bytes (1.33),
+    a bound the one-stack build fails (1.61): that holds the live frontier
+    of a walk over every point."""
+    A = dense_limit_matrix()
+    grid = dataclasses.replace(DENSE_LIMIT_GRID, max_points=1025)
+    pts = grid.sample_points()
+    assert len(pts) == 1025
+    A.entry_jets(pts[:2], 4)  # the jet spaces of the entries, built once
+    rec, peak = _traced(lambda: A.entry_jets(pts, 4))
+    monkeypatch.setattr(jets, "_POINTS", len(pts))
+    one, one_peak = _traced(lambda: A.entry_jets(pts, 4))
+    assert np.array_equal(rec.valid, one.valid) and rec.valid.all()
+    for got, want in zip(rec[2:], one[2:]):
+        assert _same_bits(got, want)
+    nbytes = sum(a.nbytes for a in rec if a is not None)
+    assert peak < 1.45 * nbytes < one_peak, \
+        f"peaks {peak / 1e6:.1f} and {one_peak / 1e6:.1f} MB, " \
+        f"record {nbytes / 1e6:.1f} MB"
+
+
+def _two_block_grid(item):
+    """`item`'s default grid as an odd lattice (the origin's coordinates
+    included) of more than 1,536 points, or 2,100 random draws where the
+    lattice has more than 4,096."""
+    grid = item.default_grid()
+    dim = len(grid.box)
+    res = next(r for r in range(3, 1539, 2) if r ** dim > 1536)
+    return dataclasses.replace(grid, resolution=res,
+                               max_points=min(res ** dim, 2100))
+
+
+@pytest.mark.parametrize("name", sorted(gallery.GALLERY))
+def test_blocked_record_equals_one_stack_record(name):
+    """A record of order 1 or 4 built in blocks of `jets._POINTS` points
+    equals, bit for bit (`valid` and the signs of zeros included), the
+    record read from one evaluation of every entry over the whole stack."""
+    item = gallery.GALLERY[name]
+    pts = _two_block_grid(item).sample_points()
+    assert len(jets._column_blocks(len(pts), jets._POINTS)) >= 2
+    A = item.build({})
+    for order in (1, 4):
+        rec = A.entry_jets(pts, order)
+        want = sampled_from_entries(A, pts, order)
+        assert np.array_equal(rec.valid, want.valid)
+        for got, w in zip(rec[2:], want[2:]):
+            assert _same_bits(got, w)
+        assert _same_bits(rec.pts, pts)
 
 
 def test_dense_limit_record_equals_one_list_of_all_entry_jets():

@@ -5,6 +5,8 @@ same objects."""
 
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -283,6 +285,42 @@ def _chain_config(levels):
     return {"version": 1, "pipeline": "verify",
             "matrix": SymMatFun.from_rows([[e]], nvars=1).to_json_dict(),
             "grid": {"box": [[0, 1]], "resolution": 9}}
+
+
+def test_deep_chain_dumps_without_recursion():
+    """`dump_report` walks with a stack of its own: a 200-level chain
+    `recip(1 + 0.5 e)` nests 1,200 JSON containers, beyond the recursion
+    limit, and is written byte-equal to json's text, which needs a raised
+    limit and a large thread stack.  The text of an indented chain grows
+    with the square of its depth (552 MB at 2,000 levels), so no deeper
+    chain is written here."""
+    e = ex.var(0)
+    for _ in range(200):
+        e = ex.recip(1.0 + 0.5 * e)
+    value = ex.to_dict(e)
+    depth, inner = 0, value
+    while "children" in inner:
+        depth, inner = depth + 2, inner["children"][0]
+    assert depth == 1200 > sys.getrecursionlimit()
+    text = dump_report(value)
+    want = []
+
+    def oracle():
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(4 * depth)
+        try:
+            want.append(dump_json(value))
+        finally:
+            sys.setrecursionlimit(limit)
+
+    size = threading.stack_size(256 << 20)
+    try:
+        thread = threading.Thread(target=oracle)
+        thread.start()
+        thread.join()
+    finally:
+        threading.stack_size(size)
+    assert want and text == want[0]
 
 
 def test_deep_chain_config_round_trips_through_its_report():

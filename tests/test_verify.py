@@ -570,6 +570,80 @@ def test_stacked_seminorms_keep_the_loop_witness_on_ties_and_inf():
     assert (got[2][1], got[2][2], got[2][3]) == (None, np.inf, None)
 
 
+def _stack_cases():
+    """(lhs, rhs, pts, radii, drop) stacks of K families over U samples,
+    built to break a stacked reduction: worst-ratio ties across samples
+    and families, inf and NaN ratios, flat and dropped entries, zero radii,
+    fewer than three shells, and no samples or no families at all."""
+    rng = np.random.default_rng(5)
+    K, U = 4, 30
+    pts = rng.normal(size=(U, 3))
+    pts *= 2.0 ** -rng.uniform(0, 6, (U, 1)) / np.linalg.norm(pts, axis=1,
+                                                              keepdims=True)
+    pts[0] = 0.0                                   # a zero radius
+    r = np.linalg.norm(pts, axis=1)
+    base = np.maximum(r, 1e-3) ** rng.uniform(-1.5, 0.5, (K, 1))
+    lhs = base * rng.uniform(0.5, 1.0, (K, U))
+    rhs = np.ones((K, U))
+    none = np.zeros((K, U), bool)
+    tie = lhs.copy()
+    tie[[3, 1, 1], [2, 9, 4]] = 1e3                # ties: first at (1, 4)
+    inf = rhs.copy()
+    inf[[2, 0], [5, 11]] = [0.0, -1.0]             # inf ratios
+    nan = lhs.copy()
+    nan[1, 3] = np.nan
+    flat = lhs.copy()
+    flat[:, ::3] = 1e-310                          # flat where rhs is too
+    flat_rhs = np.where(flat < 1e-300, 0.0, rhs)
+    drop = rng.random((K, U)) < 0.3
+    drop[[3, 1, 1], [2, 9, 4]] = False
+    two = np.where(r < 0.5, 0.3, 0.9)              # two shells only
+    yield lhs, rhs, pts, None, none
+    yield tie, rhs, pts, None, none
+    yield tie, rhs, pts, r, drop
+    yield lhs, inf, pts, None, drop
+    yield nan, rhs, pts, r, none
+    yield flat, flat_rhs, pts, None, drop
+    yield flat, flat_rhs, pts, np.zeros(U), none
+    yield lhs, rhs, pts, two, none
+    yield lhs, rhs, pts, two, drop
+    yield np.zeros((K, U)), np.zeros((K, U)), pts, None, none
+    yield lhs[:, :0], rhs[:, :0], pts[:0], None, none[:, :0]
+    yield lhs[:0], rhs[:0], pts, r, none[:0]
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_stacked_sampled_bound_equals_its_flat_form(case):
+    """`sampled_bound` of (K, U) stacks over U samples equals its flat form
+    (tests/oracles.py), which takes every entry with its own point and
+    radius, and drops the entries that the stack zeroes."""
+    lhs, rhs, pts, radii, drop = list(_stack_cases())[case]
+    K, U = lhs.shape
+    sample = np.tile(np.arange(U), K)[~drop.reshape(-1)]
+    want = oracles.flat_sampled_bound(
+        "c", lhs[~drop], rhs[~drop], pts[sample],
+        radii=None if radii is None else radii[sample],
+        excluded=3 + int(drop.sum()), params={"p": 1})
+    got = sampled_bound("c", np.where(drop, 0.0, lhs),
+                        np.where(drop, 0.0, rhs), pts, radii=radii,
+                        excluded=3, params={"p": 1})
+    assert _same_report(got, want)
+    assert (got.counts["evaluated"] == 0) is (case >= 9)
+    if case in (1, 2):
+        assert (got.worst_ratio, got.witness) == (1e3, pts[4].tolist())
+    if case == 3:
+        assert got.worst_ratio == np.inf
+
+
+def test_sampled_bound_refuses_sides_that_do_not_stack():
+    pts = np.zeros((4, 2))
+    for lhs, rhs, radii in ((np.ones((2, 4)), np.ones((2, 3)), None),
+                            (np.ones((2, 3)), np.ones((2, 3)), None),
+                            (np.ones((2, 4)), np.ones((2, 4)), np.ones(3))):
+        with pytest.raises(ValueError):
+            sampled_bound("c", lhs, rhs, pts, radii=radii)
+
+
 def test_stacked_power_family_equals_its_loop():
     """`verify._power_family` equals its loop (tests/oracles.py) on bases
     above 1, underflowed bases against flat and non-flat derivatives,
